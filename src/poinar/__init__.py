@@ -19,7 +19,7 @@ from .diagnostics import (
 from .forecast import (
     ForecastDistribution,
     conditional_mean_h_step,
-    conditional_mean_one_step,
+    posterior_conditional_means,
     posterior_predictive,
     predictive_pmf,
     quantile,
@@ -76,8 +76,8 @@ __all__ = [
     "run_chain",
     "run_chains",
     "ForecastDistribution",
-    "conditional_mean_one_step",
     "conditional_mean_h_step",
+    "posterior_conditional_means",
     "predictive_pmf",
     "posterior_predictive",
     "quantile",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io
 from .diagnostics import cluster_count_histogram, psrf, representative_assignment
-from .forecast import conditional_mean_h_step, posterior_predictive, quantile
+from .forecast import posterior_conditional_means, posterior_predictive, quantile
 from .harness import (
     default_study_config,
     benchmark_scenarios,
@@ -104,6 +104,21 @@ def _sampler_config_from_args(args) -> SamplerConfig:
     )
 
 
+def _load_panel_and_draws(args) -> tuple:
+    """Load the counts and the draws fitted to them, plus the exposure the
+    draws' mode uses (``None`` for plain-mode draws)."""
+    panel = io.load_counts(args.counts, exposure_path=args.exposure)
+    draws = io.load_draws(args.draws)
+    width = draws.states[0].n_series if len(draws) else panel.n_series
+    if width != panel.n_series:
+        raise io.IntegrityError(
+            f"{args.draws}: draws cover {width} series, but {args.counts} "
+            f"holds {panel.n_series}"
+        )
+    exposure = panel.exposure if draws.mode == MODE_COVARIATE else None
+    return panel, draws, exposure
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -182,16 +197,10 @@ def cmd_fit(args) -> int:
     }
     exposure = panel.exposure if args.mode == MODE_COVARIATE else None
     if len(chains) >= 2:
+        alpha, _, theta = draws.stacked(exposure)
         diagnostics["psrf_rate_sum"] = psrf(draws.rate_sum_traces(exposure))
-        alphas = np.stack([s.alpha for s in draws.states])
-        thetas = np.stack([s.theta for s in draws.states])
-        split = [draws.chain_index == c for c in draws.chains]
-        diagnostics["psrf_alpha"] = [
-            psrf([alphas[m, l] for m in split]) for l in range(panel.n_series)
-        ]
-        diagnostics["psrf_theta"] = [
-            psrf([thetas[m, j] for m in split]) for j in range(12)
-        ]
+        diagnostics["psrf_alpha"] = psrf(draws.by_chain(alpha)).tolist()
+        diagnostics["psrf_theta"] = psrf(draws.by_chain(theta)).tolist()
     with (out / "diagnostics.json").open("w") as fh:
         json.dump(diagnostics, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -209,13 +218,7 @@ def cmd_forecast(args) -> int:
         out_dir=str(out),
         options={"quantiles": quantiles, "horizon": args.horizon},
     )
-    panel = io.load_counts(args.counts, exposure_path=args.exposure)
-    draws = io.load_draws(args.draws)
-    exposure = None
-    if draws.mode == MODE_COVARIATE:
-        if panel.exposure is None:
-            raise ConfigurationError("covariate-mode draws require --exposure")
-        exposure = panel.exposure
+    panel, draws, exposure = _load_panel_and_draws(args)
     if panel.week_starts is None:
         raise ConfigurationError("counts file carries no week dates")
     future = io.months_of(
@@ -223,26 +226,18 @@ def cmd_forecast(args) -> int:
             panel.week_starts[-1] + datetime.timedelta(days=7), args.horizon
         )
     )
+    y_last = panel.counts[:, -1]
+    means = posterior_conditional_means(draws, y_last, future, exposure)
 
     rows = []
     for l, sid in enumerate(panel.series_ids):
-        y_last = int(panel.counts[l, -1])
-        dist = posterior_predictive(y_last, draws, l, int(future[0]), exposure=exposure)
-        row = {"series_id": sid, "y_last": y_last, "mean": repr(dist.mean)}
-        for q in quantiles:
-            row[f"q{q}"] = quantile(dist, q)
+        row = {"series_id": sid, "y_last": int(y_last[l]), "mean": repr(float(means[0, l]))}
+        if quantiles:
+            dist = posterior_predictive(int(y_last[l]), draws, l, int(future[0]), exposure)
+            for q in quantiles:
+                row[f"q{q}"] = quantile(dist, q)
         for h in range(2, args.horizon + 1):
-            step_means = [
-                conditional_mean_h_step(
-                    y_last,
-                    s.alpha[l],
-                    s.phi_star[s.z[l]] * (exposure[l] if exposure is not None else 1.0),
-                    s.theta,
-                    future[:h],
-                )
-                for s in draws.states
-            ]
-            row[f"mean_step{h}"] = repr(float(np.mean(step_means)))
+            row[f"mean_step{h}"] = repr(float(means[h - 1, l]))
         rows.append(row)
 
     fields = ["series_id", "y_last", "mean"]
@@ -266,11 +261,10 @@ def cmd_evaluate(args) -> int:
             "bucket_cap": args.bucket_cap,
         },
     )
-    panel = io.load_counts(args.counts, exposure_path=args.exposure)
-    draws = io.load_draws(args.draws)
+    panel, draws, exposure = _load_panel_and_draws(args)
     report, rows = rolling_one_step_evaluation(
         panel, draws, holdout=args.holdout, origins=args.origins,
-        bucket_cap=args.bucket_cap,
+        bucket_cap=args.bucket_cap, exposure=exposure,
     )
 
     bucket_rows = []
@@ -483,7 +477,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else _USAGE_EXIT
     try:
         return args.func(args)
-    except (FileNotFoundError, ConfigurationError, KeyError) as exc:
+    except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except (io.ParseError, io.IntegrityError, ValueError) as exc:

@@ -11,25 +11,27 @@ from scipy.optimize import linear_sum_assignment
 from .sampler import PosteriorDraws
 
 
-def psrf(chains) -> float:
-    """Potential scale reduction factor of a scalar traced across chains.
+def psrf(chains):
+    """Potential scale reduction factor of scalars traced across chains.
 
-    sqrt(((n-1)/n * W + B/n) / W) with W the mean within-chain variance and
-    B the between-chain variance of the chain means scaled by the chain
-    length. Values near 1 indicate the chains have mixed.
+    ``chains`` has shape (..., chains, draws): one PSRF per leading index,
+    returned as a float when there is none. sqrt(((n-1)/n * W + B/n) / W)
+    with W the mean within-chain variance and B the between-chain variance
+    of the chain means scaled by the chain length n. Values near 1 indicate
+    the chains have mixed.
     """
-    seqs = [np.asarray(c, dtype=float) for c in chains]
-    if len(seqs) < 2:
+    x = np.asarray(chains, dtype=float)
+    if x.ndim < 2 or x.shape[-2] < 2:
         raise ValueError("need at least two chains")
-    n = seqs[0].shape[0]
-    if n < 2 or any(s.shape != (n,) for s in seqs):
+    n = x.shape[-1]
+    if n < 2:
         raise ValueError("chains must share a common length of at least 2")
-    W = float(np.mean([s.var(ddof=1) for s in seqs]))
-    means = np.array([s.mean() for s in seqs])
-    B = n * float(means.var(ddof=1))
-    if W == 0.0:
-        return 1.0 if B == 0.0 else float("inf")
-    return float(np.sqrt(((n - 1) / n * W + B / n) / W))
+    W = x.var(axis=-1, ddof=1).mean(axis=-1)
+    B = n * x.mean(axis=-1).var(axis=-1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(((n - 1) / n * W + B / n) / W)
+    r = np.where(W == 0.0, np.where(B == 0.0, 1.0, np.inf), r)
+    return float(r) if r.ndim == 0 else r
 
 
 def _contingency(z_a: np.ndarray, z_b: np.ndarray) -> np.ndarray:

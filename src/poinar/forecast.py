@@ -13,16 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
-from .model import MODE_COVARIATE
 from .sampler import PosteriorDraws
 
 # Truncation budgets: total probability mass left in the tail, and the bound
 # on the tail's contribution to the mean (keeps pmf means exact to ~1e-12).
 _TAIL_MASS = 1e-9
 _TAIL_MEAN = 1e-12
-
-SOURCE_PER_DRAW = "per-draw"
-SOURCE_AVERAGED = "posterior-averaged"
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,6 @@ class ForecastDistribution:
     pmf: np.ndarray
     y_max: int
     mean: float
-    source: str = SOURCE_PER_DRAW
 
     def __post_init__(self):
         pmf = np.asarray(self.pmf, dtype=float)
@@ -59,26 +54,57 @@ class ForecastDistribution:
         return self.quantile(lower), self.quantile(upper)
 
 
-def conditional_mean_one_step(y_T: float, alpha: float, lam: float, theta_next: float) -> float:
-    """One-step conditional mean alpha * y_T + lambda * theta."""
-    return alpha * y_T + lam * theta_next
-
-
-def conditional_mean_h_step(
-    y_T: float, alpha: float, lam: float, theta: np.ndarray, future_months
-) -> float:
-    """h-step conditional mean, h being the number of future months given.
+def conditional_mean_h_step(y_T, alpha, lam, theta, future_months):
+    """h-step conditional mean, h being the length of the last axis of
+    ``future_months``.
 
     alpha**h * y_T + lam * sum_{j=1..h} alpha**(h-j) * theta_{m_j}, where
-    ``future_months[j-1]`` is the month (1..12) of week T+j.
+    ``future_months[..., j-1]`` is the month (1..12) of week T+j. Arguments
+    broadcast: the last axis of ``theta`` holds the 12 monthly effects, and
+    its leading axes and those of ``future_months`` broadcast with ``y_T``,
+    ``alpha`` and ``lam``. One call thus covers a stack of draws, series and
+    forecast origins; plain scalars give a scalar.
     """
     months = np.atleast_1d(np.asarray(future_months, dtype=np.int64))
-    h = months.shape[0]
+    h = months.shape[-1]
     if h < 1:
         raise ValueError("need at least one future month")
     theta = np.asarray(theta, dtype=float)
-    powers = alpha ** np.arange(h - 1, -1, -1, dtype=float)
-    return float(alpha**h * y_T + lam * (powers @ theta[months - 1]))
+    lead = np.broadcast_shapes(theta.shape[:-1], months.shape[:-1])
+    path = np.take_along_axis(  # theta of each future week, shape lead + (h,)
+        np.broadcast_to(theta, lead + theta.shape[-1:]),
+        np.broadcast_to(months - 1, lead + (h,)),
+        axis=-1,
+    )
+    alpha = np.asarray(alpha, dtype=float)
+    powers = alpha[..., None] ** np.arange(h - 1, -1, -1, dtype=float)
+    return alpha**h * y_T + lam * (powers * path).sum(axis=-1)
+
+
+def posterior_conditional_means(
+    draws: PosteriorDraws, y_T, future_months, exposure: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw-averaged conditional means at horizons 1..h.
+
+    ``y_T`` holds the counts at the forecast origin, shape (L,), and
+    ``future_months`` the months of the h weeks after it, shape (h,). For
+    several origins at once, give one row per origin: shapes (n, L) and
+    (n, h). Row h-1 of the result is the h-step mean, shape (h, L) or
+    (h, n, L). Covariate-mode draws need ``exposure``.
+    """
+    alpha, lam, theta = draws.stacked(exposure)
+    y_T = np.asarray(y_T, dtype=float)
+    months = np.asarray(future_months, dtype=np.int64)
+    # draws lead, then one axis per origin axis of y_T, then series
+    batch = (1,) * (y_T.ndim - 1)
+    alpha = alpha.reshape(alpha.shape[:1] + batch + alpha.shape[1:])
+    lam = lam.reshape(alpha.shape)
+    theta = theta.reshape(theta.shape[:1] + batch + (1, theta.shape[1]))
+    months = months[..., None, :]  # one path for every series
+    return np.stack([
+        conditional_mean_h_step(y_T, alpha, lam, theta, months[..., :h]).mean(axis=0)
+        for h in range(1, months.shape[-1] + 1)
+    ])
 
 
 def predictive_pmf(
@@ -115,7 +141,7 @@ def predictive_pmf(
         m = int(m * 1.5) + 10
 
     mean = float(np.arange(m + 1) @ pmf)
-    return ForecastDistribution(pmf=pmf, y_max=m, mean=mean, source=SOURCE_PER_DRAW)
+    return ForecastDistribution(pmf=pmf, y_max=m, mean=mean)
 
 
 def posterior_predictive(
@@ -123,7 +149,6 @@ def posterior_predictive(
     draws: PosteriorDraws,
     series: int,
     month: int,
-    y_max: int | None = None,
     exposure: np.ndarray | None = None,
 ) -> ForecastDistribution:
     """Average the exact one-step pmf over the posterior draws.
@@ -132,26 +157,18 @@ def posterior_predictive(
     covariate mode the panel's exposure vector must be supplied so each
     draw's per-exposure rate can be scaled.
     """
-    if len(draws) == 0:
-        raise ValueError("no posterior draws to average over")
-    if draws.mode == MODE_COVARIATE and exposure is None:
-        raise ValueError("covariate-mode draws need the exposure vector")
-
-    dists = []
-    for state in draws:
-        lam = state.phi_star[state.z[series]]
-        if exposure is not None:
-            lam *= exposure[series]
-        dists.append(
-            predictive_pmf(y_T, state.alpha[series], lam, state.theta[month - 1], y_max=y_max)
-        )
+    alpha, lam, theta = draws.stacked(exposure)
+    dists = [
+        predictive_pmf(y_T, a, r, t)
+        for a, r, t in zip(alpha[:, series], lam[:, series], theta[:, month - 1])
+    ]
     m = max(d.y_max for d in dists)
     acc = np.zeros(m + 1)
     for d in dists:
         acc[: d.y_max + 1] += d.pmf
     acc /= len(dists)
     mean = float(np.arange(m + 1) @ acc)
-    return ForecastDistribution(pmf=acc, y_max=m, mean=mean, source=SOURCE_AVERAGED)
+    return ForecastDistribution(pmf=acc, y_max=m, mean=mean)
 
 
 def quantile(dist: ForecastDistribution, upsilon: float) -> int:

@@ -22,10 +22,11 @@ from .diagnostics import (
     hamming_error,
     representative_assignment,
 )
+from .forecast import posterior_conditional_means
 from .io import months_of, week_starts_from
 from .model import MODE_COVARIATE, simulate_panel
 from .panel import CountPanel
-from .sampler import PosteriorDraws, SamplerConfig, run_chain
+from .sampler import ConfigurationError, PosteriorDraws, SamplerConfig, run_chain
 
 SEPARATIONS = {
     "easy": (1.0, 3.0, 6.0, 10.0),
@@ -99,7 +100,7 @@ def scenario_by_name(name: str, L: int = 100, T: int = 208) -> Scenario:
         if sc.name == name:
             return sc
     names = ", ".join(s.name for s in benchmark_scenarios())
-    raise KeyError(f"unknown scenario {name!r}; available: {names}")
+    raise ConfigurationError(f"unknown scenario {name!r}; available: {names}")
 
 
 def simulate_scenario(scenario: Scenario, rng: np.random.Generator,
@@ -125,23 +126,6 @@ def simulate_scenario(scenario: Scenario, rng: np.random.Generator,
     )
     panel = replace(panel, week_starts=dates[: scenario.T])
     return panel, truth, int(months[scenario.T])
-
-
-def posterior_mean_forecasts(
-    draws: PosteriorDraws,
-    y_prev: np.ndarray,
-    month: int,
-    exposure: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draw-averaged one-step conditional means for every series."""
-    if len(draws) == 0:
-        raise ValueError("no posterior draws")
-    if draws.mode == MODE_COVARIATE and exposure is None:
-        raise ValueError("covariate-mode draws need the exposure vector")
-    alphas = np.stack([s.alpha for s in draws.states])
-    lams = np.stack([s.series_rates(exposure) for s in draws.states])
-    thetas = np.array([s.theta[month - 1] for s in draws.states])
-    return alphas.mean(axis=0) * np.asarray(y_prev) + (lams * thetas[:, None]).mean(axis=0)
 
 
 @dataclass
@@ -254,7 +238,7 @@ def run_study(
             )
             draws = run_chain(panel, config, rng=chain_rng)
             predictions = {
-                METHOD_BNP: posterior_mean_forecasts(draws, y_last, next_month),
+                METHOD_BNP: posterior_conditional_means(draws, y_last, [next_month])[0],
                 METHOD_CLS: _cls_predictions(panel, next_month),
                 METHOD_SPP: np.array([spp_fit_forecast(s) for s in panel.counts]),
             }
@@ -340,43 +324,27 @@ def rolling_one_step_evaluation(
     """
     if draws.mode == MODE_COVARIATE and exposure is None:
         exposure = panel.exposure
-        if exposure is None:
-            raise ValueError("covariate-mode draws need the exposure vector")
-    targets = holdout_origin_weeks(panel, holdout, origins)
-    if not targets:
+    targets = np.array(holdout_origin_weeks(panel, holdout, origins), dtype=np.int64)
+    if not targets.size:
         raise ValueError("no forecast origins inside the holdout")
 
-    alphas = np.stack([s.alpha for s in draws.states])
-    lams = np.stack([s.series_rates(exposure) for s in draws.states])
-    thetas = np.stack([s.theta for s in draws.states])
-    alpha_bar = alphas.mean(axis=0)
-    # rate_by_month[l, m] = E_draws[ lam_l * theta_m ]
-    rate_by_month = np.einsum("dl,dm->lm", lams, thetas) / len(draws)
+    y_prev = panel.counts[:, targets - 1].T  # (origins, series)
+    months = panel.season_of[targets][:, None]
+    preds = posterior_conditional_means(draws, y_prev, months, exposure)[0]
+    actuals = panel.counts[:, targets].T
 
-    rows = []
-    preds, actuals, lasts = [], [], []
-    for w in targets:
-        month = panel.season_of[w]
-        y_prev = panel.counts[:, w - 1]
-        pred = alpha_bar * y_prev + rate_by_month[:, month - 1]
-        actual = panel.counts[:, w]
-        preds.append(pred)
-        actuals.append(actual)
-        lasts.append(y_prev)
-        for l, sid in enumerate(panel.series_ids):
-            rows.append(
-                {
-                    "series_id": sid,
-                    "week": w + 1,
-                    "last_value": int(y_prev[l]),
-                    "prediction": float(pred[l]),
-                    "actual": int(actual[l]),
-                }
-            )
+    rows = [
+        {
+            "series_id": sid,
+            "week": int(w) + 1,
+            "last_value": int(y_prev[i, l]),
+            "prediction": float(preds[i, l]),
+            "actual": int(actuals[i, l]),
+        }
+        for i, w in enumerate(targets)
+        for l, sid in enumerate(panel.series_ids)
+    ]
     report = forecast_metrics(
-        np.concatenate(preds),
-        np.concatenate(actuals),
-        np.concatenate(lasts),
-        bucket_cap=bucket_cap,
+        preds.ravel(), actuals.ravel(), y_prev.ravel(), bucket_cap=bucket_cap
     )
     return report, rows

@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelState
-from .panel import CountPanel
+from .panel import N_MONTHS, CountPanel
 from .sampler import PosteriorDraws
 
 DRAWS_FORMAT = "poinar-draws"
 DRAWS_VERSION = 1
+_RECORD_FIELDS = ("chain", "iteration", "tau", "alpha", "z", "phi_star", "theta")
 
 
 class ParseError(ValueError):
@@ -220,13 +221,19 @@ def load_draws(path) -> PosteriorDraws:
             f"{path}: expected {n_draws} draws, found {len(records)} (truncated or padded file)"
         )
     states, chains, iterations = [], [], []
+    width = None
     for i, line in enumerate(records, start=2):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError:
-            raise IntegrityError(f"{path}: unreadable record on line {i}") from None
-        states.append(
-            ModelState(
+            rec = None
+        if not isinstance(rec, dict):
+            raise IntegrityError(f"{path}: unreadable record on line {i}")
+        missing = [key for key in _RECORD_FIELDS if key not in rec]
+        if missing:
+            raise IntegrityError(f"{path}: line {i}: record lacks field {missing[0]!r}")
+        try:
+            state = ModelState(
                 alpha=np.array(rec["alpha"], dtype=float),
                 z=np.array(rec["z"], dtype=np.int64),
                 phi_star=np.array(rec["phi_star"], dtype=float),
@@ -238,7 +245,22 @@ def load_draws(path) -> PosteriorDraws:
                     else None
                 ),
             )
-        )
+        except (TypeError, ValueError):
+            raise IntegrityError(f"{path}: line {i}: a field holds non-numeric values") from None
+        if width is None:
+            width = state.alpha.size  # the first record fixes the panel width
+        for name, size in (("alpha", width), ("z", width), ("theta", N_MONTHS)):
+            value = getattr(state, name)
+            if value.shape != (size,):
+                raise IntegrityError(
+                    f"{path}: line {i}: field {name!r} has {value.size} entries, expected {size}"
+                )
+        if width and not 0 <= state.z.min() <= state.z.max() < state.n_clusters:
+            raise IntegrityError(
+                f"{path}: line {i}: field 'z' names a cluster missing from "
+                f"'phi_star' ({state.n_clusters} entries)"
+            )
+        states.append(state)
         chains.append(rec["chain"])
         iterations.append(rec["iteration"])
     return PosteriorDraws(

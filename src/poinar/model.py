@@ -106,13 +106,10 @@ class ModelState:
     def n_series(self) -> int:
         return self.z.shape[0]
 
-    def series_rates(self, exposure: np.ndarray | None = None) -> np.ndarray:
-        """Effective innovation rate of each series: phi*_{z_l}, scaled by
-        exposure when given (covariate mode)."""
-        rates = self.phi_star[self.z]
-        if exposure is not None:
-            rates = rates * np.asarray(exposure, dtype=float)
-        return rates
+    def series_rates(self) -> np.ndarray:
+        """Each series' cluster rate phi*_{z_l} (per unit of exposure in
+        covariate mode)."""
+        return self.phi_star[self.z]
 
     def copy(self) -> "ModelState":
         return ModelState(

@@ -34,12 +34,7 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """MCMC run settings.
-
-    ``init_*`` pairs are the (shape-like, rate-like) parameters of the
-    distributions the chain's starting values are drawn from; each series
-    starts in its own cluster with its own rate draw.
-    """
+    """MCMC run settings."""
 
     n_iterations: int = 1000
     burn_in: int = 100
@@ -49,10 +44,6 @@ class SamplerConfig:
     hyper: Hyperparams = field(default_factory=Hyperparams)
     innovation_strategy: str = INNOVATION_EXACT
     metropolis_threshold: int = 30
-    init_alpha: tuple[float, float] = (1.0, 1.0)
-    init_theta: tuple[float, float] = (1.0, 1.0)
-    init_tau: tuple[float, float] = (2.0, 4.0)
-    init_phi: tuple[float, float] = (1.0, 1.0)
     validate_sweeps: bool = False
 
     def __post_init__(self):
@@ -99,21 +90,44 @@ class PosteriorDraws:
     def __len__(self) -> int:
         return len(self.states)
 
-    def __iter__(self):
-        return iter(self.states)
-
-    @property
-    def chains(self) -> np.ndarray:
-        return np.unique(self.chain_index)
-
     def cluster_counts(self) -> np.ndarray:
         return np.array([s.n_clusters for s in self.states], dtype=np.int64)
 
-    def rate_sum_traces(self, exposure: np.ndarray | None = None) -> list[np.ndarray]:
-        """Per-chain traces of the summed effective rates, a scalar functional
-        that is invariant to cluster relabeling (used for convergence checks)."""
-        totals = np.array([s.series_rates(exposure).sum() for s in self.states])
-        return [totals[self.chain_index == c] for c in self.chains]
+    def stacked(self, exposure: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """Every draw's parameters on a leading draw axis: ``(alpha, lam,
+        theta)`` of shapes (D, L), (D, L) and (D, 12).
+
+        ``lam`` is each series' effective innovation rate, phi*_{z_l} scaled
+        by ``exposure`` when given; covariate-mode draws require it.
+        """
+        if not self.states:
+            raise ValueError("no posterior draws")
+        if self.mode == MODE_COVARIATE and exposure is None:
+            raise ConfigurationError("covariate-mode draws need the exposure vector")
+        alpha = np.stack([s.alpha for s in self.states])
+        lam = np.stack([s.series_rates() for s in self.states])
+        if exposure is not None:
+            lam = lam * np.asarray(exposure, dtype=float)
+        theta = np.stack([s.theta for s in self.states])
+        return alpha, lam, theta
+
+    def by_chain(self, values: np.ndarray) -> np.ndarray:
+        """Regroup per-draw ``values`` (leading draw axis) into shape
+        (..., chains, draws per chain), the layout ``psrf`` reads."""
+        values = np.asarray(values)
+        _, sizes = np.unique(self.chain_index, return_counts=True)
+        if np.any(sizes != sizes[0]):
+            raise ValueError("chains hold different numbers of draws")
+        order = np.argsort(self.chain_index, kind="stable")
+        grouped = values[order].reshape((sizes.size, sizes[0]) + values.shape[1:])
+        # contiguous, so each trace reduces in the same order as a 1-D array
+        return np.ascontiguousarray(np.moveaxis(grouped, (0, 1), (-2, -1)))
+
+    def rate_sum_traces(self, exposure: np.ndarray | None = None) -> np.ndarray:
+        """Per-chain traces of the summed effective rates, shape (chains,
+        draws per chain): a scalar functional that is invariant to cluster
+        relabeling (used for convergence checks)."""
+        return self.by_chain(self.stacked(exposure)[1].sum(axis=1))
 
     @classmethod
     def concat(cls, parts: list["PosteriorDraws"]) -> "PosteriorDraws":
@@ -170,12 +184,6 @@ class SuffStats:
             R=eps.sum(axis=0).astype(float),
             theta_total=float(theta_total), mass=mass,
         )
-
-    def held_out_totals(self, l: int, z: np.ndarray) -> np.ndarray:
-        """A_j = sum of S over cluster j's members excluding series ``l``."""
-        A = self.B.copy()
-        A[z[l]] -= self.S[l]
-        return A
 
     def validate(self):
         if not np.isclose(self.B.sum(), self.S.sum(), rtol=1e-9):
@@ -340,20 +348,6 @@ class InnovationKernel:
 
         new[:, 1:] = tail
         return new
-
-
-def _resample_innovations(
-    counts: np.ndarray,
-    eps: np.ndarray,
-    alpha: np.ndarray,
-    rates: np.ndarray,
-    rng: np.random.Generator,
-    strategy: str = INNOVATION_EXACT,
-    mh_threshold: int = 30,
-) -> np.ndarray:
-    """One-shot innovation update (builds a throwaway kernel; tests only)."""
-    kernel = InnovationKernel(counts, strategy=strategy, mh_threshold=mh_threshold)
-    return kernel(eps, alpha, rates, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +524,16 @@ def sample_concentration(
 # Chain orchestration
 # ---------------------------------------------------------------------------
 
-def _initial_state(panel: CountPanel, config: SamplerConfig, rng: np.random.Generator) -> ModelState:
+def _initial_state(panel: CountPanel, rng: np.random.Generator) -> ModelState:
+    """Starting values: each series in its own cluster, alpha ~ Beta(1, 1),
+    rates and seasonals ~ Gamma(1, 1), tau ~ Gamma(2, 4) (shape, rate)."""
     L = panel.n_series
-    a1, a2 = config.init_alpha
-    t1, t2 = config.init_theta
-    c1, c2 = config.init_tau
-    p1, p2 = config.init_phi
     return ModelState(
-        alpha=rng.beta(a1, a2, size=L),
+        alpha=rng.beta(1.0, 1.0, size=L),
         z=np.arange(L, dtype=np.int64),
-        phi_star=rng.gamma(p1, 1.0 / p2, size=L),
-        theta=rng.gamma(t1, 1.0 / t2, size=N_MONTHS),
-        tau=float(rng.gamma(c1, 1.0 / c2)),
+        phi_star=rng.gamma(1.0, 1.0, size=L),
+        theta=rng.gamma(1.0, 1.0, size=N_MONTHS),
+        tau=float(rng.gamma(2.0, 1.0 / 4.0)),
         innovations=None,
     )
 
@@ -574,7 +566,7 @@ def run_chain(
         mh_threshold=config.metropolis_threshold,
     )
 
-    state = _initial_state(panel, config, rng)
+    state = _initial_state(panel, rng)
     eps = np.empty_like(counts)
     eps[:, 0] = counts[:, 0]
     eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)

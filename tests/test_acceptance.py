@@ -32,9 +32,9 @@ from poinar.harness import (
 from poinar.io import load_draws, save_counts, save_draws
 from poinar.model import simulate_poinar
 from poinar.sampler import (
+    InnovationKernel,
     PosteriorDraws,
     SamplerConfig,
-    _resample_innovations,
     innovation_pmf,
     innovation_support,
     log_innovation_total_marginal,
@@ -85,8 +85,8 @@ def test_c01_innovation_sampler_exactness():
     ]
     for y_prev, y_curr, alpha, rate in configs:
         counts = np.tile([[y_prev, y_curr]], (n, 1))
-        out = _resample_innovations(
-            counts, np.zeros_like(counts), np.full(n, alpha), np.full((n, 1), rate), rng
+        out = InnovationKernel(counts)(
+            np.zeros_like(counts), np.full(n, alpha), np.full((n, 1), rate), rng
         )
         draws = out[:, 1]
         pmf = innovation_pmf(y_prev, y_curr, alpha, rate)

@@ -58,6 +58,15 @@ class TestPsrf:
         b = rng.normal(25.0, 1.0, 200)
         assert psrf([a, b]) > 5.0
 
+    def test_leading_axes_match_scalar_calls(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(4, 3, 3, 20))  # (params..., chains, draws)
+        batched = psrf(x)
+        assert batched.shape == (4, 3)
+        for i in range(4):
+            for j in range(3):
+                assert batched[i, j] == psrf(list(x[i, j]))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             psrf([np.ones(5)])

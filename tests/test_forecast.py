@@ -9,7 +9,7 @@ from scipy import stats as sps
 from poinar.forecast import (
     ForecastDistribution,
     conditional_mean_h_step,
-    conditional_mean_one_step,
+    posterior_conditional_means,
     posterior_predictive,
     predictive_pmf,
     quantile,
@@ -37,13 +37,15 @@ def _draws(states):
 
 class TestConditionalMeans:
     def test_one_step_substitution(self):
-        assert conditional_mean_one_step(2, 0.5, 1.0, 1.0) == 2.0
-        assert conditional_mean_one_step(7, 0.0, 1.3, 2.0) == 1.3 * 2.0
-        assert conditional_mean_one_step(0, 0.9, 1.3, 2.0) == 1.3 * 2.0
+        theta = np.ones(12)
+        theta[4] = 2.0
+        assert conditional_mean_h_step(2, 0.5, 1.0, theta, [1]) == 2.0
+        assert conditional_mean_h_step(7, 0.0, 1.3, theta, [5]) == 1.3 * 2.0
+        assert conditional_mean_h_step(0, 0.9, 1.3, theta, [5]) == 1.3 * 2.0
 
     def test_h_step_reduces_to_one_step(self):
         assert conditional_mean_h_step(3, 0.4, 1.5, np.ones(12), [7]) == pytest.approx(
-            conditional_mean_one_step(3, 0.4, 1.5, 1.0), abs=1e-14
+            0.4 * 3 + 1.5 * 1.0, abs=1e-14
         )
 
     def test_h_step_no_carryover(self):
@@ -65,6 +67,73 @@ class TestConditionalMeans:
             recursive = alpha * f_prev + lam * theta[months[h - 1] - 1]
             assert direct == pytest.approx(recursive, rel=1e-12)
             f_prev = direct
+
+    def test_broadcast_matches_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        D, L, n = 5, 4, 3
+        alpha = rng.uniform(0, 1, (D, 1, L))
+        lam = rng.uniform(0.1, 3.0, (D, 1, L))
+        theta = rng.gamma(1.0, 1.0, (D, 1, 1, 12))
+        y_T = rng.integers(0, 9, (n, L))
+        months = rng.integers(1, 13, (n, 1, 3))  # one 3-week path per origin
+        got = conditional_mean_h_step(y_T, alpha, lam, theta, months)
+        assert got.shape == (D, n, L)
+        for d in range(D):
+            for i in range(n):
+                for l in range(L):
+                    one = conditional_mean_h_step(
+                        y_T[i, l], alpha[d, 0, l], lam[d, 0, l], theta[d, 0, 0], months[i, 0]
+                    )
+                    assert got[d, i, l] == pytest.approx(one, rel=1e-14)
+
+
+class TestPosteriorConditionalMeans:
+    def _draws(self, rng, D=6, L=3):
+        states = [
+            ModelState(alpha=rng.uniform(0, 1, L), z=np.array([0, 1, 0]),
+                       phi_star=rng.uniform(0.5, 3.0, 2), theta=rng.gamma(1, 1, 12), tau=1.0)
+            for _ in range(D)
+        ]
+        return _draws(states)
+
+    def test_horizons_average_per_draw_means(self):
+        rng = np.random.default_rng(4)
+        draws = self._draws(rng)
+        y_T = np.array([2, 0, 5])
+        months = [11, 12, 1]
+        got = posterior_conditional_means(draws, y_T, months)
+        assert got.shape == (3, 3)
+        for h in range(1, 4):
+            for l in range(3):
+                per_draw = [
+                    conditional_mean_h_step(y_T[l], s.alpha[l], s.phi_star[s.z[l]], s.theta,
+                                            months[:h])
+                    for s in draws.states
+                ]
+                assert got[h - 1, l] == pytest.approx(np.mean(per_draw), rel=1e-13)
+
+    def test_one_row_per_origin(self):
+        rng = np.random.default_rng(5)
+        draws = self._draws(rng)
+        y_T = np.array([[2, 0, 5], [1, 4, 0]])
+        months = np.array([[3], [8]])
+        got = posterior_conditional_means(draws, y_T, months)
+        assert got.shape == (1, 2, 3)
+        for i in range(2):
+            single = posterior_conditional_means(draws, y_T[i], months[i])
+            assert np.allclose(got[0, i], single[0], rtol=1e-14, atol=0)
+
+    def test_covariate_draws_need_exposure(self):
+        rng = np.random.default_rng(6)
+        draws = self._draws(rng)
+        draws.mode = "covariate"
+        with pytest.raises(ValueError):
+            posterior_conditional_means(draws, np.ones(3), [1])
+        exposure = np.array([1.0, 2.0, 0.5])
+        scaled = posterior_conditional_means(draws, np.zeros(3), [1], exposure)
+        draws.mode = "plain"
+        plain = posterior_conditional_means(draws, np.zeros(3), [1])
+        assert np.allclose(scaled, plain * exposure, rtol=1e-14)
 
 
 class TestPredictivePmf:
@@ -114,7 +183,6 @@ class TestPosteriorPredictive:
         avg = posterior_predictive(3, _draws([state]), series=0, month=5)
         plain = predictive_pmf(3, 0.4, 2.0, 1.3)
         assert np.allclose(avg.pmf[: plain.y_max + 1], plain.pmf, atol=1e-15)
-        assert avg.source == "posterior-averaged"
 
     def test_identical_draws_collapse(self):
         state = _state(0.4, 2.0, 1.3)
@@ -132,7 +200,7 @@ class TestPosteriorPredictive:
         avg = posterior_predictive(y_T, _draws(states), 0, 1)
         assert avg.pmf.sum() >= 1 - 1e-9
         per_draw_means = [
-            conditional_mean_one_step(y_T, s.alpha[0], s.phi_star[0], s.theta[0])
+            conditional_mean_h_step(y_T, s.alpha[0], s.phi_star[0], s.theta, [1])
             for s in states
         ]
         assert abs(avg.mean - np.mean(per_draw_means)) < 1e-10

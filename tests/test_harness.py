@@ -7,14 +7,14 @@ from poinar.harness import (
     Scenario,
     holdout_origin_weeks,
     benchmark_scenarios,
-    posterior_mean_forecasts,
     rolling_one_step_evaluation,
     run_study,
     scenario_by_name,
     simulate_scenario,
 )
+from poinar.forecast import posterior_conditional_means
 from poinar.model import ModelState
-from poinar.sampler import PosteriorDraws, SamplerConfig, run_chain
+from poinar.sampler import ConfigurationError, PosteriorDraws, SamplerConfig, run_chain
 
 
 class TestScenarios:
@@ -41,7 +41,7 @@ class TestScenarios:
         assert np.array_equal(np.bincount(z), [25, 25, 25, 25])
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError):
             scenario_by_name("impossible")
 
     def test_simulate_scenario_calendar(self):
@@ -121,7 +121,8 @@ class TestPosteriorMeanForecasts:
             [s.alpha * y_prev + s.phi_star[s.z] * s.theta[month - 1] for s in states],
             axis=0,
         )
-        assert np.allclose(posterior_mean_forecasts(draws, y_prev, month), manual, atol=1e-12)
+        got = posterior_conditional_means(draws, y_prev, [month])[0]
+        assert np.allclose(got, manual, atol=1e-12)
 
 
 @pytest.fixture(scope="module")

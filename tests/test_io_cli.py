@@ -163,6 +163,51 @@ class TestDrawsPersistence:
         with pytest.raises(io.IntegrityError, match="not a draws file"):
             io.load_draws(path)
 
+    @staticmethod
+    def _edit_record(path, draws, index, edit):
+        """Save ``draws``, apply ``edit`` to record ``index`` (0-based) and
+        return the file line that record sits on."""
+        io.save_draws(draws, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[index + 1])
+        edit(record)
+        lines[index + 1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        return index + 2
+
+    def test_missing_field_names_line_and_field(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        line = self._edit_record(path, tiny_draws, 2, lambda r: r.pop("alpha"))
+        with pytest.raises(io.IntegrityError, match=f"line {line}: .*'alpha'"):
+            io.load_draws(path)
+
+    def test_width_change_rejected(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        line = self._edit_record(path, tiny_draws, 1, lambda r: r["z"].pop())
+        expected = f"line {line}: field 'z' has 5 entries, expected 6"
+        with pytest.raises(io.IntegrityError, match=expected):
+            io.load_draws(path)
+        line = self._edit_record(path, tiny_draws, 3, lambda r: r["alpha"].append(0.5))
+        with pytest.raises(io.IntegrityError, match=f"line {line}: field 'alpha' has 7"):
+            io.load_draws(path)
+
+    def test_theta_needs_twelve_months(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        line = self._edit_record(path, tiny_draws, 0, lambda r: r["theta"].pop())
+        expected = f"line {line}: field 'theta' has 11 entries, expected 12"
+        with pytest.raises(io.IntegrityError, match=expected):
+            io.load_draws(path)
+
+    def test_membership_beyond_cluster_rates_rejected(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+
+        def edit(record):
+            record["z"][0] = len(record["phi_star"])
+
+        line = self._edit_record(path, tiny_draws, 1, edit)
+        with pytest.raises(io.IntegrityError, match=f"line {line}: field 'z'"):
+            io.load_draws(path)
+
 
 class TestCli:
     def test_simulate_then_fit_then_forecast(self, tmp_path):
@@ -233,6 +278,50 @@ class TestCli:
             "--mode", "covariate", "--out", str(tmp_path / "f"),
         ])
         assert code == 2
+
+    def test_malformed_draws_record_exits_one(self, tmp_path, tiny_draws, capsys):
+        sc = Scenario(name="d", cluster_rates=(1.0, 3.0), thinning=0.4, L=6, T=72)
+        panel, _, _ = simulate_scenario(sc, np.random.default_rng(5))
+        io.save_counts(panel, tmp_path / "c.csv")
+        path = tmp_path / "draws.jsonl"
+        line = TestDrawsPersistence._edit_record(path, tiny_draws, 0, lambda r: r.pop("alpha"))
+        code = main(["forecast", "--counts", str(tmp_path / "c.csv"), "--draws", str(path),
+                     "--out", str(tmp_path / "fc")])
+        assert code == 1
+        assert f"line {line}: record lacks field 'alpha'" in capsys.readouterr().err
+
+    @pytest.fixture
+    def mismatched(self, tmp_path):
+        """An 8-series fit and a 4-series counts file."""
+        wide, narrow = tmp_path / "wide", tmp_path / "narrow"
+        assert main(["simulate", "--scenario", "hard-0.1", "--series", "8",
+                     "--out", str(wide)]) == 0
+        assert main(["simulate", "--scenario", "hard-0.1", "--series", "4",
+                     "--out", str(narrow)]) == 0
+        assert main(["fit", "--counts", str(wide / "counts.csv"), "--out", str(tmp_path / "fit"),
+                     "--iterations", "20", "--burn-in", "10", "--thin", "5"]) == 0
+        return narrow / "counts.csv", tmp_path / "fit" / "draws.jsonl"
+
+    def test_forecast_rejects_draws_from_another_panel(self, tmp_path, mismatched, capsys):
+        counts, draws = mismatched
+        code = main(["forecast", "--counts", str(counts), "--draws", str(draws),
+                     "--out", str(tmp_path / "fc")])
+        assert code == 1
+        assert "draws cover 8 series" in capsys.readouterr().err
+        assert not (tmp_path / "fc" / "forecasts.csv").exists()
+
+    def test_evaluate_rejects_draws_from_another_panel(self, tmp_path, mismatched, capsys):
+        counts, draws = mismatched
+        code = main(["evaluate", "--counts", str(counts), "--draws", str(draws),
+                     "--holdout", "20", "--out", str(tmp_path / "ev")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "draws cover 8 series" in err and "holds 4" in err
+
+    def test_unknown_scenario_usage_error(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario", "impossible", "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown scenario" in capsys.readouterr().err
 
     def test_unknown_flag_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--not-a-flag"]) == 2

@@ -10,10 +10,10 @@ from poinar.panel import CountPanel
 from poinar.sampler import (
     INNOVATION_METROPOLIS,
     ConfigurationError,
+    InnovationKernel,
     PosteriorDraws,
     SamplerConfig,
     SuffStats,
-    _resample_innovations,
     concentration_mixture,
     innovation_pmf,
     innovation_support,
@@ -96,10 +96,10 @@ class TestInnovationConditional:
         counts = panel.counts
         alpha = np.full(8, 0.4)
         rates = np.tile(truth.series_rates()[:, None], (1, counts.shape[1] - 1))
-        out1 = _resample_innovations(counts, truth.innovations, alpha, rates,
-                                     np.random.default_rng(42))
-        out2 = _resample_innovations(counts, truth.innovations, alpha, rates,
-                                     np.random.default_rng(42))
+        out1 = InnovationKernel(counts)(truth.innovations, alpha, rates,
+                                        np.random.default_rng(42))
+        out2 = InnovationKernel(counts)(truth.innovations, alpha, rates,
+                                        np.random.default_rng(42))
         assert np.array_equal(out1, out2)
         lo = np.maximum(0, counts[:, 1:] - counts[:, :-1])
         assert np.all(out1[:, 1:] >= lo) and np.all(out1[:, 1:] <= counts[:, 1:])
@@ -112,8 +112,8 @@ class TestInnovationConditional:
         counts = np.tile([[y_prev, y_curr]], (n, 1))
         rates = np.full((n, 1), rate)
         eps0 = np.zeros_like(counts)
-        out = _resample_innovations(counts, eps0, np.full(n, alpha), rates,
-                                    np.random.default_rng(7))
+        out = InnovationKernel(counts)(eps0, np.full(n, alpha), rates,
+                                       np.random.default_rng(7))
         draws = out[:, 1]
         pmf = innovation_pmf(y_prev, y_curr, alpha, rate)
         lo, _ = innovation_support(y_prev, y_curr)
@@ -129,10 +129,10 @@ class TestInnovationConditional:
         alpha_v = np.array([alpha])
         rng = np.random.default_rng(8)
         eps = np.array([[y_prev, max(0, y_curr - y_prev)]])
+        kernel = InnovationKernel(counts, strategy=INNOVATION_METROPOLIS, mh_threshold=10)
         kept = []
         for sweep in range(30_000):
-            eps = _resample_innovations(counts, eps, alpha_v, rates, rng,
-                                        strategy=INNOVATION_METROPOLIS, mh_threshold=10)
+            eps = kernel(eps, alpha_v, rates, rng)
             if sweep >= 500:
                 kept.append(eps[0, 1])
         kept = np.array(kept)
@@ -456,5 +456,3 @@ class TestChains:
             assert np.array_equal(stats.n, n)
             assert np.isclose(stats.theta_total, theta_total, rtol=1e-12)
             assert np.allclose(stats.U, np.array(n) * stats.theta_total, rtol=1e-12)
-            a_held = stats.held_out_totals(2, state.z)
-            assert np.isclose(a_held[state.z[2]], B[state.z[2]] - S[2], rtol=1e-12)
