@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io
 from .diagnostics import cluster_count_histogram, psrf, representative_assignment
-from .forecast import posterior_conditional_means, posterior_predictive, quantile
+from .forecast import TAIL_MASS, posterior_conditional_means, posterior_predictive, quantile
 from .harness import (
     default_study_config,
     benchmark_scenarios,
@@ -56,10 +56,15 @@ class RunConfig:
                 raise FileNotFoundError(f"{name} file not found: {path}")
         quantiles = self.options.get("quantiles")
         if quantiles is not None:
-            if any(not 0.0 < q < 1.0 for q in quantiles):
-                raise ConfigurationError("quantiles must lie strictly in (0, 1)")
+            if any(not 0.0 < q <= 1.0 - TAIL_MASS for q in quantiles):
+                raise ConfigurationError(
+                    f"quantiles must lie in (0, 1 - {TAIL_MASS}]: the truncated "
+                    "predictive pmf has no higher quantiles"
+                )
             if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
                 raise ConfigurationError("quantiles must be strictly increasing")
+        if self.options.get("horizon", 1) < 1:
+            raise ConfigurationError("horizon must be at least 1")
 
     def manifest_params(self) -> dict:
         return {"inputs": self.inputs, "out": self.out_dir, **self.options}
@@ -109,11 +114,16 @@ def _load_panel_and_draws(args) -> tuple:
     draws' mode uses (``None`` for plain-mode draws)."""
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
     draws = io.load_draws(args.draws)
-    width = draws.states[0].n_series if len(draws) else panel.n_series
+    width = draws.states[0].n_series
     if width != panel.n_series:
         raise io.IntegrityError(
             f"{args.draws}: draws cover {width} series, but {args.counts} "
             f"holds {panel.n_series}"
+        )
+    mismatch = io.fitted_panel_mismatch(draws, panel)
+    if mismatch:
+        raise io.IntegrityError(
+            f"{args.draws} was not fitted to {args.counts}: {mismatch}"
         )
     exposure = panel.exposure if draws.mode == MODE_COVARIATE else None
     return panel, draws, exposure
@@ -184,9 +194,15 @@ def cmd_fit(args) -> int:
         raise ConfigurationError("covariate mode requires --exposure")
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
     sampler_config = _sampler_config_from_args(args)
+    needed = 2 if args.chains >= 2 else 1  # the PSRF needs two draws per chain
+    if sampler_config.draws_per_chain < needed:
+        raise ConfigurationError(
+            f"--iterations, --burn-in and --thin keep {sampler_config.draws_per_chain} "
+            f"draws per chain; {needed} needed"
+        )
     chains = run_chains(panel, sampler_config)
     draws = PosteriorDraws.concat(chains)
-    io.save_draws(draws, out / "draws.jsonl", include_innovations=args.include_innovations)
+    io.save_draws(draws, out / "draws.jsonl", panel, include_innovations=args.include_innovations)
 
     hist = cluster_count_histogram(draws)
     diagnostics = {
@@ -228,14 +244,13 @@ def cmd_forecast(args) -> int:
     )
     y_last = panel.counts[:, -1]
     means = posterior_conditional_means(draws, y_last, future, exposure)
+    dists = posterior_predictive(y_last, draws, int(future[0]), exposure) if quantiles else []
 
     rows = []
     for l, sid in enumerate(panel.series_ids):
         row = {"series_id": sid, "y_last": int(y_last[l]), "mean": repr(float(means[0, l]))}
-        if quantiles:
-            dist = posterior_predictive(int(y_last[l]), draws, l, int(future[0]), exposure)
-            for q in quantiles:
-                row[f"q{q}"] = quantile(dist, q)
+        for q in quantiles:
+            row[f"q{q}"] = quantile(dists[l], q)
         for h in range(2, args.horizon + 1):
             row[f"mean_step{h}"] = repr(float(means[h - 1, l]))
         rows.append(row)
@@ -480,7 +495,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (io.ParseError, io.IntegrityError, ValueError) as exc:
+    except (io.ParseError, io.IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _FAILURE_EXIT
 

@@ -7,17 +7,16 @@ Poisson(lambda * theta) and its mean is alpha * y_T + lambda * theta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
 from .sampler import PosteriorDraws
 
 # Truncation budgets: total probability mass left in the tail, and the bound
 # on the tail's contribution to the mean (keeps pmf means exact to ~1e-12).
-_TAIL_MASS = 1e-9
+TAIL_MASS = 1e-9
 _TAIL_MEAN = 1e-12
 
 
@@ -107,6 +106,60 @@ def posterior_conditional_means(
     ])
 
 
+def _predictive_rows(y_T: int, alpha, rate, m: int | None = None) -> np.ndarray:
+    """Exact one-step pmfs of D draws sharing one truncation point.
+
+    Row d is the pmf on 0..m of Binomial(y_T, alpha[d]) survivors plus
+    Poisson(rate[d]) innovations, shape (D, m+1). The shared m starts at the
+    largest of the draws' mean + 12*sqrt(mean) + y_T (or at ``m``) and grows
+    by m*1.5 + 10 until every row meets both tail budgets, so one draw gets
+    the truncation point it would get on its own.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    rate = np.asarray(rate, dtype=float)
+    bad = alpha[~((alpha >= 0.0) & (alpha <= 1.0))]
+    if bad.size:
+        raise ValueError(f"thinning probability must lie in [0, 1], got {bad[0]}")
+    if not np.all(rate >= 0.0):
+        raise ValueError("innovation rate must be nonnegative")
+    if m is None:
+        mean_hint = alpha * y_T + rate
+        m = int(np.ceil(mean_hint + 12.0 * np.sqrt(mean_hint)).max()) + y_T
+    m = max(int(m), y_T, 1)
+
+    # log C(y_T, k) summed from the shorter side, c = min(k, y_T - k):
+    # sum_{i<c} log(y_T - i) - log c!. The textbook gammaln(y_T + 1) - ...
+    # cancels terms near gammaln(y_T + 1) and loses ~1e-13 at y_T = 400.
+    k = np.arange(y_T + 1)
+    c = np.minimum(k, y_T - k)
+    log_falling = np.concatenate(([0.0], np.cumsum(np.log(y_T - np.arange(y_T // 2)))))
+    a = alpha[:, None]
+    binom = np.exp(log_falling[c] - gammaln(c + 1) + xlogy(k, a) + xlog1py(y_T - k, -a))
+    r = rate[:, None]
+    while True:
+        j = np.arange(m + 1)
+        pois = np.exp(xlogy(j, r) - gammaln(j + 1) - r)
+        rows = np.zeros_like(pois)
+        for s in k:  # survivors: y_T is small next to m, so loop over it
+            rows[:, s:] += binom[:, s, None] * pois[:, : m + 1 - s]
+        tail_mass = 1.0 - rows.sum(axis=1)
+        # E[S; S > m] <= y_T P(P > m - y_T) + rate P(P >= m - y_T)
+        tail_mean = y_T * _poisson_sf(m - y_T, rate) + rate * _poisson_sf(m - y_T - 1, rate)
+        if np.all(tail_mass < TAIL_MASS) and np.all(tail_mean < _TAIL_MEAN):
+            return rows
+        m = int(m * 1.5) + 10
+
+
+def _poisson_sf(k: int, rate: np.ndarray) -> np.ndarray:
+    """P(Poisson(rate) > k); 1 for k < 0, where ``pdtrc`` gives NaN."""
+    return pdtrc(k, rate) if k >= 0 else np.ones_like(rate)
+
+
+def _distribution(pmf: np.ndarray) -> ForecastDistribution:
+    m = pmf.shape[0] - 1
+    return ForecastDistribution(pmf=pmf, y_max=m, mean=float(np.arange(m + 1) @ pmf))
+
+
 def predictive_pmf(
     y_T: int, alpha: float, lam: float, theta_next: float, y_max: int | None = None
 ) -> ForecastDistribution:
@@ -115,60 +168,29 @@ def predictive_pmf(
     The truncation point starts at mean + 12*sqrt(mean) + y_T (or at the
     caller's ``y_max``) and is extended until both tail budgets hold.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"thinning probability must lie in [0, 1], got {alpha}")
-    rate = lam * theta_next
-    if rate < 0:
-        raise ValueError("innovation rate must be nonnegative")
-    y_T = int(y_T)
-    mean_hint = alpha * y_T + rate
-    m = int(math.ceil(mean_hint + 12.0 * math.sqrt(mean_hint))) + y_T
-    if y_max is not None:
-        m = max(int(y_max), y_T)
-    m = max(m, y_T, 1)
-
-    binom_part = sps.binom.pmf(np.arange(y_T + 1), y_T, alpha)
-    while True:
-        pois_part = sps.poisson.pmf(np.arange(m + 1), rate)
-        pmf = np.convolve(binom_part, pois_part)[: m + 1]
-        tail_mass = 1.0 - pmf.sum()
-        # E[S; S > m] <= y_T P(P > m - y_T) + rate P(P >= m - y_T)
-        tail_mean = y_T * sps.poisson.sf(m - y_T, rate) + rate * sps.poisson.sf(
-            m - y_T - 1, rate
-        )
-        if tail_mass < _TAIL_MASS and tail_mean < _TAIL_MEAN:
-            break
-        m = int(m * 1.5) + 10
-
-    mean = float(np.arange(m + 1) @ pmf)
-    return ForecastDistribution(pmf=pmf, y_max=m, mean=mean)
+    rows = _predictive_rows(int(y_T), [alpha], [lam * theta_next], y_max)
+    return _distribution(rows[0])
 
 
 def posterior_predictive(
-    y_T: int,
+    y_T,
     draws: PosteriorDraws,
-    series: int,
     month: int,
     exposure: np.ndarray | None = None,
-) -> ForecastDistribution:
-    """Average the exact one-step pmf over the posterior draws.
+) -> list[ForecastDistribution]:
+    """The exact one-step pmf of every series, averaged over the draws.
 
-    ``month`` is the calendar month (1..12) of the forecast week. In
-    covariate mode the panel's exposure vector must be supplied so each
-    draw's per-exposure rate can be scaled.
+    ``y_T`` holds the counts at the forecast origin, shape (L,), and
+    ``month`` is the calendar month (1..12) of the forecast week. Each
+    series' draws share one truncation point. Covariate-mode draws need the
+    panel's ``exposure`` to scale each draw's per-exposure rate.
     """
     alpha, lam, theta = draws.stacked(exposure)
-    dists = [
-        predictive_pmf(y_T, a, r, t)
-        for a, r, t in zip(alpha[:, series], lam[:, series], theta[:, month - 1])
+    rate = lam * theta[:, month - 1, None]
+    return [
+        _distribution(_predictive_rows(int(y), alpha[:, l], rate[:, l]).mean(axis=0))
+        for l, y in enumerate(np.asarray(y_T))
     ]
-    m = max(d.y_max for d in dists)
-    acc = np.zeros(m + 1)
-    for d in dists:
-        acc[: d.y_max + 1] += d.pmf
-    acc /= len(dists)
-    mean = float(np.arange(m + 1) @ acc)
-    return ForecastDistribution(pmf=acc, y_max=m, mean=mean)
 
 
 def quantile(dist: ForecastDistribution, upsilon: float) -> int:

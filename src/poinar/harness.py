@@ -60,13 +60,13 @@ class Scenario:
 
     def __post_init__(self):
         if any(r <= 0 for r in self.cluster_rates):
-            raise ValueError("cluster rates must be strictly positive")
+            raise ConfigurationError("cluster rates must be strictly positive")
         if not 0.0 <= self.thinning < 1.0:
-            raise ValueError("thinning must lie in [0, 1)")
-        if self.L % len(self.cluster_rates) != 0:
-            raise ValueError("series count must divide into equal clusters")
+            raise ConfigurationError("thinning must lie in [0, 1)")
+        if self.L < 1 or self.L % len(self.cluster_rates) != 0:
+            raise ConfigurationError("series count must be positive and divide into equal clusters")
         if self.theta_mode not in (THETA_UNIT, THETA_SAMPLED):
-            raise ValueError(f"unknown theta mode {self.theta_mode!r}")
+            raise ConfigurationError(f"unknown theta mode {self.theta_mode!r}")
 
     @property
     def n_clusters(self) -> int:
@@ -213,6 +213,8 @@ def run_study(
         reps = DESK_REPLICATES if n_replicates is None else n_replicates
     else:
         reps = 1 if n_replicates is None else n_replicates
+    if reps < 1:
+        raise ConfigurationError("the study needs at least one replicate")
     config = sampler_config or default_study_config(seed)
 
     report = StudyReport(scale=scale, seed=seed, n_replicates=reps, sampler=config)
@@ -299,13 +301,13 @@ def holdout_origin_weeks(panel: CountPanel, holdout: int, origins: str = "monthl
     """
     T = panel.n_weeks
     if not 1 <= holdout < T:
-        raise ValueError("holdout must leave at least one training week")
+        raise ConfigurationError("holdout must leave at least one training week")
     start = T - holdout
     if origins == "weekly":
         return list(range(start, T))
     if origins == "monthly":
         return [w for w in range(start, T) if panel.season_of[w] != panel.season_of[w - 1]]
-    raise ValueError("origins must be 'monthly' or 'weekly'")
+    raise ConfigurationError("origins must be 'monthly' or 'weekly'")
 
 
 def rolling_one_step_evaluation(
@@ -326,7 +328,7 @@ def rolling_one_step_evaluation(
         exposure = panel.exposure
     targets = np.array(holdout_origin_weeks(panel, holdout, origins), dtype=np.int64)
     if not targets.size:
-        raise ValueError("no forecast origins inside the holdout")
+        raise ConfigurationError("no forecast origins inside the holdout")
 
     y_prev = panel.counts[:, targets - 1].T  # (origins, series)
     months = panel.season_of[targets][:, None]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .panel import N_MONTHS, CountPanel
 from .sampler import PosteriorDraws
 
 DRAWS_FORMAT = "poinar-draws"
-DRAWS_VERSION = 1
+DRAWS_VERSION = 2  # version 1 headers do not bind the draws to their panel
 _RECORD_FIELDS = ("chain", "iteration", "tau", "alpha", "z", "phi_star", "theta")
 
 
@@ -141,8 +142,8 @@ def load_exposure(path, series_ids: list[str]) -> np.ndarray:
                 value = float(cell)
             except ValueError:
                 raise ParseError(f"{path}: row {i}: not a number: {cell!r}") from None
-            if not value > 0:
-                raise ParseError(f"{path}: row {i}: exposure must be positive")
+            if not 0 < value < float("inf"):
+                raise ParseError(f"{path}: row {i}: exposure must be positive and finite")
             values[sid] = value
     missing = [sid for sid in series_ids if sid not in values]
     extra = [sid for sid in values if sid not in set(series_ids)]
@@ -178,11 +179,20 @@ def _state_record(state: ModelState, chain: int, iteration: int, include_innovat
     return record
 
 
-def save_draws(draws: PosteriorDraws, path, include_innovations: bool = False):
+def panel_sha256(panel: CountPanel, n_weeks: int | None = None) -> str:
+    """sha256 of the series ids and the first ``n_weeks`` weeks of counts."""
+    digest = hashlib.sha256(json.dumps(panel.series_ids).encode())
+    digest.update(np.ascontiguousarray(panel.counts[:, :n_weeks], dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+def save_draws(draws: PosteriorDraws, path, panel: CountPanel, include_innovations: bool = False):
     """Persist draws as JSON lines with a version header.
 
-    Floats are written at full round-trip precision; innovations are large
-    and skipped unless asked for.
+    The header records the training ``panel``'s size and ``panel_sha256``,
+    so the draws can be checked against a panel later. Floats are written at
+    full round-trip precision; innovations are large and skipped unless
+    asked for.
     """
     path = Path(path)
     header = {
@@ -190,11 +200,40 @@ def save_draws(draws: PosteriorDraws, path, include_innovations: bool = False):
         "version": DRAWS_VERSION,
         "mode": draws.mode,
         "n_draws": len(draws),
+        "n_series": panel.n_series,
+        "n_weeks": panel.n_weeks,
+        "panel_sha256": panel_sha256(panel),
     }
     with path.open("w") as fh:
         fh.write(json.dumps(header) + "\n")
         for state, chain, iteration in zip(draws.states, draws.chain_index, draws.iteration):
             fh.write(json.dumps(_state_record(state, chain, iteration, include_innovations)) + "\n")
+
+
+def fitted_panel_mismatch(draws: PosteriorDraws, panel: CountPanel) -> str | None:
+    """Why ``draws`` were not fitted to ``panel`` or to its first weeks, or
+    ``None``. Draws from version 1 files record no panel, so they pass."""
+    if draws.fitted_to is None:
+        return None
+    n_weeks, sha256 = draws.fitted_to
+    if n_weeks > panel.n_weeks:
+        return f"the draws were fitted to {n_weeks} weeks, the counts hold {panel.n_weeks}"
+    if sha256 != panel_sha256(panel, n_weeks):
+        return f"the series ids or counts of the first {n_weeks} weeks differ"
+    return None
+
+
+def _fitted_to(path: Path, header: dict) -> tuple[int, str] | None:
+    """The header's ``(n_weeks, panel_sha256)``; ``None`` in version 1."""
+    if header["version"] == 1:
+        return None
+    for key in ("n_series", "n_weeks"):
+        value = header.get(key)
+        if not isinstance(value, int) or value < 1:
+            raise IntegrityError(f"{path}: header field {key!r} is not a positive count")
+    if not isinstance(header.get("panel_sha256"), str):
+        raise IntegrityError(f"{path}: header lacks the 'panel_sha256' string")
+    return header["n_weeks"], header["panel_sha256"]
 
 
 def load_draws(path) -> PosteriorDraws:
@@ -207,14 +246,17 @@ def load_draws(path) -> PosteriorDraws:
         header = json.loads(lines[0])
     except json.JSONDecodeError:
         raise IntegrityError(f"{path}: unreadable header line") from None
-    if header.get("format") != DRAWS_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != DRAWS_FORMAT:
         raise IntegrityError(f"{path}: not a draws file")
-    if header.get("version") != DRAWS_VERSION:
+    if header.get("version") not in (1, DRAWS_VERSION):
         raise IntegrityError(
             f"{path}: draws version {header.get('version')} unsupported "
-            f"(expected {DRAWS_VERSION})"
+            f"(expected 1 or {DRAWS_VERSION})"
         )
+    fitted_to = _fitted_to(path, header)
     n_draws = header.get("n_draws")
+    if n_draws == 0:
+        raise IntegrityError(f"{path}: holds no draws")
     records = lines[1:]
     if len(records) != n_draws:
         raise IntegrityError(
@@ -248,7 +290,7 @@ def load_draws(path) -> PosteriorDraws:
         except (TypeError, ValueError):
             raise IntegrityError(f"{path}: line {i}: a field holds non-numeric values") from None
         if width is None:
-            width = state.alpha.size  # the first record fixes the panel width
+            width = header.get("n_series", state.alpha.size)  # v1: the first record's
         for name, size in (("alpha", width), ("z", width), ("theta", N_MONTHS)):
             value = getattr(state, name)
             if value.shape != (size,):
@@ -260,6 +302,14 @@ def load_draws(path) -> PosteriorDraws:
                 f"{path}: line {i}: field 'z' names a cluster missing from "
                 f"'phi_star' ({state.n_clusters} entries)"
             )
+        for name, hi in (("alpha", 1.0), ("phi_star", np.inf), ("theta", np.inf)):
+            value = getattr(state, name)
+            bad = value[~(np.isfinite(value) & (value >= 0.0) & (value <= hi))]
+            if bad.size:
+                raise IntegrityError(
+                    f"{path}: line {i}: field {name!r} holds {bad[0]}, "
+                    f"not a finite value in [0, {hi}]"
+                )
         states.append(state)
         chains.append(rec["chain"])
         iterations.append(rec["iteration"])
@@ -268,6 +318,7 @@ def load_draws(path) -> PosteriorDraws:
         chain_index=np.array(chains, dtype=np.int64),
         iteration=np.array(iterations, dtype=np.int64),
         mode=header.get("mode", "plain"),
+        fitted_to=fitted_to,
     )
 
 

@@ -18,6 +18,10 @@ MODE_PLAIN = "plain"
 MODE_COVARIATE = "covariate"
 
 
+class ConfigurationError(ValueError):
+    """Raised when settings are invalid or inconsistent with the data."""
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Prior hyperparameters of the clustered INAR model.
@@ -56,9 +60,9 @@ class Hyperparams:
         for name in ("eta1", "eta2", "xi1", "xi2", "gamma1", "gamma2", "a_tau", "b_tau"):
             value = getattr(self, name)
             if not (value > 0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be a positive finite number, got {value}")
+                raise ConfigurationError(f"{name} must be a positive finite number, got {value}")
         if self.mode not in (MODE_PLAIN, MODE_COVARIATE):
-            raise ValueError(f"mode must be 'plain' or 'covariate', got {self.mode!r}")
+            raise ConfigurationError(f"mode must be 'plain' or 'covariate', got {self.mode!r}")
 
     @classmethod
     def default(cls, mode: str = MODE_PLAIN) -> "Hyperparams":

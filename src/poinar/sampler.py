@@ -13,11 +13,12 @@ cover both model variants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
 
-from .model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, ModelState
+from .model import MODE_COVARIATE, MODE_PLAIN, ConfigurationError, Hyperparams, ModelState
 from .panel import N_MONTHS, CountPanel
 
 INNOVATION_EXACT = "exact-enumeration"
@@ -26,10 +27,6 @@ INNOVATION_METROPOLIS = "metropolis-poisson"
 # (1 - alpha) / alpha is undefined at the endpoints; the Beta posterior puts
 # zero mass there, so clamping is numerically safe.
 _ALPHA_EPS = 1e-12
-
-
-class ConfigurationError(ValueError):
-    """Raised when a sampler run is configured inconsistently with its data."""
 
 
 @dataclass(frozen=True)
@@ -48,15 +45,15 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.n_iterations < 1:
-            raise ValueError("n_iterations must be positive")
+            raise ConfigurationError("n_iterations must be positive")
         if not 0 <= self.burn_in < self.n_iterations:
-            raise ValueError("burn_in must be smaller than n_iterations")
+            raise ConfigurationError("burn_in must be smaller than n_iterations")
         if self.thin_interval < 1:
-            raise ValueError("thin_interval must be at least 1")
+            raise ConfigurationError("thin_interval must be at least 1")
         if self.n_chains < 1:
-            raise ValueError("n_chains must be at least 1")
+            raise ConfigurationError("n_chains must be at least 1")
         if self.innovation_strategy not in (INNOVATION_EXACT, INNOVATION_METROPOLIS):
-            raise ValueError(f"unknown innovation strategy {self.innovation_strategy!r}")
+            raise ConfigurationError(f"unknown innovation strategy {self.innovation_strategy!r}")
 
     @property
     def draws_per_chain(self) -> int:
@@ -74,12 +71,18 @@ def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
 
 @dataclass
 class PosteriorDraws:
-    """Thinned post-burn-in parameter snapshots, tagged by chain and sweep."""
+    """Thinned post-burn-in parameter snapshots, tagged by chain and sweep.
+
+    ``fitted_to`` is ``(n_weeks, panel_sha256)`` of the training panel when
+    the draws were read from a file that records it. The draws are not
+    modified after construction: ``stacked`` builds its arrays once.
+    """
 
     states: list[ModelState]
     chain_index: np.ndarray
     iteration: np.ndarray
     mode: str = MODE_PLAIN
+    fitted_to: tuple[int, str] | None = None
 
     def __post_init__(self):
         self.chain_index = np.asarray(self.chain_index, dtype=np.int64)
@@ -100,16 +103,27 @@ class PosteriorDraws:
         ``lam`` is each series' effective innovation rate, phi*_{z_l} scaled
         by ``exposure`` when given; covariate-mode draws require it.
         """
-        if not self.states:
-            raise ValueError("no posterior draws")
+        alpha, lam, theta = self._stack
         if self.mode == MODE_COVARIATE and exposure is None:
             raise ConfigurationError("covariate-mode draws need the exposure vector")
-        alpha = np.stack([s.alpha for s in self.states])
-        lam = np.stack([s.series_rates() for s in self.states])
         if exposure is not None:
             lam = lam * np.asarray(exposure, dtype=float)
-        theta = np.stack([s.theta for s in self.states])
         return alpha, lam, theta
+
+    @cached_property
+    def _stack(self) -> tuple[np.ndarray, ...]:
+        """``alpha``, unscaled ``lam`` and ``theta``, read-only: shared by
+        every ``stacked`` call."""
+        if not self.states:
+            raise ValueError("no posterior draws")
+        arrays = (
+            np.stack([s.alpha for s in self.states]),
+            np.stack([s.series_rates() for s in self.states]),
+            np.stack([s.theta for s in self.states]),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def by_chain(self, values: np.ndarray) -> np.ndarray:
         """Regroup per-draw ``values`` (leading draw axis) into shape

@@ -7,6 +7,7 @@ quadrature, exhaustive enumeration) and shares no code path with the package.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy import stats as sps
@@ -21,6 +22,38 @@ def convolution_innovation_pmf(y_prev: int, y_curr: int, alpha: float, rate: flo
     eps = np.arange(lo, y_curr + 1)
     w = sps.binom.pmf(y_curr - eps, y_prev, alpha) * sps.poisson.pmf(eps, rate)
     return w / w.sum()
+
+
+def scalar_predictive_pmf(y_T: int, alpha: float, rate: float, y_max: int | None = None) -> np.ndarray:
+    """One-step predictive pmf of one draw on 0..m: scipy's Binomial(y_T, alpha)
+    pmf convolved with its Poisson(rate) pmf.
+
+    m starts at mean + 12*sqrt(mean) + y_T (or at ``y_max``) and grows by
+    m*1.5 + 10 until the tail mass is below 1e-9 and the bound
+    y_T P(P > m - y_T) + rate P(P >= m - y_T) on the tail's mean below 1e-12.
+    """
+    mean_hint = alpha * y_T + rate
+    m = int(math.ceil(mean_hint + 12.0 * math.sqrt(mean_hint))) + y_T
+    if y_max is not None:
+        m = max(int(y_max), y_T)
+    m = max(m, y_T, 1)
+    binom_part = sps.binom.pmf(np.arange(y_T + 1), y_T, alpha)
+    while True:
+        pmf = np.convolve(binom_part, sps.poisson.pmf(np.arange(m + 1), rate))[: m + 1]
+        tail_mean = y_T * sps.poisson.sf(m - y_T, rate) + rate * sps.poisson.sf(m - y_T - 1, rate)
+        if 1.0 - pmf.sum() < 1e-9 and tail_mean < 1e-12:
+            return pmf
+        m = int(m * 1.5) + 10
+
+
+def draw_averaged_pmf(y_T: int, alphas, rates) -> np.ndarray:
+    """Mean over draws of ``scalar_predictive_pmf``, each draw on its own
+    truncation point and zero beyond it."""
+    pmfs = [scalar_predictive_pmf(y_T, a, r) for a, r in zip(alphas, rates)]
+    acc = np.zeros(max(p.shape[0] for p in pmfs))
+    for p in pmfs:
+        acc[: p.shape[0]] += p
+    return acc / len(pmfs)
 
 
 def quadrature_log_marginal(

@@ -29,7 +29,7 @@ from poinar.harness import (
     scenario_by_name,
     simulate_scenario,
 )
-from poinar.io import load_draws, save_counts, save_draws
+from poinar.io import load_counts, load_draws, save_counts, save_draws
 from poinar.model import simulate_poinar
 from poinar.sampler import (
     InnovationKernel,
@@ -297,7 +297,7 @@ def test_c11_reproducibility(tmp_path):
     identical = first == second
 
     draws = load_draws(tmp_path / "run" / "fit" / "draws.jsonl")
-    save_draws(draws, tmp_path / "copy.jsonl")
+    save_draws(draws, tmp_path / "copy.jsonl", load_counts(tmp_path / "run" / "sim" / "counts.csv"))
     again = load_draws(tmp_path / "copy.jsonl")
     round_trip = all(
         np.array_equal(a.alpha, b.alpha)

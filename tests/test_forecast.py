@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from oracles import scalar_predictive_pmf
 from poinar.forecast import (
     ForecastDistribution,
+    _predictive_rows,
     conditional_mean_h_step,
     posterior_conditional_means,
     posterior_predictive,
@@ -180,14 +182,14 @@ class TestPredictivePmf:
 class TestPosteriorPredictive:
     def test_single_draw_equals_plain_pmf(self):
         state = _state(0.4, 2.0, 1.3, month=5)
-        avg = posterior_predictive(3, _draws([state]), series=0, month=5)
+        avg = posterior_predictive([3], _draws([state]), month=5)[0]
         plain = predictive_pmf(3, 0.4, 2.0, 1.3)
         assert np.allclose(avg.pmf[: plain.y_max + 1], plain.pmf, atol=1e-15)
 
     def test_identical_draws_collapse(self):
         state = _state(0.4, 2.0, 1.3)
-        one = posterior_predictive(2, _draws([state]), 0, 1)
-        two = posterior_predictive(2, _draws([state, state.copy()]), 0, 1)
+        one = posterior_predictive([2], _draws([state]), 1)[0]
+        two = posterior_predictive([2], _draws([state, state.copy()]), 1)[0]
         assert np.allclose(one.pmf, two.pmf, atol=1e-15)
 
     def test_mass_and_mean_linearity(self):
@@ -197,7 +199,7 @@ class TestPosteriorPredictive:
             for _ in range(20)
         ]
         y_T = 4
-        avg = posterior_predictive(y_T, _draws(states), 0, 1)
+        avg = posterior_predictive([y_T], _draws(states), 1)[0]
         assert avg.pmf.sum() >= 1 - 1e-9
         per_draw_means = [
             conditional_mean_h_step(y_T, s.alpha[0], s.phi_star[0], s.theta, [1])
@@ -210,14 +212,85 @@ class TestPosteriorPredictive:
         draws = _draws([state])
         draws.mode = "covariate"
         with pytest.raises(ValueError):
-            posterior_predictive(1, draws, 0, 1)
-        scaled = posterior_predictive(1, draws, 0, 1, exposure=np.array([2.0]))
+            posterior_predictive([1], draws, 1)
+        scaled = posterior_predictive([1], draws, 1, exposure=np.array([2.0]))[0]
         plain = predictive_pmf(1, 0.4, 4.0, 1.0)
         assert np.allclose(scaled.pmf[: plain.y_max + 1], plain.pmf, atol=1e-15)
 
     def test_empty_draws_rejected(self):
         with pytest.raises(ValueError):
-            posterior_predictive(1, _draws([]), 0, 1)
+            posterior_predictive([1], _draws([]), 1)
+
+    def test_one_distribution_per_series(self):
+        # two series with their own rates, thinnings and origin counts
+        states = [
+            ModelState(alpha=np.array([a, 0.1]), z=np.array([0, 1]),
+                       phi_star=np.array([r, 3.0]), theta=np.ones(12), tau=1.0)
+            for a, r in ((0.3, 1.0), (0.6, 2.5))
+        ]
+        dists = posterior_predictive(np.array([4, 0]), _draws(states), 1)
+        assert len(dists) == 2
+        assert dists[0].mean == pytest.approx(np.mean([0.3 * 4 + 1.0, 0.6 * 4 + 2.5]), abs=1e-10)
+        assert np.allclose(dists[1].pmf, sps.poisson.pmf(np.arange(dists[1].y_max + 1), 3.0),
+                           atol=1e-15)
+
+
+class TestPredictiveKernel:
+    """The batched kernel against the scalar scipy oracle, draw by draw."""
+
+    LEVELS = (0.5, 0.95, 0.99)
+
+    @given(
+        y_T=st.one_of(st.integers(0, 12), st.integers(0, 400)),
+        params=st.lists(
+            st.tuples(
+                # scipy's binomial pmf, the oracle, overflows for alpha below ~1e-305
+                st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-300, 1.0)),
+                st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+            ),
+            min_size=1, max_size=30,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rows_match_scalar_oracle(self, y_T, params):
+        alpha, rate = (np.array(v) for v in zip(*params))
+        rows = _predictive_rows(y_T, alpha, rate)
+        m = rows.shape[1] - 1
+        for row, a, r in zip(rows, alpha, rate):
+            # the shared truncation point meets the oracle's budgets too
+            oracle = scalar_predictive_pmf(y_T, a, r, y_max=m)
+            assert oracle.shape == row.shape
+            assert np.abs(row - oracle).max() <= 1e-13
+            cdf = np.cumsum(oracle)
+            for level in self.LEVELS:
+                # a level within rounding of a cdf value has two right answers
+                if np.abs(cdf - level).min() > 1e-12:
+                    assert (np.searchsorted(np.cumsum(row), level)
+                            == np.searchsorted(cdf, level))
+        if len(params) == 1:
+            own = scalar_predictive_pmf(y_T, alpha[0], rate[0])
+            assert m == own.shape[0] - 1  # one draw keeps its own truncation point
+
+    def test_shared_truncation_covers_every_draw(self):
+        # a draw with a wide pmf sets m for a draw with a narrow one
+        rows = _predictive_rows(3, [0.2, 0.9], [0.1, 30.0])
+        wide = scalar_predictive_pmf(3, 0.9, 30.0)
+        assert rows.shape[1] >= wide.shape[0]
+        assert np.all(1.0 - rows.sum(axis=1) < 1e-9)
+
+    def test_point_masses(self):
+        # alpha = 0 with no innovations, and alpha = 1 with none: pmf = delta
+        rows = _predictive_rows(5, [0.0, 1.0], [0.0, 0.0])
+        assert rows[0, 0] == 1.0 and rows[0, 1:].sum() == 0.0
+        assert rows[1, 5] == 1.0 and rows[1].sum() == 1.0
+
+    def test_invalid_parameters_rejected(self):
+        with pytest.raises(ValueError, match="thinning"):
+            _predictive_rows(2, [0.5, 1.5], [1.0, 1.0])
+        with pytest.raises(ValueError, match="thinning"):
+            _predictive_rows(2, [np.nan], [1.0])
+        with pytest.raises(ValueError, match="rate"):
+            _predictive_rows(2, [0.5], [-1.0])
 
 
 class TestQuantiles:

@@ -1,16 +1,21 @@
 """File formats, persistence round trips and the command-line pipeline."""
 
+import csv
 import datetime
 import json
 import os
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from poinar import io
+from oracles import draw_averaged_pmf
+from poinar import cli, io
 from poinar.cli import main
 from poinar.harness import Scenario, simulate_scenario
+from poinar.model import ModelState
 from poinar.panel import CountPanel
 from poinar.sampler import SamplerConfig, run_chain
 
@@ -110,18 +115,33 @@ class TestCountsRoundTrip:
             io.save_counts(panel, tmp_path / "c.csv", week_starts=dates)
 
 
+def _tiny_panel():
+    """The panel ``tiny_draws`` are fitted to."""
+    sc = Scenario(name="d", cluster_rates=(1.0, 3.0), thinning=0.4, L=6, T=72)
+    return simulate_scenario(sc, np.random.default_rng(5))[0]
+
+
 @pytest.fixture(scope="module")
 def tiny_draws():
-    sc = Scenario(name="d", cluster_rates=(1.0, 3.0), thinning=0.4, L=6, T=72)
-    panel, _, _ = simulate_scenario(sc, np.random.default_rng(5))
     config = SamplerConfig(n_iterations=40, burn_in=10, thin_interval=3, seed=1)
-    return run_chain(panel, config)
+    return run_chain(_tiny_panel(), config)
+
+
+def _save_version_one(draws, path):
+    """Write ``draws`` with the version 1 header, which names no panel."""
+    io.save_draws(draws, path, _tiny_panel())
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["version"] = 1
+    for key in ("n_series", "n_weeks", "panel_sha256"):
+        del header[key]
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
 class TestDrawsPersistence:
     def test_round_trip_identity(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
-        io.save_draws(tiny_draws, path, include_innovations=True)
+        io.save_draws(tiny_draws, path, _tiny_panel(), include_innovations=True)
         loaded = io.load_draws(path)
         assert len(loaded) == len(tiny_draws)
         assert loaded.mode == tiny_draws.mode
@@ -137,12 +157,12 @@ class TestDrawsPersistence:
 
     def test_innovations_skipped_by_default(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
-        io.save_draws(tiny_draws, path)
+        io.save_draws(tiny_draws, path, _tiny_panel())
         assert io.load_draws(path).states[0].innovations is None
 
     def test_truncated_file_detected(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
-        io.save_draws(tiny_draws, path)
+        io.save_draws(tiny_draws, path, _tiny_panel())
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(io.IntegrityError, match="truncated"):
@@ -150,12 +170,67 @@ class TestDrawsPersistence:
 
     def test_version_mismatch_detected(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
-        io.save_draws(tiny_draws, path)
+        io.save_draws(tiny_draws, path, _tiny_panel())
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         header["version"] = 99
         path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         with pytest.raises(io.IntegrityError, match="version"):
+            io.load_draws(path)
+
+    def test_header_binds_the_training_panel(self, tmp_path, tiny_draws):
+        panel = _tiny_panel()
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, panel)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["version"] == io.DRAWS_VERSION == 2
+        assert (header["n_series"], header["n_weeks"]) == (6, 72)
+        assert header["panel_sha256"] == io.panel_sha256(panel)
+        loaded = io.load_draws(path)
+        assert loaded.fitted_to == (72, io.panel_sha256(panel))
+        assert io.fitted_panel_mismatch(loaded, panel) is None
+
+    def test_version_two_header_needs_the_panel(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, _tiny_panel())
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["panel_sha256"]
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(io.IntegrityError, match="panel_sha256"):
+            io.load_draws(path)
+
+    def test_header_width_binds_every_record(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, _tiny_panel())
+        path.write_text(path.read_text().replace('"n_series": 6', '"n_series": 7', 1))
+        with pytest.raises(io.IntegrityError, match="line 2: field 'alpha' has 6 entries, expected 7"):
+            io.load_draws(path)
+
+    def test_panel_hash_covers_ids_and_counts(self):
+        panel = _tiny_panel()
+        counts = panel.counts.copy()
+        counts[3, 40] += 1
+        assert io.panel_sha256(replace(panel, counts=counts)) != io.panel_sha256(panel)
+        renamed = replace(panel, series_ids=[f"x{i}" for i in range(6)])
+        assert io.panel_sha256(renamed) != io.panel_sha256(panel)
+        # a panel extending the training weeks hashes equal on that prefix
+        assert io.panel_sha256(panel, 50) == io.panel_sha256(
+            replace(panel, counts=panel.counts[:, :50], season_of=panel.season_of[:50],
+                    week_starts=panel.week_starts[:50])
+        )
+
+    def test_version_one_file_still_loads(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        _save_version_one(tiny_draws, path)
+        loaded = io.load_draws(path)
+        assert len(loaded) == len(tiny_draws) and loaded.fitted_to is None
+        assert io.fitted_panel_mismatch(loaded, _tiny_panel()) is None
+
+    def test_no_draws_rejected(self, tmp_path):
+        header = {"format": io.DRAWS_FORMAT, "version": 1, "mode": "plain", "n_draws": 0}
+        path = write(tmp_path / "draws.jsonl", json.dumps(header) + "\n")
+        with pytest.raises(io.IntegrityError, match="holds no draws"):
             io.load_draws(path)
 
     def test_foreign_file_rejected(self, tmp_path):
@@ -167,7 +242,7 @@ class TestDrawsPersistence:
     def _edit_record(path, draws, index, edit):
         """Save ``draws``, apply ``edit`` to record ``index`` (0-based) and
         return the file line that record sits on."""
-        io.save_draws(draws, path)
+        io.save_draws(draws, path, _tiny_panel())
         lines = path.read_text().splitlines()
         record = json.loads(lines[index + 1])
         edit(record)
@@ -196,6 +271,20 @@ class TestDrawsPersistence:
         line = self._edit_record(path, tiny_draws, 0, lambda r: r["theta"].pop())
         expected = f"line {line}: field 'theta' has 11 entries, expected 12"
         with pytest.raises(io.IntegrityError, match=expected):
+            io.load_draws(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", 1.5), ("alpha", -0.1), ("alpha", float("nan")),
+        ("phi_star", -1.0), ("phi_star", float("inf")), ("theta", float("nan")),
+    ])
+    def test_out_of_range_value_names_line_and_field(self, tmp_path, tiny_draws, field, value):
+        path = tmp_path / "draws.jsonl"
+
+        def edit(record):
+            record[field][0] = value
+
+        line = self._edit_record(path, tiny_draws, 2, edit)
+        with pytest.raises(io.IntegrityError, match=f"line {line}: field '{field}' holds"):
             io.load_draws(path)
 
     def test_membership_beyond_cluster_rates_rejected(self, tmp_path, tiny_draws):
@@ -246,8 +335,6 @@ class TestCli:
     def test_evaluate_pipeline(self, tmp_path):
         sc = Scenario(name="cli-eval", cluster_rates=(0.5, 2.0), thinning=0.3, L=6, T=160)
         panel, _, _ = simulate_scenario(sc, np.random.default_rng(11))
-        from dataclasses import replace
-
         train = replace(panel, counts=panel.counts[:, :120],
                         season_of=panel.season_of[:120],
                         week_starts=panel.week_starts[:120])
@@ -317,6 +404,151 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "draws cover 8 series" in err and "holds 4" in err
+
+    def test_draws_from_another_panel_of_the_same_width_rejected(self, tmp_path, capsys):
+        # two simulated 8-series panels share their ids and dates
+        easy, hard, fit = tmp_path / "easy", tmp_path / "hard", tmp_path / "fit"
+        assert main(["simulate", "--scenario", "easy-0.5", "--series", "8",
+                     "--out", str(easy)]) == 0
+        assert main(["simulate", "--scenario", "hard-0.9", "--series", "8",
+                     "--out", str(hard)]) == 0
+        assert main(["fit", "--counts", str(easy / "counts.csv"), "--out", str(fit),
+                     "--iterations", "20", "--burn-in", "10", "--thin", "5"]) == 0
+        code = main(["forecast", "--counts", str(hard / "counts.csv"),
+                     "--draws", str(fit / "draws.jsonl"), "--out", str(tmp_path / "fc")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(fit / "draws.jsonl") in err and str(hard / "counts.csv") in err
+        assert "counts of the first 208 weeks differ" in err
+        assert not (tmp_path / "fc" / "forecasts.csv").exists()
+
+    @pytest.fixture
+    def train_and_full(self, tmp_path):
+        """A fit on the first 120 of 160 weeks, and both counts files."""
+        sc = Scenario(name="bind", cluster_rates=(0.5, 2.0), thinning=0.3, L=4, T=160)
+        panel, _, _ = simulate_scenario(sc, np.random.default_rng(13))
+        train = replace(panel, counts=panel.counts[:, :120], season_of=panel.season_of[:120],
+                        week_starts=panel.week_starts[:120])
+        io.save_counts(panel, tmp_path / "full.csv")
+        io.save_counts(train, tmp_path / "train.csv")
+        assert main(["fit", "--counts", str(tmp_path / "train.csv"),
+                     "--out", str(tmp_path / "fit"),
+                     "--iterations", "20", "--burn-in", "10", "--thin", "5"]) == 0
+        return panel, tmp_path / "fit" / "draws.jsonl"
+
+    def test_evaluate_rejects_a_changed_training_week(self, tmp_path, train_and_full, capsys):
+        panel, draws = train_and_full
+        counts = panel.counts.copy()
+        counts[2, 37] += 1
+        io.save_counts(replace(panel, counts=counts), tmp_path / "edited.csv")
+        code = main(["evaluate", "--counts", str(tmp_path / "edited.csv"), "--draws", str(draws),
+                     "--holdout", "40", "--out", str(tmp_path / "ev")])
+        assert code == 1
+        assert "counts of the first 120 weeks differ" in capsys.readouterr().err
+
+    def test_counts_shorter_than_the_fit_rejected(self, tmp_path, train_and_full, capsys):
+        panel, draws = train_and_full
+        short = replace(panel, counts=panel.counts[:, :100], season_of=panel.season_of[:100],
+                        week_starts=panel.week_starts[:100])
+        io.save_counts(short, tmp_path / "short.csv")
+        code = main(["forecast", "--counts", str(tmp_path / "short.csv"), "--draws", str(draws),
+                     "--out", str(tmp_path / "fc")])
+        assert code == 1
+        assert "fitted to 120 weeks, the counts hold 100" in capsys.readouterr().err
+
+    def test_version_one_draws_checked_by_width_only(self, tmp_path, tiny_draws):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        _save_version_one(tiny_draws, tmp_path / "draws.jsonl")
+        assert main(["forecast", "--counts", str(tmp_path / "c.csv"),
+                     "--draws", str(tmp_path / "draws.jsonl"),
+                     "--out", str(tmp_path / "fc")]) == 0
+
+    def test_forecast_quantiles_match_oracle_on_outlier_panel(self, tmp_path):
+        # one series ends on an outlier week of 400: its pmf spans ~650 counts
+        sc = Scenario(name="outlier", cluster_rates=(0.5, 2.0), thinning=0.3, L=4, T=60)
+        panel, _, _ = simulate_scenario(sc, np.random.default_rng(17))
+        counts = panel.counts.copy()
+        counts[1, -1] = 400
+        io.save_counts(replace(panel, counts=counts), tmp_path / "c.csv")
+        fit = tmp_path / "fit"
+        assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(fit),
+                     "--iterations", "30", "--burn-in", "10", "--thin", "5"]) == 0
+        started = time.monotonic()
+        assert main(["forecast", "--counts", str(tmp_path / "c.csv"),
+                     "--draws", str(fit / "draws.jsonl"),
+                     "--quantiles", "0.5,0.95,0.99", "--out", str(tmp_path / "fc")]) == 0
+        assert time.monotonic() - started < 20.0
+
+        records = [json.loads(line) for line in
+                   (fit / "draws.jsonl").read_text().splitlines()[1:]]
+        month = (panel.week_starts[-1] + datetime.timedelta(days=7)).month
+        rows = list(csv.DictReader((tmp_path / "fc" / "forecasts.csv").open(newline="")))
+        assert [int(r["y_last"]) for r in rows] == list(counts[:, -1])
+        for l, row in enumerate(rows):
+            alphas = [rec["alpha"][l] for rec in records]
+            rates = [rec["phi_star"][rec["z"][l]] * rec["theta"][month - 1] for rec in records]
+            cdf = np.cumsum(draw_averaged_pmf(int(counts[l, -1]), alphas, rates))
+            for q in ("0.5", "0.95", "0.99"):
+                assert int(row[f"q{q}"]) == int(np.searchsorted(cdf, float(q)))
+
+    def test_out_of_range_draws_exit_1(self, tmp_path, tiny_draws, capsys):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        draws = tmp_path / "draws.jsonl"
+        line = TestDrawsPersistence._edit_record(
+            draws, tiny_draws, 0, lambda r: r["alpha"].__setitem__(1, 1.5)
+        )
+        code = main(["forecast", "--counts", str(tmp_path / "c.csv"), "--draws", str(draws),
+                     "--quantiles", "0.5", "--out", str(tmp_path / "fc")])
+        assert code == 1
+        assert f"line {line}: field 'alpha' holds 1.5" in capsys.readouterr().err
+
+    def test_forecast_stacks_the_draws_once(self, tmp_path, tiny_draws, monkeypatch):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        io.save_draws(tiny_draws, tmp_path / "draws.jsonl", _tiny_panel())
+        calls = []
+        series_rates = ModelState.series_rates
+        monkeypatch.setattr(ModelState, "series_rates",
+                            lambda state: calls.append(1) or series_rates(state))
+        assert main(["forecast", "--counts", str(tmp_path / "c.csv"),
+                     "--draws", str(tmp_path / "draws.jsonl"), "--quantiles", "0.5,0.9",
+                     "--horizon", "3", "--out", str(tmp_path / "fc")]) == 0
+        assert len(calls) == len(tiny_draws)  # one pass over the draws, not one per consumer
+
+    def test_plain_value_error_propagates(self, tmp_path, monkeypatch):
+        # a ValueError from a bug is no user error: main must not swallow it
+        def broken(name):
+            raise ValueError("not a package error")
+
+        monkeypatch.setattr(cli, "scenario_by_name", broken)
+        with pytest.raises(ValueError, match="not a package error"):
+            main(["simulate", "--scenario", "hard-0.1", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--iterations", "10", "--burn-in", "10"],
+        ["fit", "--thin", "0"],
+        ["fit", "--eta1", "-1"],
+        ["fit", "--chains", "2", "--iterations", "12", "--burn-in", "10", "--thin", "2"],
+        ["forecast", "--horizon", "0"],
+        ["forecast", "--quantiles", "0.5,0.9999999999"],
+        ["evaluate", "--holdout", "72"],
+        ["simulate", "--series", "7"],
+        ["simulate", "--series", "0"],
+        ["study", "--replicates", "0"],
+    ])
+    def test_bad_settings_are_usage_errors(self, tmp_path, tiny_draws, argv, capsys):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        io.save_draws(tiny_draws, tmp_path / "draws.jsonl", _tiny_panel())
+        inputs = {
+            "simulate": ["--scenario", "hard-0.1"],
+            "study": ["--scenarios", "hard-0.1"],
+            "fit": ["--counts", str(tmp_path / "c.csv")],
+            "forecast": ["--counts", str(tmp_path / "c.csv"),
+                         "--draws", str(tmp_path / "draws.jsonl")],
+        }
+        inputs["evaluate"] = inputs["forecast"]
+        code = main(argv + inputs[argv[0]] + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_scenario_usage_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "impossible", "--out", str(tmp_path)])
