@@ -25,16 +25,7 @@ from .forecast import (
     quantile,
 )
 from .harness import Scenario, benchmark_scenarios, run_study
-from .model import (
-    Hyperparams,
-    ModelState,
-    binomial_thin,
-    crp_draw,
-    simulate_panel,
-    simulate_poinar,
-    stationary_mean,
-    stick_breaking,
-)
+from .model import Hyperparams, ModelState, simulate_panel, simulate_poinar
 from .panel import CountPanel, SeasonSummary
 from .sampler import (
     PosteriorDraws,
@@ -57,12 +48,8 @@ __all__ = [
     "SeasonSummary",
     "Hyperparams",
     "ModelState",
-    "binomial_thin",
     "simulate_poinar",
     "simulate_panel",
-    "crp_draw",
-    "stick_breaking",
-    "stationary_mean",
     "SamplerConfig",
     "SuffStats",
     "PosteriorDraws",

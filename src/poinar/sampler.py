@@ -263,11 +263,14 @@ class InnovationKernel:
     """Vectorized innovation update for weeks 2..T of one panel.
 
     Enumerating the support for every (series, week) cell at once is the
-    sampler's hot loop, so the kernel preallocates its grid buffers (sized by
-    the widest support in the panel) and reuses them across sweeps with
-    in-place operations. With the Metropolis strategy, cells whose current
-    count exceeds the threshold get a Poisson-proposal MH move instead of
-    exact enumeration.
+    sampler's hot loop. The exact cells are grouped into buckets by support
+    width: a bucket holds the cells whose ``width + 1`` lies in
+    (2^(j-1), 2^j] and pads them only to its own widest support, so the
+    grid holds at most twice the useful support however wide the widest
+    cell is. Each bucket keeps its precomputed log-factorial terms and work
+    buffers, laid out support point by cell, across sweeps. With the
+    Metropolis strategy, cells whose current count exceeds the threshold get
+    a Poisson-proposal MH move instead of exact enumeration.
     """
 
     def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
@@ -276,41 +279,41 @@ class InnovationKernel:
         self.strategy = strategy
         self.mh_threshold = mh_threshold
         self.lgam = gammaln(np.arange(int(counts.max()) + 2, dtype=float))
-        self.yp = counts[:, :-1]
-        self.yc = counts[:, 1:]
-        self.lo = np.maximum(self.yc - self.yp, 0)
-        width = np.minimum(self.yc, self.yp)
+        yp = counts[:, :-1]
+        yc = counts[:, 1:]
+        self.lo = np.maximum(yc - yp, 0)
+        width = np.minimum(yc, yp)
 
         active = width > 0
         if strategy == INNOVATION_METROPOLIS:
-            self.mh_mask = active & (self.yc > mh_threshold)
-            exact = active & ~self.mh_mask
+            mh_mask = active & (yc > mh_threshold)
+            exact = active & ~mh_mask
         else:
-            self.mh_mask = None
+            mh_mask = np.zeros_like(active)
             exact = active
         # the active cells never change, so gather their geometry once
-        self.rows, self.cols = np.nonzero(exact)
+        self.mh_rows, self.mh_cols = np.nonzero(mh_mask)
+        self.mh_lo = self.lo[self.mh_rows, self.mh_cols]
+        self.mh_yc = yc[self.mh_rows, self.mh_cols]
+        self.mh_diff = yp[self.mh_rows, self.mh_cols] - self.mh_yc
+
+        rows, cols = np.nonzero(exact)
+        w = width[rows, cols]
+        # the uniforms are drawn in np.nonzero order; cells are stored
+        # bucket by bucket, and ``draw_order`` maps the one to the other
+        level = np.frexp(w)[1]  # 2^(level-1) <= w < 2^level
+        self.draw_order = np.argsort(level, kind="stable")
+        self.rows, self.cols = rows[self.draw_order], cols[self.draw_order]
         self.base = self.lo[self.rows, self.cols]
-        n = self.rows.size
-        m = int(width[self.rows, self.cols].max()) + 1 if n else 0
-        if n:
-            w = width[self.rows, self.cols]
-            valid = np.arange(m)[None, :] <= w[:, None]
-            grid = (self.base[:, None] + np.arange(m)) * valid
-            surv = (self.yc[self.rows, self.cols][:, None] - grid) * valid
-            fail = (self.yp[self.rows, self.cols][:, None] - surv) * valid
-            # log-factorial terms never change across sweeps; only the rate
-            # term multiplies the support grid
-            logw0 = -(self.lgam[grid + 1] + self.lgam[surv + 1] + self.lgam[fail + 1])
-            logw0[~valid] = -np.inf
-            self.grid0 = grid.astype(float)
-            self.logw0 = logw0
-        else:
-            self.grid0 = np.zeros((0, 0))
-            self.logw0 = np.zeros((0, 0))
-        self._logw = np.empty_like(self.logw0)
-        self._work = np.empty_like(self.logw0)
-        self._below = np.empty(self.logw0.shape, dtype=bool)
+        w, level = w[self.draw_order], level[self.draw_order]
+        starts = np.unique(level, return_index=True)[1]
+        self.buckets = [
+            _Bucket(start, stop, self.base[start:stop], w[start:stop],
+                    yc[self.rows[start:stop], self.cols[start:stop]],
+                    yp[self.rows[start:stop], self.cols[start:stop]], self.lgam)
+            for start, stop in zip(starts, np.r_[starts[1:], w.size])
+        ]
+        self._draws = np.empty(w.size, dtype=np.int64)
 
     def __call__(self, eps: np.ndarray, alpha: np.ndarray, rates: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
@@ -331,37 +334,68 @@ class InnovationKernel:
         if n:
             log_c = np.log(rates[self.rows, self.cols])
             log_c += log_odds[self.rows]
-            logw, work = self._logw, self._work
-            np.multiply(self.grid0, log_c[:, None], out=logw)
-            logw += self.logw0
-            np.subtract(logw, logw.max(axis=1, keepdims=True), out=logw)
-            np.exp(logw, out=logw)
-            np.cumsum(logw, axis=1, out=work)
-            u = rng.random(n) * work[:, -1]
-            np.less(work, u[:, None], out=self._below)
-            tail[self.rows, self.cols] = self.base + self._below.sum(axis=1)
+            u = rng.random(n)[self.draw_order]
+            for bucket in self.buckets:
+                bucket.draw(log_c, u, self._draws)
+            tail[self.rows, self.cols] = self.base + self._draws
 
-        if self.mh_mask is not None:
-            rows, cols = np.nonzero(self.mh_mask)
-            if rows.size:
-                lgam = self.lgam
-                cur = eps[rows, cols + 1]
-                prop = rng.poisson(rates[rows, cols])
-                lo_c = self.lo[rows, cols]
-                yc_c = self.yc[rows, cols]
-                diff = self.yp[rows, cols] - yc_c
-                feasible = (prop >= lo_c) & (prop <= yc_c)
-                p_safe = np.clip(prop, lo_c, yc_c)
-                log_ratio = (
-                    (p_safe - cur) * log_odds[rows]
-                    + lgam[yc_c - cur + 1] + lgam[diff + cur + 1]
-                    - lgam[yc_c - p_safe + 1] - lgam[diff + p_safe + 1]
-                )
-                accept = feasible & (np.log(rng.random(rows.size)) < log_ratio)
-                tail[rows, cols] = np.where(accept, p_safe, cur)
+        rows, cols = self.mh_rows, self.mh_cols
+        if rows.size:
+            lgam = self.lgam
+            cur = eps[rows, cols + 1]
+            prop = rng.poisson(rates[rows, cols])
+            lo_c, yc_c, diff = self.mh_lo, self.mh_yc, self.mh_diff
+            feasible = (prop >= lo_c) & (prop <= yc_c)
+            p_safe = np.clip(prop, lo_c, yc_c)
+            log_ratio = (
+                (p_safe - cur) * log_odds[rows]
+                + lgam[yc_c - cur + 1] + lgam[diff + cur + 1]
+                - lgam[yc_c - p_safe + 1] - lgam[diff + p_safe + 1]
+            )
+            accept = feasible & (np.log(rng.random(rows.size)) < log_ratio)
+            tail[rows, cols] = np.where(accept, p_safe, cur)
 
         new[:, 1:] = tail
         return new
+
+
+class _Bucket:
+    """The exact cells ``start:stop`` of an ``InnovationKernel``, on a grid
+    of shape (support points, cells) padded to their widest support.
+
+    A padded point has weight zero, so it changes neither a cell's running
+    sum nor its total, and each cell draws what it would on any wider grid.
+    """
+
+    def __init__(self, start, stop, base, width, y_curr, y_prev, lgam):
+        self.cells = slice(start, stop)
+        m = int(width.max()) + 1
+        valid = np.arange(m)[:, None] <= width
+        grid = (base + np.arange(m)[:, None]) * valid
+        surv = (y_curr - grid) * valid
+        fail = (y_prev - surv) * valid
+        # log-factorial terms never change across sweeps; only the rate
+        # term multiplies the support grid
+        logw0 = -(lgam[grid + 1] + lgam[surv + 1] + lgam[fail + 1])
+        logw0[~valid] = -np.inf
+        self.grid0 = grid.astype(float)
+        self.logw0 = logw0
+        self._logw = np.empty_like(logw0)
+        self._work = np.empty_like(logw0)
+        self._below = np.empty(logw0.shape, dtype=bool)
+
+    def draw(self, log_c: np.ndarray, u: np.ndarray, out: np.ndarray):
+        """Write each cell's offset into its support to ``out``, from the
+        log rate-odds ``log_c`` and uniforms ``u`` of all the kernel's cells."""
+        cells = self.cells
+        logw, work = self._logw, self._work
+        np.multiply(self.grid0, log_c[cells], out=logw)
+        logw += self.logw0
+        np.subtract(logw, logw.max(axis=0), out=logw)
+        np.exp(logw, out=logw)
+        np.cumsum(logw, axis=0, out=work)
+        np.less(work, u[cells] * work[-1], out=self._below)
+        out[cells] = self._below.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,48 +442,92 @@ def sample_memberships(
     and labels are canonicalized by first appearance, so the returned stats
     carry compacted B, n and U; the cluster rates must be re-instantiated
     afterwards.
+
+    The cluster statistics live in preallocated arrays next to the parts of
+    each cluster's marginal that do not depend on the visiting series; a
+    visit refreshes those only for the clusters it touches. The terms of
+    ``log_innovation_total_marginal`` are combined in its own order, and an
+    emptied cluster is removed by shifting the later ones down, so the draws
+    are those of the plain per-visit formula.
     """
     g1, g2 = hyper.gamma1, hyper.gamma2
     S, mass = stats.S, stats.mass
     z = state.z.copy()
-    B = list(stats.B)
-    n = list(stats.n)
-    U = list(stats.U)
-    log_tau = np.log(state.tau)
+    L = z.shape[0]
+    K = stats.n.shape[0]
     if order is None:
-        order = np.arange(z.shape[0])
+        order = np.arange(L)
 
+    # per-series terms, fixed for the whole sweep
+    log_fact_s = gammaln(S + 1.0)
+    log_mass = np.log(mass)
+    log_open = np.log(state.tau) + log_innovation_total_marginal(S, mass, g1, g2)
+
+    # one row per cluster quantity, with room for every series alone
+    table = np.zeros((8, L + 1))
+    n, B, U, shape, rate, log_gamma_shape, log_rate, log_n = table
+    n[:K], B[:K], U[:K] = stats.n, stats.B, stats.U
+    np.add(B[:K], g1, out=shape[:K])
+    np.add(U[:K], g2, out=rate[:K])
+    gammaln(shape[:K], out=log_gamma_shape[:K])
+    np.log(rate[:K], out=log_rate[:K])
+    np.log(n[:K], out=log_n[:K])
+
+    def refresh(k):
+        shape[k] = B[k] + g1
+        rate[k] = U[k] + g2
+        log_gamma_shape[k] = gammaln(shape[k])
+        log_rate[k] = np.log(rate[k])
+        log_n[k] = np.log(n[k])
+
+    logw = np.empty(L + 1)
+    cum = np.empty(L + 1)
+    scratch = np.empty((2, L + 1))
     for l in order:
+        s, m = S[l], mass[l]
         k = z[l]
         n[k] -= 1
-        B[k] -= S[l]
-        U[k] -= mass[l]
+        B[k] -= s
+        U[k] -= m
         if n[k] == 0:
-            del n[k], B[k], U[k]
+            table[:, k:K - 1] = table[:, k + 1:K]
+            K -= 1
             z[z > k] -= 1
-        K = len(n)
-        nb = np.asarray(B)
-        nu = np.asarray(U)
-        logw = np.empty(K + 1)
-        logw[:K] = np.log(np.asarray(n, dtype=float)) + log_innovation_total_marginal(
-            S[l], mass[l], nb + g1, nu + g2
-        )
-        logw[K] = log_tau + log_innovation_total_marginal(S[l], mass[l], g1, g2)
-        logw -= logw.max()
-        w = np.exp(logw)
-        k_new = int(np.searchsorted(np.cumsum(w), rng.random() * w.sum(), side="right"))
+        else:
+            refresh(k)
+
+        # log n_j + log_innovation_total_marginal(s, m, shape_j, rate_j)
+        w, log_denom, term = logw[:K], scratch[0, :K], scratch[1, :K]
+        np.add(shape[:K], s, out=w)
+        gammaln(w, out=w)
+        w -= log_gamma_shape[:K]
+        w -= log_fact_s[l]
+        np.add(rate[:K], m, out=log_denom)
+        np.log(log_denom, out=log_denom)
+        np.subtract(log_rate[:K], log_denom, out=term)
+        term *= shape[:K]
+        w += term
+        np.subtract(log_mass[l], log_denom, out=term)
+        term *= s
+        w += term
+        np.add(log_n[:K], w, out=w)
+        logw[K] = log_open[l]
+
+        w = logw[:K + 1]
+        w -= w.max()
+        np.exp(w, out=w)
+        np.cumsum(w, out=cum[:K + 1])
+        k_new = int(np.searchsorted(cum[:K + 1], rng.random() * w.sum(), side="right"))
         if k_new == K:
-            n.append(0)
-            B.append(0.0)
-            U.append(0.0)
+            table[:, K] = 0.0
+            K += 1
         z[l] = k_new
         n[k_new] += 1
-        B[k_new] += S[l]
-        U[k_new] += mass[l]
+        B[k_new] += s
+        U[k_new] += m
+        refresh(k_new)
 
-    z, (B, n, U) = _relabel_by_first_appearance(
-        z, np.asarray(B), np.asarray(n, dtype=np.int64), np.asarray(U)
-    )
+    z, (B, n, U) = _relabel_by_first_appearance(z, B[:K], n[:K].astype(np.int64), U[:K])
     new_stats = SuffStats(
         S=stats.S, B=B, n=n, U=U, R=stats.R,
         theta_total=stats.theta_total, mass=stats.mass,

@@ -2,6 +2,9 @@
 
 Everything here is deliberately written from the definitions (brute force,
 quadrature, exhaustive enumeration) and shares no code path with the package.
+The exception is the last section: the earlier, simpler implementations of
+the two sweep hot spots, kept verbatim so that the faster package versions
+can be checked to draw exactly the same numbers.
 """
 
 from __future__ import annotations
@@ -12,6 +15,14 @@ import math
 import numpy as np
 from scipy import stats as sps
 from scipy.integrate import simpson
+from scipy.special import gammaln
+
+from poinar.sampler import (
+    INNOVATION_EXACT,
+    INNOVATION_METROPOLIS,
+    SuffStats,
+    log_innovation_total_marginal,
+)
 
 
 def convolution_innovation_pmf(y_prev: int, y_curr: int, alpha: float, rate: float) -> np.ndarray:
@@ -67,8 +78,6 @@ def quadrature_log_marginal(
     2u * f(u^2): the lam^(shape-1) endpoint singularity disappears for all
     shape >= 1/2, so the same grid handles every base measure used here.
     """
-    from scipy.special import gammaln
-
     if shape < 0.5:
         raise ValueError("u-substitution quadrature needs shape >= 1/2")
     u = np.linspace(0.0, np.sqrt(upper), nodes)
@@ -170,3 +179,161 @@ def grid_search_sse(
         a_lo, a_hi = alphas[ai] - da, alphas[ai] + da
         l_lo, l_hi = max(lams[li] - dl, 1e-9), lams[li] + dl
     return best
+
+
+# ---------------------------------------------------------------------------
+# Earlier sweep hot spots, kept verbatim as bit-identity references
+# ---------------------------------------------------------------------------
+
+_ALPHA_EPS = 1e-12
+
+
+class PaddedInnovationKernel:
+    """The innovation update with one grid padded to the widest support in
+    the panel: every exact cell gets that many columns."""
+
+    def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
+                 mh_threshold: int = 30):
+        self.counts = counts
+        self.strategy = strategy
+        self.mh_threshold = mh_threshold
+        self.lgam = gammaln(np.arange(int(counts.max()) + 2, dtype=float))
+        self.yp = counts[:, :-1]
+        self.yc = counts[:, 1:]
+        self.lo = np.maximum(self.yc - self.yp, 0)
+        width = np.minimum(self.yc, self.yp)
+
+        active = width > 0
+        if strategy == INNOVATION_METROPOLIS:
+            self.mh_mask = active & (self.yc > mh_threshold)
+            exact = active & ~self.mh_mask
+        else:
+            self.mh_mask = None
+            exact = active
+        # the active cells never change, so gather their geometry once
+        self.rows, self.cols = np.nonzero(exact)
+        self.base = self.lo[self.rows, self.cols]
+        n = self.rows.size
+        m = int(width[self.rows, self.cols].max()) + 1 if n else 0
+        if n:
+            w = width[self.rows, self.cols]
+            valid = np.arange(m)[None, :] <= w[:, None]
+            grid = (self.base[:, None] + np.arange(m)) * valid
+            surv = (self.yc[self.rows, self.cols][:, None] - grid) * valid
+            fail = (self.yp[self.rows, self.cols][:, None] - surv) * valid
+            # log-factorial terms never change across sweeps; only the rate
+            # term multiplies the support grid
+            logw0 = -(self.lgam[grid + 1] + self.lgam[surv + 1] + self.lgam[fail + 1])
+            logw0[~valid] = -np.inf
+            self.grid0 = grid.astype(float)
+            self.logw0 = logw0
+        else:
+            self.grid0 = np.zeros((0, 0))
+            self.logw0 = np.zeros((0, 0))
+        self._logw = np.empty_like(self.logw0)
+        self._work = np.empty_like(self.logw0)
+        self._below = np.empty(self.logw0.shape, dtype=bool)
+
+    def __call__(self, eps: np.ndarray, alpha: np.ndarray, rates: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+        a = np.clip(alpha, _ALPHA_EPS, 1.0 - _ALPHA_EPS)
+        log_odds = np.log1p(-a) - np.log(a)
+
+        new = np.empty_like(self.counts)
+        new[:, 0] = self.counts[:, 0]
+        tail = self.lo.copy()  # deterministic cells resolve to their support point
+
+        n = self.rows.size
+        if n:
+            log_c = np.log(rates[self.rows, self.cols])
+            log_c += log_odds[self.rows]
+            logw, work = self._logw, self._work
+            np.multiply(self.grid0, log_c[:, None], out=logw)
+            logw += self.logw0
+            np.subtract(logw, logw.max(axis=1, keepdims=True), out=logw)
+            np.exp(logw, out=logw)
+            np.cumsum(logw, axis=1, out=work)
+            u = rng.random(n) * work[:, -1]
+            np.less(work, u[:, None], out=self._below)
+            tail[self.rows, self.cols] = self.base + self._below.sum(axis=1)
+
+        if self.mh_mask is not None:
+            rows, cols = np.nonzero(self.mh_mask)
+            if rows.size:
+                lgam = self.lgam
+                cur = eps[rows, cols + 1]
+                prop = rng.poisson(rates[rows, cols])
+                lo_c = self.lo[rows, cols]
+                yc_c = self.yc[rows, cols]
+                diff = self.yp[rows, cols] - yc_c
+                feasible = (prop >= lo_c) & (prop <= yc_c)
+                p_safe = np.clip(prop, lo_c, yc_c)
+                log_ratio = (
+                    (p_safe - cur) * log_odds[rows]
+                    + lgam[yc_c - cur + 1] + lgam[diff + cur + 1]
+                    - lgam[yc_c - p_safe + 1] - lgam[diff + p_safe + 1]
+                )
+                accept = feasible & (np.log(rng.random(rows.size)) < log_ratio)
+                tail[rows, cols] = np.where(accept, p_safe, cur)
+
+        new[:, 1:] = tail
+        return new
+
+
+def _relabel_by_first_appearance(z, *cluster_arrays):
+    _, first = np.unique(z, return_index=True)
+    old_order = np.argsort(first)  # old labels in order of first appearance
+    perm = np.empty(old_order.shape[0], dtype=np.int64)
+    perm[old_order] = np.arange(old_order.shape[0])
+    return perm[z], tuple(arr[old_order] for arr in cluster_arrays)
+
+
+def list_sample_memberships(state, panel, stats, hyper, rng, order=None):
+    """One collapsed membership sweep over Python lists of the cluster
+    statistics, recomputing every cluster's marginal at each visit."""
+    g1, g2 = hyper.gamma1, hyper.gamma2
+    S, mass = stats.S, stats.mass
+    z = state.z.copy()
+    B = list(stats.B)
+    n = list(stats.n)
+    U = list(stats.U)
+    log_tau = np.log(state.tau)
+    if order is None:
+        order = np.arange(z.shape[0])
+
+    for l in order:
+        k = z[l]
+        n[k] -= 1
+        B[k] -= S[l]
+        U[k] -= mass[l]
+        if n[k] == 0:
+            del n[k], B[k], U[k]
+            z[z > k] -= 1
+        K = len(n)
+        nb = np.asarray(B)
+        nu = np.asarray(U)
+        logw = np.empty(K + 1)
+        logw[:K] = np.log(np.asarray(n, dtype=float)) + log_innovation_total_marginal(
+            S[l], mass[l], nb + g1, nu + g2
+        )
+        logw[K] = log_tau + log_innovation_total_marginal(S[l], mass[l], g1, g2)
+        logw -= logw.max()
+        w = np.exp(logw)
+        k_new = int(np.searchsorted(np.cumsum(w), rng.random() * w.sum(), side="right"))
+        if k_new == K:
+            n.append(0)
+            B.append(0.0)
+            U.append(0.0)
+        z[l] = k_new
+        n[k_new] += 1
+        B[k_new] += S[l]
+        U[k_new] += mass[l]
+
+    z, (B, n, U) = _relabel_by_first_appearance(
+        z, np.asarray(B), np.asarray(n, dtype=np.int64), np.asarray(U)
+    )
+    new_stats = SuffStats(
+        S=stats.S, B=B, n=n, U=U, R=stats.R,
+        theta_total=stats.theta_total, mass=stats.mass,
+    )
+    return z, new_stats

@@ -586,6 +586,23 @@ class TestCli:
         monkeypatch.setattr("sys.stderr", open(os.devnull, "w"))
         assert main(["simulate", "--scenario", "hard-0.1", "--series", "8"]) == 2
 
+    def test_main_pins_the_allocator_thresholds(self, monkeypatch, capsys):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.sys, "platform", "linux")
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        assert main(["simulate", "--not-a-flag"]) == 2
+        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+        # a C library without mallopt leaves the commands working
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert main(["simulate", "--not-a-flag"]) == 2
+        capsys.readouterr()
+
     def test_study_smoke(self, tmp_path):
         out = tmp_path / "study"
         assert main([

@@ -6,17 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from poinar.model import (
-    Hyperparams,
-    ModelState,
+from generative import (
     binomial_thin,
     crp_draw,
     crp_expected_clusters,
-    simulate_panel,
-    simulate_poinar,
     stationary_mean,
     stick_breaking,
 )
+from poinar.model import Hyperparams, ModelState, simulate_panel, simulate_poinar
 from poinar.panel import CountPanel, SeasonSummary
 
 UNIT_THETA = np.ones(12)
