@@ -13,7 +13,9 @@ import csv
 import datetime
 import hashlib
 import json
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from .panel import N_MONTHS, CountPanel
 from .sampler import PosteriorDraws
 
 DRAWS_FORMAT = "poinar-draws"
-DRAWS_VERSION = 2  # version 1 headers do not bind the draws to their panel
+DRAWS_VERSION = 3  # version 2 headers bind no week dates, version 1 headers no panel
 _RECORD_FIELDS = ("chain", "iteration", "tau", "alpha", "z", "phi_star", "theta")
 
 
@@ -45,8 +47,21 @@ def months_of(dates) -> np.ndarray:
     return np.array([d.month for d in dates], dtype=np.int64)
 
 
+# A count cell as numpy's C reader accepts it for int64: optional
+# whitespace, an optional sign, ASCII digits, optional whitespace.
+_COUNT_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
+_COUNT_MAX = int(np.iinfo(np.int64).max)
+_BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
+
+
 def load_counts(path, exposure_path=None) -> CountPanel:
-    """Read a counts CSV (and optionally an exposure CSV) into a panel."""
+    """Read a counts CSV (and optionally an exposure CSV) into a panel.
+
+    The header goes through ``csv``; the body through numpy's C reader,
+    which parses every cell and checks every row's length. Only a file it
+    rejects, or one with a blank line or a negative count, is scanned again
+    row by row to name the first bad cell.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -67,29 +82,23 @@ def load_counts(path, exposure_path=None) -> CountPanel:
         if not dates:
             raise ParseError(f"{path}: no week columns")
 
-        ids: list[str] = []
-        rows: list[list[int]] = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(dates) + 1:
-                raise ParseError(
-                    f"{path}: row {i} has {len(row)} cells, expected {len(dates) + 1}"
+        blank_lines = []
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    _noting_blank_lines(fh, blank_lines),
+                    dtype=[("series_id", object), ("counts", np.int64, (len(dates),))],
+                    delimiter=",", quotechar='"', comments=None, ndmin=1,
                 )
-            ids.append(row[0])
-            values = []
-            for j, cell in enumerate(row[1:], start=2):
-                try:
-                    value = int(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {i}, column {j}: not an integer count: {cell!r}"
-                    ) from None
-                if value < 0:
-                    raise ParseError(
-                        f"{path}: row {i}, column {j}: negative count {value}"
-                    )
-                values.append(value)
-            rows.append(values)
-    if not rows:
+        except ValueError as exc:
+            _raise_first_bad_row(path, len(dates))
+            raise ParseError(f"{path}: {exc}") from None
+    counts = table["counts"]
+    if blank_lines or (counts < 0).any():
+        _raise_first_bad_row(path, len(dates))  # a blank line may sit in a quoted id
+    ids = table["series_id"].tolist()
+    if not ids:
         raise ParseError(f"{path}: no series rows")
     if len(set(ids)) != len(ids):
         raise ParseError(f"{path}: duplicate series ids")
@@ -98,12 +107,48 @@ def load_counts(path, exposure_path=None) -> CountPanel:
     if exposure_path is not None:
         exposure = load_exposure(exposure_path, ids)
     return CountPanel(
-        counts=np.array(rows, dtype=np.int64),
+        counts=np.ascontiguousarray(counts),
         season_of=months_of(dates),
         exposure=exposure,
         series_ids=ids,
         week_starts=dates,
     )
+
+
+def _noting_blank_lines(lines, blank_lines: list):
+    """Pass ``lines`` through, appending each empty one to ``blank_lines``;
+    numpy's reader skips them, ``csv`` reads them as rows of no cells."""
+    for line in lines:
+        if line in _BLANK_LINES:
+            blank_lines.append(line)
+        yield line
+
+
+def _raise_first_bad_row(path: Path, n_weeks: int):
+    """Raise a ``ParseError`` naming the first row of the counts body that
+    has the wrong cell count or a cell that is no count in [0, 2^63).
+
+    A cell passes here exactly when numpy's C reader reads it as an int64,
+    so a file this finds nothing in is one that reader accepts.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for i, row in enumerate(reader, start=2):
+            if len(row) != n_weeks + 1:
+                raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {n_weeks + 1}")
+            for j, cell in enumerate(row[1:], start=2):
+                if not _COUNT_CELL.fullmatch(cell):
+                    raise ParseError(
+                        f"{path}: row {i}, column {j}: not an integer count: {cell!r}"
+                    )
+                value = int(cell)
+                if value < 0:
+                    raise ParseError(f"{path}: row {i}, column {j}: negative count {value}")
+                if value > _COUNT_MAX:
+                    raise ParseError(
+                        f"{path}: row {i}, column {j}: count {value} is above 2^63 - 1"
+                    )
 
 
 def save_counts(panel: CountPanel, path, week_starts: list[datetime.date] | None = None):
@@ -119,8 +164,8 @@ def save_counts(panel: CountPanel, path, week_starts: list[datetime.date] | None
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series_id"] + [d.isoformat() for d in dates])
-        for sid, row in zip(panel.series_ids, panel.counts):
-            writer.writerow([sid] + [int(v) for v in row])
+        for sid, row in zip(panel.series_ids, panel.counts.tolist()):
+            writer.writerow([sid] + row)
 
 
 def load_exposure(path, series_ids: list[str]) -> np.ndarray:
@@ -186,14 +231,25 @@ def panel_sha256(panel: CountPanel, n_weeks: int | None = None) -> str:
     return digest.hexdigest()
 
 
+def week_starts_sha256(panel: CountPanel, n_weeks: int | None = None) -> str | None:
+    """sha256 of the first ``n_weeks`` ISO week-start dates; ``None`` for a
+    panel without dates."""
+    if panel.week_starts is None:
+        return None
+    dates = ",".join(d.isoformat() for d in panel.week_starts[:n_weeks])
+    return hashlib.sha256(dates.encode()).hexdigest()
+
+
 def save_draws(draws: PosteriorDraws, path, panel: CountPanel, include_innovations: bool = False):
     """Persist draws as JSON lines with a version header.
 
-    The header records the training ``panel``'s size and ``panel_sha256``,
-    so the draws can be checked against a panel later. Floats are written at
-    full round-trip precision; innovations are large and skipped unless
-    asked for.
+    The header records the training ``panel``'s size, ``panel_sha256`` and
+    ``week_starts_sha256``, so the draws can be checked against a panel
+    later; the panel needs its week dates. Floats are written at full
+    round-trip precision; innovations are large and skipped unless asked for.
     """
+    if panel.week_starts is None:
+        raise ValueError("panel has no week dates for the draws header to bind")
     path = Path(path)
     header = {
         "format": DRAWS_FORMAT,
@@ -203,6 +259,7 @@ def save_draws(draws: PosteriorDraws, path, panel: CountPanel, include_innovatio
         "n_series": panel.n_series,
         "n_weeks": panel.n_weeks,
         "panel_sha256": panel_sha256(panel),
+        "week_starts_sha256": week_starts_sha256(panel),
     }
     with path.open("w") as fh:
         fh.write(json.dumps(header) + "\n")
@@ -212,28 +269,35 @@ def save_draws(draws: PosteriorDraws, path, panel: CountPanel, include_innovatio
 
 def fitted_panel_mismatch(draws: PosteriorDraws, panel: CountPanel) -> str | None:
     """Why ``draws`` were not fitted to ``panel`` or to its first weeks, or
-    ``None``. Draws from version 1 files record no panel, so they pass."""
+    ``None``. Draws from version 1 files record no panel, so they pass;
+    those from version 2 files record no week dates, so only the series ids
+    and counts are checked."""
     if draws.fitted_to is None:
         return None
-    n_weeks, sha256 = draws.fitted_to
+    n_weeks, counts_sha256, dates_sha256 = draws.fitted_to
     if n_weeks > panel.n_weeks:
         return f"the draws were fitted to {n_weeks} weeks, the counts hold {panel.n_weeks}"
-    if sha256 != panel_sha256(panel, n_weeks):
+    if counts_sha256 != panel_sha256(panel, n_weeks):
         return f"the series ids or counts of the first {n_weeks} weeks differ"
+    if dates_sha256 is not None and dates_sha256 != week_starts_sha256(panel, n_weeks):
+        return f"the week-start dates of the first {n_weeks} weeks differ"
     return None
 
 
-def _fitted_to(path: Path, header: dict) -> tuple[int, str] | None:
-    """The header's ``(n_weeks, panel_sha256)``; ``None`` in version 1."""
+def _fitted_to(path: Path, header: dict) -> tuple[int, str, str | None] | None:
+    """The header's ``(n_weeks, panel_sha256, week_starts_sha256)``; ``None``
+    in version 1, and no dates' hash in version 2."""
     if header["version"] == 1:
         return None
     for key in ("n_series", "n_weeks"):
         value = header.get(key)
         if not isinstance(value, int) or value < 1:
             raise IntegrityError(f"{path}: header field {key!r} is not a positive count")
-    if not isinstance(header.get("panel_sha256"), str):
-        raise IntegrityError(f"{path}: header lacks the 'panel_sha256' string")
-    return header["n_weeks"], header["panel_sha256"]
+    keys = ("panel_sha256",) if header["version"] == 2 else ("panel_sha256", "week_starts_sha256")
+    for key in keys:
+        if not isinstance(header.get(key), str):
+            raise IntegrityError(f"{path}: header lacks the {key!r} string")
+    return header["n_weeks"], header["panel_sha256"], header.get("week_starts_sha256")
 
 
 def load_draws(path) -> PosteriorDraws:
@@ -248,10 +312,10 @@ def load_draws(path) -> PosteriorDraws:
         raise IntegrityError(f"{path}: unreadable header line") from None
     if not isinstance(header, dict) or header.get("format") != DRAWS_FORMAT:
         raise IntegrityError(f"{path}: not a draws file")
-    if header.get("version") not in (1, DRAWS_VERSION):
+    if header.get("version") not in (1, 2, DRAWS_VERSION):
         raise IntegrityError(
             f"{path}: draws version {header.get('version')} unsupported "
-            f"(expected 1 or {DRAWS_VERSION})"
+            f"(expected 1 to {DRAWS_VERSION})"
         )
     fitted_to = _fitted_to(path, header)
     n_draws = header.get("n_draws")

@@ -191,15 +191,18 @@ def simulate_poinar(
             raise ValueError("alpha = 1 has no stationary start; pass y0 explicitly")
         y0 = int(rng.poisson(rates[0] / (1.0 - alpha)))
 
-    y = np.empty(T, dtype=np.int64)
-    eps = np.empty(T, dtype=np.int64)
-    y[0] = y0
-    eps[0] = y0
     innovations = rng.poisson(rates[1:]) if T > 1 else np.empty(0, dtype=np.int64)
-    for t in range(1, T):
-        carried = rng.binomial(y[t - 1], alpha)
-        eps[t] = innovations[t - 1]
-        y[t] = carried + eps[t]
+    # the weekly recursion runs on Python ints: indexing numpy arrays one
+    # scalar at a time would cost more than the binomial draws
+    prev = int(y0)
+    path = [prev]
+    for e in innovations.tolist():
+        prev = int(rng.binomial(prev, alpha)) + e
+        path.append(prev)
+    y = np.array(path, dtype=np.int64)
+    eps = np.empty(T, dtype=np.int64)
+    eps[0] = y0
+    eps[1:] = innovations
     if return_innovations:
         return y, eps
     return y

@@ -73,8 +73,9 @@ def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
 class PosteriorDraws:
     """Thinned post-burn-in parameter snapshots, tagged by chain and sweep.
 
-    ``fitted_to`` is ``(n_weeks, panel_sha256)`` of the training panel when
-    the draws were read from a file that records it. The draws are not
+    ``fitted_to`` is ``(n_weeks, panel_sha256, week_starts_sha256)`` of the
+    training panel when the draws were read from a file that records it
+    (the last is ``None`` when the file records no dates). The draws are not
     modified after construction: ``stacked`` builds its arrays once.
     """
 
@@ -82,7 +83,7 @@ class PosteriorDraws:
     chain_index: np.ndarray
     iteration: np.ndarray
     mode: str = MODE_PLAIN
-    fitted_to: tuple[int, str] | None = None
+    fitted_to: tuple[int, str, str | None] | None = None
 
     def __post_init__(self):
         self.chain_index = np.asarray(self.chain_index, dtype=np.int64)
@@ -635,12 +636,15 @@ def run_chain(
     config: SamplerConfig,
     rng: np.random.Generator | None = None,
     chain_index: int = 0,
+    kernel: InnovationKernel | None = None,
 ) -> PosteriorDraws:
     """Run one chain and return its thinned post-burn-in draws.
 
     Sweeps execute the six update steps in a fixed order; iteration i is
     recorded when i > burn_in and (i - burn_in) is a multiple of the thinning
-    interval. Deterministic given the generator's seed.
+    interval. Deterministic given the generator's seed. ``kernel``, the
+    panel's ``InnovationKernel`` under ``config``'s strategy, is built here
+    when not given.
     """
     hyper = config.hyper
     if hyper.mode == MODE_COVARIATE and panel.exposure is None:
@@ -652,11 +656,8 @@ def run_chain(
     L = panel.n_series
     month_idx = panel.season_of - 1
     exposure = panel.exposure if hyper.mode == MODE_COVARIATE else np.ones(L)
-    kernel = InnovationKernel(
-        counts,
-        strategy=config.innovation_strategy,
-        mh_threshold=config.metropolis_threshold,
-    )
+    if kernel is None:
+        kernel = _innovation_kernel(panel, config)
 
     state = _initial_state(panel, rng)
     eps = np.empty_like(counts)
@@ -692,10 +693,24 @@ def run_chain(
     )
 
 
+def _innovation_kernel(panel: CountPanel, config: SamplerConfig) -> InnovationKernel:
+    return InnovationKernel(
+        panel.counts,
+        strategy=config.innovation_strategy,
+        mh_threshold=config.metropolis_threshold,
+    )
+
+
 def run_chains(panel: CountPanel, config: SamplerConfig) -> list[PosteriorDraws]:
     """Run ``config.n_chains`` independent chains with derived per-chain
-    seeds and individually drawn starting points."""
+    seeds and individually drawn starting points.
+
+    The chains run one after another and share one innovation kernel: it
+    keeps only the panel's geometry across calls and overwrites its work
+    buffers on every call.
+    """
+    kernel = _innovation_kernel(panel, config)
     return [
-        run_chain(panel, config, chain_index=c)
+        run_chain(panel, config, chain_index=c, kernel=kernel)
         for c in range(config.n_chains)
     ]

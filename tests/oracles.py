@@ -2,21 +2,28 @@
 
 Everything here is deliberately written from the definitions (brute force,
 quadrature, exhaustive enumeration) and shares no code path with the package.
-The exception is the last section: the earlier, simpler implementations of
-the two sweep hot spots, kept verbatim so that the faster package versions
-can be checked to draw exactly the same numbers.
+The exceptions are the last two sections: the earlier, simpler
+implementations of the two sweep hot spots, kept verbatim so that the faster
+package versions can be checked to draw exactly the same numbers, and the
+earlier per-cell counts CSV parser, against which the package's parser is
+checked file by file.
 """
 
 from __future__ import annotations
 
+import csv
+import datetime
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import stats as sps
 from scipy.integrate import simpson
 from scipy.special import gammaln
 
+from poinar.io import ParseError, load_exposure, months_of
+from poinar.panel import CountPanel
 from poinar.sampler import (
     INNOVATION_EXACT,
     INNOVATION_METROPOLIS,
@@ -337,3 +344,69 @@ def list_sample_memberships(state, panel, stats, hyper, rng, order=None):
         theta_total=stats.theta_total, mass=stats.mass,
     )
     return z, new_stats
+
+
+# ---------------------------------------------------------------------------
+# Earlier counts CSV parser: ``int()`` and a sign check on every cell
+# ---------------------------------------------------------------------------
+
+
+def per_cell_load_counts(path, exposure_path=None) -> CountPanel:
+    """Read a counts CSV (and optionally an exposure CSV) into a panel."""
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if not header or header[0] != "series_id":
+            raise ParseError(f"{path}: first header column must be 'series_id'")
+        dates = []
+        for j, cell in enumerate(header[1:], start=2):
+            try:
+                dates.append(datetime.date.fromisoformat(cell.strip()))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: header column {j} is not an ISO week-start date: {cell!r}"
+                ) from None
+        if not dates:
+            raise ParseError(f"{path}: no week columns")
+
+        ids: list[str] = []
+        rows: list[list[int]] = []
+        for i, row in enumerate(reader, start=2):
+            if len(row) != len(dates) + 1:
+                raise ParseError(
+                    f"{path}: row {i} has {len(row)} cells, expected {len(dates) + 1}"
+                )
+            ids.append(row[0])
+            values = []
+            for j, cell in enumerate(row[1:], start=2):
+                try:
+                    value = int(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {i}, column {j}: not an integer count: {cell!r}"
+                    ) from None
+                if value < 0:
+                    raise ParseError(
+                        f"{path}: row {i}, column {j}: negative count {value}"
+                    )
+                values.append(value)
+            rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no series rows")
+    if len(set(ids)) != len(ids):
+        raise ParseError(f"{path}: duplicate series ids")
+
+    exposure = None
+    if exposure_path is not None:
+        exposure = load_exposure(exposure_path, ids)
+    return CountPanel(
+        counts=np.array(rows, dtype=np.int64),
+        season_of=months_of(dates),
+        exposure=exposure,
+        series_ids=ids,
+        week_starts=dates,
+    )

@@ -4,14 +4,17 @@ import csv
 import datetime
 import json
 import os
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import draw_averaged_pmf
+from oracles import draw_averaged_pmf, per_cell_load_counts
 from poinar import cli, io
 from poinar.cli import main
 from poinar.harness import Scenario, simulate_scenario
@@ -70,6 +73,102 @@ class TestLoadCounts:
         panel = io.load_counts(write(tmp_path / "c.csv", header + "a,0,1\n"))
         assert list(panel.season_of) == [1, 2]
 
+    def test_count_beyond_int64_names_position(self, tmp_path):
+        bad = GOOD_CSV.replace("3,1,0", "3,99999999999999999999,0")
+        with pytest.raises(io.ParseError, match=r"row 3, column 3: count 9+ is above 2\^63 - 1"):
+            io.load_counts(write(tmp_path / "c.csv", bad))
+        largest = GOOD_CSV.replace("3,1,0", "3,9223372036854775807,0")
+        assert io.load_counts(write(tmp_path / "c.csv", largest)).counts[1, 1] == 2**63 - 1
+
+    @pytest.mark.parametrize("text, message", [
+        (GOOD_CSV + "\n", "row 4 has 0 cells"),
+        (GOOD_CSV.replace("a,1,0,2\n", "a,1,0,2\n\r\n"), "row 3 has 0 cells"),
+        ("series_id,2001-01-01\n", "no series rows"),
+    ])
+    def test_blank_lines_and_empty_body(self, tmp_path, text, message):
+        with pytest.raises(io.ParseError, match=message):
+            io.load_counts(write(tmp_path / "c.csv", text))
+
+    def test_blank_line_inside_a_quoted_id_is_part_of_the_id(self, tmp_path):
+        text = GOOD_CSV.replace("a,1,0,2", '"a\n\nz",1,0,2')
+        assert io.load_counts(write(tmp_path / "c.csv", text)).series_ids == ["a\n\nz", "b"]
+
+    @pytest.mark.parametrize("cell, value", [("1_000", 1000), ("٣", 3)])
+    def test_only_int_accepts_underscores_and_non_ascii_digits(self, tmp_path, cell, value):
+        # the two spellings the per-cell parser took and numpy's reader does not
+        path = write(tmp_path / "c.csv", GOOD_CSV.replace("3,1,0", f"3,{cell},0"))
+        assert per_cell_load_counts(path).counts[1, 1] == value
+        with pytest.raises(io.ParseError, match=f"row 3, column 3: not an integer count: '{cell}'"):
+            io.load_counts(path)
+
+
+# Pieces of generated counts files: ids with commas, doubled quotes, a
+# leading '#', a quoted blank line or an unclosed quote, and cells on both
+# sides of the grammar. ``1_000`` and non-ASCII digits are left out:
+# ``int()`` takes them and numpy's reader does not (see the test above).
+_IDS = ["a", "b", "#c", '"d,e"', '"f""g"', '"h"', '""', " i ", '"j\n\nk"', '"l']
+_INTEGER_CELLS = ["0", "3", "12", "007", "+3", " 3 ", "\t7\t", '"4"', "-1", "-0",
+                  "9223372036854775807", "9223372036854775808",
+                  "99999999999999999999", "-99999999999999999999"]
+_CELLS = _INTEGER_CELLS + ['5"', "1.0", '""', "", "0x10", "x", "3 4", "+-3"]
+
+
+@st.composite
+def counts_files(draw):
+    n_weeks = draw(st.integers(1, 3))
+    header = ",".join(["series_id"] + [f"2001-0{m}-01" for m in range(1, n_weeks + 1)])
+    lines = [header]
+    cells_from = draw(st.sampled_from([_CELLS, _INTEGER_CELLS]))  # half the files read as integers
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 6)) == 0:
+            lines.append("")  # a blank line
+            continue
+        width = draw(st.sampled_from([n_weeks, n_weeks, n_weeks, n_weeks - 1, n_weeks + 1]))
+        cells = draw(st.lists(st.sampled_from(cells_from), min_size=width, max_size=width))
+        lines.append(",".join([draw(st.sampled_from(_IDS))] + cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def _parse_outcome(load, path):
+    try:
+        panel = load(path)
+    except io.ParseError as exc:
+        return "error", str(exc)
+    except OverflowError:
+        return "overflow", None
+    return "panel", (panel.series_ids, panel.counts.tolist(), panel.counts.dtype,
+                     panel.week_starts, panel.season_of.tolist())
+
+
+def _position(message: str) -> tuple:
+    """(row, column) a ParseError names; a row's cell count is checked
+    before its cells, and whole-file errors come after every row."""
+    found = re.search(r"row (\d+)(?:, column (\d+))?", message)
+    if found is None:
+        return (float("inf"), 0)
+    return (int(found[1]), int(found[2] or 0))
+
+
+class TestCountsParserAgainstPerCellOracle:
+    @given(text=counts_files())
+    @settings(max_examples=400, deadline=None)
+    def test_same_panel_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "generated_counts.csv"
+        path.write_bytes(text.encode())
+        expected = _parse_outcome(per_cell_load_counts, path)
+        got = _parse_outcome(io.load_counts, path)
+        overflow = got[0] == "error" and re.search(
+            r"row \d+, column \d+: count \d+ is above 2\^63 - 1$", got[1])
+        if overflow:
+            # The per-cell parser let counts beyond int64 through to np.array,
+            # which raised OverflowError after every row was read; now the
+            # first such cell is an error in its place in the file.
+            assert expected[0] == "overflow" or (
+                expected[0] == "error" and _position(expected[1]) > _position(got[1]))
+        else:
+            assert got == expected
+
 
 class TestExposure:
     def test_strict_join(self, tmp_path):
@@ -127,13 +226,15 @@ def tiny_draws():
     return run_chain(_tiny_panel(), config)
 
 
-def _save_version_one(draws, path):
-    """Write ``draws`` with the version 1 header, which names no panel."""
+def _save_older_version(draws, path, version):
+    """Write ``draws`` with a version 1 header, which names no panel, or a
+    version 2 header, which names no week dates."""
     io.save_draws(draws, path, _tiny_panel())
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    header["version"] = 1
-    for key in ("n_series", "n_weeks", "panel_sha256"):
+    header["version"] = version
+    dropped = {1: ("n_series", "n_weeks", "panel_sha256"), 2: ()}[version]
+    for key in dropped + ("week_starts_sha256",):
         del header[key]
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
@@ -183,12 +284,42 @@ class TestDrawsPersistence:
         path = tmp_path / "draws.jsonl"
         io.save_draws(tiny_draws, path, panel)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["version"] == io.DRAWS_VERSION == 2
+        assert header["version"] == io.DRAWS_VERSION == 3
         assert (header["n_series"], header["n_weeks"]) == (6, 72)
         assert header["panel_sha256"] == io.panel_sha256(panel)
+        assert header["week_starts_sha256"] == io.week_starts_sha256(panel)
         loaded = io.load_draws(path)
-        assert loaded.fitted_to == (72, io.panel_sha256(panel))
+        assert loaded.fitted_to == (72, io.panel_sha256(panel), io.week_starts_sha256(panel))
         assert io.fitted_panel_mismatch(loaded, panel) is None
+
+    def test_version_three_header_needs_the_dates(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, _tiny_panel())
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["week_starts_sha256"]
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(io.IntegrityError, match="week_starts_sha256"):
+            io.load_draws(path)
+
+    def test_draws_need_a_panel_with_dates(self, tmp_path, tiny_draws):
+        panel = replace(_tiny_panel(), week_starts=None)
+        with pytest.raises(ValueError, match="no week dates"):
+            io.save_draws(tiny_draws, tmp_path / "draws.jsonl", panel)
+
+    def test_version_two_file_checked_by_ids_and_counts_only(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        _save_older_version(tiny_draws, path, 2)
+        loaded = io.load_draws(path)
+        panel = _tiny_panel()
+        assert loaded.fitted_to == (72, io.panel_sha256(panel), None)
+        shifted = replace(panel, week_starts=[d + datetime.timedelta(days=364)
+                                              for d in panel.week_starts])
+        assert io.fitted_panel_mismatch(loaded, shifted) is None
+        counts = panel.counts.copy()
+        counts[0, 5] += 1
+        assert "counts of the first 72 weeks differ" in io.fitted_panel_mismatch(
+            loaded, replace(panel, counts=counts))
 
     def test_version_two_header_needs_the_panel(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
@@ -207,6 +338,16 @@ class TestDrawsPersistence:
         with pytest.raises(io.IntegrityError, match="line 2: field 'alpha' has 6 entries, expected 7"):
             io.load_draws(path)
 
+    def test_dates_hash_covers_the_first_weeks(self):
+        panel = _tiny_panel()
+        shifted = replace(panel, week_starts=[d + datetime.timedelta(days=140)
+                                              for d in panel.week_starts])
+        assert io.week_starts_sha256(shifted) != io.week_starts_sha256(panel)
+        assert io.week_starts_sha256(panel, 50) == io.week_starts_sha256(
+            replace(panel, counts=panel.counts[:, :50], season_of=panel.season_of[:50],
+                    week_starts=panel.week_starts[:50])
+        )
+
     def test_panel_hash_covers_ids_and_counts(self):
         panel = _tiny_panel()
         counts = panel.counts.copy()
@@ -222,7 +363,7 @@ class TestDrawsPersistence:
 
     def test_version_one_file_still_loads(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
-        _save_version_one(tiny_draws, path)
+        _save_older_version(tiny_draws, path, 1)
         loaded = io.load_draws(path)
         assert len(loaded) == len(tiny_draws) and loaded.fitted_to is None
         assert io.fitted_panel_mismatch(loaded, _tiny_panel()) is None
@@ -446,6 +587,22 @@ class TestCli:
         assert code == 1
         assert "counts of the first 120 weeks differ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["forecast", "evaluate"])
+    def test_shifted_week_dates_rejected(self, tmp_path, train_and_full, capsys, command):
+        # the same ids and counts, every week 20 weeks later: the forecast
+        # months would move, so the draws no longer fit the panel
+        panel, draws = train_and_full
+        dates = [d + datetime.timedelta(weeks=20) for d in panel.week_starts]
+        months = io.months_of(dates)
+        shifted = tmp_path / "shifted.csv"
+        io.save_counts(replace(panel, season_of=months, week_starts=dates), shifted)
+        code = main([command, "--counts", str(shifted), "--draws", str(draws),
+                     "--out", str(tmp_path / command)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(draws) in err and str(shifted) in err
+        assert "week-start dates of the first 120 weeks differ" in err
+
     def test_counts_shorter_than_the_fit_rejected(self, tmp_path, train_and_full, capsys):
         panel, draws = train_and_full
         short = replace(panel, counts=panel.counts[:, :100], season_of=panel.season_of[:100],
@@ -456,9 +613,17 @@ class TestCli:
         assert code == 1
         assert "fitted to 120 weeks, the counts hold 100" in capsys.readouterr().err
 
+    def test_count_beyond_int64_exits_one(self, tmp_path, capsys):
+        path = write(tmp_path / "c.csv", GOOD_CSV.replace("b,3,1,0", "b,3,99999999999999999999,0"))
+        code = main(["fit", "--counts", str(path), "--out", str(tmp_path / "fit"),
+                     "--iterations", "4", "--burn-in", "2", "--thin", "1"])
+        assert code == 1
+        assert "row 3, column 3: count 99999999999999999999 is above 2^63 - 1" in (
+            capsys.readouterr().err)
+
     def test_version_one_draws_checked_by_width_only(self, tmp_path, tiny_draws):
         io.save_counts(_tiny_panel(), tmp_path / "c.csv")
-        _save_version_one(tiny_draws, tmp_path / "draws.jsonl")
+        _save_older_version(tiny_draws, tmp_path / "draws.jsonl", 1)
         assert main(["forecast", "--counts", str(tmp_path / "c.csv"),
                      "--draws", str(tmp_path / "draws.jsonl"),
                      "--out", str(tmp_path / "fc")]) == 0

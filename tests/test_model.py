@@ -65,6 +65,32 @@ class TestSimulatePoinar:
         y = simulate_poinar(1.0, 0.5, UNIT_THETA, np.ones(10**5, dtype=int), rng=rng)
         assert abs(y.mean() - stationary_mean(1.0, 0.5)) < 0.04  # 2% of 2.0
 
+    @pytest.mark.parametrize("lam, alpha, y0, T", [
+        (2.0, 0.4, None, 120), (0.3, 0.9, None, 208), (5.0, 0.0, 7, 60), (1.0, 1.0, 4, 50),
+        (1.5, 0.5, None, 1),
+    ])
+    def test_draws_match_the_array_indexed_recursion(self, lam, alpha, y0, T):
+        # the earlier loop, indexing numpy arrays week by week, makes the
+        # same generator calls in the same order
+        theta = np.linspace(0.5, 1.5, 12)
+        season = np.arange(T) % 12 + 1
+        used = np.random.default_rng(21)
+        y, eps = simulate_poinar(lam, alpha, theta, season, y0=y0, rng=used,
+                                 return_innovations=True)
+        rng = np.random.default_rng(21)
+        rates = lam * theta[season - 1]
+        start = y0 if y0 is not None else int(rng.poisson(rates[0] / (1.0 - alpha)))
+        want_y = np.empty(T, dtype=np.int64)
+        want_eps = np.empty(T, dtype=np.int64)
+        want_y[0] = want_eps[0] = start
+        innovations = rng.poisson(rates[1:]) if T > 1 else np.empty(0, dtype=np.int64)
+        for t in range(1, T):
+            want_eps[t] = innovations[t - 1]
+            want_y[t] = rng.binomial(want_y[t - 1], alpha) + want_eps[t]
+        assert y.dtype == eps.dtype == np.int64
+        assert np.array_equal(y, want_y) and np.array_equal(eps, want_eps)
+        assert used.bit_generator.state == rng.bit_generator.state
+
     def test_seed_determinism(self):
         a = simulate_poinar(2.0, 0.4, UNIT_THETA, FLAT_SEASONS[:120], rng=np.random.default_rng(9))
         b = simulate_poinar(2.0, 0.4, UNIT_THETA, FLAT_SEASONS[:120], rng=np.random.default_rng(9))

@@ -8,6 +8,7 @@ from oracles import convolution_innovation_pmf, quadrature_log_marginal
 from poinar.model import Hyperparams, ModelState, simulate_panel
 from poinar.panel import CountPanel
 from poinar.sampler import (
+    INNOVATION_EXACT,
     INNOVATION_METROPOLIS,
     ConfigurationError,
     InnovationKernel,
@@ -362,6 +363,26 @@ class TestChains:
         chains = run_chains(panel, config)
         assert len(chains) == 2
         assert not np.allclose(chains[0].states[-1].alpha, chains[1].states[-1].alpha)
+
+    @pytest.mark.parametrize("strategy", [INNOVATION_EXACT, INNOVATION_METROPOLIS])
+    def test_chains_share_one_kernel_and_draw_as_if_alone(self, strategy, monkeypatch):
+        panel, _ = small_panel(L=6, T=60)
+        config = SamplerConfig(n_iterations=20, burn_in=4, thin_interval=4, seed=5, n_chains=3,
+                               innovation_strategy=strategy, metropolis_threshold=2)
+        alone = [run_chain(panel, config, chain_index=c) for c in range(3)]
+        built = []
+        init = InnovationKernel.__init__
+        monkeypatch.setattr(InnovationKernel, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        shared = run_chains(panel, config)
+        assert len(built) == 1
+        for a, b in zip(alone, shared):
+            assert np.array_equal(a.chain_index, b.chain_index)
+            for sa, sb in zip(a.states, b.states):
+                assert np.array_equal(sa.z, sb.z) and np.array_equal(sa.alpha, sb.alpha)
+                assert np.array_equal(sa.phi_star, sb.phi_star)
+                assert np.array_equal(sa.theta, sb.theta) and sa.tau == sb.tau
+                assert np.array_equal(sa.innovations, sb.innovations)
 
     def test_draw_count_arithmetic(self):
         # the real-data protocol: 5 chains x 5000 sweeps, burn 1000, thin 50
