@@ -3,7 +3,7 @@
 Everything here is deliberately written from the definitions (brute force,
 quadrature, exhaustive enumeration) and shares no code path with the package.
 The exceptions are the last two sections: the earlier, simpler
-implementations of the two sweep hot spots, kept verbatim so that the faster
+implementations of the sweep hot spots, kept verbatim so that the faster
 package versions can be checked to draw exactly the same numbers, and the
 earlier per-cell counts CSV parser, against which the package's parser is
 checked file by file.
@@ -344,6 +344,18 @@ def list_sample_memberships(state, panel, stats, hyper, rng, order=None):
         theta_total=stats.theta_total, mass=stats.mass,
     )
     return z, new_stats
+
+
+def weekly_sample_thinnings(state, panel, hyper, rng):
+    """The thinning update summing survivors and removed trials week by
+    week, over (L, T-1) temporaries."""
+    if state.innovations is None:
+        raise ValueError("state carries no innovations")
+    y = panel.counts
+    eps_tail = state.innovations[:, 1:]
+    survivors = (y[:, 1:] - eps_tail).sum(axis=1)
+    removed = (y[:, :-1] - y[:, 1:] + eps_tail).sum(axis=1)
+    return rng.beta(survivors + hyper.eta1, removed + hyper.eta2)
 
 
 # ---------------------------------------------------------------------------

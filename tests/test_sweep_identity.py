@@ -1,10 +1,11 @@
 """The sweep hot spots against their earlier, simpler versions.
 
 ``sample_memberships`` and ``InnovationKernel`` keep their cluster statistics
-and support grids in preallocated arrays and buckets. They must draw exactly
-what the list-based sweep and the padded kernel in ``oracles`` draw, seed for
-seed; criterion 11 compares two runs of the same code, so only these tests
-pin the draws to the earlier ones.
+and support grids in preallocated arrays and buckets, and
+``sample_thinnings`` works from per-series totals. They must draw exactly
+what the list-based sweep, the padded kernel and the week-by-week thinning
+update in ``oracles`` draw, seed for seed; criterion 11 compares two runs of
+the same code, so only these tests pin the draws to the earlier ones.
 """
 
 import time
@@ -18,13 +19,15 @@ from hypothesis import strategies as st
 import oracles
 from poinar import sampler
 from poinar.harness import Scenario, scenario_by_name, simulate_scenario
-from poinar.model import Hyperparams
+from poinar.model import Hyperparams, ModelState
+from poinar.panel import CountPanel
 from poinar.sampler import (
     INNOVATION_EXACT,
     INNOVATION_METROPOLIS,
     InnovationKernel,
     SamplerConfig,
     run_chain,
+    sample_thinnings,
 )
 
 
@@ -50,6 +53,7 @@ def chain_with(panel, config, monkeypatch, oracle: bool):
         if oracle:
             patch.setattr(sampler, "sample_memberships", oracles.list_sample_memberships)
             patch.setattr(sampler, "InnovationKernel", oracles.PaddedInnovationKernel)
+            patch.setattr(sampler, "sample_thinnings", oracles.weekly_sample_thinnings)
         return run_chain(panel, config)
 
 
@@ -86,6 +90,14 @@ CASES = {
                      metropolis_threshold=4),
     ),
     "outlier": lambda: (outlier_panel(), sweep_config(15, seed=7)),
+    # criterion 12's 188 series over four years: K falls to a few clusters
+    # within about 20 sweeps, where numpy's per-call cost dominates both
+    # hot steps
+    "dc-like-188": lambda: (
+        scenario_panel(Scenario(name="dc-like", cluster_rates=(0.3, 0.8, 1.5, 3.0),
+                                thinning=0.3, L=188, T=208), 17),
+        sweep_config(50, seed=9),
+    ),
 }
 
 
@@ -97,6 +109,8 @@ def test_chain_draws_match_reference_sweep(case, monkeypatch):
     assert_same_draws(ours, reference)
     if case == "wide-400":
         assert ours.states[0].n_clusters >= 100
+    if case == "dc-like-188":
+        assert all(s.n_clusters <= 8 for s in ours.states[-20:])
 
 
 @st.composite
@@ -147,6 +161,95 @@ def test_bucketed_kernel_matches_padded_kernel(inputs):
     assert np.all((ours[:, 1:] >= lo) & (ours[:, 1:] <= yc))
     fixed = np.minimum(yp, yc) == 0
     assert np.array_equal(ours[:, 1:][fixed], lo[fixed])
+
+
+def rate_layouts(rates):
+    """``rates`` as C- and Fortran-ordered copies and as a strided view."""
+    L, width = rates.shape
+    wider = np.zeros((L, 2 * width))
+    wider[:, ::2] = rates
+    return {
+        "C": np.ascontiguousarray(rates),
+        "F": np.asfortranarray(rates),
+        "strided": wider[:, ::2],
+    }
+
+
+@given(kernel_inputs())
+@settings(max_examples=60, deadline=None)
+def test_kernel_reads_any_rates_layout_and_writes_a_new_matrix(inputs):
+    counts, alpha, rates, strategy, threshold, seed = inputs
+    counts_before = counts.copy()
+    eps = counts.copy()
+    eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
+    eps_before = eps.copy()
+    kernel = InnovationKernel(counts, strategy, threshold)
+    expected = oracles.PaddedInnovationKernel(counts, strategy, threshold)(
+        eps, alpha, rates, np.random.default_rng(seed))
+    for layout, view in rate_layouts(rates).items():
+        ours = kernel(eps, alpha, view, np.random.default_rng(seed))
+        assert np.array_equal(ours, expected), layout
+        assert np.array_equal(counts, counts_before)
+        assert np.array_equal(eps, eps_before)
+        assert not np.shares_memory(ours, counts)
+        assert not np.shares_memory(ours, eps)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_matches_padded_kernel_on_degenerate_rates(seed):
+    # rates of 0, inf, NaN and denormals make a cell's log weights NaN or
+    # -inf; the NaN-padded buckets must still draw what -inf padding drew
+    rng = np.random.default_rng(seed)
+    L, T = 6, 40
+    counts = rng.poisson(rng.uniform(0.5, 60.0, (L, 1)), (L, T))
+    rates = rng.lognormal(0.0, 2.0, (L, T - 1))
+    kind = rng.integers(0, 8, (L, T - 1))
+    for k, value in enumerate([0.0, np.inf, np.nan, 1e-320]):
+        rates[kind == k] = value
+    alpha = rng.uniform(0.0, 1.0, L)
+    alpha[:2] = 0.0, 1.0
+    eps = counts.copy()
+    eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
+    with np.errstate(all="ignore"):
+        ours = InnovationKernel(counts)(eps, alpha, rates, np.random.default_rng(seed))
+        expected = oracles.PaddedInnovationKernel(counts)(
+            eps, alpha, rates, np.random.default_rng(seed))
+    assert np.array_equal(ours, expected)
+
+
+@st.composite
+def thinning_inputs(draw):
+    """A panel of 1 to 5 series over 1 to 12 weeks, some rows all zero, with
+    innovations inside their supports."""
+    L = draw(st.integers(1, 5))
+    T = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.poisson(rng.uniform(0.0, 6.0, (L, 1)), (L, T))
+    counts[rng.random(L) < 0.3] = 0
+    lo = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
+    eps = counts.copy()
+    eps[:, 1:] = rng.integers(lo, counts[:, 1:] + 1)
+    hyper = Hyperparams(eta1=draw(st.floats(0.1, 5.0)), eta2=draw(st.floats(0.1, 5.0)))
+    return counts, eps, hyper, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("weeks", [1, 2, None])
+@given(inputs=thinning_inputs())
+@settings(max_examples=40, deadline=None)
+def test_thinnings_from_totals_match_weekly_sums(weeks, inputs):
+    counts, eps, hyper, seed = inputs
+    if weeks is not None:
+        counts, eps = counts[:, :weeks], eps[:, :weeks]
+    L, T = counts.shape
+    panel = CountPanel(counts=counts, season_of=np.ones(T, dtype=np.int64))
+    state = ModelState(alpha=np.full(L, 0.5), z=np.zeros(L, dtype=np.int64),
+                       phi_star=np.ones(1), theta=np.ones(12), tau=1.0, innovations=eps)
+    rng_ours = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    ours = sample_thinnings(state, panel, hyper, rng_ours)
+    expected = oracles.weekly_sample_thinnings(state, panel, hyper, rng_ref)
+    assert np.array_equal(ours, expected)
+    assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_outlier_grid_follows_useful_support():
