@@ -277,8 +277,10 @@ class InnovationKernel:
     Cells are addressed by flat indices computed once: ``at`` into the
     row-major (L, T-1) ``rates`` and ``at_eps = at + row + 1`` into the
     (L, T) innovation matrix. A call gathers with ``take``, which reads
-    ``rates`` in row-major order whatever its memory layout, and scatters
-    into a flat view of the new matrix, so no (L, T-1) temporary is built.
+    ``rates`` and ``eps`` in row-major order whatever their memory layout,
+    and scatters into a flat view of the new matrix, which is allocated
+    C-ordered whatever the layout of ``counts``; no (L, T-1) temporary is
+    built.
     """
 
     def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
@@ -337,7 +339,8 @@ class InnovationKernel:
         a = np.clip(alpha, _ALPHA_EPS, 1.0 - _ALPHA_EPS)
         log_odds = np.log1p(-a) - np.log(a)
 
-        new = np.empty_like(self.counts)
+        # C order whatever the layout of ``counts``, so ``flat`` is a view
+        new = np.empty(self.counts.shape, dtype=self.counts.dtype)
         new[:, 0] = self.counts[:, 0]
         new[:, 1:] = self.lo  # deterministic cells resolve to their support point
         flat = new.reshape(-1)
@@ -424,8 +427,8 @@ class _Bucket:
         self.grid0 = grid.astype(float)
         self.logw0 = logw0
         c = logw0.shape[1]
-        # flat index of each cell's last point, when not all in the last row
-        self._last = None if width.min() == m - 1 else width * c + np.arange(c)
+        # flat index of each cell's last point
+        self._last = width * c + np.arange(c)
         self._logw = np.empty_like(logw0)
         self._below = np.empty((m - 1, c), dtype=bool)
         # the smallest unsigned type that holds an offset: summing bools
@@ -453,7 +456,7 @@ class _Bucket:
                 row += prev
         else:
             np.cumsum(logw, axis=0, out=work)
-        total = work[-1] if self._last is None else work.take(self._last)
+        total = work.take(self._last)
         np.less(work[:-1], u[cells] * total, out=self._below)
         np.add.reduce(self._below, axis=0, dtype=self._offsets.dtype, out=self._offsets)
         out[cells] = self._offsets

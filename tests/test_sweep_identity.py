@@ -163,36 +163,47 @@ def test_bucketed_kernel_matches_padded_kernel(inputs):
     assert np.array_equal(ours[:, 1:][fixed], lo[fixed])
 
 
-def rate_layouts(rates):
-    """``rates`` as C- and Fortran-ordered copies and as a strided view."""
-    L, width = rates.shape
-    wider = np.zeros((L, 2 * width))
-    wider[:, ::2] = rates
+def layouts(matrix):
+    """``matrix`` as C- and Fortran-ordered copies and as a strided view."""
+    L, width = matrix.shape
+    wider = np.zeros((L, 2 * width), dtype=matrix.dtype)
+    wider[:, ::2] = matrix
     return {
-        "C": np.ascontiguousarray(rates),
-        "F": np.asfortranarray(rates),
+        "C": np.ascontiguousarray(matrix),
+        "F": np.asfortranarray(matrix),
         "strided": wider[:, ::2],
     }
 
 
 @given(kernel_inputs())
-@settings(max_examples=60, deadline=None)
-def test_kernel_reads_any_rates_layout_and_writes_a_new_matrix(inputs):
+@settings(max_examples=40, deadline=None)
+def test_kernel_reads_any_layout_and_writes_a_new_matrix(inputs):
     counts, alpha, rates, strategy, threshold, seed = inputs
-    counts_before = counts.copy()
     eps = counts.copy()
     eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
-    eps_before = eps.copy()
-    kernel = InnovationKernel(counts, strategy, threshold)
     expected = oracles.PaddedInnovationKernel(counts, strategy, threshold)(
         eps, alpha, rates, np.random.default_rng(seed))
-    for layout, view in rate_layouts(rates).items():
-        ours = kernel(eps, alpha, view, np.random.default_rng(seed))
-        assert np.array_equal(ours, expected), layout
-        assert np.array_equal(counts, counts_before)
-        assert np.array_equal(eps, eps_before)
-        assert not np.shares_memory(ours, counts)
-        assert not np.shares_memory(ours, eps)
+    for counts_layout, counts_in in layouts(counts).items():
+        kernel = InnovationKernel(counts_in, strategy, threshold)
+        for eps_layout, eps_in in layouts(eps).items():
+            for rates_layout, rates_in in layouts(rates).items():
+                ours = kernel(eps_in, alpha, rates_in, np.random.default_rng(seed))
+                where = (counts_layout, eps_layout, rates_layout)
+                assert np.array_equal(ours, expected), where
+                assert np.array_equal(counts_in, counts), where
+                assert np.array_equal(eps_in, eps), where
+                assert not np.shares_memory(ours, counts_in), where
+                assert not np.shares_memory(ours, eps_in), where
+
+
+def test_chain_draws_do_not_depend_on_the_counts_layout():
+    # a (weeks x series) array passed transposed gives a Fortran-ordered panel
+    panel = desk_panel("easy-0.9", 18)
+    transposed = replace(panel, counts=np.ascontiguousarray(panel.counts.T).T)
+    assert transposed.counts.flags.f_contiguous and not transposed.counts.flags.c_contiguous
+    for strategy in (INNOVATION_EXACT, INNOVATION_METROPOLIS):
+        config = sweep_config(5, seed=10, innovation_strategy=strategy, metropolis_threshold=4)
+        assert_same_draws(run_chain(transposed, config), run_chain(panel, config))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -258,7 +269,7 @@ def test_outlier_grid_follows_useful_support():
     width = np.minimum(counts[:, 1:], counts[:, :-1])
     useful = int((width[width > 0] + 1).sum())
     grid_cells = sum(b.grid0.size for b in InnovationKernel(counts).buckets)
-    assert grid_cells <= 2 * useful
+    assert grid_cells <= 1.5 * useful
     # the padded grid gives every active cell the outlier's 401 columns
     padded = oracles.PaddedInnovationKernel(counts)
     assert padded.grid0.size > 10 * grid_cells
