@@ -110,6 +110,17 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _quantile_levels(text: str) -> list[float]:
+    """The levels of a comma-separated ``--quantiles`` value."""
+    levels = []
+    for item in text.split(","):
+        try:
+            levels.append(float(item))
+        except ValueError:
+            raise ConfigurationError(f"--quantiles item {item!r} is not a number") from None
+    return levels
+
+
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]):
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -137,6 +148,7 @@ def _sampler_config_from_args(args) -> SamplerConfig:
         hyper=_hyper_from_args(args),
         innovation_strategy=args.innovation_strategy,
         metropolis_threshold=args.metropolis_threshold,
+        keep_innovations=args.include_innovations,
     )
 
 
@@ -258,7 +270,7 @@ def cmd_fit(args) -> int:
 
 def cmd_forecast(args) -> int:
     out = _out_dir(args)
-    quantiles = [float(q) for q in args.quantiles.split(",")] if args.quantiles else []
+    quantiles = _quantile_levels(args.quantiles) if args.quantiles else []
     config = RunConfig(
         command="forecast",
         inputs={"counts": args.counts, "draws": args.draws, "exposure": args.exposure},

@@ -106,6 +106,131 @@ def posterior_conditional_means(
     ])
 
 
+# Grid cells (series x draws x support points) of one kernel pass in
+# ``posterior_predictive``: each of the pass's four work arrays then holds
+# at most 8 MB. A series whose own grid is larger gets a pass to itself.
+_PASS_CELLS = 1 << 20
+
+
+def _check_parameters(alpha: np.ndarray, rate: np.ndarray):
+    bad = alpha[~((alpha >= 0.0) & (alpha <= 1.0))]
+    if bad.size:
+        raise ValueError(f"thinning probability must lie in [0, 1], got {bad[0]}")
+    if not np.all(rate >= 0.0):
+        raise ValueError("innovation rate must be nonnegative")
+
+
+def _pmf_grid(y_T: int, alpha: np.ndarray, rate: np.ndarray, m: int) -> np.ndarray:
+    """Exact one-step pmfs on 0..m, one row per (alpha, rate) pair.
+
+    Row r is the pmf of Binomial(y_T, alpha[r]) survivors plus
+    Poisson(rate[r]) innovations, shape (R, m+1). Entry [r, j] is computed
+    the same way at any width m >= y_T, so a wider grid holds each narrower
+    one as its prefix, bit for bit. The work runs on the transpose, with
+    one contiguous row per count, and ``xlogy(j, r)`` is taken as j times
+    ``xlogy(1, r)``: the same product of the same ``log``, one ``log`` per
+    row instead of one per cell.
+    """
+    # log C(y_T, k) summed from the shorter side, c = min(k, y_T - k):
+    # sum_{i<c} log(y_T - i) - log c!. The textbook gammaln(y_T + 1) - ...
+    # cancels terms near gammaln(y_T + 1) and loses ~1e-13 at y_T = 400.
+    k = np.arange(y_T + 1)
+    c = np.minimum(k, y_T - k)
+    log_falling = np.concatenate(([0.0], np.cumsum(np.log(y_T - np.arange(y_T // 2)))))
+    # xlogy(k, alpha) + xlog1py(y_T - k, -alpha), zero where k or y_T - k is
+    survive = _times_log(k, xlogy(1.0, alpha))
+    lose = _times_log(y_T - k, xlog1py(1.0, -alpha))
+    binom = np.exp((log_falling[c] - gammaln(c + 1))[:, None] + survive + lose)
+    j = np.arange(m + 1)
+    pois = np.exp(_times_log(j, xlogy(1.0, rate)) - gammaln(j + 1)[:, None] - rate)
+    cols = np.zeros_like(pois)
+    for s in k:  # survivors: y_T is small next to m, so loop over it
+        cols[s:] += binom[s] * pois[: m + 1 - s]
+    # C order: numpy sums a contiguous row pairwise, as the per-series
+    # kernel's tail checks did, and a strided one in another order
+    return np.ascontiguousarray(cols.T)
+
+
+def _times_log(x: np.ndarray, log_y: np.ndarray) -> np.ndarray:
+    """``x[i] * log_y`` in row i, and 0 in rows where x[i] is 0, as
+    ``xlogy`` and ``xlog1py`` give it: shape (len(x), len(log_y))."""
+    with np.errstate(invalid="ignore"):  # 0 * -inf, overwritten below
+        out = x.astype(float)[:, None] * log_y
+    out[x == 0] = 0.0
+    return out
+
+
+def _start_points(y_T: int, alpha: np.ndarray, rate: np.ndarray) -> list[int]:
+    """First truncation point of each series: the largest of its draws'
+    mean + 12*sqrt(mean), plus y_T. One row of draws per series."""
+    mean_hint = alpha * y_T + rate
+    top = np.ceil(mean_hint + 12.0 * np.sqrt(mean_hint)).max(axis=1)
+    return [max(int(t) + y_T, y_T, 1) for t in top.tolist()]
+
+
+def _tails_met(y_T: int, rows: np.ndarray, rate: np.ndarray, m: int) -> np.ndarray:
+    """Whether all draws of each series meet both tail budgets on 0..m.
+    ``rows`` has shape (series, draws, m+1) and ``rate`` (series, draws)."""
+    tail_mass = 1.0 - rows.sum(axis=2)
+    # E[S; S > m] <= y_T P(P > m - y_T) + rate P(P >= m - y_T)
+    tail_mean = y_T * _poisson_sf(m - y_T, rate) + rate * _poisson_sf(m - y_T - 1, rate)
+    return (tail_mass < TAIL_MASS).all(axis=1) & (tail_mean < _TAIL_MEAN).all(axis=1)
+
+
+def _passes(todo: np.ndarray, point: np.ndarray, n_draws: int):
+    """Split ``todo``, sorted by candidate point, into runs of series whose
+    grid at the run's widest point holds at most ``_PASS_CELLS`` cells."""
+    first = 0
+    for i in range(1, todo.size):
+        if (i - first + 1) * n_draws * (int(point[todo[i]]) + 1) > _PASS_CELLS:
+            yield todo[first:i]
+            first = i
+    yield todo[first:]
+
+
+def _truncated_rows(y_T: int, alpha: np.ndarray, rate: np.ndarray, start: list[int]):
+    """Exact one-step pmfs of series that share the origin count ``y_T``.
+
+    ``alpha`` and ``rate`` hold one row of D draws per series, shape (n, D),
+    and ``start`` the first candidate truncation point of each series. A
+    series' draws share one point, grown by m*1.5 + 10 until all of them
+    meet both tail budgets on its own prefix: the point the series would
+    get alone. Series are gridded together, sorted by candidate point, in
+    passes of at most ``_PASS_CELLS`` cells; a series whose candidate
+    outgrows its pass's grid moves on to a wider pass. Yields
+    ``(series, rows)``: the indices of series that settle at one point m
+    and their rows, shape (len(series), D, m+1).
+    """
+    n_draws = alpha.shape[1]
+    point = np.array(start, dtype=np.int64)
+    todo = np.arange(alpha.shape[0])
+    while todo.size:
+        todo = todo[np.argsort(point[todo], kind="stable")]
+        wider = []
+        for ids in _passes(todo, point, n_draws):
+            width = int(point[ids[-1]])
+            grid = _pmf_grid(y_T, alpha[ids].ravel(), rate[ids].ravel(), width)
+            grid = grid.reshape(ids.size, n_draws, width + 1)
+            live = np.arange(ids.size)
+            while live.size:
+                again = []
+                candidates = point[ids[live]]
+                for m in np.unique(candidates).tolist():
+                    at = live[candidates == m]
+                    rows = grid[at, :, : m + 1]  # a C-contiguous copy
+                    ok = _tails_met(y_T, rows, rate[ids[at]], m)
+                    if ok.any():
+                        yield ids[at[ok]], rows if ok.all() else rows[ok]
+                    failed, grown = at[~ok], int(m * 1.5) + 10
+                    point[ids[failed]] = grown
+                    if grown <= width:
+                        again.append(failed)
+                    else:
+                        wider.append(ids[failed])
+                live = np.concatenate(again) if again else np.empty(0, dtype=np.int64)
+        todo = np.concatenate(wider) if wider else np.empty(0, dtype=np.int64)
+
+
 def _predictive_rows(y_T: int, alpha, rate, m: int | None = None) -> np.ndarray:
     """Exact one-step pmfs of D draws sharing one truncation point.
 
@@ -115,39 +240,12 @@ def _predictive_rows(y_T: int, alpha, rate, m: int | None = None) -> np.ndarray:
     by m*1.5 + 10 until every row meets both tail budgets, so one draw gets
     the truncation point it would get on its own.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    rate = np.asarray(rate, dtype=float)
-    bad = alpha[~((alpha >= 0.0) & (alpha <= 1.0))]
-    if bad.size:
-        raise ValueError(f"thinning probability must lie in [0, 1], got {bad[0]}")
-    if not np.all(rate >= 0.0):
-        raise ValueError("innovation rate must be nonnegative")
-    if m is None:
-        mean_hint = alpha * y_T + rate
-        m = int(np.ceil(mean_hint + 12.0 * np.sqrt(mean_hint)).max()) + y_T
-    m = max(int(m), y_T, 1)
-
-    # log C(y_T, k) summed from the shorter side, c = min(k, y_T - k):
-    # sum_{i<c} log(y_T - i) - log c!. The textbook gammaln(y_T + 1) - ...
-    # cancels terms near gammaln(y_T + 1) and loses ~1e-13 at y_T = 400.
-    k = np.arange(y_T + 1)
-    c = np.minimum(k, y_T - k)
-    log_falling = np.concatenate(([0.0], np.cumsum(np.log(y_T - np.arange(y_T // 2)))))
-    a = alpha[:, None]
-    binom = np.exp(log_falling[c] - gammaln(c + 1) + xlogy(k, a) + xlog1py(y_T - k, -a))
-    r = rate[:, None]
-    while True:
-        j = np.arange(m + 1)
-        pois = np.exp(xlogy(j, r) - gammaln(j + 1) - r)
-        rows = np.zeros_like(pois)
-        for s in k:  # survivors: y_T is small next to m, so loop over it
-            rows[:, s:] += binom[:, s, None] * pois[:, : m + 1 - s]
-        tail_mass = 1.0 - rows.sum(axis=1)
-        # E[S; S > m] <= y_T P(P > m - y_T) + rate P(P >= m - y_T)
-        tail_mean = y_T * _poisson_sf(m - y_T, rate) + rate * _poisson_sf(m - y_T - 1, rate)
-        if np.all(tail_mass < TAIL_MASS) and np.all(tail_mean < _TAIL_MEAN):
-            return rows
-        m = int(m * 1.5) + 10
+    alpha = np.asarray(alpha, dtype=float)[None]
+    rate = np.asarray(rate, dtype=float)[None]
+    _check_parameters(alpha, rate)
+    start = _start_points(y_T, alpha, rate) if m is None else [max(int(m), y_T, 1)]
+    ((_, rows),) = _truncated_rows(y_T, alpha, rate, start)
+    return rows[0]
 
 
 def _poisson_sf(k: int, rate: np.ndarray) -> np.ndarray:
@@ -182,15 +280,27 @@ def posterior_predictive(
 
     ``y_T`` holds the counts at the forecast origin, shape (L,), and
     ``month`` is the calendar month (1..12) of the forecast week. Each
-    series' draws share one truncation point. Covariate-mode draws need the
-    panel's ``exposure`` to scale each draw's per-exposure rate.
+    series' draws share one truncation point, the one the series would get
+    on its own. The series with the same origin count share one kernel
+    pass, each of their draws a row of its grid, split into passes of at
+    most ``_PASS_CELLS`` grid cells. Covariate-mode draws need the panel's
+    ``exposure`` to scale each draw's per-exposure rate.
     """
     alpha, lam, theta = draws.stacked(exposure)
     rate = lam * theta[:, month - 1, None]
-    return [
-        _distribution(_predictive_rows(int(y), alpha[:, l], rate[:, l]).mean(axis=0))
-        for l, y in enumerate(np.asarray(y_T))
-    ]
+    alpha, rate = alpha.T, rate.T  # one row of draws per series
+    _check_parameters(alpha, rate)
+    counts = np.array([int(y) for y in np.asarray(y_T)], dtype=np.int64)
+    if np.any(counts < 0):
+        raise ValueError("origin counts must be nonnegative")
+    dists: list = [None] * counts.size
+    for y in np.unique(counts).tolist():
+        series = np.flatnonzero(counts == y)
+        a, r = alpha[series], rate[series]
+        for ids, rows in _truncated_rows(y, a, r, _start_points(y, a, r)):
+            for l, pmf in zip(series[ids].tolist(), rows.mean(axis=1)):
+                dists[l] = _distribution(pmf)
+    return dists
 
 
 def quantile(dist: ForecastDistribution, upsilon: float) -> int:

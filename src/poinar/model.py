@@ -114,14 +114,19 @@ class ModelState:
         covariate mode)."""
         return self.phi_star[self.z]
 
-    def copy(self) -> "ModelState":
+    def copy(self, innovations: bool = True) -> "ModelState":
+        """A deep copy; without the innovation matrix when ``innovations``
+        is false."""
         return ModelState(
             alpha=self.alpha.copy(),
             z=self.z.copy(),
             phi_star=self.phi_star.copy(),
             theta=self.theta.copy(),
             tau=self.tau,
-            innovations=None if self.innovations is None else self.innovations.copy(),
+            innovations=(
+                self.innovations.copy()
+                if innovations and self.innovations is not None else None
+            ),
         )
 
     def validate(self, panel: CountPanel | None = None):

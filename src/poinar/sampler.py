@@ -42,6 +42,8 @@ class SamplerConfig:
     innovation_strategy: str = INNOVATION_EXACT
     metropolis_threshold: int = 30
     validate_sweeps: bool = False
+    # stored draws keep their sweep's (L, T) innovation matrix only if asked
+    keep_innovations: bool = False
 
     def __post_init__(self):
         if self.n_iterations < 1:
@@ -711,9 +713,10 @@ def run_chain(
 
     Sweeps execute the six update steps in a fixed order; iteration i is
     recorded when i > burn_in and (i - burn_in) is a multiple of the thinning
-    interval. Deterministic given the generator's seed. ``kernel``, the
-    panel's ``InnovationKernel`` under ``config``'s strategy, is built here
-    when not given.
+    interval; a recorded draw carries that sweep's innovations only under
+    ``config.keep_innovations``. Deterministic given the generator's seed.
+    ``kernel``, the panel's ``InnovationKernel`` under ``config``'s
+    strategy, is built here when not given.
     """
     hyper = config.hyper
     if hyper.mode == MODE_COVARIATE and panel.exposure is None:
@@ -751,7 +754,7 @@ def run_chain(
             stats.validate()
 
         if it > config.burn_in and (it - config.burn_in) % config.thin_interval == 0:
-            states.append(state.copy())
+            states.append(state.copy(innovations=config.keep_innovations))
             iterations.append(it)
 
     return PosteriorDraws(

@@ -2,11 +2,11 @@
 
 Everything here is deliberately written from the definitions (brute force,
 quadrature, exhaustive enumeration) and shares no code path with the package.
-The exceptions are the last two sections: the earlier, simpler
-implementations of the sweep hot spots, kept verbatim so that the faster
-package versions can be checked to draw exactly the same numbers, and the
-earlier per-cell counts CSV parser, against which the package's parser is
-checked file by file.
+The exceptions are the last three sections: the earlier, simpler
+implementations of the sweep hot spots and of the per-series predictive
+pmfs, kept verbatim so that the faster package versions can be checked to
+give exactly the same numbers, and the earlier per-cell counts CSV parser,
+against which the package's parser is checked file by file.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as sps
 from scipy.integrate import simpson
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
 from poinar.io import ParseError, load_exposure, months_of
 from poinar.panel import CountPanel
@@ -356,6 +356,66 @@ def weekly_sample_thinnings(state, panel, hyper, rng):
     survivors = (y[:, 1:] - eps_tail).sum(axis=1)
     removed = (y[:, :-1] - y[:, 1:] + eps_tail).sum(axis=1)
     return rng.beta(survivors + hyper.eta1, removed + hyper.eta2)
+
+
+# ---------------------------------------------------------------------------
+# Earlier predictive pmfs: one kernel call per series, kept verbatim
+# ---------------------------------------------------------------------------
+
+_TAIL_MASS = 1e-9
+_TAIL_MEAN = 1e-12
+
+
+def per_series_predictive_rows(y_T: int, alpha, rate, m: int | None = None) -> np.ndarray:
+    """Exact one-step pmfs of D draws sharing one truncation point, shape
+    (D, m+1); m starts at the largest mean + 12*sqrt(mean) + y_T and grows
+    by m*1.5 + 10 until every row meets both tail budgets."""
+    alpha = np.asarray(alpha, dtype=float)
+    rate = np.asarray(rate, dtype=float)
+    bad = alpha[~((alpha >= 0.0) & (alpha <= 1.0))]
+    if bad.size:
+        raise ValueError(f"thinning probability must lie in [0, 1], got {bad[0]}")
+    if not np.all(rate >= 0.0):
+        raise ValueError("innovation rate must be nonnegative")
+    if m is None:
+        mean_hint = alpha * y_T + rate
+        m = int(np.ceil(mean_hint + 12.0 * np.sqrt(mean_hint)).max()) + y_T
+    m = max(int(m), y_T, 1)
+
+    k = np.arange(y_T + 1)
+    c = np.minimum(k, y_T - k)
+    log_falling = np.concatenate(([0.0], np.cumsum(np.log(y_T - np.arange(y_T // 2)))))
+    a = alpha[:, None]
+    binom = np.exp(log_falling[c] - gammaln(c + 1) + xlogy(k, a) + xlog1py(y_T - k, -a))
+    r = rate[:, None]
+    while True:
+        j = np.arange(m + 1)
+        pois = np.exp(xlogy(j, r) - gammaln(j + 1) - r)
+        rows = np.zeros_like(pois)
+        for s in k:
+            rows[:, s:] += binom[:, s, None] * pois[:, : m + 1 - s]
+        tail_mass = 1.0 - rows.sum(axis=1)
+        tail_mean = y_T * _poisson_sf(m - y_T, rate) + rate * _poisson_sf(m - y_T - 1, rate)
+        if np.all(tail_mass < _TAIL_MASS) and np.all(tail_mean < _TAIL_MEAN):
+            return rows
+        m = int(m * 1.5) + 10
+
+
+def _poisson_sf(k: int, rate: np.ndarray) -> np.ndarray:
+    return pdtrc(k, rate) if k >= 0 else np.ones_like(rate)
+
+
+def per_series_posterior_predictive(y_T, draws, month: int, exposure=None) -> list[tuple]:
+    """``(pmf, y_max, mean)`` of every series' draw-averaged one-step pmf,
+    one kernel call per series."""
+    alpha, lam, theta = draws.stacked(exposure)
+    rate = lam * theta[:, month - 1, None]
+    out = []
+    for l, y in enumerate(np.asarray(y_T)):
+        pmf = per_series_predictive_rows(int(y), alpha[:, l], rate[:, l]).mean(axis=0)
+        m = pmf.shape[0] - 1
+        out.append((pmf, m, float(np.arange(m + 1) @ pmf)))
+    return out
 
 
 # ---------------------------------------------------------------------------

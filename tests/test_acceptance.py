@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from oracles import (
     convolution_innovation_pmf,
@@ -314,6 +315,7 @@ def test_c11_reproducibility(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_c04_cluster_recovery_easy_desk():
     """Modal K = 4 with mean Hamming < 10% in at least 4 of 5 seeds."""
     started = time.monotonic()
@@ -337,6 +339,7 @@ def test_c04_cluster_recovery_easy_desk():
     )
 
 
+@pytest.mark.slow
 def test_c05_single_cluster_sanity():
     """No spurious clusters: modal K = 1 in at least 4 of 5 seeds."""
     started = time.monotonic()
@@ -358,6 +361,7 @@ def test_c05_single_cluster_sanity():
     )
 
 
+@pytest.mark.slow
 def test_c09_psrf_across_chains():
     """PSRF of the summed rates below 1.1 on the easy desk-scale scenario,
     3 chains at the real-data chain protocol."""
@@ -422,6 +426,7 @@ def test_c12_table2_shaped_evaluation(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_c06_method_ordering_desk_grid():
     """BNP beats both baselines against the true conditional mean in at
     least 7 of the 9 scenarios at desk scale."""

@@ -1,12 +1,15 @@
 """Predictive distributions: exactness, identities, quantiles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from oracles import scalar_predictive_pmf
+from oracles import per_series_posterior_predictive, scalar_predictive_pmf
+from poinar import forecast
 from poinar.forecast import (
     ForecastDistribution,
     _predictive_rows,
@@ -233,6 +236,116 @@ class TestPosteriorPredictive:
         assert dists[0].mean == pytest.approx(np.mean([0.3 * 4 + 1.0, 0.6 * 4 + 2.5]), abs=1e-10)
         assert np.allclose(dists[1].pmf, sps.poisson.pmf(np.arange(dists[1].y_max + 1), 3.0),
                            atol=1e-15)
+
+
+def _series_draws(alpha, lam, theta, mode="plain"):
+    """Draws whose series l has thinning alpha[d, l] and rate lam[d, l] in
+    draw d: every series is its own cluster."""
+    D, L = alpha.shape
+    draws = _draws([
+        ModelState(alpha=alpha[d], z=np.arange(L), phi_star=lam[d], theta=theta[d], tau=1.0)
+        for d in range(D)
+    ])
+    draws.mode = mode
+    return draws
+
+
+@st.composite
+def predictive_inputs(draw):
+    """Draws, origin counts and a pass bound: counts repeat (drawn from a
+    pool reaching 400), rates span four decades so series that share a count
+    get other truncation points, and alpha and rate hit their endpoints."""
+    D = draw(st.integers(1, 10))
+    L = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.one_of(st.integers(0, 12), st.integers(0, 400)),
+                         min_size=1, max_size=4))
+    counts = np.array(draw(st.lists(st.sampled_from(pool), min_size=L, max_size=L)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.0, 1.0, (D, L))
+    alpha[rng.random((D, L)) < 0.1] = 0.0
+    alpha[rng.random((D, L)) < 0.1] = 1.0
+    # a scale per series, jittered per draw
+    scale = 10.0 ** rng.uniform(-3.0, 1.5, L) * (rng.random(L) > 0.1)
+    lam = scale * rng.uniform(0.5, 2.0, (D, L))
+    theta = rng.uniform(0.3, 2.0, (D, 12))
+    exposure = rng.uniform(0.2, 5.0, L) if draw(st.booleans()) else None
+    cells = draw(st.sampled_from([1, 200, 5_000, forecast._PASS_CELLS]))
+    month = draw(st.integers(1, 12))
+    return alpha, lam, theta, exposure, counts, month, cells
+
+
+class TestGroupedPosteriorPredictive:
+    """One kernel pass per origin count against the per-series oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(counts, draws, month, exposure=None):
+        ours = posterior_predictive(counts, draws, month, exposure)
+        reference = per_series_posterior_predictive(counts, draws, month, exposure)
+        assert len(ours) == len(reference) == len(counts)
+        for dist, (pmf, y_max, mean) in zip(ours, reference):
+            assert dist.y_max == y_max
+            assert np.array_equal(dist.pmf, pmf)
+            assert dist.mean == mean
+        return ours
+
+    @given(inputs=predictive_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_per_series_pmfs(self, inputs):
+        alpha, lam, theta, exposure, counts, month, cells = inputs
+        mode = "plain" if exposure is None else "covariate"
+        draws = _series_draws(alpha, lam, theta, mode)
+        with mock.patch.object(forecast, "_PASS_CELLS", cells):
+            self.assert_matches_oracle(counts, draws, month, exposure)
+
+    @staticmethod
+    def grid_calls(monkeypatch):
+        calls = []
+        grid = forecast._pmf_grid
+
+        def recording(y_T, alpha, rate, m):
+            calls.append((y_T, alpha.shape[0], m))
+            return grid(y_T, alpha, rate, m)
+
+        monkeypatch.setattr(forecast, "_pmf_grid", recording)
+        return calls
+
+    def test_one_pass_per_count_with_own_truncation_points(self, monkeypatch):
+        # rates 1e-3 .. 2 at each of two counts: the series get their own
+        # truncation points, and at count 0 the smallest rates outgrow the
+        # first pass's grid, so that count needs a wider pass
+        rates = np.array([1e-3, 2.0, 0.05, 1e-3, 0.5, 2.0, 0.5, 0.05])
+        counts = np.array([3, 3, 3, 0, 0, 0, 3, 0])
+        rng = np.random.default_rng(4)
+        D, L = 6, rates.size
+        draws = _series_draws(rng.uniform(0.1, 0.9, (D, L)),
+                              rates * rng.uniform(0.8, 1.2, (D, L)), np.ones((D, 12)))
+        calls = self.grid_calls(monkeypatch)
+        dists = self.assert_matches_oracle(counts, draws, 1)
+        passes = {y: [(rows, m) for count, rows, m in calls if count == y] for y in (0, 3)}
+        assert [rows for rows, _ in passes[3]] == [4 * D]  # all four series at once
+        (first, width), (_, wider) = passes[0]
+        assert first == 4 * D and wider > width
+        for y in (0, 3):
+            assert len({dists[l].y_max for l in np.flatnonzero(counts == y)}) >= 3
+
+    def test_passes_hold_the_cell_bound(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        D, L = 8, 40
+        draws = _series_draws(rng.uniform(0.0, 1.0, (D, L)),
+                              rng.uniform(0.5, 3.0, (D, L)), rng.uniform(0.5, 2.0, (D, 12)))
+        counts = np.full(L, 2)
+        monkeypatch.setattr(forecast, "_PASS_CELLS", 1_000)
+        calls = self.grid_calls(monkeypatch)
+        self.assert_matches_oracle(counts, draws, 7)
+        assert len(calls) > 1  # the one count's series need several passes
+        for _, rows, m in calls:
+            assert rows * (m + 1) <= 1_000 or rows == D  # one series may exceed it
+
+    def test_negative_count_rejected(self):
+        draws = _series_draws(np.full((2, 2), 0.5), np.ones((2, 2)), np.ones((2, 12)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            posterior_predictive(np.array([1, -1]), draws, 1)
 
 
 class TestPredictiveKernel:

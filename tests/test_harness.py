@@ -72,6 +72,7 @@ class TestStudy:
                 report_b.result("smoke"), name
             )
 
+    @pytest.mark.slow
     def test_desk_scale_shrinks_series_count(self):
         sc = scenario_by_name("hard-0.1")
         config = SamplerConfig(n_iterations=60, burn_in=10, thin_interval=5, seed=0)
@@ -89,6 +90,7 @@ class TestStudy:
 
 
 class TestShrinkageDominance:
+    @pytest.mark.slow
     def test_bnp_beats_series_average_with_replicate_averaging(self):
         # pooling beats the constant-mean predictor whenever counts carry
         # over; checked on the low-thinning row, where the series average is

@@ -222,7 +222,8 @@ def _tiny_panel():
 
 @pytest.fixture(scope="module")
 def tiny_draws():
-    config = SamplerConfig(n_iterations=40, burn_in=10, thin_interval=3, seed=1)
+    config = SamplerConfig(n_iterations=40, burn_in=10, thin_interval=3, seed=1,
+                           keep_innovations=True)
     return run_chain(_tiny_panel(), config)
 
 
@@ -254,6 +255,7 @@ class TestDrawsPersistence:
             assert np.array_equal(a.phi_star, b.phi_star)
             assert np.array_equal(a.theta, b.theta)
             assert a.tau == b.tau
+            assert b.innovations is not None
             assert np.array_equal(a.innovations, b.innovations)
 
     def test_innovations_skipped_by_default(self, tmp_path, tiny_draws):
@@ -472,6 +474,21 @@ class TestCli:
         assert header.split(",")[:3] == ["series_id", "y_last", "mean"]
         assert header.count("q0.") == 3  # one column per requested quantile
         assert "mean_step2" in header and "mean_step3" in header
+
+    def test_fit_writes_innovations_only_when_asked(self, tmp_path):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        records = {}
+        for flag in ([], ["--include-innovations"]):
+            out = tmp_path / ("with" if flag else "without")
+            assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out),
+                         "--iterations", "20", "--burn-in", "10", "--thin", "5"] + flag) == 0
+            lines = (out / "draws.jsonl").read_text().splitlines()[1:]
+            records[bool(flag)] = [json.loads(line) for line in lines]
+        assert not any("innovations" in r for r in records[False])
+        for lean, full in zip(records[False], records[True]):
+            eps = np.array(full.pop("innovations"))
+            assert eps.shape == _tiny_panel().counts.shape
+            assert lean == full  # the same draws either way
 
     def test_evaluate_pipeline(self, tmp_path):
         sc = Scenario(name="cli-eval", cluster_rates=(0.5, 2.0), thinning=0.3, L=6, T=160)
@@ -742,6 +759,21 @@ class TestCli:
             "--quantiles", "0.9,0.5", "--out", str(tmp_path / "fc"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("levels, item", [
+        ("0.5,abc", "'abc'"), ("0.5,,0.9", "''"), ("0.5,0.9,", "''"),
+    ], ids=["word", "empty-inside", "empty-last"])
+    def test_malformed_quantiles_name_the_item(self, tmp_path, tiny_draws, capsys,
+                                               levels, item):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        io.save_draws(tiny_draws, tmp_path / "draws.jsonl", _tiny_panel())
+        code = main(["forecast", "--counts", str(tmp_path / "c.csv"),
+                     "--draws", str(tmp_path / "draws.jsonl"), "--quantiles", levels,
+                     "--out", str(tmp_path / "fc")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"item {item} is not a number" in err
+        assert not (tmp_path / "fc" / "forecasts.csv").exists()
 
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POINAR_OUT", str(tmp_path / "envout"))

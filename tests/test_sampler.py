@@ -1,5 +1,7 @@
 """Sampler steps against independent oracles and their stated conditionals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
@@ -368,7 +370,8 @@ class TestChains:
     def test_chains_share_one_kernel_and_draw_as_if_alone(self, strategy, monkeypatch):
         panel, _ = small_panel(L=6, T=60)
         config = SamplerConfig(n_iterations=20, burn_in=4, thin_interval=4, seed=5, n_chains=3,
-                               innovation_strategy=strategy, metropolis_threshold=2)
+                               innovation_strategy=strategy, metropolis_threshold=2,
+                               keep_innovations=True)
         alone = [run_chain(panel, config, chain_index=c) for c in range(3)]
         built = []
         init = InnovationKernel.__init__
@@ -382,7 +385,24 @@ class TestChains:
                 assert np.array_equal(sa.z, sb.z) and np.array_equal(sa.alpha, sb.alpha)
                 assert np.array_equal(sa.phi_star, sb.phi_star)
                 assert np.array_equal(sa.theta, sb.theta) and sa.tau == sb.tau
+                assert sa.innovations is not None
                 assert np.array_equal(sa.innovations, sb.innovations)
+
+    def test_draws_keep_innovations_only_when_asked(self):
+        panel, _ = small_panel(L=6, T=60)
+        config = SamplerConfig(n_iterations=30, burn_in=10, thin_interval=5, seed=3)
+        lean = run_chain(panel, config)
+        full = run_chain(panel, replace(config, keep_innovations=True))
+        assert len(lean) == len(full) == config.draws_per_chain
+        for sa, sb in zip(lean.states, full.states):
+            assert sa.innovations is None
+            assert sb.innovations.shape == panel.counts.shape
+            assert np.array_equal(sb.innovations[:, 0], panel.counts[:, 0])
+            assert np.array_equal(sa.z, sb.z) and np.array_equal(sa.alpha, sb.alpha)
+            assert np.array_equal(sa.phi_star, sb.phi_star)
+            assert np.array_equal(sa.theta, sb.theta) and sa.tau == sb.tau
+        # each stored draw owns its matrix: later sweeps do not write into it
+        assert not np.shares_memory(full.states[0].innovations, full.states[1].innovations)
 
     def test_draw_count_arithmetic(self):
         # the real-data protocol: 5 chains x 5000 sweeps, burn 1000, thin 50
@@ -461,7 +481,8 @@ class TestChains:
     def test_suffstats_match_independent_recount(self):
         # plain-loop recount of every sufficient statistic on recorded sweeps
         panel, _ = small_panel(L=6, T=60)
-        config = SamplerConfig(n_iterations=30, burn_in=10, thin_interval=5, seed=8)
+        config = SamplerConfig(n_iterations=30, burn_in=10, thin_interval=5, seed=8,
+                               keep_innovations=True)
         for state in run_chain(panel, config).states:
             stats = SuffStats.from_state(state, panel)
             L, T = panel.counts.shape

@@ -61,13 +61,15 @@ def assert_same_draws(ours, reference):
     assert len(ours) == len(reference) > 0
     assert np.array_equal(ours.iteration, reference.iteration)
     for a, b in zip(ours.states, reference.states):
+        assert a.innovations is not None and b.innovations is not None
         for name in ("alpha", "z", "phi_star", "theta", "innovations"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.tau == b.tau
 
 
 def sweep_config(n_iterations, **kwargs):
-    return SamplerConfig(n_iterations=n_iterations, burn_in=0, thin_interval=1, **kwargs)
+    return SamplerConfig(n_iterations=n_iterations, burn_in=0, thin_interval=1,
+                         keep_innovations=True, **kwargs)
 
 
 CASES = {
