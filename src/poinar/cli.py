@@ -157,7 +157,7 @@ def _load_panel_and_draws(args) -> tuple:
     draws' mode uses (``None`` for plain-mode draws)."""
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
     draws = io.load_draws(args.draws)
-    width = draws.states[0].n_series
+    width = draws.alpha.shape[1]
     if width != panel.n_series:
         raise io.IntegrityError(
             f"{args.draws}: draws cover {width} series, but {args.counts} "
@@ -245,7 +245,7 @@ def cmd_fit(args) -> int:
         )
     chains = run_chains(panel, sampler_config)
     draws = PosteriorDraws.concat(chains)
-    io.save_draws(draws, out / "draws.jsonl", panel, include_innovations=args.include_innovations)
+    io.save_draws(draws, out / "draws.jsonl", panel)
 
     hist = cluster_count_histogram(draws)
     diagnostics = {
@@ -256,10 +256,9 @@ def cmd_fit(args) -> int:
     }
     exposure = panel.exposure if args.mode == MODE_COVARIATE else None
     if len(chains) >= 2:
-        alpha, _, theta = draws.stacked(exposure)
         diagnostics["psrf_rate_sum"] = psrf(draws.rate_sum_traces(exposure))
-        diagnostics["psrf_alpha"] = psrf(draws.by_chain(alpha)).tolist()
-        diagnostics["psrf_theta"] = psrf(draws.by_chain(theta)).tolist()
+        diagnostics["psrf_alpha"] = psrf(draws.by_chain(draws.alpha)).tolist()
+        diagnostics["psrf_theta"] = psrf(draws.by_chain(draws.theta)).tolist()
     with (out / "diagnostics.json").open("w") as fh:
         json.dump(diagnostics, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -289,17 +288,17 @@ def cmd_forecast(args) -> int:
     means = posterior_conditional_means(draws, y_last, future, exposure)
     dists = posterior_predictive(y_last, draws, int(future[0]), exposure) if quantiles else []
 
+    q_fields = [f"q{q}" for q in quantiles]
     rows = []
     for l, sid in enumerate(panel.series_ids):
         row = {"series_id": sid, "y_last": int(y_last[l]), "mean": repr(float(means[0, l]))}
-        for q in quantiles:
-            row[f"q{q}"] = quantile(dists[l], q)
+        if quantiles:
+            row.update(zip(q_fields, quantile(dists[l], quantiles).tolist()))
         for h in range(2, args.horizon + 1):
             row[f"mean_step{h}"] = repr(float(means[h - 1, l]))
         rows.append(row)
 
-    fields = ["series_id", "y_last", "mean"]
-    fields += [f"q{q}" for q in quantiles]
+    fields = ["series_id", "y_last", "mean"] + q_fields
     fields += [f"mean_step{h}" for h in range(2, args.horizon + 1)]
     _write_csv(out / "forecasts.csv", fields, rows)
     io.write_manifest(out, "forecast", config.manifest_params())
@@ -325,37 +324,16 @@ def cmd_evaluate(args) -> int:
         bucket_cap=args.bucket_cap, exposure=exposure,
     )
 
-    bucket_rows = []
-    for key in sorted(report.by_last_value):
-        b = report.by_last_value[key]
-        label = f"{key}+" if report.bucket_cap is not None and key == report.bucket_cap else str(key)
-        bucket_rows.append(
-            {
-                "last_value": label,
-                "rmse": repr(b.rmse),
-                "rmse_se": repr(b.rmse_se),
-                "bias": repr(b.bias),
-                "bias_se": repr(b.bias_se),
-                "frequency": repr(b.frequency),
-                "n": b.n,
-            }
-        )
-    bucket_rows.append(
-        {
-            "last_value": "overall",
-            "rmse": repr(report.rmse),
-            "rmse_se": "",
-            "bias": repr(report.bias),
-            "bias_se": "",
-            "frequency": repr(1.0),
-            "n": report.n_total,
-        }
-    )
-    _write_csv(
-        out / "evaluation.csv",
-        ["last_value", "rmse", "rmse_se", "bias", "bias_se", "frequency", "n"],
-        bucket_rows,
-    )
+    columns = ["last_value", "rmse", "rmse_se", "bias", "bias_se", "frequency", "n"]
+    bucket_rows = [
+        {"last_value": f"{key}+" if key == report.bucket_cap else str(key),
+         **{c: repr(getattr(b, c)) for c in columns[1:-1]}, "n": b.n}
+        for key, b in sorted(report.by_last_value.items())
+    ]
+    bucket_rows.append({"last_value": "overall", "rmse": repr(report.rmse), "rmse_se": "",
+                        "bias": repr(report.bias), "bias_se": "", "frequency": repr(1.0),
+                        "n": report.n_total})
+    _write_csv(out / "evaluation.csv", columns, bucket_rows)
     doc = {
         "rmse": report.rmse,
         "ape": report.ape,

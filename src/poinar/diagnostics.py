@@ -68,7 +68,7 @@ def representative_assignment(draws: PosteriorDraws) -> np.ndarray:
     """
     if len(draws) == 0:
         raise ValueError("no draws to choose from")
-    zs = [s.z for s in draws.states]
+    zs = draws.z
     n = len(zs)
     if n == 1:
         return zs[0].copy()
@@ -91,7 +91,7 @@ class ClusterCountHistogram(NamedTuple):
 def cluster_count_histogram(draws: PosteriorDraws) -> ClusterCountHistogram:
     """Relative frequency of the number of clusters across draws, plus its
     mode (ties resolved toward the smaller count)."""
-    ks = draws.cluster_counts()
+    ks = draws.n_clusters
     if ks.size == 0:
         raise ValueError("no draws to tally")
     values, counts = np.unique(ks, return_counts=True)

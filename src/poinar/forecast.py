@@ -42,15 +42,9 @@ class ForecastDistribution:
             raise ValueError("truncated pmf is missing more than the tail budget")
         object.__setattr__(self, "pmf", pmf)
 
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.pmf)
-
-    def quantile(self, upsilon: float) -> int:
-        return quantile(self, upsilon)
-
     def interval(self, lower: float, upper: float) -> tuple[int, int]:
         """Counts bracketing the given pair of quantile levels."""
-        return self.quantile(lower), self.quantile(upper)
+        return tuple(quantile(self, (lower, upper)).tolist())
 
 
 def conditional_mean_h_step(y_T, alpha, lam, theta, future_months):
@@ -303,11 +297,15 @@ def posterior_predictive(
     return dists
 
 
-def quantile(dist: ForecastDistribution, upsilon: float) -> int:
-    """Smallest count whose CDF reaches ``upsilon``; monotone in upsilon."""
-    if not 0.0 < upsilon < 1.0:
-        raise ValueError(f"quantile level must lie strictly in (0, 1), got {upsilon}")
-    cdf = dist.cdf()
-    if upsilon > cdf[-1]:
+def quantile(dist: ForecastDistribution, levels):
+    """Smallest count whose CDF reaches each level, monotone in the level:
+    an ``int`` for one level, an int64 array for a sequence of them."""
+    levels = np.asarray(levels, dtype=float)
+    outside = levels[~((0.0 < levels) & (levels < 1.0))]
+    if outside.size:
+        raise ValueError(f"quantile level must lie strictly in (0, 1), got {outside[0]}")
+    cdf = np.cumsum(dist.pmf)
+    if np.any(levels > cdf[-1]):
         raise ValueError("requested quantile lies beyond the truncation point")
-    return int(np.searchsorted(cdf, upsilon, side="left"))
+    counts = np.searchsorted(cdf, levels, side="left")
+    return int(counts) if levels.ndim == 0 else counts

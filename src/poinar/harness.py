@@ -232,7 +232,8 @@ def run_study(
             )
             panel, truth, next_month = simulate_scenario(sc, sim_rng)
             y_last = panel.counts[:, -1]
-            truth_next = truth.alpha * y_last + truth.series_rates() * truth.theta[next_month - 1]
+            truth_rates = truth.phi_star[truth.z]
+            truth_next = truth.alpha * y_last + truth_rates * truth.theta[next_month - 1]
             true_means.append(truth_next)
 
             chain_rng = np.random.default_rng(
@@ -253,9 +254,7 @@ def run_study(
             modal_k.append(hist.mode)
             z_repr = representative_assignment(draws)
             ham_repr.append(hamming_error(z_repr, truth.z))
-            ham_mean.append(
-                float(np.mean([hamming_error(s.z, truth.z) for s in draws.states]))
-            )
+            ham_mean.append(float(np.mean([hamming_error(z, truth.z) for z in draws.z])))
             if progress is not None:
                 progress(f"{sc.name} replicate {r + 1}/{reps} done")
 

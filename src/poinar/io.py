@@ -13,6 +13,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import re
 import sys
 import warnings
@@ -20,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelState
 from .panel import N_MONTHS, CountPanel
 from .sampler import PosteriorDraws
 
@@ -51,6 +51,7 @@ def months_of(dates) -> np.ndarray:
 # whitespace, an optional sign, ASCII digits, optional whitespace.
 _COUNT_CELL = re.compile(r"\s*[+-]?[0-9]+\s*")
 _COUNT_MAX = int(np.iinfo(np.int64).max)
+_FLOAT_MAX = sys.float_info.max
 _BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 
 
@@ -209,21 +210,6 @@ def save_exposure(series_ids: list[str], exposure: np.ndarray, path):
             writer.writerow([sid, repr(float(value))])
 
 
-def _state_record(state: ModelState, chain: int, iteration: int, include_innovations: bool) -> dict:
-    record = {
-        "chain": int(chain),
-        "iteration": int(iteration),
-        "tau": float(state.tau),
-        "alpha": [float(a) for a in state.alpha],
-        "z": [int(k) for k in state.z],
-        "phi_star": [float(p) for p in state.phi_star],
-        "theta": [float(t) for t in state.theta],
-    }
-    if include_innovations and state.innovations is not None:
-        record["innovations"] = [[int(e) for e in row] for row in state.innovations]
-    return record
-
-
 def panel_sha256(panel: CountPanel, n_weeks: int | None = None) -> str:
     """sha256 of the series ids and the first ``n_weeks`` weeks of counts."""
     digest = hashlib.sha256(json.dumps(panel.series_ids).encode())
@@ -240,13 +226,14 @@ def week_starts_sha256(panel: CountPanel, n_weeks: int | None = None) -> str | N
     return hashlib.sha256(dates.encode()).hexdigest()
 
 
-def save_draws(draws: PosteriorDraws, path, panel: CountPanel, include_innovations: bool = False):
+def save_draws(draws: PosteriorDraws, path, panel: CountPanel):
     """Persist draws as JSON lines with a version header.
 
     The header records the training ``panel``'s size, ``panel_sha256`` and
     ``week_starts_sha256``, so the draws can be checked against a panel
-    later; the panel needs its week dates. Floats are written at full
-    round-trip precision; innovations are large and skipped unless asked for.
+    later; the panel needs its week dates. A record is one draw, floats at
+    full round-trip precision, ``phi_star`` cut to its ``n_clusters``; it
+    holds ``innovations`` exactly when the draws keep them.
     """
     if panel.week_starts is None:
         raise ValueError("panel has no week dates for the draws header to bind")
@@ -261,10 +248,18 @@ def save_draws(draws: PosteriorDraws, path, panel: CountPanel, include_innovatio
         "panel_sha256": panel_sha256(panel),
         "week_starts_sha256": week_starts_sha256(panel),
     }
+    innovations = draws.innovations if draws.innovations is not None else [None] * len(draws)
+    rows = zip(draws.chain_index.tolist(), draws.iteration.tolist(), draws.tau.tolist(),
+               draws.alpha.tolist(), draws.z.tolist(), draws.phi_star.tolist(),
+               draws.n_clusters.tolist(), draws.theta.tolist(), innovations)
     with path.open("w") as fh:
         fh.write(json.dumps(header) + "\n")
-        for state, chain, iteration in zip(draws.states, draws.chain_index, draws.iteration):
-            fh.write(json.dumps(_state_record(state, chain, iteration, include_innovations)) + "\n")
+        for chain, iteration, tau, alpha, z, phi_star, k, theta, eps in rows:
+            record = {"chain": chain, "iteration": iteration, "tau": tau, "alpha": alpha,
+                      "z": z, "phi_star": phi_star[:k], "theta": theta}
+            if eps is not None:
+                record["innovations"] = eps.tolist()
+            fh.write(json.dumps(record) + "\n")
 
 
 def fitted_panel_mismatch(draws: PosteriorDraws, panel: CountPanel) -> str | None:
@@ -301,6 +296,12 @@ def _fitted_to(path: Path, header: dict) -> tuple[int, str, str | None] | None:
 
 
 def load_draws(path) -> PosteriorDraws:
+    """Read draws written by ``save_draws`` or by its versions 1 and 2.
+
+    Every record is checked before use: ``chain``, ``iteration`` and ``z``
+    hold JSON integers and the other fields JSON floats, each in range and
+    of its width. A failed check raises an ``IntegrityError`` naming the
+    line and the field."""
     path = Path(path)
     with path.open() as fh:
         lines = fh.read().splitlines()
@@ -326,8 +327,8 @@ def load_draws(path) -> PosteriorDraws:
         raise IntegrityError(
             f"{path}: expected {n_draws} draws, found {len(records)} (truncated or padded file)"
         )
-    states, chains, iterations = [], [], []
-    width = None
+    rows = []
+    width, n_weeks, innovations = header.get("n_series"), header.get("n_weeks"), None
     for i, line in enumerate(records, start=2):
         try:
             rec = json.loads(line)
@@ -338,52 +339,93 @@ def load_draws(path) -> PosteriorDraws:
         missing = [key for key in _RECORD_FIELDS if key not in rec]
         if missing:
             raise IntegrityError(f"{path}: line {i}: record lacks field {missing[0]!r}")
-        try:
-            state = ModelState(
-                alpha=np.array(rec["alpha"], dtype=float),
-                z=np.array(rec["z"], dtype=np.int64),
-                phi_star=np.array(rec["phi_star"], dtype=float),
-                theta=np.array(rec["theta"], dtype=float),
-                tau=float(rec["tau"]),
-                innovations=(
-                    np.array(rec["innovations"], dtype=np.int64)
-                    if "innovations" in rec
-                    else None
-                ),
-            )
-        except (TypeError, ValueError):
-            raise IntegrityError(f"{path}: line {i}: a field holds non-numeric values") from None
-        if width is None:
-            width = header.get("n_series", state.alpha.size)  # v1: the first record's
-        for name, size in (("alpha", width), ("z", width), ("theta", N_MONTHS)):
-            value = getattr(state, name)
-            if value.shape != (size,):
+        field = f"{path}: line {i}: field"
+        if width is None:  # version 1: the first record's
+            width = len(rec["alpha"]) if type(rec["alpha"]) is list else 1
+        for name in ("chain", "iteration"):
+            if type(rec[name]) is not int or not 0 <= rec[name] <= _COUNT_MAX:
                 raise IntegrityError(
-                    f"{path}: line {i}: field {name!r} has {value.size} entries, expected {size}"
+                    f"{field} {name!r} holds {rec[name]!r}, not an integer in [0, 2^63)"
                 )
-        if width and not 0 <= state.z.min() <= state.z.max() < state.n_clusters:
+        if type(rec["tau"]) is not float or not 0.0 <= rec["tau"] <= _FLOAT_MAX:
+            raise IntegrityError(f"{field} 'tau' holds {rec['tau']!r}, not a finite value >= 0")
+        for name, size, hi in (("alpha", width, 1.0), ("z", width, None),
+                               ("phi_star", width, np.inf), ("theta", N_MONTHS, np.inf)):
+            _check_list(f"{field} {name!r}", rec[name], size, hi, at_most=name == "phi_star")
+        if rec["z"] and not 0 <= min(rec["z"]) <= max(rec["z"]) < len(rec["phi_star"]):
             raise IntegrityError(
-                f"{path}: line {i}: field 'z' names a cluster missing from "
-                f"'phi_star' ({state.n_clusters} entries)"
+                f"{field} 'z' names a cluster missing from "
+                f"'phi_star' ({len(rec['phi_star'])} entries)"
             )
-        for name, hi in (("alpha", 1.0), ("phi_star", np.inf), ("theta", np.inf)):
-            value = getattr(state, name)
-            bad = value[~(np.isfinite(value) & (value >= 0.0) & (value <= hi))]
-            if bad.size:
+        if i == 2:
+            keeps_innovations = "innovations" in rec
+        if ("innovations" in rec) != keeps_innovations:
+            raise IntegrityError(f"{field} 'innovations' is on some records but not on all")
+        if keeps_innovations:
+            value = rec.pop("innovations")  # kept only as an array
+            try:
+                eps = np.array(value)
+            except ValueError:  # ragged rows
+                eps = np.empty(0)
+            n_weeks = n_weeks or np.atleast_2d(eps).shape[1]  # version 1: the first record's
+            if eps.dtype != np.int64 or eps.shape != (width, n_weeks):
                 raise IntegrityError(
-                    f"{path}: line {i}: field {name!r} holds {bad[0]}, "
-                    f"not a finite value in [0, {hi}]"
+                    f"{field} 'innovations' is not a ({width}, {n_weeks}) matrix of "
+                    f"integers: shape {_shape(value)}"
                 )
-        states.append(state)
-        chains.append(rec["chain"])
-        iterations.append(rec["iteration"])
+            if innovations is None:
+                innovations = np.empty((n_draws, width, n_weeks), dtype=np.int64)
+            innovations[i - 2] = eps
+        rows.append(rec)
+
+    n_clusters = np.array([len(rec["phi_star"]) for rec in rows], dtype=np.int64)
+    filled = np.arange(width) < n_clusters[:, None]
+    phi_star = np.full(filled.shape, np.nan)
+    phi_star[filled] = [p for rec in rows for p in rec["phi_star"]]
     return PosteriorDraws(
-        states=states,
-        chain_index=np.array(chains, dtype=np.int64),
-        iteration=np.array(iterations, dtype=np.int64),
+        alpha=np.array([rec["alpha"] for rec in rows], dtype=float),
+        z=np.array([rec["z"] for rec in rows], dtype=np.int64),
+        phi_star=phi_star,
+        n_clusters=n_clusters,
+        theta=np.array([rec["theta"] for rec in rows], dtype=float),
+        tau=np.array([rec["tau"] for rec in rows], dtype=float),
+        chain_index=np.array([rec["chain"] for rec in rows], dtype=np.int64),
+        iteration=np.array([rec["iteration"] for rec in rows], dtype=np.int64),
+        innovations=innovations,
         mode=header.get("mode", "plain"),
         fitted_to=fitted_to,
     )
+
+
+def _check_list(field: str, value, size: int, hi: float | None, at_most: bool = False):
+    """Raise an ``IntegrityError`` on ``field`` unless ``value`` is a flat
+    list of ``size`` JSON values (at most ``size`` with ``at_most``):
+    integers (no bools) if ``hi`` is ``None``, else finite floats in [0, hi]."""
+    kinds = set(map(type, value)) if type(value) is list else {list}
+    if list in kinds:
+        raise IntegrityError(f"{field} has shape {_shape(value)}, expected {size} entries")
+    if len(value) > size if at_most else len(value) != size:
+        bound = "at most " if at_most else ""
+        raise IntegrityError(f"{field} has {len(value)} entries, expected {bound}{size}")
+    kind = int if hi is None else float
+    if kinds - {kind}:
+        bad = next(v for v in value if type(v) is not kind)
+        raise IntegrityError(f"{field} holds {bad!r}, not {'an integer' if hi is None else 'a float'}")
+    if hi is None or not value:
+        return
+    top = min(hi, _FLOAT_MAX)  # inf is no finite value
+    # min and max can pass over a NaN, but the sum of a list holding one is NaN
+    if not (0.0 <= min(value) and max(value) <= top) or math.isnan(sum(value)):
+        bad = next(v for v in value if not 0.0 <= v <= top)
+        raise IntegrityError(f"{field} holds {bad!r}, not a finite value in [0, {hi}]")
+
+
+def _shape(value) -> str:
+    """The shape numpy reads off a JSON value, or "ragged"."""
+    try:
+        return str(np.shape(value))
+    except ValueError:
+        return "ragged"
 
 
 def write_manifest(out_dir, command: str, parameters: dict):

@@ -82,7 +82,7 @@ class ModelState:
 
     ``innovations`` holds the imputed new-arrival counts; the first column is
     pinned to the first observations (the initial count is attributed wholly
-    to innovation). It may be ``None`` for states restored from storage.
+    to innovation). It may be ``None`` for a state given without them.
     """
 
     alpha: np.ndarray
@@ -105,33 +105,9 @@ class ModelState:
     def n_clusters(self) -> int:
         return self.phi_star.shape[0]
 
-    @property
-    def n_series(self) -> int:
-        return self.z.shape[0]
-
-    def series_rates(self) -> np.ndarray:
-        """Each series' cluster rate phi*_{z_l} (per unit of exposure in
-        covariate mode)."""
-        return self.phi_star[self.z]
-
-    def copy(self, innovations: bool = True) -> "ModelState":
-        """A deep copy; without the innovation matrix when ``innovations``
-        is false."""
-        return ModelState(
-            alpha=self.alpha.copy(),
-            z=self.z.copy(),
-            phi_star=self.phi_star.copy(),
-            theta=self.theta.copy(),
-            tau=self.tau,
-            innovations=(
-                self.innovations.copy()
-                if innovations and self.innovations is not None else None
-            ),
-        )
-
     def validate(self, panel: CountPanel | None = None):
         """Assert the structural invariants; used in debug sweeps."""
-        L = self.n_series
+        L = self.z.shape[0]
         K = self.n_clusters
         if self.alpha.shape != (L,) or np.any((self.alpha < 0) | (self.alpha > 1)):
             raise AssertionError("alpha must be length L within [0, 1]")

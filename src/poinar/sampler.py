@@ -12,8 +12,7 @@ cover both model variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import gammaln
@@ -73,31 +72,39 @@ def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
 
 @dataclass
 class PosteriorDraws:
-    """Thinned post-burn-in parameter snapshots, tagged by chain and sweep.
+    """Thinned post-burn-in parameter draws, one row per draw.
 
+    ``alpha`` and ``z`` are (D, L); ``phi_star`` is (D, L), row d holding
+    the ``n_clusters[d]`` cluster rates of draw d, then NaN; ``theta`` is
+    (D, 12); ``tau``, ``chain_index`` and ``iteration`` are (D,);
+    ``innovations`` is (D, L, T), or ``None`` for draws that keep none.
     ``fitted_to`` is ``(n_weeks, panel_sha256, week_starts_sha256)`` of the
     training panel when the draws were read from a file that records it
-    (the last is ``None`` when the file records no dates). The draws are not
-    modified after construction: ``stacked`` builds its arrays once.
+    (the last is ``None`` when the file records no dates). Nothing
+    modifies the arrays once ``run_chain`` or ``load_draws`` returns them.
     """
 
-    states: list[ModelState]
+    alpha: np.ndarray
+    z: np.ndarray
+    phi_star: np.ndarray
+    n_clusters: np.ndarray
+    theta: np.ndarray
+    tau: np.ndarray
     chain_index: np.ndarray
     iteration: np.ndarray
+    innovations: np.ndarray | None = None
     mode: str = MODE_PLAIN
     fitted_to: tuple[int, str, str | None] | None = None
 
-    def __post_init__(self):
-        self.chain_index = np.asarray(self.chain_index, dtype=np.int64)
-        self.iteration = np.asarray(self.iteration, dtype=np.int64)
-        if not (len(self.states) == self.chain_index.shape[0] == self.iteration.shape[0]):
-            raise ValueError("states, chain_index and iteration must align")
-
     def __len__(self) -> int:
-        return len(self.states)
+        return self.alpha.shape[0]
 
-    def cluster_counts(self) -> np.ndarray:
-        return np.array([s.n_clusters for s in self.states], dtype=np.int64)
+    @property
+    def states(self) -> list[ModelState]:
+        """``ModelState`` views of the rows. Only perfbench's ``run_chain``
+        hook reads them, until ROADMAP item 1 switches it to ``draws.z``."""
+        return [ModelState(self.alpha[d], self.z[d], self.phi_star[d, :k], self.theta[d],
+                           self.tau[d]) for d, k in enumerate(self.n_clusters.tolist())]
 
     def stacked(self, exposure: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """Every draw's parameters on a leading draw axis: ``(alpha, lam,
@@ -106,27 +113,14 @@ class PosteriorDraws:
         ``lam`` is each series' effective innovation rate, phi*_{z_l} scaled
         by ``exposure`` when given; covariate-mode draws require it.
         """
-        alpha, lam, theta = self._stack
+        if len(self) == 0:
+            raise ValueError("no posterior draws")
         if self.mode == MODE_COVARIATE and exposure is None:
             raise ConfigurationError("covariate-mode draws need the exposure vector")
+        lam = np.take_along_axis(self.phi_star, self.z, axis=1)
         if exposure is not None:
-            lam = lam * np.asarray(exposure, dtype=float)
-        return alpha, lam, theta
-
-    @cached_property
-    def _stack(self) -> tuple[np.ndarray, ...]:
-        """``alpha``, unscaled ``lam`` and ``theta``, read-only: shared by
-        every ``stacked`` call."""
-        if not self.states:
-            raise ValueError("no posterior draws")
-        arrays = (
-            np.stack([s.alpha for s in self.states]),
-            np.stack([s.series_rates() for s in self.states]),
-            np.stack([s.theta for s in self.states]),
-        )
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+            lam *= np.asarray(exposure, dtype=float)
+        return self.alpha, lam, self.theta
 
     def by_chain(self, values: np.ndarray) -> np.ndarray:
         """Regroup per-draw ``values`` (leading draw axis) into shape
@@ -148,15 +142,19 @@ class PosteriorDraws:
 
     @classmethod
     def concat(cls, parts: list["PosteriorDraws"]) -> "PosteriorDraws":
+        """The draws of ``parts`` one after another; they must share the
+        mode, the width L and whether they keep innovations."""
         if not parts:
             raise ValueError("no draws to concatenate")
         modes = {p.mode for p in parts}
         if len(modes) != 1:
             raise ValueError("cannot mix draws from different model modes")
+        if len({p.innovations is None for p in parts}) != 1:
+            raise ValueError("cannot mix draws with and without innovations")
+        arrays = {f.name: [getattr(p, f.name) for p in parts] for f in fields(cls)
+                  if f.name not in ("mode", "fitted_to")}
         return cls(
-            states=[s for p in parts for s in p.states],
-            chain_index=np.concatenate([p.chain_index for p in parts]),
-            iteration=np.concatenate([p.iteration for p in parts]),
+            **{name: None if a[0] is None else np.concatenate(a) for name, a in arrays.items()},
             mode=parts[0].mode,
         )
 
@@ -711,9 +709,9 @@ def run_chain(
 ) -> PosteriorDraws:
     """Run one chain and return its thinned post-burn-in draws.
 
-    Sweeps execute the six update steps in a fixed order; iteration i is
-    recorded when i > burn_in and (i - burn_in) is a multiple of the thinning
-    interval; a recorded draw carries that sweep's innovations only under
+    Sweeps execute the six update steps in a fixed order; sweep burn_in +
+    k * thin_interval fills row k - 1 of ``config.draws_per_chain``
+    preallocated rows, its innovations only under
     ``config.keep_innovations``. Deterministic given the generator's seed.
     ``kernel``, the panel's ``InnovationKernel`` under ``config``'s
     strategy, is built here when not given.
@@ -737,8 +735,16 @@ def run_chain(
     eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
     state.innovations = eps
 
-    states: list[ModelState] = []
-    iterations: list[int] = []
+    D = config.draws_per_chain
+    draws = PosteriorDraws(
+        alpha=np.empty((D, L)), z=np.empty((D, L), dtype=np.int64),
+        phi_star=np.full((D, L), np.nan), n_clusters=np.empty(D, dtype=np.int64),
+        theta=np.empty((D, N_MONTHS)), tau=np.empty(D), chain_index=np.full(D, chain_index),
+        iteration=config.burn_in + config.thin_interval * np.arange(1, D + 1),
+        innovations=np.empty((D, L, panel.n_weeks), dtype=np.int64)
+        if config.keep_innovations else None,
+        mode=hyper.mode,
+    )
     for it in range(1, config.n_iterations + 1):
         rates = (exposure * state.phi_star[state.z])[:, None] * state.theta[month_idx[1:]]
         state.innovations = kernel(state.innovations, state.alpha, rates, rng)
@@ -754,15 +760,13 @@ def run_chain(
             stats.validate()
 
         if it > config.burn_in and (it - config.burn_in) % config.thin_interval == 0:
-            states.append(state.copy(innovations=config.keep_innovations))
-            iterations.append(it)
-
-    return PosteriorDraws(
-        states=states,
-        chain_index=np.full(len(states), chain_index),
-        iteration=np.array(iterations),
-        mode=hyper.mode,
-    )
+            d = (it - config.burn_in) // config.thin_interval - 1
+            K = state.n_clusters
+            draws.alpha[d], draws.z[d], draws.theta[d] = state.alpha, state.z, state.theta
+            draws.phi_star[d, :K], draws.n_clusters[d], draws.tau[d] = state.phi_star, K, state.tau
+            if config.keep_innovations:
+                draws.innovations[d] = state.innovations
+    return draws
 
 
 def _innovation_kernel(panel: CountPanel, config: SamplerConfig) -> InnovationKernel:

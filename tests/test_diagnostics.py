@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from drawrows import draws_from_states
 from oracles import exhaustive_min_hamming
 from poinar.diagnostics import (
     cluster_count_histogram,
@@ -12,7 +13,6 @@ from poinar.diagnostics import (
     representative_assignment,
 )
 from poinar.model import ModelState
-from poinar.sampler import PosteriorDraws
 
 
 def _draws_from_memberships(zs, chains=None, iterations=None):
@@ -23,12 +23,7 @@ def _draws_from_memberships(zs, chains=None, iterations=None):
         )
         for z in zs
     ]
-    n = len(states)
-    return PosteriorDraws(
-        states=states,
-        chain_index=np.zeros(n, dtype=int) if chains is None else np.asarray(chains),
-        iteration=np.arange(n) if iterations is None else np.asarray(iterations),
-    )
+    return draws_from_states(states, chains, iterations)
 
 
 class TestPsrf:
@@ -142,7 +137,7 @@ class TestRepresentativeAssignment:
 
 class TestClusterCountHistogram:
     def test_mode(self):
-        zs = [np.arange(k) for k in (4, 4, 4, 5)]
+        zs = [np.minimum(np.arange(5), k - 1) for k in (4, 4, 4, 5)]
         hist = cluster_count_histogram(_draws_from_memberships(zs))
         assert hist.mode == 4
         assert hist.freqs == {4: 0.75, 5: 0.25}

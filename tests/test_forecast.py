@@ -1,5 +1,6 @@
 """Predictive distributions: exactness, identities, quantiles."""
 
+import copy
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from drawrows import draws_from_states
 from oracles import per_series_posterior_predictive, scalar_predictive_pmf
 from poinar import forecast
 from poinar.forecast import (
@@ -20,7 +22,6 @@ from poinar.forecast import (
     quantile,
 )
 from poinar.model import ModelState
-from poinar.sampler import PosteriorDraws
 
 
 def _state(alpha, lam, theta_value, month=1):
@@ -33,11 +34,7 @@ def _state(alpha, lam, theta_value, month=1):
 
 
 def _draws(states):
-    return PosteriorDraws(
-        states=states,
-        chain_index=np.zeros(len(states), dtype=int),
-        iteration=np.arange(len(states)),
-    )
+    return draws_from_states(states)
 
 
 class TestConditionalMeans:
@@ -111,9 +108,10 @@ class TestPosteriorConditionalMeans:
         for h in range(1, 4):
             for l in range(3):
                 per_draw = [
-                    conditional_mean_h_step(y_T[l], s.alpha[l], s.phi_star[s.z[l]], s.theta,
+                    conditional_mean_h_step(y_T[l], draws.alpha[d, l],
+                                            draws.phi_star[d, draws.z[d, l]], draws.theta[d],
                                             months[:h])
-                    for s in draws.states
+                    for d in range(len(draws))
                 ]
                 assert got[h - 1, l] == pytest.approx(np.mean(per_draw), rel=1e-13)
 
@@ -192,7 +190,7 @@ class TestPosteriorPredictive:
     def test_identical_draws_collapse(self):
         state = _state(0.4, 2.0, 1.3)
         one = posterior_predictive([2], _draws([state]), 1)[0]
-        two = posterior_predictive([2], _draws([state, state.copy()]), 1)[0]
+        two = posterior_predictive([2], _draws([state, copy.deepcopy(state)]), 1)[0]
         assert np.allclose(one.pmf, two.pmf, atol=1e-15)
 
     def test_mass_and_mean_linearity(self):
@@ -418,6 +416,14 @@ class TestQuantiles:
         # Poisson(1): CDF(2) = 0.9197 < 0.95 <= CDF(3) = 0.9810
         assert quantile(dist, 0.95) == 3
         assert quantile(dist, 0.5) == 1
+
+    def test_levels_in_one_call(self):
+        dist = predictive_pmf(3, 0.4, 2.0, 1.3)
+        levels = [0.05, 0.5, 0.95, 0.99]
+        assert quantile(dist, levels).tolist() == [quantile(dist, u) for u in levels]
+        assert type(quantile(dist, 0.5)) is int
+        with pytest.raises(ValueError, match="got 1.5"):
+            quantile(dist, [0.5, 1.5])
 
     def test_domain(self):
         dist = predictive_pmf(0, 0.0, 1.0, 1.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from drawrows import draws_from_states
 from poinar.harness import (
     Scenario,
     holdout_origin_weeks,
@@ -14,7 +15,7 @@ from poinar.harness import (
 )
 from poinar.forecast import posterior_conditional_means
 from poinar.model import ModelState
-from poinar.sampler import ConfigurationError, PosteriorDraws, SamplerConfig, run_chain
+from poinar.sampler import ConfigurationError, SamplerConfig, run_chain
 
 
 class TestScenarios:
@@ -115,8 +116,7 @@ class TestPosteriorMeanForecasts:
                     tau=1.0,
                 )
             )
-        draws = PosteriorDraws(states=states, chain_index=np.zeros(7, dtype=int),
-                               iteration=np.arange(7))
+        draws = draws_from_states(states)
         y_prev = np.array([2, 0, 5])
         month = 4
         manual = np.mean(

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drawrows import assert_same_draws
 from oracles import draw_averaged_pmf, per_cell_load_counts
 from poinar import cli, io
 from poinar.cli import main
 from poinar.harness import Scenario, simulate_scenario
-from poinar.model import ModelState
 from poinar.panel import CountPanel
-from poinar.sampler import SamplerConfig, run_chain
+from poinar.sampler import PosteriorDraws, SamplerConfig, run_chain
 
 
 def write(path: Path, text: str) -> Path:
@@ -243,25 +243,37 @@ def _save_older_version(draws, path, version):
 class TestDrawsPersistence:
     def test_round_trip_identity(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
-        io.save_draws(tiny_draws, path, _tiny_panel(), include_innovations=True)
-        loaded = io.load_draws(path)
-        assert len(loaded) == len(tiny_draws)
-        assert loaded.mode == tiny_draws.mode
-        assert np.array_equal(loaded.chain_index, tiny_draws.chain_index)
-        assert np.array_equal(loaded.iteration, tiny_draws.iteration)
-        for a, b in zip(loaded.states, tiny_draws.states):
-            assert np.array_equal(a.alpha, b.alpha)  # bit-exact floats
-            assert np.array_equal(a.z, b.z)
-            assert np.array_equal(a.phi_star, b.phi_star)
-            assert np.array_equal(a.theta, b.theta)
-            assert a.tau == b.tau
-            assert b.innovations is not None
-            assert np.array_equal(a.innovations, b.innovations)
-
-    def test_innovations_skipped_by_default(self, tmp_path, tiny_draws):
-        path = tmp_path / "draws.jsonl"
         io.save_draws(tiny_draws, path, _tiny_panel())
-        assert io.load_draws(path).states[0].innovations is None
+        loaded = io.load_draws(path)
+        assert tiny_draws.innovations is not None
+        assert_same_draws(loaded, tiny_draws)  # bit-exact floats
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), keep_innovations=st.booleans())
+    def test_round_trip_of_random_draws(self, tmp_path_factory, data, keep_innovations):
+        panel = _tiny_panel()
+        D, (L, T) = data.draw(st.integers(1, 5)), panel.counts.shape
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ks = np.array(data.draw(st.lists(st.integers(1, L), min_size=D, max_size=D)))
+        phi_star = np.where(np.arange(L) < ks[:, None], rng.gamma(1.0, 2.0, (D, L)), np.nan)
+        draws = PosteriorDraws(
+            alpha=rng.uniform(0.0, 1.0, (D, L)),
+            z=(rng.integers(0, 2**62, (D, L)) % ks[:, None]),
+            phi_star=phi_star,
+            n_clusters=ks,
+            theta=rng.gamma(1.0, 1.0, (D, 12)),
+            tau=rng.gamma(2.0, 0.25, D),
+            chain_index=rng.integers(0, 3, D),
+            iteration=rng.integers(1, 10**6, D),
+            innovations=rng.integers(0, 50, (D, L, T)) if keep_innovations else None,
+        )
+        path = tmp_path_factory.mktemp("draws") / "draws.jsonl"
+        io.save_draws(draws, path, panel)
+        loaded = io.load_draws(path)
+        assert_same_draws(loaded, draws)
+        again = path.with_name("again.jsonl")
+        io.save_draws(loaded, again, panel)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_truncated_file_detected(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
@@ -419,15 +431,54 @@ class TestDrawsPersistence:
     @pytest.mark.parametrize("field, value", [
         ("alpha", 1.5), ("alpha", -0.1), ("alpha", float("nan")),
         ("phi_star", -1.0), ("phi_star", float("inf")), ("theta", float("nan")),
+        ("chain", "a"), ("chain", 1.7), ("chain", True), ("iteration", None),
+        ("z", 0.5), ("z", True), ("tau", -3.0), ("tau", float("nan")),
+        pytest.param("alpha", [[0.5]] * 6, id="alpha-nested"),
     ])
     def test_out_of_range_value_names_line_and_field(self, tmp_path, tiny_draws, field, value):
         path = tmp_path / "draws.jsonl"
 
         def edit(record):
-            record[field][0] = value
+            if isinstance(record[field], list) and not isinstance(value, list):
+                record[field][0] = value
+            else:
+                record[field] = value
 
         line = self._edit_record(path, tiny_draws, 2, edit)
-        with pytest.raises(io.IntegrityError, match=f"line {line}: field '{field}' holds"):
+        expected = f"line {line}: field '{field}' (holds|has shape \\(6, 1\\), expected 6)"
+        with pytest.raises(io.IntegrityError, match=expected):
+            io.load_draws(path)
+
+    def test_more_cluster_rates_than_series_rejected(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        line = self._edit_record(path, tiny_draws, 1, lambda r: r["phi_star"].extend([1.0] * 6))
+        with pytest.raises(io.IntegrityError,
+                           match=f"line {line}: field 'phi_star' has .* expected at most 6"):
+            io.load_draws(path)
+
+    def test_innovations_on_some_records_only_rejected(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        expected = "field 'innovations' is on some records but not on all"
+        line = self._edit_record(path, tiny_draws, 3, lambda r: r.pop("innovations"))
+        with pytest.raises(io.IntegrityError, match=f"line {line}: {expected}"):
+            io.load_draws(path)
+        eps = tiny_draws.innovations[0].tolist()
+        line = self._edit_record(path, replace(tiny_draws, innovations=None), 2,
+                                 lambda r: r.update(innovations=eps))
+        with pytest.raises(io.IntegrityError, match=f"line {line}: {expected}"):
+            io.load_draws(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["innovations"].pop(),
+        lambda r: r["innovations"][2].pop(),
+        lambda r: r["innovations"][0].__setitem__(3, 0.5),
+        lambda r: r["innovations"][0].__setitem__(3, "a"),
+    ], ids=["rows", "ragged", "float", "string"])
+    def test_innovations_of_another_shape_rejected(self, tmp_path, tiny_draws, edit):
+        path = tmp_path / "draws.jsonl"
+        line = self._edit_record(path, tiny_draws, 1, edit)
+        expected = f"line {line}: field 'innovations' is not a \\(6, 72\\) matrix of integers"
+        with pytest.raises(io.IntegrityError, match=expected):
             io.load_draws(path)
 
     def test_membership_beyond_cluster_rates_rejected(self, tmp_path, tiny_draws):
@@ -534,6 +585,12 @@ class TestCli:
                      "--out", str(tmp_path / "fc")])
         assert code == 1
         assert f"line {line}: record lacks field 'alpha'" in capsys.readouterr().err
+        line = TestDrawsPersistence._edit_record(path, tiny_draws, 1,
+                                                 lambda r: r.update(iteration=None))
+        code = main(["forecast", "--counts", str(tmp_path / "c.csv"), "--draws", str(path),
+                     "--out", str(tmp_path / "fc")])
+        assert code == 1
+        assert f"line {line}: field 'iteration' holds None" in capsys.readouterr().err
 
     @pytest.fixture
     def mismatched(self, tmp_path):
@@ -683,18 +740,6 @@ class TestCli:
                      "--quantiles", "0.5", "--out", str(tmp_path / "fc")])
         assert code == 1
         assert f"line {line}: field 'alpha' holds 1.5" in capsys.readouterr().err
-
-    def test_forecast_stacks_the_draws_once(self, tmp_path, tiny_draws, monkeypatch):
-        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
-        io.save_draws(tiny_draws, tmp_path / "draws.jsonl", _tiny_panel())
-        calls = []
-        series_rates = ModelState.series_rates
-        monkeypatch.setattr(ModelState, "series_rates",
-                            lambda state: calls.append(1) or series_rates(state))
-        assert main(["forecast", "--counts", str(tmp_path / "c.csv"),
-                     "--draws", str(tmp_path / "draws.jsonl"), "--quantiles", "0.5,0.9",
-                     "--horizon", "3", "--out", str(tmp_path / "fc")]) == 0
-        assert len(calls) == len(tiny_draws)  # one pass over the draws, not one per consumer
 
     def test_plain_value_error_propagates(self, tmp_path, monkeypatch):
         # a ValueError from a bug is no user error: main must not swallow it

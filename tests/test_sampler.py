@@ -1,11 +1,13 @@
 """Sampler steps against independent oracles and their stated conditionals."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+from drawrows import assert_same_draws, draw_state, draws_from_states
 from oracles import convolution_innovation_pmf, quadrature_log_marginal
 from poinar.model import Hyperparams, ModelState, simulate_panel
 from poinar.panel import CountPanel
@@ -98,7 +100,7 @@ class TestInnovationConditional:
         panel, truth = small_panel(L=8, T=80)
         counts = panel.counts
         alpha = np.full(8, 0.4)
-        rates = np.tile(truth.series_rates()[:, None], (1, counts.shape[1] - 1))
+        rates = np.tile(truth.phi_star[truth.z][:, None], (1, counts.shape[1] - 1))
         out1 = InnovationKernel(counts)(truth.innovations, alpha, rates,
                                         np.random.default_rng(42))
         out2 = InnovationKernel(counts)(truth.innovations, alpha, rates,
@@ -180,7 +182,7 @@ class TestCollapsedMembershipWeights:
 
     def test_vanishing_tau_never_opens_clusters(self):
         panel, truth = small_panel(L=6, T=60)
-        state = truth.copy()
+        state = copy.deepcopy(truth)
         state.z = np.zeros(6, dtype=int)
         state.phi_star = np.array([2.0])
         state.tau = 1e-290
@@ -192,7 +194,7 @@ class TestCollapsedMembershipWeights:
 
     def test_sweep_compacts_and_keeps_stats_consistent(self):
         panel, truth = small_panel(L=10, T=80, rates=(0.5, 6.0))
-        state = truth.copy()
+        state = copy.deepcopy(truth)
         state.z = np.arange(10)  # every series its own cluster
         state.phi_star = np.full(10, 1.0)
         state.tau = 0.7
@@ -216,7 +218,7 @@ class TestCollapsedMembershipWeights:
 
         def run(order_rng_seed, permuted):
             rng = np.random.default_rng(order_rng_seed)
-            state = truth.copy()
+            state = copy.deepcopy(truth)
             state.tau = 1.0
             stats = stats0
             ks = []
@@ -351,12 +353,7 @@ class TestChains:
         a = run_chain(panel, config)
         b = run_chain(panel, config)
         assert len(a) == len(b) == config.draws_per_chain
-        for sa, sb in zip(a.states, b.states):
-            assert np.array_equal(sa.z, sb.z)
-            assert np.allclose(sa.alpha, sb.alpha)
-            assert np.allclose(sa.phi_star, sb.phi_star)
-            assert np.allclose(sa.theta, sb.theta)
-            assert sa.tau == sb.tau
+        assert_same_draws(a, b)
 
     def test_distinct_chains_differ(self):
         panel, _ = small_panel(L=6, T=60)
@@ -364,7 +361,7 @@ class TestChains:
                                seed=5, n_chains=2)
         chains = run_chains(panel, config)
         assert len(chains) == 2
-        assert not np.allclose(chains[0].states[-1].alpha, chains[1].states[-1].alpha)
+        assert not np.allclose(chains[0].alpha[-1], chains[1].alpha[-1])
 
     @pytest.mark.parametrize("strategy", [INNOVATION_EXACT, INNOVATION_METROPOLIS])
     def test_chains_share_one_kernel_and_draw_as_if_alone(self, strategy, monkeypatch):
@@ -380,13 +377,8 @@ class TestChains:
         shared = run_chains(panel, config)
         assert len(built) == 1
         for a, b in zip(alone, shared):
-            assert np.array_equal(a.chain_index, b.chain_index)
-            for sa, sb in zip(a.states, b.states):
-                assert np.array_equal(sa.z, sb.z) and np.array_equal(sa.alpha, sb.alpha)
-                assert np.array_equal(sa.phi_star, sb.phi_star)
-                assert np.array_equal(sa.theta, sb.theta) and sa.tau == sb.tau
-                assert sa.innovations is not None
-                assert np.array_equal(sa.innovations, sb.innovations)
+            assert a.innovations is not None
+            assert_same_draws(a, b)
 
     def test_draws_keep_innovations_only_when_asked(self):
         panel, _ = small_panel(L=6, T=60)
@@ -394,15 +386,12 @@ class TestChains:
         lean = run_chain(panel, config)
         full = run_chain(panel, replace(config, keep_innovations=True))
         assert len(lean) == len(full) == config.draws_per_chain
-        for sa, sb in zip(lean.states, full.states):
-            assert sa.innovations is None
-            assert sb.innovations.shape == panel.counts.shape
-            assert np.array_equal(sb.innovations[:, 0], panel.counts[:, 0])
-            assert np.array_equal(sa.z, sb.z) and np.array_equal(sa.alpha, sb.alpha)
-            assert np.array_equal(sa.phi_star, sb.phi_star)
-            assert np.array_equal(sa.theta, sb.theta) and sa.tau == sb.tau
-        # each stored draw owns its matrix: later sweeps do not write into it
-        assert not np.shares_memory(full.states[0].innovations, full.states[1].innovations)
+        assert lean.innovations is None
+        assert full.innovations.shape == (len(full),) + panel.counts.shape
+        assert np.all(full.innovations[:, :, 0] == panel.counts[:, 0])
+        assert_same_draws(lean, replace(full, innovations=None))
+        # each stored draw keeps its own sweep's matrix, not the last one
+        assert not np.array_equal(full.innovations[0], full.innovations[-1])
 
     def test_draw_count_arithmetic(self):
         # the real-data protocol: 5 chains x 5000 sweeps, burn 1000, thin 50
@@ -467,7 +456,7 @@ class TestChains:
 
         assert cluster_count_histogram(draws).mode == 2
         assert hamming_error(representative_assignment(draws), z_true) < 0.1
-        psi = np.mean([s.series_rates() for s in draws.states], axis=0)
+        psi = np.take_along_axis(draws.phi_star, draws.z, axis=1).mean(axis=0)
         assert abs(psi[z_true == 0].mean() - 0.4) < 0.15
         assert abs(psi[z_true == 1].mean() - 2.0) < 0.4
 
@@ -478,12 +467,32 @@ class TestChains:
         assert sorted(np.unique(merged.chain_index)) == [0, 1]
         assert len(merged.rate_sum_traces()) == 2
 
+    def test_concat_pads_draws_of_any_cluster_count(self):
+        def draw(K, eps):
+            return ModelState(alpha=np.full(4, 0.5), z=np.arange(4) % K,
+                              phi_star=np.arange(1.0, K + 1), theta=np.ones(12), tau=1.0,
+                              innovations=eps)
+
+        eps = np.ones((4, 3), dtype=np.int64)
+        one = draws_from_states([draw(1, eps), draw(3, eps)])
+        two = draws_from_states([draw(4, eps)], chain_index=[1])
+        merged = PosteriorDraws.concat([one, two])
+        assert merged.n_clusters.tolist() == [1, 3, 4]
+        assert np.array_equal(merged.phi_star, [[1, np.nan, np.nan, np.nan],
+                                                [1, 2, 3, np.nan], [1, 2, 3, 4]], equal_nan=True)
+        assert np.array_equal(merged.stacked()[1], [[1, 1, 1, 1], [1, 2, 3, 1], [1, 2, 3, 4]])
+        assert merged.chain_index.tolist() == [0, 0, 1]
+        assert merged.innovations.shape == (3, 4, 3)
+        with pytest.raises(ValueError, match="with and without innovations"):
+            PosteriorDraws.concat([one, draws_from_states([draw(2, None)])])
+
     def test_suffstats_match_independent_recount(self):
         # plain-loop recount of every sufficient statistic on recorded sweeps
         panel, _ = small_panel(L=6, T=60)
         config = SamplerConfig(n_iterations=30, burn_in=10, thin_interval=5, seed=8,
                                keep_innovations=True)
-        for state in run_chain(panel, config).states:
+        draws = run_chain(panel, config)
+        for state in (draw_state(draws, d) for d in range(len(draws))):
             stats = SuffStats.from_state(state, panel)
             L, T = panel.counts.shape
             S = [sum(int(state.innovations[l, t]) for t in range(T)) for l in range(L)]
