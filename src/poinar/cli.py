@@ -168,6 +168,9 @@ def _load_panel_and_draws(args) -> tuple:
         raise io.IntegrityError(
             f"{args.draws} was not fitted to {args.counts}: {mismatch}"
         )
+    outside = io.innovations_off_support(draws, panel)
+    if outside:
+        raise io.IntegrityError(f"{args.draws} does not fit {args.counts}: {outside}")
     exposure = panel.exposure if draws.mode == MODE_COVARIATE else None
     return panel, draws, exposure
 

@@ -36,15 +36,29 @@ class ForecastDistribution:
         pmf = np.asarray(self.pmf, dtype=float)
         if pmf.ndim != 1 or pmf.shape[0] != self.y_max + 1:
             raise ValueError("pmf must cover 0..y_max")
-        if np.any(pmf < 0):
-            raise ValueError("pmf entries must be nonnegative")
-        if pmf.sum() < 1.0 - 1e-9:
-            raise ValueError("truncated pmf is missing more than the tail budget")
+        _check_pmfs(pmf[None])
         object.__setattr__(self, "pmf", pmf)
+
+    @classmethod
+    def _of_checked(cls, pmf: np.ndarray, mean: float) -> "ForecastDistribution":
+        """The distribution of ``pmf``, a float row of a block that
+        ``_check_pmfs`` passed, without checking it again."""
+        dist = cls.__new__(cls)
+        vars(dist).update(pmf=pmf, y_max=pmf.shape[0] - 1, mean=mean)
+        return dist
 
     def interval(self, lower: float, upper: float) -> tuple[int, int]:
         """Counts bracketing the given pair of quantile levels."""
         return tuple(quantile(self, (lower, upper)).tolist())
+
+
+def _check_pmfs(pmfs: np.ndarray):
+    """Raise unless every row of ``pmfs`` is nonnegative and misses at most
+    the tail budget of mass."""
+    if np.any(pmfs < 0):
+        raise ValueError("pmf entries must be nonnegative")
+    if np.any(pmfs.sum(axis=1) < 1.0 - TAIL_MASS):
+        raise ValueError("truncated pmf is missing more than the tail budget")
 
 
 def conditional_mean_h_step(y_T, alpha, lam, theta, future_months):
@@ -292,8 +306,11 @@ def posterior_predictive(
         series = np.flatnonzero(counts == y)
         a, r = alpha[series], rate[series]
         for ids, rows in _truncated_rows(y, a, r, _start_points(y, a, r)):
-            for l, pmf in zip(series[ids].tolist(), rows.mean(axis=1)):
-                dists[l] = _distribution(pmf)
+            pmfs = rows.mean(axis=1)
+            _check_pmfs(pmfs)  # once per block, not once per series
+            support = np.arange(pmfs.shape[1])
+            for l, pmf in zip(series[ids].tolist(), pmfs):
+                dists[l] = ForecastDistribution._of_checked(pmf, float(support @ pmf))
     return dists
 
 

@@ -279,6 +279,27 @@ def fitted_panel_mismatch(draws: PosteriorDraws, panel: CountPanel) -> str | Non
     return None
 
 
+def innovations_off_support(draws: PosteriorDraws, panel: CountPanel) -> str | None:
+    """Where the first stored innovation leaves its support under the
+    counts of ``panel`` (eps_1 = y_1 and max(0, y_t - y_{t-1}) <= eps_t <=
+    y_t), or ``None``; draws without innovations pass."""
+    eps = draws.innovations
+    if eps is None:
+        return None
+    n_weeks = eps.shape[2]
+    if n_weeks > panel.n_weeks:
+        return f"the innovations cover {n_weeks} weeks, the counts hold {panel.n_weeks}"
+    hi = panel.counts[:, :n_weeks]
+    lo = hi.copy()
+    lo[:, 1:] = np.maximum(hi[:, 1:] - hi[:, :-1], 0)
+    outside = (eps < lo) | (eps > hi)
+    if not outside.any():
+        return None
+    d, l, t = np.argwhere(outside)[0].tolist()
+    return (f"draw {d + 1} (line {d + 2}) puts innovation {eps[d, l, t]} at series "
+            f"{panel.series_ids[l]!r}, week {t + 1}, outside [{lo[l, t]}, {hi[l, t]}]")
+
+
 def _fitted_to(path: Path, header: dict) -> tuple[int, str, str | None] | None:
     """The header's ``(n_weeks, panel_sha256, week_starts_sha256)``; ``None``
     in version 1, and no dates' hash in version 2."""
@@ -372,6 +393,22 @@ def load_draws(path) -> PosteriorDraws:
                 raise IntegrityError(
                     f"{field} 'innovations' is not a ({width}, {n_weeks}) matrix of "
                     f"integers: shape {_shape(value)}"
+                )
+            # numpy reads [true, 1] as [1, 1]; no other field may hold a
+            # bool, so the text shows whether to look
+            if "true" in line or "false" in line:
+                flags = [[type(v) is bool for v in row] for row in value]
+                if any(map(any, flags)):
+                    l, t = np.argwhere(flags)[0].tolist()
+                    raise IntegrityError(
+                        f"{field} 'innovations' holds {json.dumps(value[l][t])} at series "
+                        f"{l + 1}, week {t + 1}, not an integer"
+                    )
+            if eps.min(initial=0) < 0:
+                l, t = np.argwhere(eps < 0)[0].tolist()
+                raise IntegrityError(
+                    f"{field} 'innovations' holds {eps[l, t]} at series {l + 1}, "
+                    f"week {t + 1}, not a count"
                 )
             if innovations is None:
                 innovations = np.empty((n_draws, width, n_weeks), dtype=np.int64)

@@ -489,6 +489,35 @@ def _relabel_by_first_appearance(z, *cluster_arrays):
     return perm[z], tuple(arr[old_order] for arr in cluster_arrays)
 
 
+class LogGammaTable:
+    """``gammaln(gamma1 + N)`` for N = 0, 1, 2, ..., grown on demand.
+
+    The membership weights read gammaln(shape_j + s) and gammaln(shape_j),
+    with shape_j = B_j + gamma1 and integer totals B_j and s. Every float
+    gamma1 is num / den with den a power of two; while N * den + num <=
+    2^53, both B_j + gamma1 and (B_j + gamma1) + s are exact and equal
+    gamma1 + N for N = B_j + s, so entry N is the value gammaln would
+    compute. ``limit`` is the largest such N: beyond any panel for a dyadic
+    gamma1 such as 1.0, 0.5 or 3.0, and 0 for 0.3 or 1/3, whose sweeps call
+    gammaln instead.
+    """
+
+    def __init__(self, gamma1: float):
+        self.gamma1 = float(gamma1)
+        num, den = self.gamma1.as_integer_ratio()
+        self.limit = (2**53 - num) // den
+        self.values = np.empty(0)
+
+    def covering(self, n: int, total: int) -> np.ndarray:
+        """The table with entries 0..n at least (n <= ``total``): doubled
+        when it grows, but to no more than ``total`` + 1 entries."""
+        size = self.values.shape[0]
+        if n >= size:
+            new = np.arange(size, min(max(2 * size, n + 1), total + 1)) + self.gamma1
+            self.values = np.concatenate((self.values, gammaln(new)))
+        return self.values
+
+
 def sample_memberships(
     state: ModelState,
     panel: CountPanel,
@@ -496,6 +525,8 @@ def sample_memberships(
     hyper: Hyperparams,
     rng: np.random.Generator,
     order: np.ndarray | None = None,
+    *,
+    log_gamma: LogGammaTable | None = None,
 ) -> tuple[np.ndarray, SuffStats]:
     """One full sweep of collapsed membership updates.
 
@@ -507,94 +538,173 @@ def sample_memberships(
     carry compacted B, n and U; the cluster rates must be re-instantiated
     afterwards.
 
-    The cluster statistics live in preallocated arrays next to the parts of
-    each cluster's marginal that do not depend on the visiting series; a
-    visit refreshes those only for the clusters it touches. The terms of
-    ``log_innovation_total_marginal`` are combined in its own order, and an
-    emptied cluster is removed by shifting the later ones down, so the draws
-    are those of the plain per-visit formula.
+    Each cluster keeps, in preallocated rows, the parts of its marginal that
+    do not depend on the visiting series; a visit refreshes them only for
+    the clusters it touches. When every series has the same seasonal mass m
+    (always in plain mode), that includes the mass terms
+    ``(log rate_j - log(rate_j + m)) * shape_j`` and ``log m - log(rate_j +
+    m)``; otherwise they are recomputed at each visit. gammaln(shape_j + s)
+    and gammaln(shape_j) are read from ``log_gamma`` (a chain passes its
+    own, built here otherwise) while its ``limit`` covers the sweep's total.
+    The terms of ``log_innovation_total_marginal`` are combined in its own
+    order, and an emptied cluster is removed by shifting the later ones
+    down, so the draws are those of the plain per-visit formula.
     """
     g1, g2 = hyper.gamma1, hyper.gamma2
+    if log_gamma is None:
+        log_gamma = LogGammaTable(g1)
+    elif log_gamma.gamma1 != g1:
+        raise ValueError("the log-gamma table was built for another gamma1")
     S, mass = stats.S, stats.mass
     z = state.z.copy()
     L = z.shape[0]
     K = stats.n.shape[0]
-    if order is None:
-        order = np.arange(L)
+    order = range(L) if order is None else np.asarray(order).tolist()
 
     # per-series terms, fixed for the whole sweep
-    log_fact_s = gammaln(S + 1.0)
+    log_fact_s = gammaln(S + 1.0).tolist()
     log_mass = np.log(mass)
-    log_open = np.log(state.tau) + log_innovation_total_marginal(S, mass, g1, g2)
+    log_open = (np.log(state.tau) + log_innovation_total_marginal(S, mass, g1, g2)).tolist()
+    s_int = S.astype(np.int64)
+    total = int(s_int.sum())  # bounds every B_j + s of the sweep
+    exact = total <= log_gamma.limit
+    memo = L > 0 and bool(np.all(mass == mass[0]))  # one mass for every series
+    with np.errstate(divide="ignore"):
+        log_count = np.log(np.arange(L + 1.0))
 
-    # one row per cluster quantity, with room for every series alone
-    table = np.zeros((8, L + 1))
-    n, B, U, shape, rate, log_gamma_shape, log_rate, log_n = table
-    n[:K], B[:K], U[:K] = stats.n, stats.B, stats.U
-    np.add(B[:K], g1, out=shape[:K])
-    np.add(U[:K], g2, out=rate[:K])
-    gammaln(shape[:K], out=log_gamma_shape[:K])
+    # cluster quantities read one at a time live in lists, those read over
+    # every cluster in rows with room for every series alone
+    n, B, U = stats.n.tolist(), stats.B.tolist(), stats.U.tolist()
+    table = np.empty((7, L + 1))
+    log_n, log_gamma_shape, shape, fixed, slope, rate, log_rate = table
+    B_at = np.zeros(L + 1, dtype=np.int64)  # B as indices into the table
+    log_n[:K] = log_count.take(stats.n)
+    np.add(stats.B, g1, out=shape[:K])
+    np.add(stats.U, g2, out=rate[:K])
     np.log(rate[:K], out=log_rate[:K])
-    np.log(n[:K], out=log_n[:K])
+    top = int(stats.B.max(initial=0))  # at least the largest B_j
+    if exact:
+        lg = log_gamma.covering(top, total)
+        B_at[:K] = stats.B
+        lg.take(B_at[:K], out=log_gamma_shape[:K])
+    else:
+        gammaln(shape[:K], out=log_gamma_shape[:K])
+    if memo:
+        m, log_m = float(mass[0]), float(log_mass[0])
+        log_denom = np.log(rate[:K] + m)
+        np.subtract(log_rate[:K], log_denom, out=fixed[:K])
+        fixed[:K] *= shape[:K]
+        np.subtract(log_m, log_denom, out=slope[:K])
 
     def refresh(k):
-        shape[k] = B[k] + g1
-        rate[k] = U[k] + g2
-        log_gamma_shape[k] = gammaln(shape[k])
-        log_rate[k] = np.log(rate[k])
-        log_n[k] = np.log(n[k])
+        shape[k] = shape_k = B[k] + g1
+        log_n[k] = log_count[n[k]]
+        if exact:
+            B_at[k] = b = int(B[k])
+            log_gamma_shape[k] = lg[b]
+        else:
+            log_gamma_shape[k] = gammaln(shape_k)
+        rate_k = U[k] + g2
+        if memo:
+            denom = np.log(rate_k + m)
+            fixed[k] = (np.log(rate_k) - denom) * shape_k
+            slope[k] = log_m - denom
+        else:
+            rate[k] = rate_k
+            log_rate[k] = np.log(rate_k)
 
     logw = np.empty(L + 1)
     cum = np.empty(L + 1)
+    at = np.empty(L + 1, dtype=np.int64)
     scratch = np.empty((2, L + 1))
+
+    def views(K):
+        """The rows of the first K clusters, and K + 1 weights; rebuilt only
+        when K changes."""
+        return (B_at[:K], at[:K], logw[:K], log_gamma_shape[:K], fixed[:K], slope[:K],
+                shape[:K], rate[:K], log_rate[:K], log_n[:K], scratch[0, :K],
+                scratch[1, :K], logw[:K + 1], cum[:K + 1])
+
+    # a visit's scalars, boxed: numpy takes a 0-d array operand faster than
+    # a Python number, and computes the same values
+    s_box, si_box, fact_box = np.empty(()), np.empty((), dtype=np.int64), np.empty(())
+    m_box, log_m_box = np.empty(()), np.empty(())
+    size = lg.shape[0] if exact else 0
+    K_views = -1
+    S, mass, s_int = S.tolist(), mass.tolist(), s_int.tolist()
     for l in order:
-        s, m = S[l], mass[l]
-        k = z[l]
+        s, m_l, si = S[l], mass[l], s_int[l]
+        k = int(z[l])
         n[k] -= 1
         B[k] -= s
-        U[k] -= m
+        U[k] -= m_l
         if n[k] == 0:
+            del n[k], B[k], U[k]
             table[:, k:K - 1] = table[:, k + 1:K]
+            B_at[k:K - 1] = B_at[k + 1:K]
             K -= 1
-            z[z > k] -= 1
+            np.subtract(z, z > k, out=z)
         else:
             refresh(k)
+        if K != K_views:
+            (B_at_K, at_K, w, lgs_K, fixed_K, slope_K, shape_K, rate_K, log_rate_K, log_n_K,
+             term, log_denom, w_all, c) = views(K)
+            K_views = K
 
         # log n_j + log_innovation_total_marginal(s, m, shape_j, rate_j)
-        w, log_denom, term = logw[:K], scratch[0, :K], scratch[1, :K]
-        np.add(shape[:K], s, out=w)
-        gammaln(w, out=w)
-        w -= log_gamma_shape[:K]
-        w -= log_fact_s[l]
-        np.add(rate[:K], m, out=log_denom)
-        np.log(log_denom, out=log_denom)
-        np.subtract(log_rate[:K], log_denom, out=term)
-        term *= shape[:K]
-        w += term
-        np.subtract(log_mass[l], log_denom, out=term)
-        term *= s
-        w += term
-        np.add(log_n[:K], w, out=w)
-        logw[K] = log_open[l]
+        s_box[()] = s
+        fact_box[()] = log_fact_s[l]
+        if exact:
+            need = min(top + si, total)  # no B_j + s exceeds the total
+            if need >= size:
+                lg = log_gamma.covering(need, total)
+                size = lg.shape[0]
+            si_box[()] = si
+            np.add(B_at_K, si_box, at_K)
+            lg.take(at_K, 0, w, "clip")
+        else:
+            np.add(shape_K, s_box, w)
+            gammaln(w, w)
+        np.subtract(w, lgs_K, w)
+        np.subtract(w, fact_box, w)
+        if memo:
+            np.add(w, fixed_K, w)
+            np.multiply(slope_K, s_box, term)
+        else:
+            m_box[()], log_m_box[()] = m_l, log_mass[l]
+            np.add(rate_K, m_box, log_denom)
+            np.log(log_denom, log_denom)
+            np.subtract(log_rate_K, log_denom, term)
+            np.multiply(term, shape_K, term)
+            np.add(w, term, w)
+            np.subtract(log_m_box, log_denom, term)
+            np.multiply(term, s_box, term)
+        np.add(w, term, w)
+        np.add(log_n_K, w, w)
+        w_all[K] = log_open[l]
 
         # ufuncs and the searchsorted method, called directly: the Python
         # wrappers of max, sum, cumsum and np.searchsorted cost more than the
         # work at a few clusters, and compute the same values
-        w, c = logw[:K + 1], cum[:K + 1]
-        w -= np.maximum.reduce(w)
-        np.exp(w, out=w)
-        np.add.accumulate(w, out=c)
-        k_new = int(c.searchsorted(rng.random() * np.add.reduce(w), side="right"))
+        np.subtract(w_all, np.maximum.reduce(w_all), w_all)
+        np.exp(w_all, w_all)
+        np.add.accumulate(w_all, 0, None, c)
+        k_new = int(c.searchsorted(rng.random() * np.add.reduce(w_all), "right"))
         if k_new == K:
-            table[:, K] = 0.0
+            n.append(0)
+            B.append(0.0)
+            U.append(0.0)
             K += 1
         z[l] = k_new
         n[k_new] += 1
         B[k_new] += s
-        U[k_new] += m
+        U[k_new] += m_l
+        if B[k_new] > top:
+            top = int(B[k_new])
         refresh(k_new)
 
-    z, (B, n, U) = _relabel_by_first_appearance(z, B[:K], n[:K].astype(np.int64), U[:K])
+    z, (B, n, U) = _relabel_by_first_appearance(
+        z, np.array(B, dtype=float), np.array(n, dtype=np.int64), np.array(U, dtype=float))
     new_stats = SuffStats(
         S=stats.S, B=B, n=n, U=U, R=stats.R,
         theta_total=stats.theta_total, mass=stats.mass,
@@ -729,6 +839,7 @@ def run_chain(
     if kernel is None:
         kernel = _innovation_kernel(panel, config)
 
+    log_gamma = LogGammaTable(hyper.gamma1)
     state = _initial_state(panel, rng)
     eps = np.empty_like(counts)
     eps[:, 0] = counts[:, 0]
@@ -749,7 +860,7 @@ def run_chain(
         rates = (exposure * state.phi_star[state.z])[:, None] * state.theta[month_idx[1:]]
         state.innovations = kernel(state.innovations, state.alpha, rates, rng)
         stats = SuffStats.from_state(state, panel, mode=hyper.mode)
-        state.z, stats = sample_memberships(state, panel, stats, hyper, rng)
+        state.z, stats = sample_memberships(state, panel, stats, hyper, rng, log_gamma=log_gamma)
         state.phi_star = sample_unique_rates(stats, hyper, rng)
         state.theta = sample_seasonals(stats, state, panel, hyper, rng)
         state.alpha = sample_thinnings(state, panel, hyper, rng)

@@ -295,9 +295,11 @@ def _relabel_by_first_appearance(z, *cluster_arrays):
     return perm[z], tuple(arr[old_order] for arr in cluster_arrays)
 
 
-def list_sample_memberships(state, panel, stats, hyper, rng, order=None):
+def list_sample_memberships(state, panel, stats, hyper, rng, order=None, *, log_gamma=None):
     """One collapsed membership sweep over Python lists of the cluster
-    statistics, recomputing every cluster's marginal at each visit."""
+    statistics, recomputing every cluster's marginal at each visit.
+    ``log_gamma``, the package sweep's table, is accepted and not used, so
+    that ``run_chain`` can call this in its place."""
     g1, g2 = hyper.gamma1, hyper.gamma2
     S, mass = stats.S, stats.mass
     z = state.z.copy()

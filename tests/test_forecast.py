@@ -340,6 +340,19 @@ class TestGroupedPosteriorPredictive:
         for _, rows, m in calls:
             assert rows * (m + 1) <= 1_000 or rows == D  # one series may exceed it
 
+    def test_each_pass_is_checked(self, monkeypatch):
+        grid = forecast._pmf_grid
+
+        def shifted(y_T, alpha, rate, m):
+            out = grid(y_T, alpha, rate, m)
+            out[-1, :2] += (-0.5, 0.5)  # the last row keeps its mass, not its sign
+            return out
+
+        monkeypatch.setattr(forecast, "_pmf_grid", shifted)
+        draws = _series_draws(np.full((1, 3), 0.5), np.ones((1, 3)), np.ones((1, 12)))
+        with pytest.raises(ValueError, match="pmf entries must be nonnegative"):
+            posterior_predictive(np.zeros(3, dtype=np.int64), draws, 1)
+
     def test_negative_count_rejected(self):
         draws = _series_draws(np.full((2, 2), 0.5), np.ones((2, 2)), np.ones((2, 12)))
         with pytest.raises(ValueError, match="nonnegative"):

@@ -481,6 +481,25 @@ class TestDrawsPersistence:
         with pytest.raises(io.IntegrityError, match=expected):
             io.load_draws(path)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_innovations_holding_a_bool_rejected(self, tmp_path, tiny_draws, value):
+        # numpy would read [.., true, ..] among integers as 1
+        path = tmp_path / "draws.jsonl"
+        line = self._edit_record(path, tiny_draws, 1,
+                                 lambda r: r["innovations"][2].__setitem__(5, value))
+        expected = (f"line {line}: field 'innovations' holds {json.dumps(value)} at series 3, "
+                    "week 6, not an integer")
+        with pytest.raises(io.IntegrityError, match=expected):
+            io.load_draws(path)
+
+    def test_negative_innovation_rejected(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        line = self._edit_record(path, tiny_draws, 2,
+                                 lambda r: r["innovations"][4].__setitem__(0, -2))
+        expected = f"line {line}: field 'innovations' holds -2 at series 5, week 1, not a count"
+        with pytest.raises(io.IntegrityError, match=expected):
+            io.load_draws(path)
+
     def test_membership_beyond_cluster_rates_rejected(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
 
@@ -591,6 +610,33 @@ class TestCli:
                      "--out", str(tmp_path / "fc")])
         assert code == 1
         assert f"line {line}: field 'iteration' holds None" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["first week", "above", "below"])
+    def test_innovations_off_their_support_exit_one(self, tmp_path, tiny_draws, capsys, where):
+        panel = _tiny_panel()
+        io.save_counts(panel, tmp_path / "c.csv")
+        path = tmp_path / "draws.jsonl"
+        y = panel.counts[3]
+        lo = np.maximum(np.diff(y), 0)
+        if where == "first week":  # eps_1 = y_1
+            t, value, bounds = 0, y[0] + 1, (y[0], y[0])
+        elif where == "above":
+            t = 1 + int(np.argmax(y[1:] > 0))
+            value, bounds = y[t] + 1, (lo[t - 1], y[t])
+        else:
+            t = 1 + int(np.argmax(lo > 0))
+            value, bounds = lo[t - 1] - 1, (lo[t - 1], y[t])
+        io.save_draws(tiny_draws, path, panel)
+        assert main(["forecast", "--counts", str(tmp_path / "c.csv"), "--draws", str(path),
+                     "--out", str(tmp_path / "ok")]) == 0
+        TestDrawsPersistence._edit_record(
+            path, tiny_draws, 2, lambda r: r["innovations"][3].__setitem__(t, int(value)))
+        code = main(["forecast", "--counts", str(tmp_path / "c.csv"), "--draws", str(path),
+                     "--out", str(tmp_path / "fc")])
+        assert code == 1
+        assert (f"draw 3 (line 4) puts innovation {value} at series 's003', week {t + 1}, "
+                f"outside [{bounds[0]}, {bounds[1]}]") in capsys.readouterr().err
+        assert not (tmp_path / "fc" / "forecasts.csv").exists()
 
     @pytest.fixture
     def mismatched(self, tmp_path):

@@ -15,19 +15,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 import drawrows
 import oracles
 from poinar import sampler
 from poinar.harness import Scenario, scenario_by_name, simulate_scenario
-from poinar.model import Hyperparams, ModelState
+from poinar.model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, ModelState
 from poinar.panel import CountPanel
 from poinar.sampler import (
     INNOVATION_EXACT,
     INNOVATION_METROPOLIS,
     InnovationKernel,
+    LogGammaTable,
     SamplerConfig,
+    SuffStats,
     run_chain,
+    sample_memberships,
     sample_thinnings,
 )
 
@@ -78,6 +82,13 @@ CASES = {
                                 thinning=0.3, L=400, T=104), 13),
         sweep_config(3, seed=4),
     ),
+    # two sweeps from 400 singletons: K falls through the hundreds, and the
+    # log-gamma table grows as the clusters merge
+    "wide-singletons": lambda: (
+        scenario_panel(Scenario(name="wide", cluster_rates=(0.3, 0.8, 1.5, 3.0),
+                                thinning=0.3, L=400, T=52), 19),
+        sweep_config(2, seed=11),
+    ),
     "covariate": lambda: (
         replace(desk_panel("med-0.5", 14),
                 exposure=np.random.default_rng(15).uniform(0.5, 4.0, 40)),
@@ -106,10 +117,123 @@ def test_chain_draws_match_reference_sweep(case, monkeypatch):
     ours = chain_with(panel, config, monkeypatch, oracle=False)
     reference = chain_with(panel, config, monkeypatch, oracle=True)
     assert_same_draws(ours, reference)
-    if case == "wide-400":
+    if case in ("wide-400", "wide-singletons"):
         assert ours.n_clusters[0] >= 100
     if case == "dc-like-188":
         assert np.all(ours.n_clusters[-20:] <= 8)
+
+
+@st.composite
+def membership_inputs(draw):
+    """A membership sweep's inputs: 1 to 40 series with innovation totals
+    up to a few hundred, started from singletons or from a few clusters,
+    under plain mass or covariate mass (per-series or one shared exposure),
+    with a dyadic or a non-dyadic gamma1."""
+    L = draw(st.integers(1, 40))
+    T = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = rng.poisson(rng.uniform(0.0, 40.0, (L, 1)), (L, T))
+    eps[rng.random(L) < 0.2] = 0
+    clusters = draw(st.sampled_from(["singletons", "few"]))
+    if clusters == "singletons":
+        z = np.arange(L)
+    else:
+        z = np.unique(rng.integers(0, draw(st.integers(1, 4)), L), return_inverse=True)[1]
+    mass = draw(st.sampled_from(["plain", "per-series", "one exposure"]))
+    mode = MODE_PLAIN if mass == "plain" else MODE_COVARIATE
+    exposure = {"plain": None, "per-series": rng.uniform(0.2, 5.0, L),
+                "one exposure": np.full(L, 2.5)}[mass]
+    panel = CountPanel(counts=eps, season_of=rng.integers(1, 13, T), exposure=exposure)
+    state = ModelState(alpha=np.full(L, 0.5), z=z, phi_star=np.ones(z.max() + 1),
+                       theta=rng.gamma(2.0, 0.5, 12), tau=float(rng.lognormal(0.0, 1.5)),
+                       innovations=eps)
+    hyper = Hyperparams(gamma1=draw(st.sampled_from([1.0, 0.5, 0.25, 3.0, 0.3, 1 / 3])),
+                        gamma2=draw(st.floats(0.05, 3.0)), mode=mode)
+    order = rng.permutation(L) if draw(st.booleans()) else None
+    return state, panel, hyper, order, draw(st.integers(0, 2**32 - 1))
+
+
+@given(membership_inputs())
+@settings(max_examples=150, deadline=None)
+def test_membership_sweeps_match_list_sweeps(inputs):
+    state, panel, hyper, order, seed = inputs
+    rng_ours = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    stats = SuffStats.from_state(state, panel, hyper.mode)
+    table = LogGammaTable(hyper.gamma1)
+    ours, expected = (state.z, stats), (state.z, stats)
+    for _ in range(2):  # the second sweep reuses the table the first grew
+        ours = sample_memberships(replace(state, z=ours[0]), panel, ours[1], hyper, rng_ours,
+                                  order, log_gamma=table)
+        expected = oracles.list_sample_memberships(replace(state, z=expected[0]), panel,
+                                                   expected[1], hyper, rng_ref, order)
+        (z, got), (z_ref, want) = ours, expected
+        assert np.array_equal(z, z_ref)
+        for name in ("B", "n", "U"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
+    assert table.values.shape[0] <= int(stats.S.sum()) + 1
+
+
+@pytest.mark.parametrize("gamma1", [1.0, 0.5, 0.3])
+def test_table_grows_mid_sweep_as_clusters_merge(gamma1):
+    # 30 singletons with 10 innovations each and a small tau merge into a
+    # few clusters, so cluster totals pass the table's first size
+    L = 30
+    eps = np.zeros((L, 4), dtype=np.int64)
+    eps[:, 2] = 10
+    panel = CountPanel(counts=eps, season_of=np.arange(1, 5))
+    state = ModelState(alpha=np.full(L, 0.5), z=np.arange(L), phi_star=np.ones(L),
+                       theta=np.ones(12), tau=0.05, innovations=eps)
+    hyper = Hyperparams(gamma1=gamma1)
+    stats = SuffStats.from_state(state, panel)
+    table = LogGammaTable(gamma1)
+    z, ours = sample_memberships(state, panel, stats, hyper, np.random.default_rng(1),
+                                 log_gamma=table)
+    z_ref, want = oracles.list_sample_memberships(state, panel, stats, hyper,
+                                                  np.random.default_rng(1))
+    assert np.array_equal(z, z_ref) and np.array_equal(ours.B, want.B)
+    assert np.array_equal(ours.U, want.U)
+    assert ours.B.max() > 20
+    if gamma1 == 0.3:  # not dyadic: the sweep calls gammaln and builds no table
+        assert table.values.shape[0] == 0
+    else:  # built to the largest singleton total, 10, then grown
+        assert table.values.shape[0] > 11
+
+
+@pytest.mark.parametrize("gamma1", [1.0, 0.5, 0.25, 3.0, 1 / 3])
+def test_log_gamma_table_holds_what_the_sweep_computes(gamma1):
+    # gammaln(shape_j + s), shape_j = B_j + gamma1, against entry B_j + s
+    B, s = np.arange(3000)[:, None], np.arange(300)
+    table = LogGammaTable(gamma1)
+    swept = gammaln((B + gamma1) + s)
+    if table.limit >= 3299:
+        assert np.array_equal(table.covering(3299, 3299)[B + s], swept)
+    else:  # 1/3 is rounded, and so is B + 1/3 + s in one order or the other
+        assert table.limit == 0
+        assert not np.array_equal(gammaln((B + s) + gamma1), swept)
+
+
+def test_log_gamma_table_is_exact_only_for_dyadic_gamma1():
+    assert LogGammaTable(1.0).limit >= 2**52
+    assert LogGammaTable(0.25).limit >= 2**50
+    assert LogGammaTable(0.3).limit == 0
+    assert LogGammaTable(1 / 3).limit == 0
+    # 1 + 2^-40 is dyadic, but N + g1 needs 54 bits from N = 2^13 - 1 on
+    table = LogGammaTable(1.0 + 2.0**-40)
+    assert table.limit == 2**13 - 2
+    N = np.arange(table.limit + 1)
+    assert np.array_equal((N + table.gamma1) - table.gamma1, N)
+    assert ((table.limit + 1) + table.gamma1) - table.gamma1 != table.limit + 1
+
+
+def test_log_gamma_table_grows_on_demand_up_to_the_total():
+    table = LogGammaTable(0.5)
+    assert table.covering(3, 1000).shape == (4,)
+    assert table.covering(5, 1000).shape == (8,)    # doubled
+    assert table.covering(600, 1000).shape == (601,)
+    assert table.covering(700, 1000).shape == (1001,)  # doubling capped at the total
+    assert np.array_equal(table.values, gammaln(np.arange(1001) + 0.5))
 
 
 @st.composite
