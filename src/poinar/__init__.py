@@ -7,7 +7,7 @@ across series and a monthly seasonal profile across time.
 
 __version__ = "0.1.0"
 
-from .baselines import ClsEstimate, cls_fit, cls_forecast, spp_fit_forecast
+from .baselines import ClsEstimate, ClsPanelEstimate, cls_fit, cls_fit_panel, cls_forecast, spp_fit_forecast
 from .diagnostics import (
     EvalReport,
     cluster_count_histogram,
@@ -69,7 +69,9 @@ __all__ = [
     "posterior_predictive",
     "quantile",
     "ClsEstimate",
+    "ClsPanelEstimate",
     "cls_fit",
+    "cls_fit_panel",
     "cls_forecast",
     "spp_fit_forecast",
     "psrf",

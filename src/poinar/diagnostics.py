@@ -34,12 +34,19 @@ def psrf(chains):
     return float(r) if r.ndim == 0 else r
 
 
-def _contingency(z_a: np.ndarray, z_b: np.ndarray) -> np.ndarray:
-    labels_a, inv_a = np.unique(z_a, return_inverse=True)
-    labels_b, inv_b = np.unique(z_b, return_inverse=True)
-    table = np.zeros((labels_a.shape[0], labels_b.shape[0]), dtype=np.int64)
-    np.add.at(table, (inv_a, inv_b), 1)
-    return table
+def _factorize(z: np.ndarray) -> tuple[np.ndarray, int]:
+    """Labels as 0..k-1 in sorted label order, and k."""
+    labels, inverse = np.unique(z, return_inverse=True)
+    return inverse.reshape(-1), labels.shape[0]
+
+
+def _mismatches(inv_a: np.ndarray, k_a: int, inv_b: np.ndarray, k_b: int) -> int:
+    """Memberships left unmatched by the best injective relabeling of two
+    factorized labelings: n minus the maximum total overlap of their
+    contingency table (a rectangular assignment problem)."""
+    table = np.bincount(inv_a * k_b + inv_b, minlength=k_a * k_b).reshape(k_a, k_b)
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return inv_a.shape[0] - int(table[rows, cols].sum())
 
 
 def hamming_error(z_est, z_true) -> float:
@@ -53,10 +60,33 @@ def hamming_error(z_est, z_true) -> float:
     z_true = np.asarray(z_true)
     if z_est.shape != z_true.shape or z_est.ndim != 1:
         raise ValueError("membership vectors must share one dimension")
-    table = _contingency(z_est, z_true)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    matched = int(table[rows, cols].sum())
-    return (z_est.shape[0] - matched) / z_est.shape[0]
+    if z_est.shape[0] == 0:
+        raise ValueError("membership vectors are empty: no memberships to compare")
+    return _mismatches(*_factorize(z_est), *_factorize(z_true)) / z_est.shape[0]
+
+
+def distinct_partitions(zs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a (draws, series) membership matrix, in order of
+    first appearance, with each draw's row index among them and each row's
+    multiplicity.
+
+    Rows are told apart by their bytes: ``np.unique(zs, axis=0)`` views each
+    row as a record of L fields, which alone takes milliseconds at L = 2000.
+    """
+    zs = np.ascontiguousarray(zs)
+    index: dict[bytes, int] = {}
+    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in zs],
+                       dtype=np.int64)
+    _, first, counts = np.unique(inverse, return_index=True, return_counts=True)
+    return zs[first], inverse, counts
+
+
+def mean_hamming_error(zs, z_true) -> float:
+    """Mean of :func:`hamming_error` over the rows of ``zs``, scoring each
+    distinct row once; equal to the mean of the per-row errors bit for bit."""
+    uniq, inverse, _ = distinct_partitions(zs)
+    scores = np.array([hamming_error(z, z_true) for z in uniq])
+    return float(np.mean(scores[inverse]))
 
 
 def representative_assignment(draws: PosteriorDraws) -> np.ndarray:
@@ -65,22 +95,26 @@ def representative_assignment(draws: PosteriorDraws) -> np.ndarray:
     Returns the drawn membership vector with minimum mean relabeling-optimal
     Hamming distance to the remaining draws; exact ties go to the smallest
     (chain, iteration) pair.
+
+    Works on the U distinct membership vectors: one assignment problem per
+    pair of them, U(U-1)/2 in all, each giving an integer mismatch count.
+    A draw's total distance is those counts weighted by how often each
+    vector occurs, summed exactly in integers, so ties are exact.
     """
     if len(draws) == 0:
         raise ValueError("no draws to choose from")
     zs = draws.z
-    n = len(zs)
-    if n == 1:
-        return zs[0].copy()
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = hamming_error(zs[i], zs[j])
-            dist[i, j] = dist[j, i] = d
-    avg = dist.sum(axis=1) / (n - 1)
-    best = np.flatnonzero(avg <= avg.min())
-    keys = sorted(best, key=lambda i: (draws.chain_index[i], draws.iteration[i]))
-    return zs[keys[0]].copy()
+    uniq, inverse, counts = distinct_partitions(zs)
+    factors = [_factorize(z) for z in uniq]
+    n_uniq = len(factors)
+    mismatch = np.zeros((n_uniq, n_uniq), dtype=np.int64)
+    for i in range(n_uniq):
+        for j in range(i + 1, n_uniq):
+            mismatch[i, j] = mismatch[j, i] = _mismatches(*factors[i], *factors[j])
+    total = mismatch @ counts
+    tied = np.flatnonzero(np.isin(inverse, np.flatnonzero(total == total.min())))
+    best = min(tied, key=lambda i: (draws.chain_index[i], draws.iteration[i]))
+    return zs[best].copy()
 
 
 class ClusterCountHistogram(NamedTuple):

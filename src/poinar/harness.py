@@ -14,15 +14,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import DegenerateSeriesError, cls_fit, cls_forecast, spp_fit_forecast
+from .baselines import cls_fit_panel
 from .diagnostics import (
     EvalReport,
     cluster_count_histogram,
     forecast_metrics,
     hamming_error,
+    mean_hamming_error,
     representative_assignment,
 )
-from .forecast import posterior_conditional_means
+from .forecast import conditional_mean_h_step, posterior_conditional_means
 from .io import months_of, week_starts_from
 from .model import MODE_COVARIATE, simulate_panel
 from .panel import CountPanel
@@ -240,10 +241,14 @@ def run_study(
                 np.random.SeedSequence(entropy=seed, spawn_key=(2, si, r))
             )
             draws = run_chain(panel, config, rng=chain_rng)
+            # an all-zero series keeps the zero CLS model, which forecasts 0
+            cls = cls_fit_panel(panel.counts, panel.season_of)
             predictions = {
                 METHOD_BNP: posterior_conditional_means(draws, y_last, [next_month])[0],
-                METHOD_CLS: _cls_predictions(panel, next_month),
-                METHOD_SPP: np.array([spp_fit_forecast(s) for s in panel.counts]),
+                METHOD_CLS: conditional_mean_h_step(
+                    y_last, cls.alpha, cls.lam, cls.theta, [next_month]
+                ),
+                METHOD_SPP: panel.counts.mean(axis=1),
             }
             for m in METHODS:
                 err = predictions[m] - truth_next
@@ -254,7 +259,7 @@ def run_study(
             modal_k.append(hist.mode)
             z_repr = representative_assignment(draws)
             ham_repr.append(hamming_error(z_repr, truth.z))
-            ham_mean.append(float(np.mean([hamming_error(z, truth.z) for z in draws.z])))
+            ham_mean.append(mean_hamming_error(draws.z, truth.z))
             if progress is not None:
                 progress(f"{sc.name} replicate {r + 1}/{reps} done")
 
@@ -274,18 +279,6 @@ def run_study(
             )
         )
     return report
-
-
-def _cls_predictions(panel: CountPanel, next_month: int) -> np.ndarray:
-    preds = np.empty(panel.n_series)
-    for l in range(panel.n_series):
-        series = panel.counts[l]
-        try:
-            est = cls_fit(series, panel.season_of)
-            preds[l] = cls_forecast(est, series[-1], next_month)
-        except DegenerateSeriesError:
-            preds[l] = 0.0  # an all-zero series carries no basis for more
-    return preds
 
 
 # ---------------------------------------------------------------------------

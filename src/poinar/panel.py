@@ -34,6 +34,7 @@ class CountPanel:
     exposure: np.ndarray | None = None
     series_ids: list[str] = field(default_factory=list)
     week_starts: list | None = None
+    _season_summary: "SeasonSummary" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -53,6 +54,7 @@ class CountPanel:
         if np.any((season < 1) | (season > N_MONTHS)):
             raise ValueError("season_of values must lie in 1..12")
         object.__setattr__(self, "season_of", season)
+        object.__setattr__(self, "_season_summary", SeasonSummary.from_season_map(season))
 
         if self.exposure is not None:
             expo = np.asarray(self.exposure, dtype=float)
@@ -81,7 +83,8 @@ class CountPanel:
         return self.counts.shape[1]
 
     def season_summary(self) -> "SeasonSummary":
-        return SeasonSummary.from_season_map(self.season_of)
+        """Per-month week counts of the season map, computed once per panel."""
+        return self._season_summary
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Everything here is deliberately written from the definitions (brute force,
 quadrature, exhaustive enumeration) and shares no code path with the package.
-The exceptions are the last three sections: the earlier, simpler
-implementations of the sweep hot spots and of the per-series predictive
-pmfs, kept verbatim so that the faster package versions can be checked to
-give exactly the same numbers, and the earlier per-cell counts CSV parser,
-against which the package's parser is checked file by file.
+The exceptions are the last four sections: the earlier, simpler
+implementations of the sweep hot spots, of the per-series predictive pmfs
+and of the study's scoring layers (per-series CLS fits, the pairwise
+representative clustering), kept verbatim so that the faster package
+versions can be checked to give the same numbers, and the earlier per-cell
+counts CSV parser, against which the package's parser is checked file by
+file.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as sps
 from scipy.integrate import simpson
+from scipy.optimize import linear_sum_assignment
 from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
+from poinar.baselines import ClsPanelEstimate, DegenerateSeriesError
 from poinar.io import ParseError, load_exposure, months_of
 from poinar.panel import CountPanel
 from poinar.sampler import (
@@ -484,3 +488,141 @@ def per_cell_load_counts(path, exposure_path=None) -> CountPanel:
         series_ids=ids,
         week_starts=dates,
     )
+
+
+# ---------------------------------------------------------------------------
+# Earlier scoring layers: one CLS fit per series, and the representative
+# clustering over every pair of draws with float mean distances
+# ---------------------------------------------------------------------------
+
+_CLS_THETA_FLOOR = 1e-8
+
+
+def per_series_cls_fit(series, season_of, init=None, tol: float = 1e-8, max_iter: int = 100):
+    """Fit one series by cyclic CLS updates on Python scalars.
+
+    Returns (alpha, lam, theta, sse, iterations, converged, projected) and
+    raises ``DegenerateSeriesError`` on an identically zero series.
+    """
+    y = np.asarray(series, dtype=float)
+    T = y.shape[0]
+    if T < 14:
+        raise ValueError("need at least 14 observations to identify the CLS model")
+    if not np.any(y > 0):
+        raise DegenerateSeriesError("series is identically zero")
+    months = np.asarray(season_of, dtype=np.int64)
+
+    m_t = months[1:] - 1
+    y_lag = y[:-1]
+    y_cur = y[1:]
+    n_i = np.bincount(m_t, minlength=12).astype(float)
+    present = n_i > 0
+
+    if init is None:
+        alpha, lam = 0.2, float(y.mean())
+        theta = np.full(12, 1.0 / 12)
+    else:
+        alpha, lam = float(init[0]), float(init[1])
+        theta = np.asarray(init[2], dtype=float).copy()
+
+    s_y2 = float(y_lag @ y_lag)
+    s_yy = float(y_cur @ y_lag)
+    projected = False
+    converged = False
+
+    it = 0
+    for it in range(1, max_iter + 1):
+        alpha_old, lam_old, theta_old = alpha, lam, theta.copy()
+
+        th_t = theta[m_t]
+        s_th2 = float(th_t @ th_t)
+        s_yth = float(y_cur @ th_t)
+        s_lagth = float(y_lag @ th_t)
+        denom = s_y2 * s_th2 - s_lagth**2
+        if denom > 1e-12 * max(s_y2 * s_th2, 1.0):
+            lam = (s_y2 * s_yth - s_yy * s_lagth) / denom
+        if s_y2 > 0:
+            alpha = (s_yy - lam * s_lagth) / s_y2
+
+        if abs(lam) > 1e-12:
+            d_i = np.bincount(m_t, weights=y_cur - alpha * y_lag, minlength=12)
+            inv_n = np.where(present, 1.0 / np.where(present, n_i, 1.0), 0.0)
+            c = 2.0 * lam / inv_n.sum() * (float((d_i * inv_n).sum()) - lam)
+            theta = np.where(present, (2.0 * lam * d_i - c) / (2.0 * lam**2 * np.where(present, n_i, 1.0)), 0.0)
+            if np.any(theta[present] < 0):
+                theta[present] = np.maximum(theta[present], _CLS_THETA_FLOOR)
+                theta[present] /= theta[present].sum()
+                projected = True
+
+        delta = max(abs(alpha - alpha_old), abs(lam - lam_old), float(np.abs(theta - theta_old).max()))
+        if delta < tol:
+            converged = True
+            break
+
+    resid = y_cur - alpha * y_lag - lam * theta[m_t]
+    return alpha, lam, theta, float(resid @ resid), it, converged, projected
+
+
+def per_series_cls_panel(counts, season_of, **kwargs) -> ClsPanelEstimate:
+    """``cls_fit_panel``'s result assembled from one oracle fit per row,
+    with the zero model for identically zero rows."""
+    L = len(counts)
+    out = ClsPanelEstimate(
+        alpha=np.zeros(L), lam=np.zeros(L), theta=np.full((L, 12), 1.0 / 12), sse=np.zeros(L),
+        iterations=np.zeros(L, dtype=np.int64), converged=np.zeros(L, dtype=bool),
+        projected=np.zeros(L, dtype=bool), degenerate=np.zeros(L, dtype=bool),
+    )
+    for l, series in enumerate(counts):
+        try:
+            fit = per_series_cls_fit(series, season_of, **kwargs)
+        except DegenerateSeriesError:
+            out.degenerate[l] = True
+            continue
+        (out.alpha[l], out.lam[l], out.theta[l], out.sse[l], out.iterations[l],
+         out.converged[l], out.projected[l]) = fit
+    return out
+
+
+def _add_at_contingency(z_a, z_b):
+    labels_a, inv_a = np.unique(z_a, return_inverse=True)
+    labels_b, inv_b = np.unique(z_b, return_inverse=True)
+    table = np.zeros((labels_a.shape[0], labels_b.shape[0]), dtype=np.int64)
+    np.add.at(table, (inv_a, inv_b), 1)
+    return table
+
+
+def add_at_hamming_error(z_est, z_true) -> float:
+    """Relabeling-optimal mismatch fraction from an ``np.add.at`` table."""
+    z_est = np.asarray(z_est)
+    table = _add_at_contingency(z_est, np.asarray(z_true))
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return (z_est.shape[0] - int(table[rows, cols].sum())) / z_est.shape[0]
+
+
+def per_draw_hamming_mean(zs, z_true) -> float:
+    """Mean Hamming error of every draw, one draw at a time."""
+    return float(np.mean([add_at_hamming_error(z, z_true) for z in zs]))
+
+
+def pairwise_mean_distances(zs) -> np.ndarray:
+    """Each draw's float mean Hamming distance to the others, over all
+    D(D-1)/2 pairs of draws."""
+    n = len(zs)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = add_at_hamming_error(zs[i], zs[j])
+            dist[i, j] = dist[j, i] = d
+    return dist.sum(axis=1) / (n - 1)
+
+
+def pairwise_representative_assignment(draws) -> np.ndarray:
+    """The draw with the smallest float mean distance to the others; ties go
+    to the smallest (chain, iteration)."""
+    zs = draws.z
+    if len(zs) == 1:
+        return zs[0].copy()
+    avg = pairwise_mean_distances(zs)
+    best = np.flatnonzero(avg <= avg.min())
+    keys = sorted(best, key=lambda i: (draws.chain_index[i], draws.iteration[i]))
+    return zs[keys[0]].copy()

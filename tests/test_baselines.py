@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import grid_search_sse, profiled_theta_sse
+from oracles import grid_search_sse, per_series_cls_fit, per_series_cls_panel, profiled_theta_sse
 from poinar.baselines import (
     DegenerateSeriesError,
     cls_fit,
+    cls_fit_panel,
     cls_forecast,
     cls_sse,
     spp_fit_forecast,
@@ -111,6 +114,120 @@ class TestClsFit:
         )
 
 
+PANEL_FIELDS = ("alpha", "lam", "theta", "sse", "iterations", "converged", "projected",
+                "degenerate")
+
+# rows that steer the cyclic updates into each guarded branch
+ROW_KINDS = ("poinar", "sparse", "zero", "constant", "first-only", "step", "single")
+
+
+def _row(kind: str, T: int, rng: np.random.Generator, season) -> np.ndarray:
+    if kind == "poinar":
+        return simulate_poinar(rng.uniform(0.2, 8.0), rng.uniform(0.0, 0.9),
+                               np.full(12, 1.0 / 12), season, rng=rng)
+    if kind == "sparse":  # drives seasonal updates negative: floor projection
+        return rng.poisson(rng.uniform(0.02, 0.4), T)
+    if kind == "zero":  # no signal: flagged degenerate, zero model
+        return np.zeros(T, dtype=np.int64)
+    c = int(rng.integers(1, 5))
+    if kind == "constant":  # flat theta leaves denom at rounding noise: the guard
+        return np.full(T, c)
+    if kind == "first-only":  # y_cur = 0 solves lam = 0: the abs(lam) <= 1e-12 branch
+        return np.r_[c, np.zeros(T - 1, dtype=np.int64)]
+    cut = int(rng.integers(1, T - 1))
+    if kind == "step":  # creeps towards its fixed point: the iteration cap
+        return np.r_[np.zeros(cut, dtype=np.int64), np.full(T - cut, c)]
+    return np.r_[np.zeros(cut, dtype=np.int64), c, np.zeros(T - cut - 1, dtype=np.int64)]
+
+
+@st.composite
+def cls_panels(draw):
+    T = draw(st.integers(14, 160))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        season = SEASONS[:T]
+    else:  # a calendar that may leave some months out
+        season = np.sort(rng.integers(1, 13, T))
+    return np.array([_row(k, T, rng, season) for k in kinds]), season
+
+
+def assert_same_panel_fit(a, b):
+    for name in PANEL_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+class TestClsFitPanel:
+    def test_witness_rows_hit_every_guarded_branch(self):
+        T = 40
+        season = SEASONS[:T]
+        counts = np.array([
+            _row("zero", T, None, season),
+            np.full(T, 2),  # constant
+            np.r_[3, np.zeros(T - 1, dtype=np.int64)],  # first-only
+            np.r_[np.zeros(20, dtype=np.int64), np.full(T - 20, 2)],  # step
+            np.r_[np.zeros(20, dtype=np.int64), 1, np.zeros(T - 21, dtype=np.int64)],  # single
+        ])
+        fit = cls_fit_panel(counts, season)
+        assert fit.degenerate.tolist() == [True, False, False, False, False]
+        # the denom guard kept lam at its start, the series mean
+        assert fit.lam[1] == 2.0 and fit.converged[1]
+        # lam = 0 skips the theta update: theta stays flat
+        assert fit.lam[2] == 0.0 and np.array_equal(fit.theta[2], np.full(12, 1.0 / 12))
+        assert fit.iterations[3] == 100 and not fit.converged[3]
+        assert fit.projected[4]
+        assert_same_panel_fit(fit, per_series_cls_panel(counts, season))
+
+    @given(panel=cls_panels())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_series_oracle_bit_for_bit(self, panel):
+        counts, season = panel
+        assert_same_panel_fit(cls_fit_panel(counts, season), per_series_cls_panel(counts, season))
+
+    @given(panel=cls_panels(), max_iter=st.integers(0, 12), tol=st.sampled_from([1e-8, 1e-3]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_under_a_short_cap_and_loose_tolerance(self, panel, max_iter, tol):
+        counts, season = panel
+        assert_same_panel_fit(
+            cls_fit_panel(counts, season, tol=tol, max_iter=max_iter),
+            per_series_cls_panel(counts, season, tol=tol, max_iter=max_iter),
+        )
+
+    def test_one_row_fit_with_init_matches_oracle(self):
+        y, season = simulated_series(lam=1.2, alpha=0.6, T=350, seed=7)
+        init = (0.5, 3.0, np.linspace(1.0, 2.0, 12) / np.linspace(1.0, 2.0, 12).sum())
+        est = cls_fit(y, season, init=init)
+        expected = per_series_cls_fit(y, season, init=init)
+        got = (est.alpha, est.lam, est.theta, est.sse, est.iterations, est.converged,
+               est.projected)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
+
+    def test_traces_follow_each_series_until_it_converges(self):
+        counts = np.array([simulated_series(lam=1.5, alpha=0.4, T=400, seed=s)[0] for s in (3, 4)])
+        fit = cls_fit_panel(counts, SEASONS[:400], record_sse=True)
+        for l in range(2):
+            alone = cls_fit(counts[l], SEASONS[:400], record_sse=True)
+            assert fit.sse_traces[l] == alone.sse_trace
+            assert len(alone.sse_trace) == 1 + 2 * alone.iterations
+
+    def test_degenerate_rows_forecast_zero(self):
+        counts = np.array([np.zeros(30, dtype=np.int64), np.arange(30) % 4])
+        fit = cls_fit_panel(counts, SEASONS[:30])
+        means = conditional_mean_h_step(counts[:, -1], fit.alpha, fit.lam, fit.theta, [3])
+        assert means[0] == 0.0 and means[1] > 0
+        assert fit.iterations[0] == 0 and fit.sse[0] == 0.0
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            cls_fit_panel(np.ones((2, 10)), SEASONS[:10])
+        with pytest.raises(ValueError):
+            cls_fit_panel(np.ones(20), SEASONS[:20])
+        with pytest.raises(ValueError):
+            cls_fit_panel(np.ones((2, 20)), SEASONS[:19])
+
+
 class TestClsForecast:
     def test_no_carryover(self):
         y, season = simulated_series(T=300, seed=20)
@@ -142,3 +259,11 @@ class TestSpp:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             spp_fit_forecast([])
+
+    @given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 20), T=st.integers(1, 600),
+           scale=st.sampled_from([0.1, 3.0, 1e4]))
+    @settings(max_examples=80, deadline=None)
+    def test_panel_row_means_equal_per_series_averages(self, seed, L, T, scale):
+        counts = np.random.default_rng(seed).poisson(scale, (L, T))
+        expected = [spp_fit_forecast(row) for row in counts]
+        assert counts.mean(axis=1).tolist() == expected

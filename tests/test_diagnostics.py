@@ -2,17 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drawrows import draws_from_states
-from oracles import exhaustive_min_hamming
+from oracles import (
+    add_at_hamming_error,
+    exhaustive_min_hamming,
+    pairwise_mean_distances,
+    pairwise_representative_assignment,
+    per_draw_hamming_mean,
+)
 from poinar.diagnostics import (
     cluster_count_histogram,
+    distinct_partitions,
     forecast_metrics,
     hamming_error,
+    mean_hamming_error,
     psrf,
     representative_assignment,
 )
 from poinar.model import ModelState
+from poinar.sampler import PosteriorDraws
 
 
 def _draws_from_memberships(zs, chains=None, iterations=None):
@@ -24,6 +35,17 @@ def _draws_from_memberships(zs, chains=None, iterations=None):
         for z in zs
     ]
     return draws_from_states(states, chains, iterations)
+
+
+def _draws_from_label_rows(zs, chains, iterations):
+    """Draws holding only the given membership rows, whatever their labels."""
+    z = np.array(zs, dtype=np.int64)
+    D, L = z.shape
+    return PosteriorDraws(
+        alpha=np.zeros((D, L)), z=z, phi_star=np.full((D, L), np.nan),
+        n_clusters=np.array([np.unique(row).size for row in z]), theta=np.ones((D, 12)),
+        tau=np.ones(D), chain_index=np.array(chains), iteration=np.array(iterations),
+    )
 
 
 class TestPsrf:
@@ -111,6 +133,23 @@ class TestHamming:
         with pytest.raises(ValueError):
             hamming_error(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
 
+    def test_empty_input_named(self):
+        with pytest.raises(ValueError, match="empty"):
+            hamming_error([], [])
+
+    @given(
+        data=st.data(),
+        L=st.integers(1, 40),
+        labels=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=8, unique=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bincount_table_matches_add_at_table(self, data, L, labels):
+        # arbitrary, sparse and negative labels factorize to the same table
+        pick = st.lists(st.sampled_from(labels), min_size=L, max_size=L)
+        a = np.array(data.draw(pick))
+        b = np.array(data.draw(pick))
+        assert hamming_error(a, b) == add_at_hamming_error(a, b)
+
 
 class TestRepresentativeAssignment:
     def test_all_identical(self):
@@ -133,6 +172,82 @@ class TestRepresentativeAssignment:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             representative_assignment(_draws_from_memberships([]))
+
+    def test_exact_tie_that_float_averages_split(self):
+        # six draws tie at exactly 12 mismatches in total; summed as floats,
+        # their mean distances differ in the last bit, and the float rule
+        # picked a later draw than the tie rule allows
+        zs = [[1, 1, 1, 1, 1], [1, 1, 0, 0, 1], [1, 0, 0, 1, 0], [0, 0, 1, 1, 1],
+              [1, 1, 0, 1, 0], [1, 1, 0, 0, 1], [1, 1, 1, 1, 1], [1, 1, 0, 1, 0],
+              [1, 1, 1, 1, 1]]
+        chains = [0, 0, 1, 0, 1, 1, 0, 1, 1]
+        iterations = [3, 8, 1, 4, 2, 6, 7, 5, 0]
+        draws = _draws_from_memberships(zs, chains, iterations)
+        totals = _integer_totals(draws.z)
+        tied = np.flatnonzero(totals == totals.min())
+        assert tied.tolist() == [0, 3, 4, 6, 7, 8]
+        avg = pairwise_mean_distances(draws.z)
+        assert len(set(avg[tied].tolist())) > 1
+        assert np.array_equal(representative_assignment(draws), zs[0])
+        assert not np.array_equal(pairwise_representative_assignment(draws), zs[0])
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_oracle_up_to_rounded_ties(self, data):
+        D = data.draw(st.integers(1, 12))
+        L = data.draw(st.integers(1, 9))
+        K = data.draw(st.integers(1, 4))
+        # a few distinct rows, repeated, as a sampler's draws are
+        pool = data.draw(st.lists(st.lists(st.integers(0, K - 1), min_size=L, max_size=L),
+                                  min_size=1, max_size=D))
+        zs = [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(D)]
+        chains = data.draw(st.lists(st.integers(0, 2), min_size=D, max_size=D))
+        iterations = data.draw(st.permutations(range(D)))
+        draws = _draws_from_label_rows(zs, chains, iterations)
+        got = representative_assignment(draws)
+        expected = pairwise_representative_assignment(draws)
+        if np.array_equal(got, expected):
+            return
+        # the only allowed difference: the oracle's float means split an
+        # exact integer tie, which the package breaks by (chain, iteration)
+        totals = _integer_totals(draws.z)
+        tied = np.flatnonzero(totals == totals.min())
+        winner = min(tied, key=lambda i: (chains[i], iterations[i]))
+        assert np.array_equal(got, draws.z[winner])
+        avg = pairwise_mean_distances(draws.z)
+        chosen = next(i for i in range(D) if np.array_equal(draws.z[i], expected))
+        assert chosen in tied
+        assert avg[chosen] == pytest.approx(avg[winner], rel=1e-12, abs=0)
+
+
+def _integer_totals(zs) -> np.ndarray:
+    """Each draw's summed mismatch count to every draw, in exact integers."""
+    L = zs.shape[1]
+    return np.array([
+        sum(round(add_at_hamming_error(a, b) * L) for b in zs) for a in zs
+    ])
+
+
+class TestDistinctPartitions:
+    def test_first_appearance_order_and_counts(self):
+        zs = np.array([[0, 1], [0, 0], [0, 1], [1, 0], [0, 0]])
+        uniq, inverse, counts = distinct_partitions(zs)
+        assert uniq.tolist() == [[0, 1], [0, 0], [1, 0]]
+        assert inverse.tolist() == [0, 1, 0, 2, 1]
+        assert counts.tolist() == [2, 2, 1]
+        assert np.array_equal(uniq[inverse], zs)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mean_hamming_error_equals_per_draw_mean(self, data):
+        D = data.draw(st.integers(1, 30))
+        L = data.draw(st.integers(1, 12))
+        K = data.draw(st.integers(1, 5))
+        row = st.lists(st.integers(0, K - 1), min_size=L, max_size=L)
+        pool = data.draw(st.lists(row, min_size=1, max_size=D))
+        zs = np.array([pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(D)])
+        z_true = np.array(data.draw(row))
+        assert mean_hamming_error(zs, z_true) == per_draw_hamming_mean(zs, z_true)
 
 
 class TestClusterCountHistogram:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import poinar.harness as harness
 from drawrows import draws_from_states
+from oracles import pairwise_representative_assignment, per_draw_hamming_mean, per_series_cls_panel
 from poinar.harness import (
     Scenario,
     holdout_origin_weeks,
@@ -80,6 +82,18 @@ class TestStudy:
         report = run_study([sc], sampler_config=config, scale="desk",
                            n_replicates=1, seed=3)
         assert report.results[0].scenario.L == 40
+
+    def test_report_equals_the_one_from_per_series_scoring(self, monkeypatch):
+        # a near-zero cluster rate leaves some short series all zero
+        sc = Scenario(name="oracle", cluster_rates=(0.02, 4.0), thinning=0.4, L=6, T=40)
+        config = SamplerConfig(n_iterations=60, burn_in=10, thin_interval=2, seed=0)
+        kwargs = dict(sampler_config=config, scale="full", n_replicates=3, seed=2)
+        report = run_study([sc], **kwargs)
+        monkeypatch.setattr(harness, "cls_fit_panel", per_series_cls_panel)
+        monkeypatch.setattr(harness, "representative_assignment",
+                            pairwise_representative_assignment)
+        monkeypatch.setattr(harness, "mean_hamming_error", per_draw_hamming_mean)
+        assert report == run_study([sc], **kwargs)
 
     def test_rows_cover_methods(self):
         sc = Scenario(name="rows", cluster_rates=(2.0,), thinning=0.2, L=4, T=80)

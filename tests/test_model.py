@@ -1,5 +1,7 @@
 """Generative machinery: thinning, INAR simulation, DP draws, panel types."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,18 @@ class TestPanelTypes:
         theta = rng.gamma(1.0, 1.0, 12)
         direct = theta[season - 1].sum()
         assert np.isclose(summary.theta_total(theta), direct, rtol=1e-12)
+
+    def test_season_summary_built_once_per_panel(self):
+        counts = np.ones((2, 30), dtype=np.int64)
+        panel = CountPanel(counts=counts, season_of=FLAT_SEASONS[:30])
+        assert panel.season_summary() is panel.season_summary()
+        assert np.array_equal(panel.season_summary().q,
+                              SeasonSummary.from_season_map(FLAT_SEASONS[:30]).q)
+        # a replaced season map gets its own summary; equality and repr skip it
+        moved = replace(panel, season_of=np.full(30, 2))
+        assert moved.season_summary().q.tolist() == [0, 30] + [0] * 10
+        cached = [f for f in fields(CountPanel) if f.name == "_season_summary"]
+        assert len(cached) == 1 and not cached[0].compare and not cached[0].repr
 
     def test_hyperparams_positive(self):
         with pytest.raises(ValueError):
