@@ -1,8 +1,9 @@
 """Command-line pipeline: simulate panels, fit the sampler, forecast,
 evaluate holdout accuracy and run the scenario study.
 
-Every run writes a ``manifest.json`` (resolved parameters, seeds, library
-versions) sufficient to reproduce its outputs byte for byte.
+Every run writes a ``manifest.json`` (every parsed option, the output
+directory, library versions) sufficient to reproduce its outputs byte for
+byte.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from . import io
 from .diagnostics import cluster_count_histogram, psrf, representative_assignment
 from .forecast import TAIL_MASS, posterior_conditional_means, posterior_predictive, quantile
 from .harness import (
-    default_study_config,
     benchmark_scenarios,
     rolling_one_step_evaluation,
     run_study,
@@ -32,6 +32,8 @@ from .harness import (
 )
 from .model import MODE_COVARIATE, MODE_PLAIN, Hyperparams
 from .sampler import (
+    INNOVATION_EXACT,
+    INNOVATION_METROPOLIS,
     ConfigurationError,
     PosteriorDraws,
     SamplerConfig,
@@ -40,6 +42,9 @@ from .sampler import (
 
 _USAGE_EXIT = 2
 _FAILURE_EXIT = 1
+
+# the priors settable from the command line: every hyperparameter but the mode
+_HYPERPARAMS = [f.name for f in fields(Hyperparams) if f.name != "mode"]
 
 # glibc's mallopt parameters and the values its adaptive thresholds reach
 # at most on a 64-bit machine
@@ -72,35 +77,6 @@ def _pin_allocator_thresholds():
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one CLI invocation, recorded in the manifest."""
-
-    command: str
-    inputs: dict
-    out_dir: str
-    options: dict
-
-    def __post_init__(self):
-        for name, path in self.inputs.items():
-            if path is not None and not Path(path).exists():
-                raise FileNotFoundError(f"{name} file not found: {path}")
-        quantiles = self.options.get("quantiles")
-        if quantiles is not None:
-            if any(not 0.0 < q <= 1.0 - TAIL_MASS for q in quantiles):
-                raise ConfigurationError(
-                    f"quantiles must lie in (0, 1 - {TAIL_MASS}]: the truncated "
-                    "predictive pmf has no higher quantiles"
-                )
-            if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
-                raise ConfigurationError("quantiles must be strictly increasing")
-        if self.options.get("horizon", 1) < 1:
-            raise ConfigurationError("horizon must be at least 1")
-
-    def manifest_params(self) -> dict:
-        return {"inputs": self.inputs, "out": self.out_dir, **self.options}
-
-
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("POINAR_OUT")
     if not out:
@@ -110,14 +86,30 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _parameters(args, out: Path) -> dict:
+    """Every parsed option under its argparse dest, as given, with ``out``
+    resolved: what the manifest records of a run."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    params["out"] = str(out)
+    return params
+
+
 def _quantile_levels(text: str) -> list[float]:
-    """The levels of a comma-separated ``--quantiles`` value."""
+    """The levels of a comma-separated ``--quantiles`` value, checked to lie
+    inside the truncated predictive pmf and to increase strictly."""
     levels = []
     for item in text.split(","):
         try:
             levels.append(float(item))
         except ValueError:
             raise ConfigurationError(f"--quantiles item {item!r} is not a number") from None
+    if any(not 0.0 < q <= 1.0 - TAIL_MASS for q in levels):
+        raise ConfigurationError(
+            f"quantiles must lie in (0, 1 - {TAIL_MASS}]: the truncated "
+            "predictive pmf has no higher quantiles"
+        )
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigurationError("quantiles must be strictly increasing")
     return levels
 
 
@@ -129,27 +121,10 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]):
 
 
 def _hyper_from_args(args) -> Hyperparams:
-    hyper = Hyperparams.default(args.mode)
-    overrides = {
-        name: getattr(args, name)
-        for name in ("eta1", "eta2", "xi1", "xi2", "gamma1", "gamma2", "a_tau", "b_tau")
-        if getattr(args, name) is not None
-    }
-    return replace(hyper, **overrides) if overrides else hyper
-
-
-def _sampler_config_from_args(args) -> SamplerConfig:
-    return SamplerConfig(
-        n_iterations=args.iterations,
-        burn_in=args.burn_in,
-        thin_interval=args.thin,
-        n_chains=args.chains,
-        seed=args.seed,
-        hyper=_hyper_from_args(args),
-        innovation_strategy=args.innovation_strategy,
-        metropolis_threshold=args.metropolis_threshold,
-        keep_innovations=args.include_innovations,
-    )
+    """The mode's default priors, with each one given on the command line."""
+    given = {name: getattr(args, name) for name in _HYPERPARAMS
+             if getattr(args, name) is not None}
+    return replace(Hyperparams.default(args.mode), **given)
 
 
 def _load_panel_and_draws(args) -> tuple:
@@ -181,22 +156,9 @@ def _load_panel_and_draws(args) -> tuple:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    scenario = scenario_by_name(args.scenario)
+    scenario = replace(scenario_by_name(args.scenario), theta_mode=args.theta_mode)
     if args.series is not None:
         scenario = replace(scenario, L=args.series)
-    config = RunConfig(
-        command="simulate",
-        inputs={},
-        out_dir=str(out),
-        options={
-            "scenario": scenario.name,
-            "series": scenario.L,
-            "weeks": scenario.T,
-            "theta_mode": args.theta_mode,
-            "seed": args.seed,
-        },
-    )
-    scenario = replace(scenario, theta_mode=args.theta_mode)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)))
     panel, truth, next_month = simulate_scenario(scenario, rng)
 
@@ -214,32 +176,27 @@ def cmd_simulate(args) -> int:
     with (out / "truth.json").open("w") as fh:
         json.dump(truth_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    io.write_manifest(out, "simulate", config.manifest_params())
+    io.write_manifest(out, "simulate", _parameters(args, out))
     print(f"wrote {out / 'counts.csv'} and {out / 'truth.json'}")
     return 0
 
 
 def cmd_fit(args) -> int:
     out = _out_dir(args)
-    config = RunConfig(
-        command="fit",
-        inputs={"counts": args.counts, "exposure": args.exposure},
-        out_dir=str(out),
-        options={
-            "mode": args.mode,
-            "iterations": args.iterations,
-            "burn_in": args.burn_in,
-            "thin": args.thin,
-            "chains": args.chains,
-            "seed": args.seed,
-            "innovation_strategy": args.innovation_strategy,
-            "include_innovations": args.include_innovations,
-        },
-    )
     if args.mode == MODE_COVARIATE and args.exposure is None:
         raise ConfigurationError("covariate mode requires --exposure")
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
-    sampler_config = _sampler_config_from_args(args)
+    sampler_config = SamplerConfig(
+        n_iterations=args.iterations,
+        burn_in=args.burn_in,
+        thin_interval=args.thin,
+        n_chains=args.chains,
+        seed=args.seed,
+        hyper=_hyper_from_args(args),
+        innovation_strategy=args.innovation_strategy,
+        metropolis_threshold=args.metropolis_threshold,
+        keep_innovations=args.include_innovations,
+    )
     needed = 2 if args.chains >= 2 else 1  # the PSRF needs two draws per chain
     if sampler_config.draws_per_chain < needed:
         raise ConfigurationError(
@@ -265,7 +222,7 @@ def cmd_fit(args) -> int:
     with (out / "diagnostics.json").open("w") as fh:
         json.dump(diagnostics, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    io.write_manifest(out, "fit", config.manifest_params())
+    io.write_manifest(out, "fit", _parameters(args, out))
     print(f"wrote {out / 'draws.jsonl'} ({len(draws)} draws) and diagnostics.json")
     return 0
 
@@ -273,12 +230,8 @@ def cmd_fit(args) -> int:
 def cmd_forecast(args) -> int:
     out = _out_dir(args)
     quantiles = _quantile_levels(args.quantiles) if args.quantiles else []
-    config = RunConfig(
-        command="forecast",
-        inputs={"counts": args.counts, "draws": args.draws, "exposure": args.exposure},
-        out_dir=str(out),
-        options={"quantiles": quantiles, "horizon": args.horizon},
-    )
+    if args.horizon < 1:
+        raise ConfigurationError("horizon must be at least 1")
     panel, draws, exposure = _load_panel_and_draws(args)
     if panel.week_starts is None:
         raise ConfigurationError("counts file carries no week dates")
@@ -301,26 +254,16 @@ def cmd_forecast(args) -> int:
             row[f"mean_step{h}"] = repr(float(means[h - 1, l]))
         rows.append(row)
 
-    fields = ["series_id", "y_last", "mean"] + q_fields
-    fields += [f"mean_step{h}" for h in range(2, args.horizon + 1)]
-    _write_csv(out / "forecasts.csv", fields, rows)
-    io.write_manifest(out, "forecast", config.manifest_params())
+    columns = ["series_id", "y_last", "mean"] + q_fields
+    columns += [f"mean_step{h}" for h in range(2, args.horizon + 1)]
+    _write_csv(out / "forecasts.csv", columns, rows)
+    io.write_manifest(out, "forecast", _parameters(args, out))
     print(f"wrote {out / 'forecasts.csv'} for {panel.n_series} series")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
-    config = RunConfig(
-        command="evaluate",
-        inputs={"counts": args.counts, "draws": args.draws, "exposure": args.exposure},
-        out_dir=str(out),
-        options={
-            "holdout": args.holdout,
-            "origins": args.origins,
-            "bucket_cap": args.bucket_cap,
-        },
-    )
     panel, draws, exposure = _load_panel_and_draws(args)
     report, rows = rolling_one_step_evaluation(
         panel, draws, holdout=args.holdout, origins=args.origins,
@@ -357,35 +300,21 @@ def cmd_evaluate(args) -> int:
         ["series_id", "week", "last_value", "prediction", "actual"],
         [{**r, "prediction": repr(r["prediction"])} for r in rows],
     )
-    io.write_manifest(out, "evaluate", config.manifest_params())
+    io.write_manifest(out, "evaluate", _parameters(args, out))
     print(f"wrote {out / 'evaluation.csv'} over {report.n_total} forecasts")
     return 0
 
 
 def cmd_study(args) -> int:
     out = _out_dir(args)
-    config = RunConfig(
-        command="study",
-        inputs={},
-        out_dir=str(out),
-        options={
-            "scale": args.scale,
-            "scenarios": args.scenarios,
-            "replicates": args.replicates,
-            "seed": args.seed,
-            "iterations": args.iterations,
-            "burn_in": args.burn_in,
-            "thin": args.thin,
-        },
-    )
     scenarios = None
     if args.scenarios:
         scenarios = [scenario_by_name(name) for name in args.scenarios.split(",")]
-    sampler_config = replace(
-        default_study_config(args.seed),
+    sampler_config = SamplerConfig(
         n_iterations=args.iterations,
         burn_in=args.burn_in,
         thin_interval=args.thin,
+        seed=args.seed,
     )
     report = run_study(
         scenarios=scenarios,
@@ -430,7 +359,7 @@ def cmd_study(args) -> int:
     with (out / "study.json").open("w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    io.write_manifest(out, "study", config.manifest_params())
+    io.write_manifest(out, "study", _parameters(args, out))
     print(f"wrote {out / 'study.csv'} for {len(report.results)} scenarios")
     return 0
 
@@ -438,6 +367,15 @@ def cmd_study(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def _add_sweep_options(p: argparse.ArgumentParser):
+    """The sweep count, burn-in, thinning and seed of ``fit`` and ``study``,
+    defaulting to ``SamplerConfig``'s."""
+    p.add_argument("--iterations", type=int, default=SamplerConfig.n_iterations)
+    p.add_argument("--burn-in", type=int, default=SamplerConfig.burn_in)
+    p.add_argument("--thin", type=int, default=SamplerConfig.thin_interval)
+    p.add_argument("--seed", type=int, default=SamplerConfig.seed)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -459,18 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     p.add_argument("--exposure", default=None)
     p.add_argument("--mode", choices=[MODE_PLAIN, MODE_COVARIATE], default=MODE_PLAIN)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--burn-in", type=int, default=100)
-    p.add_argument("--thin", type=int, default=5)
-    p.add_argument("--chains", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sweep_options(p)
+    p.add_argument("--chains", type=int, default=SamplerConfig.n_chains)
     p.add_argument("--innovation-strategy",
-                   choices=["exact-enumeration", "metropolis-poisson"],
-                   default="exact-enumeration")
-    p.add_argument("--metropolis-threshold", type=int, default=30)
+                   choices=[INNOVATION_EXACT, INNOVATION_METROPOLIS],
+                   default=SamplerConfig.innovation_strategy)
+    p.add_argument("--metropolis-threshold", type=int,
+                   default=SamplerConfig.metropolis_threshold)
     p.add_argument("--include-innovations", action="store_true")
-    for name in ("eta1", "eta2", "xi1", "xi2", "gamma1", "gamma2", "a-tau", "b-tau"):
-        p.add_argument(f"--{name}", type=float, default=None, dest=name.replace("-", "_"))
+    for name in _HYPERPARAMS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fit)
 
@@ -497,10 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=["desk", "full"], default="desk")
     p.add_argument("--scenarios", default=None, help="comma-separated scenario names")
     p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--burn-in", type=int, default=100)
-    p.add_argument("--thin", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sweep_options(p)
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_study)
@@ -516,6 +449,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses exit 2 for usage errors
         return exc.code if isinstance(exc.code, int) else _USAGE_EXIT
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ConfigurationError("--seed must be non-negative")
         return args.func(args)
     except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .sampler import PosteriorDraws
+from .sampler import ConfigurationError, PosteriorDraws
 
 
 def psrf(chains):
@@ -203,6 +203,8 @@ def forecast_metrics(predictions, truths, last_values, bucket_cap: int | None = 
     last = np.asarray(last_values)
     if not (pred.shape == truth.shape == last.shape) or pred.ndim != 1:
         raise ValueError("predictions, truths and last_values must align")
+    if bucket_cap is not None and bucket_cap < 0:
+        raise ConfigurationError("bucket cap must be non-negative")
 
     err = pred - truth
     rmse = float(np.sqrt((err**2).mean()))

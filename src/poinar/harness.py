@@ -183,13 +183,6 @@ DESK_L = 40
 DESK_REPLICATES = 3
 
 
-def default_study_config(seed: int = 0) -> SamplerConfig:
-    """The in-sample protocol: 1000 sweeps, first 100 discarded, every 5th
-    kept (180 draws)."""
-    return SamplerConfig(n_iterations=1000, burn_in=100, thin_interval=5,
-                         n_chains=1, seed=seed)
-
-
 def run_study(
     scenarios: list[Scenario] | None = None,
     sampler_config: SamplerConfig | None = None,
@@ -203,7 +196,9 @@ def run_study(
     Desk scale shrinks the panels to 40 series and averages 3 replicates so
     the grid finishes in minutes; full scale keeps the 100-series design with
     a single replicate. Replicate r of scenario i simulates with stream
-    (0, i, r) and samples with stream (2, i, r) off the study seed.
+    (0, i, r) and samples with stream (2, i, r) off the study seed. Fits
+    default to ``SamplerConfig(seed=seed)``, the in-sample protocol: 1000
+    sweeps, the first 100 discarded, every 5th kept (180 draws).
     """
     if scale not in ("desk", "full"):
         raise ValueError("scale must be 'desk' or 'full'")
@@ -216,7 +211,7 @@ def run_study(
         reps = 1 if n_replicates is None else n_replicates
     if reps < 1:
         raise ConfigurationError("the study needs at least one replicate")
-    config = sampler_config or default_study_config(seed)
+    config = sampler_config or SamplerConfig(seed=seed)
 
     report = StudyReport(scale=scale, seed=seed, n_replicates=reps, sampler=config)
     for si, sc in enumerate(scenarios):

@@ -192,7 +192,8 @@ def load_exposure(path, series_ids: list[str]) -> np.ndarray:
                 raise ParseError(f"{path}: row {i}: exposure must be positive and finite")
             values[sid] = value
     missing = [sid for sid in series_ids if sid not in values]
-    extra = [sid for sid in values if sid not in set(series_ids)]
+    known = set(series_ids)
+    extra = [sid for sid in values if sid not in known]
     if missing or extra:
         raise ParseError(
             f"{path}: exposure ids do not match the panel "

@@ -53,6 +53,8 @@ class SamplerConfig:
             raise ConfigurationError("thin_interval must be at least 1")
         if self.n_chains < 1:
             raise ConfigurationError("n_chains must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         if self.innovation_strategy not in (INNOVATION_EXACT, INNOVATION_METROPOLIS):
             raise ConfigurationError(f"unknown innovation strategy {self.innovation_strategy!r}")
 

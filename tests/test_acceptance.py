@@ -25,7 +25,6 @@ from poinar.cli import main
 from poinar.diagnostics import cluster_count_histogram, hamming_error, psrf
 from poinar.forecast import predictive_pmf, quantile
 from poinar.harness import (
-    default_study_config,
     benchmark_scenarios,
     run_study,
     scenario_by_name,
@@ -316,7 +315,7 @@ def test_c11_reproducibility(tmp_path):
 def test_c04_cluster_recovery_easy_desk():
     """Modal K = 4 with mean Hamming < 10% in at least 4 of 5 seeds."""
     started = time.monotonic()
-    config = default_study_config()
+    config = SamplerConfig()
     good = 0
     lines = []
     for seed in range(5):
@@ -340,7 +339,7 @@ def test_c04_cluster_recovery_easy_desk():
 def test_c05_single_cluster_sanity():
     """No spurious clusters: modal K = 1 in at least 4 of 5 seeds."""
     started = time.monotonic()
-    config = default_study_config()
+    config = SamplerConfig()
     good = 0
     modes = []
     for seed in range(5):

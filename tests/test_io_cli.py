@@ -1,5 +1,6 @@
 """File formats, persistence round trips and the command-line pipeline."""
 
+import argparse
 import csv
 import datetime
 import json
@@ -807,6 +808,10 @@ class TestCli:
         ["simulate", "--series", "7"],
         ["simulate", "--series", "0"],
         ["study", "--replicates", "0"],
+        ["simulate", "--seed", "-1"],
+        ["fit", "--seed", "-1"],
+        ["study", "--seed", "-1"],
+        ["evaluate", "--bucket-cap", "-1"],
     ])
     def test_bad_settings_are_usage_errors(self, tmp_path, tiny_draws, argv, capsys):
         io.save_counts(_tiny_panel(), tmp_path / "c.csv")
@@ -822,6 +827,45 @@ class TestCli:
         code = main(argv + inputs[argv[0]] + ["--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_manifest_records_every_option(self, tmp_path, tiny_draws):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        io.save_draws(tiny_draws, tmp_path / "draws.jsonl", _tiny_panel())
+        sweeps = ["--iterations", "20", "--burn-in", "10"]
+        inputs = ["--counts", str(tmp_path / "c.csv"), "--draws", str(tmp_path / "draws.jsonl")]
+        argvs = {
+            "simulate": ["--scenario", "hard-0.1", "--series", "8"],
+            "fit": ["--counts", str(tmp_path / "c.csv"), *sweeps],
+            "forecast": inputs,
+            "evaluate": inputs,
+            "study": ["--scenarios", "hard-0.1", "--replicates", "1", *sweeps],
+        }
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(argvs)
+        for command, parser in subparsers.choices.items():
+            out = tmp_path / command
+            assert main([command, *argvs[command], "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            dests = {a.dest for a in parser._actions if a.dest != "help"}
+            assert set(manifest["parameters"]) == dests, command
+            assert manifest["parameters"]["out"] == str(out)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--gamma1", "0.3"), ("--eta1", "2"), ("--metropolis-threshold", "2"),
+    ])
+    def test_fits_differing_in_one_setting_write_different_manifests(self, tmp_path,
+                                                                     flag, value):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        parameters = []
+        for extra in ([], [flag, value]):
+            out = tmp_path / ("set" if extra else "default")
+            assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out),
+                         "--iterations", "20", "--burn-in", "10", *extra]) == 0
+            doc = json.loads((out / "manifest.json").read_text())["parameters"]
+            del doc["out"]
+            parameters.append(doc)
+        assert parameters[0] != parameters[1]
 
     def test_unknown_scenario_usage_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "impossible", "--out", str(tmp_path)])

@@ -415,6 +415,11 @@ class TestChains:
                                seed=3, validate_sweeps=True)
         run_chain(panel, config)  # validate() raises on any violation
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence takes no negative entropy
+        with pytest.raises(ConfigurationError, match="seed"):
+            SamplerConfig(seed=-1)
+
     def test_covariate_mode_requires_exposure(self):
         panel, _ = small_panel(L=4, T=48, rates=(1.0, 2.0))
         config = SamplerConfig(hyper=Hyperparams.default("covariate"))
