@@ -7,7 +7,7 @@ across series and a monthly seasonal profile across time.
 
 __version__ = "0.1.0"
 
-from .baselines import ClsEstimate, ClsPanelEstimate, cls_fit, cls_fit_panel, cls_forecast, spp_fit_forecast
+from .baselines import ClsPanelEstimate, cls_fit_panel
 from .diagnostics import (
     EvalReport,
     cluster_count_histogram,
@@ -21,7 +21,6 @@ from .forecast import (
     conditional_mean_h_step,
     posterior_conditional_means,
     posterior_predictive,
-    predictive_pmf,
     quantile,
 )
 from .harness import Scenario, benchmark_scenarios, run_study
@@ -31,11 +30,9 @@ from .sampler import (
     PosteriorDraws,
     SamplerConfig,
     SuffStats,
-    innovation_pmf,
     run_chain,
     run_chains,
     sample_concentration,
-    sample_innovation,
     sample_memberships,
     sample_seasonals,
     sample_thinnings,
@@ -53,8 +50,6 @@ __all__ = [
     "SamplerConfig",
     "SuffStats",
     "PosteriorDraws",
-    "innovation_pmf",
-    "sample_innovation",
     "sample_memberships",
     "sample_unique_rates",
     "sample_seasonals",
@@ -65,15 +60,10 @@ __all__ = [
     "ForecastDistribution",
     "conditional_mean_h_step",
     "posterior_conditional_means",
-    "predictive_pmf",
     "posterior_predictive",
     "quantile",
-    "ClsEstimate",
     "ClsPanelEstimate",
-    "cls_fit",
     "cls_fit_panel",
-    "cls_forecast",
-    "spp_fit_forecast",
     "psrf",
     "hamming_error",
     "representative_assignment",

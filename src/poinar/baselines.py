@@ -1,5 +1,6 @@
-"""Per-series baseline estimators: conditional least squares and the
-simple Poisson-process (series-average) predictor.
+"""The conditional least squares (CLS) baseline, fitted to every series of
+a panel at once. (The other baseline, the series average, is the panel's
+row means.)
 
 The CLS estimator minimizes the one-step squared prediction error
 sum_t (y_t - alpha*y_{t-1} - lam*theta_{s(t)})^2 subject to the seasonal
@@ -14,32 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forecast import conditional_mean_h_step
 from .panel import N_MONTHS
 
 _THETA_FLOOR = 1e-8
-
-
-class DegenerateSeriesError(ValueError):
-    """Raised when a series carries no signal the CLS model can fit."""
-
-
-@dataclass
-class ClsEstimate:
-    """CLS parameter estimates for one series.
-
-    ``theta`` always sums to one. ``projected`` flags fits where a negative
-    seasonal update had to be floored and renormalized.
-    """
-
-    alpha: float
-    lam: float
-    theta: np.ndarray
-    sse: float
-    iterations: int
-    converged: bool
-    projected: bool = False
-    sse_trace: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -61,19 +39,6 @@ class ClsPanelEstimate:
     degenerate: np.ndarray
     sse_traces: list[list[float]] = field(default_factory=list)
 
-    def series(self, l: int) -> ClsEstimate:
-        """The estimate of series ``l`` alone."""
-        return ClsEstimate(
-            alpha=float(self.alpha[l]),
-            lam=float(self.lam[l]),
-            theta=self.theta[l].copy(),
-            sse=float(self.sse[l]),
-            iterations=int(self.iterations[l]),
-            converged=bool(self.converged[l]),
-            projected=bool(self.projected[l]),
-            sse_trace=list(self.sse_traces[l]) if self.sse_traces else [],
-        )
-
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row dot products of two C-contiguous matrices; each row goes
@@ -93,14 +58,6 @@ def _sse(y_cur, y_lag, m_t, alpha, lam, theta) -> np.ndarray:
     th = theta.take(m_t, axis=1)
     resid = y_cur - alpha[:, None] * y_lag - lam[:, None] * th
     return _row_dots(resid, resid)
-
-
-def cls_sse(series, season_of, alpha: float, lam: float, theta) -> float:
-    """One-step squared prediction error of the given parameters."""
-    y = np.asarray(series, dtype=float)
-    m_t = np.asarray(season_of, dtype=np.int64)[1:] - 1
-    return float(_sse(y[None, 1:], y[None, :-1], m_t, np.array([alpha], dtype=float),
-                      np.array([lam], dtype=float), np.asarray(theta, dtype=float)[None])[0])
 
 
 def cls_fit_panel(
@@ -257,54 +214,3 @@ def cls_fit_panel(
         alpha=alpha, lam=lam, theta=theta, sse=sse, iterations=iterations,
         converged=converged, projected=projected, degenerate=degenerate, sse_traces=traces,
     )
-
-
-def cls_fit(
-    series,
-    season_of,
-    init: tuple[float, float, np.ndarray] | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    record_sse: bool = False,
-) -> ClsEstimate:
-    """Fit one series by cyclic CLS updates: the one-row case of
-    :func:`cls_fit_panel`.
-
-    Parameters
-    ----------
-    series : sequence of int
-        Counts of length T >= 14 and not identically zero.
-    season_of : sequence of int
-        Month (1..12) of each week.
-    init : (alpha, lam, theta), optional
-        Starting values; defaults to alpha=0.2, lam=mean(series) and a flat
-        seasonal vector.
-    tol : float
-        Convergence threshold on the largest absolute parameter change.
-    record_sse : bool
-        Keep the SSE after every block update in ``sse_trace`` (each block is
-        an exact coordinate minimizer, so the trace is nonincreasing except
-        when a floor projection fires).
-    """
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    fit = cls_fit_panel(y[None, :], season_of, init=init, tol=tol, max_iter=max_iter,
-                        record_sse=record_sse)
-    if fit.degenerate[0]:
-        raise DegenerateSeriesError("series is identically zero")
-    return fit.series(0)
-
-
-def cls_forecast(est: ClsEstimate, y_T: float, future_months) -> float:
-    """Plug the CLS estimates into the h-step conditional mean; pass a single
-    month for a one-step forecast or a sequence for an h-step one."""
-    return conditional_mean_h_step(y_T, est.alpha, est.lam, est.theta, future_months)
-
-
-def spp_fit_forecast(series) -> float:
-    """Constant-rate Poisson baseline: the predictor is the series average."""
-    y = np.asarray(series, dtype=float)
-    if y.shape[0] < 1:
-        raise ValueError("need at least one observation")
-    return float(y.mean())

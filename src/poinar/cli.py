@@ -197,11 +197,10 @@ def cmd_fit(args) -> int:
         metropolis_threshold=args.metropolis_threshold,
         keep_innovations=args.include_innovations,
     )
-    needed = 2 if args.chains >= 2 else 1  # the PSRF needs two draws per chain
-    if sampler_config.draws_per_chain < needed:
+    if args.chains >= 2 and sampler_config.draws_per_chain < 2:
         raise ConfigurationError(
-            f"--iterations, --burn-in and --thin keep {sampler_config.draws_per_chain} "
-            f"draws per chain; {needed} needed"
+            "--iterations, --burn-in and --thin keep 1 draw per chain; "
+            "the PSRF of two or more chains needs 2"
         )
     chains = run_chains(panel, sampler_config)
     draws = PosteriorDraws.concat(chains)

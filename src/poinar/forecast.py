@@ -26,30 +26,12 @@ class ForecastDistribution:
 
     ``pmf[y]`` is the probability of observing ``y`` for y in 0..y_max; the
     tail beyond y_max carries less than the truncation budget of 1e-9 mass.
+    ``posterior_predictive`` builds them, checking each block of pmfs once.
     """
 
     pmf: np.ndarray
     y_max: int
     mean: float
-
-    def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=float)
-        if pmf.ndim != 1 or pmf.shape[0] != self.y_max + 1:
-            raise ValueError("pmf must cover 0..y_max")
-        _check_pmfs(pmf[None])
-        object.__setattr__(self, "pmf", pmf)
-
-    @classmethod
-    def _of_checked(cls, pmf: np.ndarray, mean: float) -> "ForecastDistribution":
-        """The distribution of ``pmf``, a float row of a block that
-        ``_check_pmfs`` passed, without checking it again."""
-        dist = cls.__new__(cls)
-        vars(dist).update(pmf=pmf, y_max=pmf.shape[0] - 1, mean=mean)
-        return dist
-
-    def interval(self, lower: float, upper: float) -> tuple[int, int]:
-        """Counts bracketing the given pair of quantile levels."""
-        return tuple(quantile(self, (lower, upper)).tolist())
 
 
 def _check_pmfs(pmfs: np.ndarray):
@@ -239,43 +221,9 @@ def _truncated_rows(y_T: int, alpha: np.ndarray, rate: np.ndarray, start: list[i
         todo = np.concatenate(wider) if wider else np.empty(0, dtype=np.int64)
 
 
-def _predictive_rows(y_T: int, alpha, rate, m: int | None = None) -> np.ndarray:
-    """Exact one-step pmfs of D draws sharing one truncation point.
-
-    Row d is the pmf on 0..m of Binomial(y_T, alpha[d]) survivors plus
-    Poisson(rate[d]) innovations, shape (D, m+1). The shared m starts at the
-    largest of the draws' mean + 12*sqrt(mean) + y_T (or at ``m``) and grows
-    by m*1.5 + 10 until every row meets both tail budgets, so one draw gets
-    the truncation point it would get on its own.
-    """
-    alpha = np.asarray(alpha, dtype=float)[None]
-    rate = np.asarray(rate, dtype=float)[None]
-    _check_parameters(alpha, rate)
-    start = _start_points(y_T, alpha, rate) if m is None else [max(int(m), y_T, 1)]
-    ((_, rows),) = _truncated_rows(y_T, alpha, rate, start)
-    return rows[0]
-
-
 def _poisson_sf(k: int, rate: np.ndarray) -> np.ndarray:
     """P(Poisson(rate) > k); 1 for k < 0, where ``pdtrc`` gives NaN."""
     return pdtrc(k, rate) if k >= 0 else np.ones_like(rate)
-
-
-def _distribution(pmf: np.ndarray) -> ForecastDistribution:
-    m = pmf.shape[0] - 1
-    return ForecastDistribution(pmf=pmf, y_max=m, mean=float(np.arange(m + 1) @ pmf))
-
-
-def predictive_pmf(
-    y_T: int, alpha: float, lam: float, theta_next: float, y_max: int | None = None
-) -> ForecastDistribution:
-    """Exact pmf of the one-step-ahead count given the current count.
-
-    The truncation point starts at mean + 12*sqrt(mean) + y_T (or at the
-    caller's ``y_max``) and is extended until both tail budgets hold.
-    """
-    rows = _predictive_rows(int(y_T), [alpha], [lam * theta_next], y_max)
-    return _distribution(rows[0])
 
 
 def posterior_predictive(
@@ -308,9 +256,10 @@ def posterior_predictive(
         for ids, rows in _truncated_rows(y, a, r, _start_points(y, a, r)):
             pmfs = rows.mean(axis=1)
             _check_pmfs(pmfs)  # once per block, not once per series
-            support = np.arange(pmfs.shape[1])
+            m = pmfs.shape[1] - 1
+            support = np.arange(m + 1)
             for l, pmf in zip(series[ids].tolist(), pmfs):
-                dists[l] = ForecastDistribution._of_checked(pmf, float(support @ pmf))
+                dists[l] = ForecastDistribution(pmf, m, float(support @ pmf))
     return dists
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .panel import N_MONTHS, CountPanel
+from .panel import N_MONTHS, CountPanel, innovation_bounds
 from .sampler import PosteriorDraws
 
 DRAWS_FORMAT = "poinar-draws"
@@ -282,17 +282,15 @@ def fitted_panel_mismatch(draws: PosteriorDraws, panel: CountPanel) -> str | Non
 
 def innovations_off_support(draws: PosteriorDraws, panel: CountPanel) -> str | None:
     """Where the first stored innovation leaves its support under the
-    counts of ``panel`` (eps_1 = y_1 and max(0, y_t - y_{t-1}) <= eps_t <=
-    y_t), or ``None``; draws without innovations pass."""
+    counts of ``panel`` (see ``innovation_bounds``), or ``None``; draws
+    without innovations pass."""
     eps = draws.innovations
     if eps is None:
         return None
     n_weeks = eps.shape[2]
     if n_weeks > panel.n_weeks:
         return f"the innovations cover {n_weeks} weeks, the counts hold {panel.n_weeks}"
-    hi = panel.counts[:, :n_weeks]
-    lo = hi.copy()
-    lo[:, 1:] = np.maximum(hi[:, 1:] - hi[:, :-1], 0)
+    lo, hi = innovation_bounds(panel.counts[:, :n_weeks])
     outside = (eps < lo) | (eps > hi)
     if not outside.any():
         return None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import N_MONTHS, CountPanel
+from .panel import N_MONTHS, CountPanel, innovation_bounds
 
 MODE_PLAIN = "plain"
 MODE_COVARIATE = "covariate"
@@ -106,7 +106,7 @@ class ModelState:
         return self.phi_star.shape[0]
 
     def validate(self, panel: CountPanel | None = None):
-        """Assert the structural invariants; used in debug sweeps."""
+        """Assert the structural invariants."""
         L = self.z.shape[0]
         K = self.n_clusters
         if self.alpha.shape != (L,) or np.any((self.alpha < 0) | (self.alpha > 1)):
@@ -120,15 +120,12 @@ class ModelState:
         if self.theta.shape != (N_MONTHS,):
             raise AssertionError("theta must have 12 entries")
         if panel is not None and self.innovations is not None:
-            y = panel.counts
             eps = self.innovations
-            if eps.shape != y.shape:
+            if eps.shape != panel.counts.shape:
                 raise AssertionError("innovations must match the panel shape")
-            lo = np.maximum(0, y[:, 1:] - y[:, :-1])
-            if np.any(eps[:, 1:] < lo) or np.any(eps[:, 1:] > y[:, 1:]):
+            lo, hi = innovation_bounds(panel.counts)
+            if np.any(eps < lo) or np.any(eps > hi):
                 raise AssertionError("innovation support bounds violated")
-            if np.any(eps[:, 0] != y[:, 0]):
-                raise AssertionError("first-week innovations must equal the first counts")
 
 
 def simulate_poinar(

@@ -87,6 +87,15 @@ class CountPanel:
         return self._season_summary
 
 
+def innovation_bounds(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support ``(lo, hi)`` of every innovation count, both shaped like
+    ``counts``: eps_1 = y_1, and max(0, y_t - y_{t-1}) <= eps_t <= y_t."""
+    hi = np.asarray(counts)
+    lo = hi.copy()
+    lo[:, 1:] = np.maximum(hi[:, 1:] - hi[:, :-1], 0)
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class SeasonSummary:
     """Per-month occurrence counts of a week-to-month map.

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .model import MODE_COVARIATE, MODE_PLAIN, ConfigurationError, Hyperparams, ModelState
-from .panel import N_MONTHS, CountPanel
+from .panel import N_MONTHS, CountPanel, innovation_bounds
 
 INNOVATION_EXACT = "exact-enumeration"
 INNOVATION_METROPOLIS = "metropolis-poisson"
@@ -40,7 +40,6 @@ class SamplerConfig:
     hyper: Hyperparams = field(default_factory=Hyperparams)
     innovation_strategy: str = INNOVATION_EXACT
     metropolis_threshold: int = 30
-    validate_sweeps: bool = False
     # stored draws keep their sweep's (L, T) innovation matrix only if asked
     keep_innovations: bool = False
 
@@ -51,6 +50,11 @@ class SamplerConfig:
             raise ConfigurationError("burn_in must be smaller than n_iterations")
         if self.thin_interval < 1:
             raise ConfigurationError("thin_interval must be at least 1")
+        if self.draws_per_chain < 1:
+            raise ConfigurationError(
+                f"{self.n_iterations} sweeps with burn_in {self.burn_in} and thin_interval "
+                f"{self.thin_interval} keep no draws"
+            )
         if self.n_chains < 1:
             raise ConfigurationError("n_chains must be at least 1")
         if self.seed < 0:
@@ -215,53 +219,6 @@ class SuffStats:
 # Step 1: latent innovations
 # ---------------------------------------------------------------------------
 
-def innovation_support(y_prev: int, y_curr: int) -> tuple[int, int]:
-    """Feasible innovation range: max(0, y_curr - y_prev) .. y_curr."""
-    return max(0, int(y_curr) - int(y_prev)), int(y_curr)
-
-
-def innovation_pmf(y_prev: int, y_curr: int, alpha: float, rate: float) -> np.ndarray:
-    """Exact conditional pmf of one innovation count over its support.
-
-    The returned array aligns with ``range(lo, hi + 1)`` where
-    ``(lo, hi) = innovation_support(y_prev, y_curr)``. The unnormalized weight
-    of innovation e is
-    ``(rate * (1 - alpha) / alpha)**e / (e! (y_curr-e)! (y_prev-y_curr+e)!)``.
-    """
-    if rate <= 0:
-        raise ValueError("innovation rate must be positive")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"thinning probability must lie in [0, 1], got {alpha}")
-    lo, hi = innovation_support(y_prev, y_curr)
-    eps = np.arange(lo, hi + 1)
-    a = min(max(alpha, _ALPHA_EPS), 1.0 - _ALPHA_EPS)
-    log_c = np.log(rate) + np.log1p(-a) - np.log(a)
-    logw = (
-        eps * log_c
-        - gammaln(eps + 1.0)
-        - gammaln(y_curr - eps + 1.0)
-        - gammaln(y_prev - y_curr + eps + 1.0)
-    )
-    logw -= logw.max()
-    w = np.exp(logw)
-    return w / w.sum()
-
-
-def sample_innovation(
-    y_prev: int, y_curr: int, alpha: float, rate: float, rng: np.random.Generator
-) -> int:
-    """Exact draw from the innovation conditional.
-
-    Deterministic cases need no randomness: y_curr = 0 forces 0 and
-    y_prev = 0 forces y_curr."""
-    lo, hi = innovation_support(y_prev, y_curr)
-    if lo == hi:
-        return lo
-    pmf = innovation_pmf(y_prev, y_curr, alpha, rate)
-    u = rng.random()
-    return lo + int(np.searchsorted(np.cumsum(pmf), u, side="right"))
-
-
 class InnovationKernel:
     """Vectorized innovation update for weeks 2..T of one panel.
 
@@ -293,8 +250,9 @@ class InnovationKernel:
         self.lgam = gammaln(np.arange(int(counts.max()) + 2, dtype=float))
         yp = counts[:, :-1]
         yc = counts[:, 1:]
-        self.lo = np.maximum(yc - yp, 0)
-        width = np.minimum(yc, yp)
+        lo, hi = innovation_bounds(counts)
+        self.lo = lo[:, 1:]
+        width = hi[:, 1:] - self.lo
 
         active = width > 0
         if strategy == INNOVATION_METROPOLIS:
@@ -812,6 +770,28 @@ def _initial_state(panel: CountPanel, rng: np.random.Generator) -> ModelState:
     )
 
 
+def sweep(state: ModelState, panel: CountPanel, kernel: InnovationKernel, hyper: Hyperparams,
+          rng: np.random.Generator, log_gamma: LogGammaTable) -> SuffStats:
+    """One Gibbs sweep: update ``state`` in place through the six steps, in
+    order, and return the sufficient statistics its clustering left.
+
+    ``kernel`` is the panel's ``InnovationKernel`` and ``log_gamma`` the
+    chain's ``LogGammaTable`` for ``hyper.gamma1``.
+    """
+    lam = state.phi_star[state.z]
+    if hyper.mode == MODE_COVARIATE:
+        lam = panel.exposure * lam
+    rates = lam[:, None] * state.theta[panel.season_of[1:] - 1]
+    state.innovations = kernel(state.innovations, state.alpha, rates, rng)
+    stats = SuffStats.from_state(state, panel, mode=hyper.mode)
+    state.z, stats = sample_memberships(state, panel, stats, hyper, rng, log_gamma=log_gamma)
+    state.phi_star = sample_unique_rates(stats, hyper, rng)
+    state.theta = sample_seasonals(stats, state, panel, hyper, rng)
+    state.alpha = sample_thinnings(state, panel, hyper, rng)
+    state.tau = sample_concentration(state.n_clusters, panel.n_series, state.tau, hyper, rng)
+    return stats
+
+
 def run_chain(
     panel: CountPanel,
     config: SamplerConfig,
@@ -821,11 +801,11 @@ def run_chain(
 ) -> PosteriorDraws:
     """Run one chain and return its thinned post-burn-in draws.
 
-    Sweeps execute the six update steps in a fixed order; sweep burn_in +
-    k * thin_interval fills row k - 1 of ``config.draws_per_chain``
-    preallocated rows, its innovations only under
-    ``config.keep_innovations``. Deterministic given the generator's seed.
-    ``kernel``, the panel's ``InnovationKernel`` under ``config``'s
+    Each iteration runs one ``sweep`` from the state the last one left;
+    sweep burn_in + k * thin_interval fills row k - 1 of
+    ``config.draws_per_chain`` preallocated rows, its innovations only
+    under ``config.keep_innovations``. Deterministic given the generator's
+    seed. ``kernel``, the panel's ``InnovationKernel`` under ``config``'s
     strategy, is built here when not given.
     """
     hyper = config.hyper
@@ -833,20 +813,13 @@ def run_chain(
         raise ConfigurationError("covariate mode requires an exposure vector")
     if rng is None:
         rng = chain_rng(config.seed, chain_index)
-
-    counts = panel.counts
-    L = panel.n_series
-    month_idx = panel.season_of - 1
-    exposure = panel.exposure if hyper.mode == MODE_COVARIATE else np.ones(L)
     if kernel is None:
         kernel = _innovation_kernel(panel, config)
 
+    L = panel.n_series
     log_gamma = LogGammaTable(hyper.gamma1)
     state = _initial_state(panel, rng)
-    eps = np.empty_like(counts)
-    eps[:, 0] = counts[:, 0]
-    eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
-    state.innovations = eps
+    state.innovations = innovation_bounds(panel.counts)[0]
 
     D = config.draws_per_chain
     draws = PosteriorDraws(
@@ -859,19 +832,7 @@ def run_chain(
         mode=hyper.mode,
     )
     for it in range(1, config.n_iterations + 1):
-        rates = (exposure * state.phi_star[state.z])[:, None] * state.theta[month_idx[1:]]
-        state.innovations = kernel(state.innovations, state.alpha, rates, rng)
-        stats = SuffStats.from_state(state, panel, mode=hyper.mode)
-        state.z, stats = sample_memberships(state, panel, stats, hyper, rng, log_gamma=log_gamma)
-        state.phi_star = sample_unique_rates(stats, hyper, rng)
-        state.theta = sample_seasonals(stats, state, panel, hyper, rng)
-        state.alpha = sample_thinnings(state, panel, hyper, rng)
-        state.tau = sample_concentration(state.n_clusters, L, state.tau, hyper, rng)
-
-        if config.validate_sweeps:
-            state.validate(panel)
-            stats.validate()
-
+        sweep(state, panel, kernel, hyper, rng, log_gamma)
         if it > config.burn_in and (it - config.burn_in) % config.thin_interval == 0:
             d = (it - config.burn_in) // config.thin_interval - 1
             K = state.n_clusters

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from poinar.forecast import ForecastDistribution, posterior_predictive
 from poinar.model import MODE_PLAIN, ModelState
 from poinar.panel import N_MONTHS
 from poinar.sampler import PosteriorDraws
@@ -61,3 +62,12 @@ def assert_same_draws(a: PosteriorDraws, b: PosteriorDraws):
     if a.innovations is not None:
         assert np.array_equal(a.innovations, b.innovations)
     assert a.mode == b.mode
+
+
+def one_draw_pmf(y_T: int, alpha: float, lam: float, theta: float = 1.0) -> ForecastDistribution:
+    """``posterior_predictive`` of one series at origin count ``y_T`` under
+    one draw: thinning ``alpha``, rate ``lam`` and seasonal effect ``theta``
+    in every month, so the innovation rate is ``lam * theta``."""
+    state = ModelState(alpha=[alpha], z=[0], phi_star=[lam], theta=np.full(N_MONTHS, theta),
+                       tau=1.0)
+    return posterior_predictive([y_T], draws_from_states([state]), 1)[0]

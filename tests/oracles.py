@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from the definitions (brute force,
 quadrature, exhaustive enumeration) and shares no code path with the package.
-The exceptions are the last four sections: the earlier, simpler
+That includes ``innovation_pmf``, the exact conditional of one innovation
+count, against which the sampler's vectorized ``InnovationKernel`` is
+checked. The exceptions are the last four sections: the earlier, simpler
 implementations of the sweep hot spots, of the per-series predictive pmfs
 and of the study's scoring layers (per-series CLS fits, the pairwise
 representative clustering), kept verbatim so that the faster package
@@ -25,7 +27,7 @@ from scipy.integrate import simpson
 from scipy.optimize import linear_sum_assignment
 from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
-from poinar.baselines import ClsPanelEstimate, DegenerateSeriesError
+from poinar.baselines import ClsPanelEstimate
 from poinar.io import ParseError, load_exposure, months_of
 from poinar.panel import CountPanel
 from poinar.sampler import (
@@ -34,6 +36,42 @@ from poinar.sampler import (
     SuffStats,
     log_innovation_total_marginal,
 )
+
+
+_ALPHA_EPS = 1e-12
+
+
+def innovation_support(y_prev: int, y_curr: int) -> tuple[int, int]:
+    """Feasible innovation range: max(0, y_curr - y_prev) .. y_curr."""
+    return max(0, int(y_curr) - int(y_prev)), int(y_curr)
+
+
+def innovation_pmf(y_prev: int, y_curr: int, alpha: float, rate: float) -> np.ndarray:
+    """Exact conditional pmf of one innovation count over its support.
+
+    The returned array aligns with ``range(lo, hi + 1)`` where
+    ``(lo, hi) = innovation_support(y_prev, y_curr)``. The unnormalized weight
+    of innovation e is
+    ``(rate * (1 - alpha) / alpha)**e / (e! (y_curr-e)! (y_prev-y_curr+e)!)``,
+    with alpha clamped to [1e-12, 1 - 1e-12] as the kernel clamps it.
+    """
+    if rate <= 0:
+        raise ValueError("innovation rate must be positive")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"thinning probability must lie in [0, 1], got {alpha}")
+    lo, hi = innovation_support(y_prev, y_curr)
+    eps = np.arange(lo, hi + 1)
+    a = min(max(alpha, _ALPHA_EPS), 1.0 - _ALPHA_EPS)
+    log_c = np.log(rate) + np.log1p(-a) - np.log(a)
+    logw = (
+        eps * log_c
+        - gammaln(eps + 1.0)
+        - gammaln(y_curr - eps + 1.0)
+        - gammaln(y_prev - y_curr + eps + 1.0)
+    )
+    logw -= logw.max()
+    w = np.exp(logw)
+    return w / w.sum()
 
 
 def convolution_innovation_pmf(y_prev: int, y_curr: int, alpha: float, rate: float) -> np.ndarray:
@@ -195,8 +233,6 @@ def grid_search_sse(
 # ---------------------------------------------------------------------------
 # Earlier sweep hot spots, kept verbatim as bit-identity references
 # ---------------------------------------------------------------------------
-
-_ALPHA_EPS = 1e-12
 
 
 class PaddedInnovationKernel:
@@ -496,6 +532,10 @@ def per_cell_load_counts(path, exposure_path=None) -> CountPanel:
 # ---------------------------------------------------------------------------
 
 _CLS_THETA_FLOOR = 1e-8
+
+
+class DegenerateSeriesError(ValueError):
+    """An identically zero series: no signal for the CLS model to fit."""
 
 
 def per_series_cls_fit(series, season_of, init=None, tol: float = 1e-8, max_iter: int = 100):

@@ -13,17 +13,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drawrows import DRAW_FIELDS
+from drawrows import DRAW_FIELDS, one_draw_pmf
 from oracles import (
     convolution_innovation_pmf,
     exhaustive_min_hamming,
     grid_search_sse,
+    innovation_pmf,
+    innovation_support,
     quadrature_log_marginal,
 )
-from poinar.baselines import cls_fit
+from poinar.baselines import cls_fit_panel
 from poinar.cli import main
 from poinar.diagnostics import cluster_count_histogram, hamming_error, psrf
-from poinar.forecast import predictive_pmf, quantile
+from poinar.forecast import quantile
 from poinar.harness import (
     benchmark_scenarios,
     run_study,
@@ -36,12 +38,9 @@ from poinar.sampler import (
     InnovationKernel,
     PosteriorDraws,
     SamplerConfig,
-    innovation_pmf,
-    innovation_support,
     log_innovation_total_marginal,
     run_chain,
     run_chains,
-    sample_innovation,
 )
 
 
@@ -98,17 +97,6 @@ def test_c01_innovation_sampler_exactness():
             observed = np.sum(draws == lo + k)
             if abs(observed - n * p) >= 3 * np.sqrt(n * p * (1 - p)):
                 freq_ok = False
-
-    # the scalar draw path, same band
-    y_prev, y_curr, alpha, rate = 5, 4, 0.5, 1.0
-    draws = np.array([sample_innovation(y_prev, y_curr, alpha, rate, rng) for _ in range(n)])
-    pmf = innovation_pmf(y_prev, y_curr, alpha, rate)
-    for k, p in enumerate(pmf):
-        if n * p < 10:
-            continue
-        observed = np.sum(draws == k)
-        if abs(observed - n * p) >= 3 * np.sqrt(n * p * (1 - p)):
-            freq_ok = False
 
     elapsed = time.monotonic() - started
     report(
@@ -187,15 +175,14 @@ def test_c07_cls_validity():
         season = np.tile(np.arange(1, 13), T // 12 + 1)[:T]
         y = simulate_poinar(lam, alpha, theta, season,
                             rng=np.random.default_rng(1000 + i))
-        est = cls_fit(y, season, record_sse=True)
-        constraint = abs(est.theta.sum() - 1.0) < 1e-10
-        downhill = bool(
-            np.all(np.diff(est.sse_trace) <= 1e-9 * max(1.0, est.sse_trace[0]))
-        )
-        converged = est.converged and est.iterations <= 100
+        est = cls_fit_panel(y[None], season, record_sse=True)
+        trace = est.sse_traces[0]
+        constraint = abs(est.theta[0].sum() - 1.0) < 1e-10
+        downhill = bool(np.all(np.diff(trace) <= 1e-9 * max(1.0, trace[0])))
+        converged = bool(est.converged[0]) and est.iterations[0] <= 100
         oracle = grid_search_sse(y, season)
-        beats = est.sse <= oracle + 1e-6
-        clean = not est.projected
+        beats = est.sse[0] <= oracle + 1e-6
+        clean = not est.projected[0]
         ok = constraint and downhill and converged and beats and clean
         all_ok &= ok
         if not ok:
@@ -218,7 +205,7 @@ def test_c08_forecast_identities():
     ]
     assert len(cases) == 100
     for y_T, alpha, rate in cases:
-        dist = predictive_pmf(y_T, alpha, rate, 1.0)
+        dist = one_draw_pmf(y_T, alpha, rate)
         err = abs(dist.mean - (alpha * y_T + rate))
         worst_mean = max(worst_mean, err)
         mean_ok &= err < 1e-10
@@ -227,7 +214,7 @@ def test_c08_forecast_identities():
     mono_ok = True
     levels = np.linspace(0.02, 0.98, 25)
     for y_T, alpha, rate in ((0, 0.5, 1.0), (5, 0.25, 5.0), (12, 0.75, 0.1)):
-        dist = predictive_pmf(y_T, alpha, rate, 1.0)
+        dist = one_draw_pmf(y_T, alpha, rate)
         qs = [quantile(dist, u) for u in levels]
         mono_ok &= bool(np.all(np.diff(qs) >= 0))
 

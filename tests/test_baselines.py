@@ -1,4 +1,4 @@
-"""CLS fixed-point estimator and the series-average baseline."""
+"""The CLS fixed-point estimator and the series-average baseline."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_search_sse, per_series_cls_fit, per_series_cls_panel, profiled_theta_sse
-from poinar.baselines import (
-    DegenerateSeriesError,
-    cls_fit,
-    cls_fit_panel,
-    cls_forecast,
-    cls_sse,
-    spp_fit_forecast,
-)
+from poinar.baselines import cls_fit_panel
 from poinar.forecast import conditional_mean_h_step
+from poinar.io import ParseError, load_counts
 from poinar.model import simulate_poinar
 
 SEASONS = np.tile(np.arange(1, 13), 4000)
@@ -26,92 +20,98 @@ def simulated_series(lam=2.0, alpha=0.5, T=2000, seed=0, theta=None):
     return simulate_poinar(lam, alpha, theta, SEASONS[:T], rng=rng), SEASONS[:T]
 
 
+def fit_one(y, season, **kwargs):
+    """``cls_fit_panel`` on the one-row panel ``y``."""
+    return cls_fit_panel(np.asarray(y)[None], season, **kwargs)
+
+
 class TestClsFit:
     def test_recovers_simulated_parameters(self):
         y, season = simulated_series(lam=2.0, alpha=0.5, T=2000, seed=1)
-        est = cls_fit(y, season)
-        assert abs(est.alpha - 0.5) < 0.1
+        est = fit_one(y, season)
+        assert abs(est.alpha[0] - 0.5) < 0.1
         # pooled monthly innovation rate; per-month needs far longer series
-        assert abs(est.lam * est.theta.mean() - 2.0 / 12) < 0.15 * (2.0 / 12)
+        assert abs(est.lam[0] * est.theta[0].mean() - 2.0 / 12) < 0.15 * (2.0 / 12)
 
     def test_monthly_rates_consistent_in_the_limit(self):
         y, season = simulated_series(lam=2.0, alpha=0.5, T=40_000, seed=2)
-        est = cls_fit(y, season)
-        monthly = est.lam * est.theta
+        est = fit_one(y, season)
+        monthly = est.lam[0] * est.theta[0]
         assert np.all(np.abs(monthly - 2.0 / 12) < 0.15 * (2.0 / 12))
 
     def test_theta_constraint(self):
         for seed in range(4):
             y, season = simulated_series(lam=1.0, alpha=0.3, T=300, seed=seed)
-            est = cls_fit(y, season)
-            assert abs(est.theta.sum() - 1.0) < 1e-10
+            est = fit_one(y, season)
+            assert abs(est.theta[0].sum() - 1.0) < 1e-10
 
     def test_each_block_update_weakly_decreases_sse(self):
         y, season = simulated_series(lam=1.5, alpha=0.4, T=400, seed=3)
-        est = cls_fit(y, season, record_sse=True)
-        assert not est.projected
-        diffs = np.diff(est.sse_trace)
-        assert np.all(diffs <= 1e-9 * max(1.0, est.sse_trace[0]))
+        est = fit_one(y, season, record_sse=True)
+        assert not est.projected[0]
+        trace = est.sse_traces[0]
+        assert np.all(np.diff(trace) <= 1e-9 * max(1.0, trace[0]))
 
     def test_beats_grid_search_oracle(self):
         # informative series keep the seasonal floor projection out of play,
         # so the equality-constrained oracle bounds the same problem
         for seed in (5, 6, 7):
             y, season = simulated_series(lam=6.0, alpha=0.6, T=350, seed=seed)
-            est = cls_fit(y, season)
-            assert not est.projected
-            assert est.sse <= grid_search_sse(y, season) + 1e-6
+            est = fit_one(y, season)
+            assert not est.projected[0]
+            assert est.sse[0] <= grid_search_sse(y, season) + 1e-6
 
     def test_sparse_series_projection_keeps_forecast_usable(self):
         # very sparse data can drive seasonal updates negative; the flagged
         # floor-and-renormalize keeps theta feasible and forecasts finite
         y, season = simulated_series(lam=1.2, alpha=0.6, T=350, seed=7)
-        est = cls_fit(y, season)
-        assert est.projected
-        assert abs(est.theta.sum() - 1.0) < 1e-10
-        assert np.all(est.theta >= 0)
-        assert np.isfinite(cls_forecast(est, 2, 5))
+        est = fit_one(y, season)
+        assert est.projected[0]
+        assert abs(est.theta[0].sum() - 1.0) < 1e-10
+        assert np.all(est.theta[0] >= 0)
+        assert np.isfinite(conditional_mean_h_step(2, est.alpha, est.lam, est.theta, [5])).all()
 
     def test_profiled_theta_agrees_with_cyclic_update_at_optimum(self):
         # at the fitted (alpha, lam) the KKT oracle can do no better
         y, season = simulated_series(lam=6.0, alpha=0.2, T=300, seed=8)
-        est = cls_fit(y, season)
-        assert not est.projected
-        assert est.sse <= profiled_theta_sse(y, season, est.alpha, est.lam) + 1e-9
+        est = fit_one(y, season)
+        assert not est.projected[0]
+        assert est.sse[0] <= profiled_theta_sse(y, season, est.alpha[0], est.lam[0]) + 1e-9
 
     def test_iid_data_drives_alpha_to_zero(self):
         estimates = []
         for seed in range(5):
             y, season = simulated_series(lam=3.0, alpha=0.0, T=5000, seed=10 + seed)
-            estimates.append(cls_fit(y, season).alpha)
+            estimates.append(fit_one(y, season).alpha[0])
         assert abs(np.mean(estimates)) < 0.1
 
     def test_deterministic_given_init(self):
         y, season = simulated_series(T=200, seed=12)
-        a = cls_fit(y, season)
-        b = cls_fit(y, season)
-        assert a.alpha == b.alpha and a.lam == b.lam
-        assert np.array_equal(a.theta, b.theta)
+        a = fit_one(y, season)
+        b = fit_one(y, season)
+        for name in ("alpha", "lam", "theta"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_converges_quickly(self):
         y, season = simulated_series(T=500, seed=13)
-        est = cls_fit(y, season)
-        assert est.converged and est.iterations <= 100
+        est = fit_one(y, season)
+        assert est.converged[0] and est.iterations[0] <= 100
 
     def test_identically_zero_series_rejected(self):
-        with pytest.raises(DegenerateSeriesError):
-            cls_fit(np.zeros(100, dtype=int), SEASONS[:100])
+        # no signal to fit: the row is flagged, not fitted, and keeps the zero model
+        est = fit_one(np.zeros(100, dtype=int), SEASONS[:100])
+        assert est.degenerate[0] and est.iterations[0] == 0 and not est.converged[0]
+        assert est.alpha[0] == est.lam[0] == est.sse[0] == 0.0
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            cls_fit(np.ones(10, dtype=int), SEASONS[:10])
+            fit_one(np.ones(10, dtype=int), SEASONS[:10])
 
     def test_reported_sse_matches_recompute(self):
         y, season = simulated_series(T=300, seed=14)
-        est = cls_fit(y, season)
-        assert est.sse == pytest.approx(
-            cls_sse(y, season, est.alpha, est.lam, est.theta), rel=1e-12
-        )
+        est = fit_one(y, season)
+        resid = y[1:] - est.alpha[0] * y[:-1] - est.lam[0] * est.theta[0][season[1:] - 1]
+        assert est.sse[0] == pytest.approx(float(resid @ resid), rel=1e-12)
 
 
 PANEL_FIELDS = ("alpha", "lam", "theta", "sse", "iterations", "converged", "projected",
@@ -197,10 +197,10 @@ class TestClsFitPanel:
     def test_one_row_fit_with_init_matches_oracle(self):
         y, season = simulated_series(lam=1.2, alpha=0.6, T=350, seed=7)
         init = (0.5, 3.0, np.linspace(1.0, 2.0, 12) / np.linspace(1.0, 2.0, 12).sum())
-        est = cls_fit(y, season, init=init)
+        est = fit_one(y, season, init=init)
         expected = per_series_cls_fit(y, season, init=init)
-        got = (est.alpha, est.lam, est.theta, est.sse, est.iterations, est.converged,
-               est.projected)
+        got = (est.alpha[0], est.lam[0], est.theta[0], est.sse[0], est.iterations[0],
+               est.converged[0], est.projected[0])
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
 
@@ -208,9 +208,9 @@ class TestClsFitPanel:
         counts = np.array([simulated_series(lam=1.5, alpha=0.4, T=400, seed=s)[0] for s in (3, 4)])
         fit = cls_fit_panel(counts, SEASONS[:400], record_sse=True)
         for l in range(2):
-            alone = cls_fit(counts[l], SEASONS[:400], record_sse=True)
-            assert fit.sse_traces[l] == alone.sse_trace
-            assert len(alone.sse_trace) == 1 + 2 * alone.iterations
+            alone = fit_one(counts[l], SEASONS[:400], record_sse=True)
+            assert fit.sse_traces[l] == alone.sse_traces[0]
+            assert len(alone.sse_traces[0]) == 1 + 2 * alone.iterations[0]
 
     def test_degenerate_rows_forecast_zero(self):
         counts = np.array([np.zeros(30, dtype=np.int64), np.arange(30) % 4])
@@ -229,41 +229,52 @@ class TestClsFitPanel:
 
 
 class TestClsForecast:
+    """The study's CLS forecast: ``conditional_mean_h_step`` on the fit."""
+
     def test_no_carryover(self):
         y, season = simulated_series(T=300, seed=20)
-        est = cls_fit(y, season)
-        est.alpha = 0.0
-        assert cls_forecast(est, 5, 4) == pytest.approx(est.lam * est.theta[3], abs=1e-12)
+        est = fit_one(y, season)
+        mean = conditional_mean_h_step(5, 0.0, est.lam[0], est.theta[0], 4)
+        assert mean == pytest.approx(est.lam[0] * est.theta[0, 3], abs=1e-12)
 
     def test_one_step_substitution(self):
         y, season = simulated_series(T=300, seed=21)
-        est = cls_fit(y, season)
-        expected = est.alpha * 3 + est.lam * est.theta[6]
-        assert cls_forecast(est, 3, 7) == pytest.approx(expected, rel=1e-12)
+        est = fit_one(y, season)
+        expected = est.alpha[0] * 3 + est.lam[0] * est.theta[0, 6]
+        mean = conditional_mean_h_step(3, est.alpha[0], est.lam[0], est.theta[0], 7)
+        assert mean == pytest.approx(expected, rel=1e-12)
 
     def test_matches_forecast_module(self):
-        y, season = simulated_series(T=300, seed=22)
-        est = cls_fit(y, season)
+        # one call over the panel's rows, as the study makes it, equals a
+        # call per series
+        counts = np.array([simulated_series(T=300, seed=s)[0] for s in (22, 23, 24)])
+        est = cls_fit_panel(counts, SEASONS[:300])
         months = [2, 3, 4]
-        assert cls_forecast(est, 4, months) == conditional_mean_h_step(
-            4, est.alpha, est.lam, est.theta, months
-        )
+        panel = conditional_mean_h_step(counts[:, -1], est.alpha, est.lam, est.theta, months)
+        for l in range(3):
+            assert panel[l] == conditional_mean_h_step(
+                counts[l, -1], est.alpha[l], est.lam[l], est.theta[l], months
+            )
 
 
 class TestSpp:
-    def test_examples(self):
-        assert spp_fit_forecast([0, 1, 2]) == 1.0
-        assert spp_fit_forecast([7, 7, 7, 7]) == 7.0
-        assert spp_fit_forecast([0, 0, 0, 4]) == 1.0
+    """The series-average baseline: the panel's row means."""
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            spp_fit_forecast([])
+    def test_examples(self):
+        counts = np.array([[0, 1, 2, 0], [7, 7, 7, 7], [0, 0, 0, 4]])
+        assert counts.mean(axis=1).tolist() == [0.75, 7.0, 1.0]
+
+    def test_empty_rejected(self, tmp_path):
+        # a counts file must hold weeks, so no series is empty
+        path = tmp_path / "counts.csv"
+        path.write_text("series_id\ns000\n")
+        with pytest.raises(ParseError, match="no week columns"):
+            load_counts(path)
 
     @given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 20), T=st.integers(1, 600),
            scale=st.sampled_from([0.1, 3.0, 1e4]))
     @settings(max_examples=80, deadline=None)
     def test_panel_row_means_equal_per_series_averages(self, seed, L, T, scale):
         counts = np.random.default_rng(seed).poisson(scale, (L, T))
-        expected = [spp_fit_forecast(row) for row in counts]
+        expected = [float(np.mean(row)) for row in counts]
         assert counts.mean(axis=1).tolist() == expected

@@ -9,16 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from drawrows import draws_from_states
+from drawrows import draws_from_states, one_draw_pmf
 from oracles import per_series_posterior_predictive, scalar_predictive_pmf
 from poinar import forecast
 from poinar.forecast import (
     ForecastDistribution,
-    _predictive_rows,
     conditional_mean_h_step,
     posterior_conditional_means,
     posterior_predictive,
-    predictive_pmf,
     quantile,
 )
 from poinar.model import ModelState
@@ -141,20 +139,20 @@ class TestPosteriorConditionalMeans:
 
 class TestPredictivePmf:
     def test_no_previous_count_gives_poisson(self):
-        dist = predictive_pmf(0, 0.5, 2.0, 1.5)
+        dist = one_draw_pmf(0, 0.5, 2.0, 1.5)
         rate = 3.0
         assert dist.pmf[0] == pytest.approx(np.exp(-rate), rel=1e-12)
         grid = np.arange(dist.y_max + 1)
         assert np.allclose(dist.pmf, sps.poisson.pmf(grid, rate), atol=1e-12)
 
     def test_no_innovations_gives_binomial(self):
-        dist = predictive_pmf(3, 0.5, 0.0, 1.0)
+        dist = one_draw_pmf(3, 0.5, 0.0, 1.0)
         assert np.allclose(dist.pmf[:4], sps.binom.pmf(np.arange(4), 3, 0.5), atol=1e-14)
         assert np.all(dist.pmf[4:] == 0)
 
     def test_mixed_case_brute_force(self):
         # P(Y=0) = (1 - alpha) * exp(-1)
-        dist = predictive_pmf(1, 0.5, 1.0, 1.0)
+        dist = one_draw_pmf(1, 0.5, 1.0, 1.0)
         assert dist.pmf[0] == pytest.approx(0.5 * np.exp(-1.0), rel=1e-12)
         # full brute-force convolution over the survivor count
         grid = np.arange(dist.y_max + 1)
@@ -170,22 +168,23 @@ class TestPredictivePmf:
             alpha = rng.uniform(0, 1)
             lam = rng.uniform(0.01, 8.0)
             theta = rng.uniform(0.2, 3.0)
-            dist = predictive_pmf(y_T, alpha, lam, theta)
+            dist = one_draw_pmf(y_T, alpha, lam, theta)
             assert abs(dist.mean - (alpha * y_T + lam * theta)) < 1e-10
             assert dist.pmf.sum() >= 1 - 1e-9
 
     def test_explicit_truncation_extends_when_too_small(self):
-        dist = predictive_pmf(2, 0.5, 5.0, 1.0, y_max=3)
-        assert dist.y_max > 3
-        assert dist.pmf.sum() >= 1 - 1e-9
+        rows = shared_rows(2, [0.5], [5.0], m=3)
+        assert rows.shape[1] - 1 > 3
+        assert rows.sum() >= 1 - 1e-9
 
 
 class TestPosteriorPredictive:
     def test_single_draw_equals_plain_pmf(self):
         state = _state(0.4, 2.0, 1.3, month=5)
         avg = posterior_predictive([3], _draws([state]), month=5)[0]
-        plain = predictive_pmf(3, 0.4, 2.0, 1.3)
-        assert np.allclose(avg.pmf[: plain.y_max + 1], plain.pmf, atol=1e-15)
+        oracle = scalar_predictive_pmf(3, 0.4, 2.0 * 1.3)
+        assert avg.y_max == oracle.shape[0] - 1  # the draw's own truncation point
+        assert np.abs(avg.pmf - oracle).max() <= 1e-13
 
     def test_identical_draws_collapse(self):
         state = _state(0.4, 2.0, 1.3)
@@ -215,7 +214,7 @@ class TestPosteriorPredictive:
         with pytest.raises(ValueError):
             posterior_predictive([1], draws, 1)
         scaled = posterior_predictive([1], draws, 1, exposure=np.array([2.0]))[0]
-        plain = predictive_pmf(1, 0.4, 4.0, 1.0)
+        plain = one_draw_pmf(1, 0.4, 4.0)
         assert np.allclose(scaled.pmf[: plain.y_max + 1], plain.pmf, atol=1e-15)
 
     def test_empty_draws_rejected(self):
@@ -359,6 +358,16 @@ class TestGroupedPosteriorPredictive:
             posterior_predictive(np.array([1, -1]), draws, 1)
 
 
+def shared_rows(y_T: int, alpha, rate, m: int | None = None) -> np.ndarray:
+    """The pmf rows of one series' draws from ``_truncated_rows``, sharing
+    one truncation point that starts at ``m`` when given: shape (D, m+1)."""
+    alpha = np.asarray(alpha, dtype=float)[None]
+    rate = np.asarray(rate, dtype=float)[None]
+    start = forecast._start_points(y_T, alpha, rate) if m is None else [m]
+    ((_, rows),) = forecast._truncated_rows(y_T, alpha, rate, start)
+    return rows[0]
+
+
 class TestPredictiveKernel:
     """The batched kernel against the scalar scipy oracle, draw by draw."""
 
@@ -378,7 +387,7 @@ class TestPredictiveKernel:
     @settings(max_examples=120, deadline=None)
     def test_rows_match_scalar_oracle(self, y_T, params):
         alpha, rate = (np.array(v) for v in zip(*params))
-        rows = _predictive_rows(y_T, alpha, rate)
+        rows = shared_rows(y_T, alpha, rate)
         m = rows.shape[1] - 1
         for row, a, r in zip(rows, alpha, rate):
             # the shared truncation point meets the oracle's budgets too
@@ -397,24 +406,25 @@ class TestPredictiveKernel:
 
     def test_shared_truncation_covers_every_draw(self):
         # a draw with a wide pmf sets m for a draw with a narrow one
-        rows = _predictive_rows(3, [0.2, 0.9], [0.1, 30.0])
+        rows = shared_rows(3, [0.2, 0.9], [0.1, 30.0])
         wide = scalar_predictive_pmf(3, 0.9, 30.0)
         assert rows.shape[1] >= wide.shape[0]
         assert np.all(1.0 - rows.sum(axis=1) < 1e-9)
 
     def test_point_masses(self):
         # alpha = 0 with no innovations, and alpha = 1 with none: pmf = delta
-        rows = _predictive_rows(5, [0.0, 1.0], [0.0, 0.0])
+        rows = shared_rows(5, [0.0, 1.0], [0.0, 0.0])
         assert rows[0, 0] == 1.0 and rows[0, 1:].sum() == 0.0
         assert rows[1, 5] == 1.0 and rows[1].sum() == 1.0
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError, match="thinning"):
-            _predictive_rows(2, [0.5, 1.5], [1.0, 1.0])
-        with pytest.raises(ValueError, match="thinning"):
-            _predictive_rows(2, [np.nan], [1.0])
-        with pytest.raises(ValueError, match="rate"):
-            _predictive_rows(2, [0.5], [-1.0])
+        theta = np.ones((1, 12))
+        cases = (("thinning", [[0.5, 1.5]], [[1.0, 1.0]]), ("thinning", [[np.nan]], [[1.0]]),
+                 ("rate", [[0.5]], [[-1.0]]))
+        for match, alpha, lam in cases:
+            draws = _series_draws(np.array(alpha), np.array(lam), theta)
+            with pytest.raises(ValueError, match=match):
+                posterior_predictive(np.full(len(alpha[0]), 2), draws, 1)
 
 
 class TestQuantiles:
@@ -425,13 +435,13 @@ class TestQuantiles:
         assert quantile(dist, 0.5) == 3
 
     def test_poisson_unit_rate(self):
-        dist = predictive_pmf(0, 0.0, 1.0, 1.0)
+        dist = one_draw_pmf(0, 0.0, 1.0, 1.0)
         # Poisson(1): CDF(2) = 0.9197 < 0.95 <= CDF(3) = 0.9810
         assert quantile(dist, 0.95) == 3
         assert quantile(dist, 0.5) == 1
 
     def test_levels_in_one_call(self):
-        dist = predictive_pmf(3, 0.4, 2.0, 1.3)
+        dist = one_draw_pmf(3, 0.4, 2.0, 1.3)
         levels = [0.05, 0.5, 0.95, 0.99]
         assert quantile(dist, levels).tolist() == [quantile(dist, u) for u in levels]
         assert type(quantile(dist, 0.5)) is int
@@ -439,7 +449,7 @@ class TestQuantiles:
             quantile(dist, [0.5, 1.5])
 
     def test_domain(self):
-        dist = predictive_pmf(0, 0.0, 1.0, 1.0)
+        dist = one_draw_pmf(0, 0.0, 1.0, 1.0)
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 quantile(dist, bad)
@@ -452,15 +462,15 @@ class TestQuantiles:
     @settings(max_examples=150, deadline=None)
     def test_monotone_in_level(self, seed, u1, du):
         rng = np.random.default_rng(seed)
-        dist = predictive_pmf(
+        dist = one_draw_pmf(
             int(rng.integers(0, 10)), rng.uniform(0, 1), rng.uniform(0.05, 5.0), 1.0
         )
         u2 = min(u1 + du, 0.995)
         assert quantile(dist, u1) <= quantile(dist, u2)
 
     def test_interval_brackets(self):
-        dist = predictive_pmf(2, 0.5, 2.0, 1.0)
-        lo, hi = dist.interval(0.05, 0.95)
+        dist = one_draw_pmf(2, 0.5, 2.0, 1.0)
+        lo, hi = quantile(dist, (0.05, 0.95))
         assert lo <= quantile(dist, 0.5) <= hi
 
     def test_median_brackets_mean_on_grid(self):
@@ -469,5 +479,5 @@ class TestQuantiles:
         for y_T in (0, 1, 2, 5, 12):
             for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
                 for rate in (0.1, 1.0, 5.0, 20.0):
-                    dist = predictive_pmf(y_T, alpha, rate, 1.0)
+                    dist = one_draw_pmf(y_T, alpha, rate, 1.0)
                     assert abs(quantile(dist, 0.5) - round(dist.mean)) <= 1

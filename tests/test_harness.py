@@ -75,6 +75,11 @@ class TestStudy:
                 report_b.result("smoke"), name
             )
 
+    def test_settings_that_keep_no_draws_rejected(self):
+        with pytest.raises(ConfigurationError, match="keep no draws"):
+            run_study([scenario_by_name("hard-0.1")], n_replicates=1,
+                      sampler_config=SamplerConfig(n_iterations=20, burn_in=10, thin_interval=20))
+
     @pytest.mark.slow
     def test_desk_scale_shrinks_series_count(self):
         sc = scenario_by_name("hard-0.1")

@@ -812,6 +812,9 @@ class TestCli:
         ["fit", "--seed", "-1"],
         ["study", "--seed", "-1"],
         ["evaluate", "--bucket-cap", "-1"],
+        # sweep settings that keep no draws
+        ["study", "--replicates", "1", "--iterations", "20", "--burn-in", "10", "--thin", "20"],
+        ["fit", "--iterations", "20", "--burn-in", "10", "--thin", "20"],
     ])
     def test_bad_settings_are_usage_errors(self, tmp_path, tiny_draws, argv, capsys):
         io.save_counts(_tiny_panel(), tmp_path / "c.csv")

@@ -8,7 +8,13 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from drawrows import assert_same_draws, draw_state, draws_from_states
-from oracles import convolution_innovation_pmf, quadrature_log_marginal
+from oracles import (
+    convolution_innovation_pmf,
+    innovation_pmf,
+    innovation_support,
+    quadrature_log_marginal,
+)
+from poinar import sampler
 from poinar.model import Hyperparams, ModelState, simulate_panel
 from poinar.panel import CountPanel
 from poinar.sampler import (
@@ -20,13 +26,10 @@ from poinar.sampler import (
     SamplerConfig,
     SuffStats,
     concentration_mixture,
-    innovation_pmf,
-    innovation_support,
     log_innovation_total_marginal,
     run_chain,
     run_chains,
     sample_concentration,
-    sample_innovation,
     sample_memberships,
     sample_seasonals,
     sample_thinnings,
@@ -47,14 +50,29 @@ def small_panel(L=6, T=60, rates=(1.0, 4.0), alpha=0.4, seed=100, exposure=None)
     return panel, truth
 
 
+def kernel_draws(counts, alpha, rates, seed=0):
+    """One ``InnovationKernel`` update of ``counts`` from zero innovations."""
+    counts = np.asarray(counts)
+    return InnovationKernel(counts)(np.zeros_like(counts), np.asarray(alpha, dtype=float),
+                                    np.asarray(rates, dtype=float), np.random.default_rng(seed))
+
+
 class TestInnovationConditional:
     def test_zero_previous_forces_all_innovation(self):
         rng = np.random.default_rng(0)
-        assert sample_innovation(0, 3, 0.7, 2.0, rng) == 3
+        before = rng.bit_generator.state
+        out = InnovationKernel(np.array([[0, 3, 0, 2]]))(
+            np.zeros((1, 4), dtype=np.int64), np.array([0.7]), np.full((1, 3), 2.0), rng)
+        assert out.tolist() == [[0, 3, 0, 2]]
+        assert rng.bit_generator.state == before  # no randomness needed
 
     def test_zero_current_forces_zero(self):
         rng = np.random.default_rng(0)
-        assert sample_innovation(2, 0, 0.7, 2.0, rng) == 0
+        before = rng.bit_generator.state
+        out = InnovationKernel(np.array([[2, 0, 4, 0]]))(
+            np.ones((1, 4), dtype=np.int64), np.array([0.7]), np.full((1, 3), 2.0), rng)
+        assert out.tolist() == [[2, 0, 4, 0]]
+        assert rng.bit_generator.state == before
 
     def test_symmetric_two_point_case(self):
         pmf = innovation_pmf(1, 1, 0.5, 1.0)
@@ -80,17 +98,19 @@ class TestInnovationConditional:
             assert pmf.shape == (hi - lo + 1,)
 
     def test_rate_domain(self):
-        with pytest.raises(ValueError):
-            innovation_pmf(1, 1, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            sample_innovation(1, 1, 0.5, -1.0, np.random.default_rng(0))
+        # a rate of 0 puts every cell at the lowest point of its support,
+        # the rate -> 0 limit of the conditional
+        counts = np.array([[3, 2, 5, 5, 0], [1, 4, 4, 2, 2]])
+        with np.errstate(divide="ignore", invalid="ignore"):  # log(0), then -inf - -inf
+            out = kernel_draws(counts, [0.5, 0.5], np.zeros((2, 4)))
+        assert out.tolist() == [[3, 0, 3, 0, 0], [1, 3, 0, 0, 0]]
 
     def test_sample_frequencies_match_pmf(self):
-        rng = np.random.default_rng(6)
         y_prev, y_curr, alpha, rate = 5, 4, 0.4, 1.5
         pmf = innovation_pmf(y_prev, y_curr, alpha, rate)
         n = 100_000
-        draws = np.array([sample_innovation(y_prev, y_curr, alpha, rate, rng) for _ in range(n)])
+        draws = kernel_draws(np.tile([[y_prev, y_curr]], (n, 1)), np.full(n, alpha),
+                             np.full((n, 1), rate), seed=6)[:, 1]
         lo, _ = innovation_support(y_prev, y_curr)
         for k, p in enumerate(pmf):
             observed = np.sum(draws == lo + k)
@@ -409,11 +429,34 @@ class TestChains:
         assert list(draws.iteration) == [14, 18, 22, 26, 30]
         assert np.all(draws.chain_index == 3)
 
-    def test_validated_sweeps_hold_invariants(self):
+    @staticmethod
+    def validate_every_sweep(monkeypatch) -> list:
+        """Make ``run_chain`` check the state and the statistics after each
+        sweep; returns the list that collects one entry per checked sweep."""
+        checked = []
+        sweep = sampler.sweep
+
+        def validating(state, panel, *args):
+            stats = sweep(state, panel, *args)
+            state.validate(panel)  # raises on any violation
+            stats.validate()
+            checked.append(state.n_clusters)
+            return stats
+
+        monkeypatch.setattr(sampler, "sweep", validating)
+        return checked
+
+    def test_validated_sweeps_hold_invariants(self, monkeypatch):
         panel, _ = small_panel(L=6, T=60)
-        config = SamplerConfig(n_iterations=40, burn_in=5, thin_interval=5,
-                               seed=3, validate_sweeps=True)
-        run_chain(panel, config)  # validate() raises on any violation
+        config = SamplerConfig(n_iterations=40, burn_in=5, thin_interval=5, seed=3)
+        checked = self.validate_every_sweep(monkeypatch)
+        run_chain(panel, config)
+        assert len(checked) == 40
+
+    def test_settings_that_keep_no_draws_rejected(self):
+        with pytest.raises(ConfigurationError, match="keep no draws"):
+            SamplerConfig(n_iterations=20, burn_in=10, thin_interval=20)
+        assert SamplerConfig(n_iterations=20, burn_in=10, thin_interval=10).draws_per_chain == 1
 
     def test_negative_seed_rejected(self):
         # numpy's SeedSequence takes no negative entropy
@@ -426,14 +469,16 @@ class TestChains:
         with pytest.raises(ConfigurationError):
             run_chain(panel, config)
 
-    def test_covariate_mode_runs_and_validates(self):
+    def test_covariate_mode_runs_and_validates(self, monkeypatch):
         exposure = np.array([0.5, 1.0, 2.0, 4.0, 1.5, 0.8])
         panel, _ = small_panel(L=6, T=60, exposure=exposure)
         config = SamplerConfig(
             n_iterations=40, burn_in=10, thin_interval=5, seed=4,
-            hyper=Hyperparams.default("covariate"), validate_sweeps=True,
+            hyper=Hyperparams.default("covariate"),
         )
+        checked = self.validate_every_sweep(monkeypatch)
         draws = run_chain(panel, config)
+        assert len(checked) == 40
         assert draws.mode == "covariate"
         assert len(draws) == config.draws_per_chain
 
