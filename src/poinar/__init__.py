@@ -25,7 +25,7 @@ from .forecast import (
 )
 from .harness import Scenario, benchmark_scenarios, run_study
 from .model import Hyperparams, ModelState, simulate_panel, simulate_poinar
-from .panel import CountPanel, SeasonSummary
+from .panel import CountPanel
 from .sampler import (
     PosteriorDraws,
     SamplerConfig,
@@ -42,7 +42,6 @@ from .sampler import (
 __all__ = [
     "__version__",
     "CountPanel",
-    "SeasonSummary",
     "Hyperparams",
     "ModelState",
     "simulate_poinar",

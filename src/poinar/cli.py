@@ -30,7 +30,7 @@ from .harness import (
     scenario_by_name,
     simulate_scenario,
 )
-from .model import MODE_COVARIATE, MODE_PLAIN, Hyperparams
+from .model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, model_exposure
 from .sampler import (
     INNOVATION_EXACT,
     INNOVATION_METROPOLIS,
@@ -128,8 +128,8 @@ def _hyper_from_args(args) -> Hyperparams:
 
 
 def _load_panel_and_draws(args) -> tuple:
-    """Load the counts and the draws fitted to them, plus the exposure the
-    draws' mode uses (``None`` for plain-mode draws)."""
+    """Load the counts and the draws fitted to them, plus the
+    ``model_exposure`` of the draws' mode."""
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
     draws = io.load_draws(args.draws)
     width = draws.alpha.shape[1]
@@ -146,8 +146,7 @@ def _load_panel_and_draws(args) -> tuple:
     outside = io.innovations_off_support(draws, panel)
     if outside:
         raise io.IntegrityError(f"{args.draws} does not fit {args.counts}: {outside}")
-    exposure = panel.exposure if draws.mode == MODE_COVARIATE else None
-    return panel, draws, exposure
+    return panel, draws, model_exposure(panel, draws.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +182,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     out = _out_dir(args)
-    if args.mode == MODE_COVARIATE and args.exposure is None:
-        raise ConfigurationError("covariate mode requires --exposure")
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
+    exposure = model_exposure(panel, args.mode)
     sampler_config = SamplerConfig(
         n_iterations=args.iterations,
         burn_in=args.burn_in,
@@ -213,7 +211,6 @@ def cmd_fit(args) -> int:
         "modal_clusters": hist.mode,
         "representative_assignment": [int(k) for k in representative_assignment(draws)],
     }
-    exposure = panel.exposure if args.mode == MODE_COVARIATE else None
     if len(chains) >= 2:
         diagnostics["psrf_rate_sum"] = psrf(draws.rate_sum_traces(exposure))
         diagnostics["psrf_alpha"] = psrf(draws.by_chain(draws.alpha)).tolist()
@@ -232,8 +229,6 @@ def cmd_forecast(args) -> int:
     if args.horizon < 1:
         raise ConfigurationError("horizon must be at least 1")
     panel, draws, exposure = _load_panel_and_draws(args)
-    if panel.week_starts is None:
-        raise ConfigurationError("counts file carries no week dates")
     future = io.months_of(
         io.week_starts_from(
             panel.week_starts[-1] + datetime.timedelta(days=7), args.horizon
@@ -263,10 +258,9 @@ def cmd_forecast(args) -> int:
 
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
-    panel, draws, exposure = _load_panel_and_draws(args)
+    panel, draws, _ = _load_panel_and_draws(args)
     report, rows = rolling_one_step_evaluation(
-        panel, draws, holdout=args.holdout, origins=args.origins,
-        bucket_cap=args.bucket_cap, exposure=exposure,
+        panel, draws, holdout=args.holdout, origins=args.origins, bucket_cap=args.bucket_cap,
     )
 
     columns = ["last_value", "rmse", "rmse_se", "bias", "bias_se", "frequency", "n"]

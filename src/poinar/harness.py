@@ -25,7 +25,7 @@ from .diagnostics import (
 )
 from .forecast import conditional_mean_h_step, posterior_conditional_means
 from .io import months_of, week_starts_from
-from .model import MODE_COVARIATE, simulate_panel
+from .model import model_exposure, simulate_panel
 from .panel import CountPanel
 from .sampler import ConfigurationError, PosteriorDraws, SamplerConfig, run_chain
 
@@ -57,7 +57,6 @@ class Scenario:
     L: int = 100
     T: int = 208
     theta_mode: str = THETA_UNIT
-    seed: int = 0
 
     def __post_init__(self):
         if any(r <= 0 for r in self.cluster_rates):
@@ -80,18 +79,13 @@ class Scenario:
 def benchmark_scenarios(L: int = 100, T: int = 208) -> list[Scenario]:
     """The 3x3 separation-by-thinning grid plus the single-cluster sanity
     case (all series sharing one rate)."""
-    scenarios = []
-    idx = 0
-    for sep, rates in SEPARATIONS.items():
-        for thin in THINNINGS:
-            scenarios.append(
-                Scenario(name=f"{sep}-{thin}", cluster_rates=rates, thinning=thin,
-                         L=L, T=T, seed=idx)
-            )
-            idx += 1
+    scenarios = [
+        Scenario(name=f"{sep}-{thin}", cluster_rates=rates, thinning=thin, L=L, T=T)
+        for sep, rates in SEPARATIONS.items()
+        for thin in THINNINGS
+    ]
     scenarios.append(
-        Scenario(name="single-cluster", cluster_rates=(3.0,), thinning=0.5,
-                 L=L, T=T, seed=idx)
+        Scenario(name="single-cluster", cluster_rates=(3.0,), thinning=0.5, L=L, T=T)
     )
     return scenarios
 
@@ -104,17 +98,17 @@ def scenario_by_name(name: str, L: int = 100, T: int = 208) -> Scenario:
     raise ConfigurationError(f"unknown scenario {name!r}; available: {names}")
 
 
-def simulate_scenario(scenario: Scenario, rng: np.random.Generator,
-                      theta_prior: tuple[float, float] = (1.0, 1.0)):
+def simulate_scenario(scenario: Scenario, rng: np.random.Generator):
     """Simulate one panel plus its truth; returns (panel, truth, next_month).
 
     The week calendar starts at a fixed date so the season map, and the month
-    of the first out-of-sample week, follow real month boundaries.
+    of the first out-of-sample week, follow real month boundaries. Seasonal
+    effects are all 1, or Gamma(1, 1) draws under the ``sampled`` theta mode.
     """
     dates = week_starts_from(SIM_START, scenario.T + 1)
     months = months_of(dates)
     if scenario.theta_mode == THETA_SAMPLED:
-        theta = rng.gamma(theta_prior[0], 1.0 / theta_prior[1], size=12)
+        theta = rng.gamma(1.0, 1.0, size=12)
     else:
         theta = np.ones(12)
     panel, truth = simulate_panel(
@@ -140,7 +134,6 @@ class ScenarioResult:
     modal_k: list[int]
     hamming_representative: list[float]
     hamming_mean: list[float]
-    n_replicates: int
 
 
 @dataclass
@@ -148,7 +141,6 @@ class StudyReport:
     scale: str
     seed: int
     n_replicates: int
-    sampler: SamplerConfig
     results: list[ScenarioResult] = field(default_factory=list)
 
     def result(self, name: str) -> ScenarioResult:
@@ -213,7 +205,7 @@ def run_study(
         raise ConfigurationError("the study needs at least one replicate")
     config = sampler_config or SamplerConfig(seed=seed)
 
-    report = StudyReport(scale=scale, seed=seed, n_replicates=reps, sampler=config)
+    report = StudyReport(scale=scale, seed=seed, n_replicates=reps)
     for si, sc in enumerate(scenarios):
         errors: dict[str, list[np.ndarray]] = {m: [] for m in METHODS}
         apes: dict[str, list[np.ndarray]] = {m: [] for m in METHODS}
@@ -270,7 +262,6 @@ def run_study(
                 modal_k=modal_k,
                 hamming_representative=ham_repr,
                 hamming_mean=ham_mean,
-                n_replicates=reps,
             )
         )
     return report
@@ -303,16 +294,15 @@ def rolling_one_step_evaluation(
     holdout: int,
     origins: str = "monthly",
     bucket_cap: int | None = 4,
-    exposure: np.ndarray | None = None,
 ) -> tuple[EvalReport, list[dict]]:
     """Score draw-averaged one-step forecasts against the held-out counts.
 
     The draws should come from a fit on the training prefix; each target week
     conditions on the actually observed previous week. Returns the report and
     the per-forecast rows (series, week, last value, prediction, actual).
+    Rates use the ``model_exposure`` of the draws' mode.
     """
-    if draws.mode == MODE_COVARIATE and exposure is None:
-        exposure = panel.exposure
+    exposure = model_exposure(panel, draws.mode)
     targets = np.array(holdout_origin_weeks(panel, holdout, origins), dtype=np.int64)
     if not targets.size:
         raise ConfigurationError("no forecast origins inside the holdout")

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import MODE_COVARIATE, MODE_PLAIN
 from .panel import N_MONTHS, CountPanel, innovation_bounds
 from .sampler import PosteriorDraws
 
@@ -318,6 +319,9 @@ def _fitted_to(path: Path, header: dict) -> tuple[int, str, str | None] | None:
 def load_draws(path) -> PosteriorDraws:
     """Read draws written by ``save_draws`` or by its versions 1 and 2.
 
+    The header's ``mode`` must be ``plain`` or ``covariate``; a header
+    without one reads as ``plain``.
+
     Every record is checked before use: ``chain``, ``iteration`` and ``z``
     hold JSON integers and the other fields JSON floats, each in range and
     of its width. A failed check raises an ``IntegrityError`` naming the
@@ -339,6 +343,9 @@ def load_draws(path) -> PosteriorDraws:
             f"(expected 1 to {DRAWS_VERSION})"
         )
     fitted_to = _fitted_to(path, header)
+    mode = header.get("mode", MODE_PLAIN)  # version 1 files may omit it
+    if mode not in (MODE_PLAIN, MODE_COVARIATE):
+        raise IntegrityError(f"{path}: header mode {mode!r} is not 'plain' or 'covariate'")
     n_draws = header.get("n_draws")
     if n_draws == 0:
         raise IntegrityError(f"{path}: holds no draws")
@@ -428,7 +435,7 @@ def load_draws(path) -> PosteriorDraws:
         chain_index=np.array([rec["chain"] for rec in rows], dtype=np.int64),
         iteration=np.array([rec["iteration"] for rec in rows], dtype=np.int64),
         innovations=innovations,
-        mode=header.get("mode", "plain"),
+        mode=mode,
         fitted_to=fitted_to,
     )
 

@@ -41,8 +41,9 @@ class Hyperparams:
     a_tau, b_tau : float
         Gamma prior on the DP concentration parameter.
     mode : str
-        ``"plain"`` models per-series rates directly; ``"covariate"`` factors
-        each rate as exposure times a clustered per-exposure rate.
+        ``"covariate"`` factors each rate as exposure times a clustered
+        per-exposure rate; ``"plain"`` is that model at unit exposure (see
+        ``model_exposure``).
     """
 
     eta1: float = 1.0
@@ -70,6 +71,20 @@ class Hyperparams:
         if mode == MODE_COVARIATE:
             return cls(gamma1=0.5, gamma2=0.5, mode=mode)
         return cls(mode=mode)
+
+
+def model_exposure(panel: CountPanel, mode: str) -> np.ndarray:
+    """The exposure e_l each series' rate e_l * psi_{z_l} carries in ``mode``.
+
+    Covariate mode uses the panel's exposure. Plain mode is the same model
+    at unit exposure, so it gets a vector of ones; multiplying by it changes
+    no value, and every rate and seasonal mass has one formula in both modes.
+    """
+    if mode != MODE_COVARIATE:
+        return np.ones(panel.n_series)
+    if panel.exposure is None:
+        raise ConfigurationError("covariate mode requires an exposure vector (--exposure)")
+    return panel.exposure
 
 
 @dataclass

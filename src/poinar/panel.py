@@ -27,6 +27,10 @@ class CountPanel:
     week_starts : list of datetime.date, optional
         Start date of each week; carried along when the panel came from (or
         goes to) a dated file, and used to extend the season map past T.
+
+    ``month_weeks`` (int64, 12 entries) is computed from ``season_of``:
+    entry m-1 counts the weeks in month m, so it sums to T and
+    ``month_weeks @ theta`` is the seasonal mass sum_t theta_{s(t)}.
     """
 
     counts: np.ndarray
@@ -34,7 +38,7 @@ class CountPanel:
     exposure: np.ndarray | None = None
     series_ids: list[str] = field(default_factory=list)
     week_starts: list | None = None
-    _season_summary: "SeasonSummary" = field(init=False, repr=False, compare=False)
+    month_weeks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -54,7 +58,7 @@ class CountPanel:
         if np.any((season < 1) | (season > N_MONTHS)):
             raise ValueError("season_of values must lie in 1..12")
         object.__setattr__(self, "season_of", season)
-        object.__setattr__(self, "_season_summary", SeasonSummary.from_season_map(season))
+        object.__setattr__(self, "month_weeks", np.bincount(season, minlength=N_MONTHS + 1)[1:])
 
         if self.exposure is not None:
             expo = np.asarray(self.exposure, dtype=float)
@@ -82,10 +86,6 @@ class CountPanel:
     def n_weeks(self) -> int:
         return self.counts.shape[1]
 
-    def season_summary(self) -> "SeasonSummary":
-        """Per-month week counts of the season map, computed once per panel."""
-        return self._season_summary
-
 
 def innovation_bounds(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The support ``(lo, hi)`` of every innovation count, both shaped like
@@ -95,37 +95,3 @@ def innovation_bounds(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo[:, 1:] = np.maximum(hi[:, 1:] - hi[:, :-1], 0)
     return lo, hi
 
-
-@dataclass(frozen=True)
-class SeasonSummary:
-    """Per-month occurrence counts of a week-to-month map.
-
-    ``q[m-1]`` is the number of weeks that fall in month ``m``; the counts sum
-    to the panel length T.
-    """
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.int64)
-        if q.shape != (N_MONTHS,):
-            raise ValueError("q must have 12 entries")
-        if np.any(q < 0):
-            raise ValueError("q entries must be nonnegative")
-        object.__setattr__(self, "q", q)
-
-    @classmethod
-    def from_season_map(cls, season_of: np.ndarray) -> "SeasonSummary":
-        q = np.bincount(np.asarray(season_of, dtype=np.int64), minlength=N_MONTHS + 1)[1:]
-        return cls(q=q)
-
-    @property
-    def n_weeks(self) -> int:
-        return int(self.q.sum())
-
-    def theta_total(self, theta: np.ndarray) -> float:
-        """Total seasonal mass over the panel, sum_t theta_{s(t)} = sum_m q_m theta_m."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (N_MONTHS,):
-            raise ValueError("theta must have 12 entries")
-        return float(self.q @ theta)

@@ -5,9 +5,11 @@ memberships (with the cluster rates integrated out), the unique cluster
 rates, the monthly seasonal effects, the per-series thinning probabilities,
 and the DP concentration parameter.
 
-In covariate mode every occurrence of the total seasonal mass attached to a
-series is scaled by that series' exposure, so the same conjugate updates
-cover both model variants.
+Series l's innovation rate at week t is e_l * psi_{z_l} * theta_{s(t)}: an
+exposure e_l times its cluster's per-exposure rate and the month's seasonal
+effect. Plain mode is the covariate model at unit exposure, and
+``model.model_exposure`` is the one function that picks e from the mode, so
+one formula and one set of conjugate updates cover both model variants.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.special import gammaln
 
-from .model import MODE_COVARIATE, MODE_PLAIN, ConfigurationError, Hyperparams, ModelState
+from .model import (
+    MODE_COVARIATE,
+    MODE_PLAIN,
+    ConfigurationError,
+    Hyperparams,
+    ModelState,
+    model_exposure,
+)
 from .panel import N_MONTHS, CountPanel, innovation_bounds
 
 INNOVATION_EXACT = "exact-enumeration"
@@ -169,10 +178,9 @@ class PosteriorDraws:
 class SuffStats:
     """Sufficient statistics of the imputed innovations under a clustering.
 
-    ``mass[l]`` is the seasonal mass a series multiplies its rate by over the
-    whole panel: Theta in plain mode, exposure_l * Theta in covariate mode.
-    ``U[k]`` sums ``mass`` over cluster members, so every conjugate update
-    reads the same in both modes.
+    ``mass[l]`` is the seasonal mass a series multiplies its per-exposure
+    rate by over the whole panel, e_l * Theta, with e the ``model_exposure``
+    of ``mode``. ``U[k]`` sums ``mass`` over cluster members.
     """
 
     S: np.ndarray           # (L,) per-series innovation totals
@@ -188,13 +196,8 @@ class SuffStats:
         if state.innovations is None:
             raise ValueError("state carries no innovations")
         eps = state.innovations
-        theta_total = panel.season_summary().theta_total(state.theta)
-        if mode == MODE_COVARIATE:
-            if panel.exposure is None:
-                raise ConfigurationError("covariate mode requires panel exposure")
-            mass = panel.exposure * theta_total
-        else:
-            mass = np.full(panel.n_series, theta_total)
+        theta_total = float(panel.month_weeks @ state.theta)
+        mass = model_exposure(panel, mode) * theta_total
         S = eps.sum(axis=1).astype(float)
         K = state.n_clusters
         B = np.bincount(state.z, weights=S, minlength=K)
@@ -203,7 +206,7 @@ class SuffStats:
         return cls(
             S=S, B=B, n=n.astype(np.int64), U=U,
             R=eps.sum(axis=0).astype(float),
-            theta_total=float(theta_total), mass=mass,
+            theta_total=theta_total, mass=mass,
         )
 
     def validate(self):
@@ -696,11 +699,10 @@ def sample_seasonals(
     reduces to the Gamma(xi1, xi2) prior on its own.
     """
     month_eps = np.bincount(panel.season_of - 1, weights=stats.R, minlength=N_MONTHS)
-    q = panel.season_summary().q
     # per-series effective rates: exposure (mass / Theta) times the cluster rate
     lam_sum = float(((stats.mass / stats.theta_total) * state.phi_star[state.z]).sum())
     shape = month_eps + hyper.xi1
-    rate = q * lam_sum + hyper.xi2
+    rate = panel.month_weeks * lam_sum + hyper.xi2
     return rng.gamma(shape, 1.0 / rate)
 
 
@@ -778,9 +780,7 @@ def sweep(state: ModelState, panel: CountPanel, kernel: InnovationKernel, hyper:
     ``kernel`` is the panel's ``InnovationKernel`` and ``log_gamma`` the
     chain's ``LogGammaTable`` for ``hyper.gamma1``.
     """
-    lam = state.phi_star[state.z]
-    if hyper.mode == MODE_COVARIATE:
-        lam = panel.exposure * lam
+    lam = model_exposure(panel, hyper.mode) * state.phi_star[state.z]
     rates = lam[:, None] * state.theta[panel.season_of[1:] - 1]
     state.innovations = kernel(state.innovations, state.alpha, rates, rng)
     stats = SuffStats.from_state(state, panel, mode=hyper.mode)
@@ -809,8 +809,7 @@ def run_chain(
     strategy, is built here when not given.
     """
     hyper = config.hyper
-    if hyper.mode == MODE_COVARIATE and panel.exposure is None:
-        raise ConfigurationError("covariate mode requires an exposure vector")
+    model_exposure(panel, hyper.mode)  # a covariate panel without exposure fails here
     if rng is None:
         rng = chain_rng(config.seed, chain_index)
     if kernel is None:

@@ -19,6 +19,7 @@ from drawrows import assert_same_draws
 from oracles import draw_averaged_pmf, per_cell_load_counts
 from poinar import cli, io
 from poinar.cli import main
+from poinar.forecast import posterior_conditional_means
 from poinar.harness import Scenario, simulate_scenario
 from poinar.panel import CountPanel
 from poinar.sampler import PosteriorDraws, SamplerConfig, run_chain
@@ -594,6 +595,58 @@ class TestCli:
             "--mode", "covariate", "--out", str(tmp_path / "f"),
         ])
         assert code == 2
+
+    def test_covariate_pipeline(self, tmp_path, capsys):
+        sim, fc, ev = tmp_path / "sim", tmp_path / "fc", tmp_path / "ev"
+        assert main(["simulate", "--scenario", "hard-0.1", "--series", "8",
+                     "--out", str(sim)]) == 0
+        counts, exposure = str(sim / "counts.csv"), str(tmp_path / "exposure.csv")
+        ids = io.load_counts(counts).series_ids
+        io.save_exposure(ids, np.linspace(0.5, 4.0, len(ids)), exposure)
+        draws = str(tmp_path / "fit" / "draws.jsonl")
+        assert main(["fit", "--counts", counts, "--exposure", exposure, "--mode", "covariate",
+                     "--chains", "2", "--iterations", "30", "--burn-in", "10", "--thin", "5",
+                     "--out", str(tmp_path / "fit")]) == 0
+        inputs = ["--counts", counts, "--draws", draws]
+        assert main(["forecast", *inputs, "--exposure", exposure, "--horizon", "2",
+                     "--out", str(fc)]) == 0
+        assert main(["evaluate", *inputs, "--exposure", exposure, "--out", str(ev)]) == 0
+
+        panel = io.load_counts(counts, exposure_path=exposure)
+        months = io.months_of(io.week_starts_from(
+            panel.week_starts[-1] + datetime.timedelta(days=7), 2))
+        expected = posterior_conditional_means(io.load_draws(draws), panel.counts[:, -1],
+                                               months, panel.exposure)
+        with (fc / "forecasts.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["mean"] for r in rows] == [repr(float(m)) for m in expected[0]]
+        assert [r["mean_step2"] for r in rows] == [repr(float(m)) for m in expected[1]]
+        assert json.loads((ev / "evaluation.json").read_text())["n_total"] > 0
+
+        capsys.readouterr()
+        for command in ("forecast", "evaluate"):
+            assert main([command, *inputs, "--out", str(tmp_path / command)]) == 2
+            assert "covariate mode requires an exposure vector" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["Covariate", "banana", None])
+    def test_draws_of_an_unknown_mode_exit_one(self, tmp_path, tiny_draws, capsys, mode):
+        panel = _tiny_panel()
+        io.save_counts(panel, tmp_path / "c.csv")
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, panel)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["mode"] = mode
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        code = main(["forecast", "--counts", str(tmp_path / "c.csv"), "--draws", str(path),
+                     "--out", str(tmp_path / "fc")])
+        assert code == 1
+        assert f"{path}: header mode {mode!r} is not" in capsys.readouterr().err
+        assert not (tmp_path / "fc" / "forecasts.csv").exists()
+        # a header without a mode is a plain one
+        del header["mode"]
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert io.load_draws(path).mode == "plain"
 
     def test_malformed_draws_record_exits_one(self, tmp_path, tiny_draws, capsys):
         sc = Scenario(name="d", cluster_rates=(1.0, 3.0), thinning=0.4, L=6, T=72)

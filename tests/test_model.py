@@ -15,8 +15,15 @@ from generative import (
     stationary_mean,
     stick_breaking,
 )
-from poinar.model import Hyperparams, ModelState, simulate_panel, simulate_poinar
-from poinar.panel import CountPanel, SeasonSummary
+from poinar.model import (
+    ConfigurationError,
+    Hyperparams,
+    ModelState,
+    model_exposure,
+    simulate_panel,
+    simulate_poinar,
+)
+from poinar.panel import CountPanel
 
 UNIT_THETA = np.ones(12)
 FLAT_SEASONS = np.tile(np.arange(1, 13), 30)
@@ -251,26 +258,38 @@ class TestPanelTypes:
                 exposure=np.array([0.0]),
             )
 
-    def test_season_summary_identities(self):
+    def test_month_weeks_identities(self):
         season = FLAT_SEASONS[:208]
-        summary = SeasonSummary.from_season_map(season)
-        assert summary.q.sum() == 208
+        panel = CountPanel(counts=np.ones((2, 208), dtype=np.int64), season_of=season)
+        q = panel.month_weeks
+        assert q.dtype == np.int64 and q.shape == (12,) and q.sum() == 208
         rng = np.random.default_rng(41)
         theta = rng.gamma(1.0, 1.0, 12)
         direct = theta[season - 1].sum()
-        assert np.isclose(summary.theta_total(theta), direct, rtol=1e-12)
+        assert np.isclose(q @ theta, direct, rtol=1e-12)
 
-    def test_season_summary_built_once_per_panel(self):
+    def test_month_weeks_follow_the_season_map(self):
         counts = np.ones((2, 30), dtype=np.int64)
         panel = CountPanel(counts=counts, season_of=FLAT_SEASONS[:30])
-        assert panel.season_summary() is panel.season_summary()
-        assert np.array_equal(panel.season_summary().q,
-                              SeasonSummary.from_season_map(FLAT_SEASONS[:30]).q)
-        # a replaced season map gets its own summary; equality and repr skip it
+        assert panel.month_weeks.tolist() == [3] * 6 + [2] * 6
+        # a replaced season map gets its own counts; equality and repr skip them
         moved = replace(panel, season_of=np.full(30, 2))
-        assert moved.season_summary().q.tolist() == [0, 30] + [0] * 10
-        cached = [f for f in fields(CountPanel) if f.name == "_season_summary"]
-        assert len(cached) == 1 and not cached[0].compare and not cached[0].repr
+        assert moved.month_weeks.tolist() == [0, 30] + [0] * 10
+        assert panel.month_weeks.tolist() == [3] * 6 + [2] * 6
+        field = [f for f in fields(CountPanel) if f.name == "month_weeks"]
+        assert len(field) == 1 and not field[0].init
+        assert not field[0].compare and not field[0].repr
+        assert "month_weeks" not in repr(panel)
+
+    def test_model_exposure_is_unit_in_plain_mode(self):
+        counts = np.ones((3, 12), dtype=np.int64)
+        panel = CountPanel(counts=counts, season_of=FLAT_SEASONS[:12])
+        assert model_exposure(panel, "plain").tolist() == [1.0, 1.0, 1.0]
+        with pytest.raises(ConfigurationError, match="covariate mode requires an exposure"):
+            model_exposure(panel, "covariate")
+        exposed = replace(panel, exposure=np.array([0.5, 2.0, 4.0]))
+        assert model_exposure(exposed, "covariate") is exposed.exposure
+        assert model_exposure(exposed, "plain").tolist() == [1.0, 1.0, 1.0]
 
     def test_hyperparams_positive(self):
         with pytest.raises(ValueError):
