@@ -113,10 +113,17 @@ def _quantile_levels(text: str) -> list[float]:
     return levels
 
 
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]):
+def _write_csv(path: Path, header: list[str], rows: list):
+    """Write ``header`` and then ``rows``, each a sequence of cells in the
+    header's order, in the csv module's default (excel) dialect. Raises
+    ``ValueError`` before writing when a row's width differs from the
+    header's."""
+    widths = set(map(len, rows)) - {len(header)}
+    if widths:
+        raise ValueError(f"{path}: a row holds {widths.pop()} cells, the header {len(header)}")
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -127,11 +134,20 @@ def _hyper_from_args(args) -> Hyperparams:
     return replace(Hyperparams.default(args.mode), **given)
 
 
+def _check_exposure_mode(args, mode: str):
+    """Reject ``--exposure`` outside covariate mode, which alone reads it."""
+    if args.exposure is not None and mode != MODE_COVARIATE:
+        raise ConfigurationError(
+            f"--exposure applies only to {MODE_COVARIATE} mode, not to {mode} mode"
+        )
+
+
 def _load_panel_and_draws(args) -> tuple:
     """Load the counts and the draws fitted to them, plus the
     ``model_exposure`` of the draws' mode."""
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
     draws = io.load_draws(args.draws)
+    _check_exposure_mode(args, draws.mode)
     width = draws.alpha.shape[1]
     if width != panel.n_series:
         raise io.IntegrityError(
@@ -181,6 +197,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_exposure_mode(args, args.mode)
     out = _out_dir(args)
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
     exposure = model_exposure(panel, args.mode)
@@ -236,21 +253,17 @@ def cmd_forecast(args) -> int:
     )
     y_last = panel.counts[:, -1]
     means = posterior_conditional_means(draws, y_last, future, exposure)
-    dists = posterior_predictive(y_last, draws, int(future[0]), exposure) if quantiles else []
+    q_columns = []
+    if quantiles:
+        dist = posterior_predictive(y_last, draws, int(future[0]), exposure)
+        q_columns = quantile(dist, quantiles).T.tolist()
+    mean_columns = [map(repr, row) for row in means.tolist()]
 
-    q_fields = [f"q{q}" for q in quantiles]
-    rows = []
-    for l, sid in enumerate(panel.series_ids):
-        row = {"series_id": sid, "y_last": int(y_last[l]), "mean": repr(float(means[0, l]))}
-        if quantiles:
-            row.update(zip(q_fields, quantile(dists[l], quantiles).tolist()))
-        for h in range(2, args.horizon + 1):
-            row[f"mean_step{h}"] = repr(float(means[h - 1, l]))
-        rows.append(row)
-
-    columns = ["series_id", "y_last", "mean"] + q_fields
-    columns += [f"mean_step{h}" for h in range(2, args.horizon + 1)]
-    _write_csv(out / "forecasts.csv", columns, rows)
+    header = ["series_id", "y_last", "mean"] + [f"q{q}" for q in quantiles]
+    header += [f"mean_step{h}" for h in range(2, args.horizon + 1)]
+    rows = list(zip(panel.series_ids, y_last.tolist(), mean_columns[0], *q_columns,
+                    *mean_columns[1:]))
+    _write_csv(out / "forecasts.csv", header, rows)
     io.write_manifest(out, "forecast", _parameters(args, out))
     print(f"wrote {out / 'forecasts.csv'} for {panel.n_series} series")
     return 0
@@ -259,19 +272,18 @@ def cmd_forecast(args) -> int:
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     panel, draws, _ = _load_panel_and_draws(args)
-    report, rows = rolling_one_step_evaluation(
+    report, details = rolling_one_step_evaluation(
         panel, draws, holdout=args.holdout, origins=args.origins, bucket_cap=args.bucket_cap,
     )
 
     columns = ["last_value", "rmse", "rmse_se", "bias", "bias_se", "frequency", "n"]
     bucket_rows = [
-        {"last_value": f"{key}+" if key == report.bucket_cap else str(key),
-         **{c: repr(getattr(b, c)) for c in columns[1:-1]}, "n": b.n}
+        (f"{key}+" if key == report.bucket_cap else str(key),
+         *(repr(getattr(b, c)) for c in columns[1:-1]), b.n)
         for key, b in sorted(report.by_last_value.items())
     ]
-    bucket_rows.append({"last_value": "overall", "rmse": repr(report.rmse), "rmse_se": "",
-                        "bias": repr(report.bias), "bias_se": "", "frequency": repr(1.0),
-                        "n": report.n_total})
+    bucket_rows.append(("overall", repr(report.rmse), "", repr(report.bias), "", repr(1.0),
+                        report.n_total))
     _write_csv(out / "evaluation.csv", columns, bucket_rows)
     doc = {
         "rmse": report.rmse,
@@ -291,7 +303,9 @@ def cmd_evaluate(args) -> int:
     _write_csv(
         out / "forecast_details.csv",
         ["series_id", "week", "last_value", "prediction", "actual"],
-        [{**r, "prediction": repr(r["prediction"])} for r in rows],
+        list(zip(details["series_id"], details["week"].tolist(),
+                 details["last_value"].tolist(), map(repr, details["prediction"].tolist()),
+                 details["actual"].tolist())),
     )
     io.write_manifest(out, "evaluate", _parameters(args, out))
     print(f"wrote {out / 'evaluation.csv'} over {report.n_total} forecasts")
@@ -318,16 +332,10 @@ def cmd_study(args) -> int:
         progress=(lambda msg: print(msg)) if args.verbose else None,
     )
 
-    rows = [
-        {k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
-        for row in report.to_rows()
-    ]
-    _write_csv(
-        out / "study.csv",
-        ["scenario", "rates", "thinning", "method", "rmse", "ape",
-         "true_conditional_mean", "modal_k", "hamming_representative"],
-        rows,
-    )
+    table = report.columns()
+    cells = [[repr(v) if isinstance(v, float) else v for v in column]
+             for column in table.values()]
+    _write_csv(out / "study.csv", list(table), list(zip(*cells)))
     doc = {
         "scale": report.scale,
         "seed": report.seed,

@@ -3,6 +3,10 @@
 The one-step-ahead count is the thinned carry-over plus a Poisson innovation,
 so its pmf is the convolution of a Binomial(y_T, alpha) with a
 Poisson(lambda * theta) and its mean is alpha * y_T + lambda * theta.
+
+``posterior_predictive`` returns the draw-averaged pmfs of all series as one
+zero-padded block, one row per series, and ``quantile`` reads every row's
+quantiles off that block in one call.
 """
 
 from __future__ import annotations
@@ -22,16 +26,20 @@ _TAIL_MEAN = 1e-12
 
 @dataclass(frozen=True)
 class ForecastDistribution:
-    """Truncated pmf of a future count.
+    """Truncated pmfs of future counts, one row per series.
 
-    ``pmf[y]`` is the probability of observing ``y`` for y in 0..y_max; the
-    tail beyond y_max carries less than the truncation budget of 1e-9 mass.
-    ``posterior_predictive`` builds them, checking each block of pmfs once.
+    ``pmf[l, y]`` is the probability that series l shows ``y`` for y in
+    0..y_max[l] and 0 past it; the tail beyond y_max[l] carries less than
+    the truncation budget of 1e-9 mass. ``mean[l]`` is the mean of row l's
+    prefix ``pmf[l, :y_max[l] + 1]``. ``posterior_predictive`` builds one
+    block: ``pmf`` (L, M+1) with M the largest ``y_max``, ``y_max`` int64
+    (L,) and ``mean`` (L,). One series may also stand alone, as a 1-D
+    ``pmf`` with an ``int`` ``y_max`` and a ``float`` ``mean``.
     """
 
     pmf: np.ndarray
-    y_max: int
-    mean: float
+    y_max: np.ndarray | int
+    mean: np.ndarray | float
 
 
 def _check_pmfs(pmfs: np.ndarray):
@@ -231,8 +239,9 @@ def posterior_predictive(
     draws: PosteriorDraws,
     month: int,
     exposure: np.ndarray | None = None,
-) -> list[ForecastDistribution]:
-    """The exact one-step pmf of every series, averaged over the draws.
+) -> ForecastDistribution:
+    """The exact one-step pmf of every series, averaged over the draws, as
+    one block with a row per series.
 
     ``y_T`` holds the counts at the forecast origin, shape (L,), and
     ``month`` is the calendar month (1..12) of the forecast week. Each
@@ -249,29 +258,49 @@ def posterior_predictive(
     counts = np.array([int(y) for y in np.asarray(y_T)], dtype=np.int64)
     if np.any(counts < 0):
         raise ValueError("origin counts must be nonnegative")
-    dists: list = [None] * counts.size
+    blocks = []  # (series, pmfs) of each block of series settling at one point
     for y in np.unique(counts).tolist():
         series = np.flatnonzero(counts == y)
         a, r = alpha[series], rate[series]
         for ids, rows in _truncated_rows(y, a, r, _start_points(y, a, r)):
             pmfs = rows.mean(axis=1)
             _check_pmfs(pmfs)  # once per block, not once per series
-            m = pmfs.shape[1] - 1
-            support = np.arange(m + 1)
-            for l, pmf in zip(series[ids].tolist(), pmfs):
-                dists[l] = ForecastDistribution(pmf, m, float(support @ pmf))
-    return dists
+            blocks.append((series[ids], pmfs))
+    width = max((pmfs.shape[1] for _, pmfs in blocks), default=1)
+    pmf = np.zeros((counts.size, width))
+    y_max = np.empty(counts.size, dtype=np.int64)
+    mean = np.empty(counts.size)
+    for series, pmfs in blocks:
+        m = pmfs.shape[1] - 1
+        pmf[series, : m + 1] = pmfs
+        y_max[series] = m
+        # one (1, m+1) @ (m+1, 1) product per row: numpy takes each as the
+        # dot product ``support @ row`` a series alone gets, where a
+        # matrix-vector product may sum in another order
+        mean[series] = (pmfs[:, None, :] @ np.arange(m + 1)[:, None])[:, 0, 0]
+    return ForecastDistribution(pmf, y_max, mean)
 
 
 def quantile(dist: ForecastDistribution, levels):
-    """Smallest count whose CDF reaches each level, monotone in the level:
-    an ``int`` for one level, an int64 array for a sequence of them."""
+    """Smallest count whose CDF reaches each level, monotone in the level,
+    for every row of ``dist`` at once.
+
+    A block of L series gives shape (L,) for one level and (L, n) for n
+    levels; a 1-D single-series ``dist`` gives an ``int`` for one level and
+    an int64 array for a sequence of them. The CDF is one ``cumsum`` along
+    the last axis; a row's zero padding past its ``y_max`` adds exactly 0.0,
+    so its last CDF value is the mass up to its own truncation point.
+    """
     levels = np.asarray(levels, dtype=float)
     outside = levels[~((0.0 < levels) & (levels < 1.0))]
     if outside.size:
         raise ValueError(f"quantile level must lie strictly in (0, 1), got {outside[0]}")
-    cdf = np.cumsum(dist.pmf)
-    if np.any(levels > cdf[-1]):
+    cdf = np.cumsum(dist.pmf, axis=-1)
+    if np.any(levels > cdf[..., -1:]):
         raise ValueError("requested quantile lies beyond the truncation point")
-    counts = np.searchsorted(cdf, levels, side="left")
-    return int(counts) if levels.ndim == 0 else counts
+    # the number of CDF entries below a level is searchsorted(side="left")
+    counts = np.count_nonzero(cdf[..., None, :] < levels.reshape(-1, 1), axis=-1)
+    if levels.ndim == 0:
+        counts = counts[..., 0]
+        return int(counts) if counts.ndim == 0 else counts
+    return counts

@@ -149,26 +149,24 @@ class StudyReport:
                 return r
         raise KeyError(name)
 
-    def to_rows(self) -> list[dict]:
-        rows = []
-        for r in self.results:
-            for method in METHODS:
-                rows.append(
-                    {
-                        "scenario": r.scenario.name,
-                        "rates": "/".join(str(x) for x in r.scenario.cluster_rates),
-                        "thinning": r.scenario.thinning,
-                        "method": method,
-                        "rmse": r.rmse[method],
-                        "ape": r.ape[method],
-                        "true_conditional_mean": r.true_mean,
-                        "modal_k": r.modal_k if method == METHOD_BNP else "",
-                        "hamming_representative": (
-                            r.hamming_representative if method == METHOD_BNP else ""
-                        ),
-                    }
-                )
-        return rows
+    def columns(self) -> dict[str, list]:
+        """The study table, one list per column: a row per scenario and
+        method, methods inner. ``modal_k`` and ``hamming_representative``
+        are empty strings on the baselines' rows."""
+        rows = [(r, m) for r in self.results for m in METHODS]
+        return {
+            "scenario": [r.scenario.name for r, _ in rows],
+            "rates": ["/".join(str(x) for x in r.scenario.cluster_rates) for r, _ in rows],
+            "thinning": [r.scenario.thinning for r, _ in rows],
+            "method": [m for _, m in rows],
+            "rmse": [r.rmse[m] for r, m in rows],
+            "ape": [r.ape[m] for r, m in rows],
+            "true_conditional_mean": [r.true_mean for r, _ in rows],
+            "modal_k": [r.modal_k if m == METHOD_BNP else "" for r, m in rows],
+            "hamming_representative": [
+                r.hamming_representative if m == METHOD_BNP else "" for r, m in rows
+            ],
+        }
 
 
 DESK_L = 40
@@ -294,13 +292,15 @@ def rolling_one_step_evaluation(
     holdout: int,
     origins: str = "monthly",
     bucket_cap: int | None = 4,
-) -> tuple[EvalReport, list[dict]]:
+) -> tuple[EvalReport, dict]:
     """Score draw-averaged one-step forecasts against the held-out counts.
 
     The draws should come from a fit on the training prefix; each target week
     conditions on the actually observed previous week. Returns the report and
-    the per-forecast rows (series, week, last value, prediction, actual).
-    Rates use the ``model_exposure`` of the draws' mode.
+    the per-forecast table as columns, one entry per (target week, series)
+    pair, weeks outer: ``series_id`` (a list), and the int64 arrays ``week``
+    (1-based), ``last_value`` and ``actual`` and the float array
+    ``prediction``. Rates use the ``model_exposure`` of the draws' mode.
     """
     exposure = model_exposure(panel, draws.mode)
     targets = np.array(holdout_origin_weeks(panel, holdout, origins), dtype=np.int64)
@@ -312,18 +312,13 @@ def rolling_one_step_evaluation(
     preds = posterior_conditional_means(draws, y_prev, months, exposure)[0]
     actuals = panel.counts[:, targets].T
 
-    rows = [
-        {
-            "series_id": sid,
-            "week": int(w) + 1,
-            "last_value": int(y_prev[i, l]),
-            "prediction": float(preds[i, l]),
-            "actual": int(actuals[i, l]),
-        }
-        for i, w in enumerate(targets)
-        for l, sid in enumerate(panel.series_ids)
-    ]
-    report = forecast_metrics(
-        preds.ravel(), actuals.ravel(), y_prev.ravel(), bucket_cap=bucket_cap
-    )
-    return report, rows
+    details = {
+        "series_id": panel.series_ids * targets.size,
+        "week": np.repeat(targets + 1, panel.n_series),
+        "last_value": y_prev.ravel(),
+        "prediction": preds.ravel(),
+        "actual": actuals.ravel(),
+    }
+    report = forecast_metrics(details["prediction"], details["actual"],
+                              details["last_value"], bucket_cap=bucket_cap)
+    return report, details

@@ -4,20 +4,24 @@ Everything here is deliberately written from the definitions (brute force,
 quadrature, exhaustive enumeration) and shares no code path with the package.
 That includes ``innovation_pmf``, the exact conditional of one innovation
 count, against which the sampler's vectorized ``InnovationKernel`` is
-checked. The exceptions are the last four sections: the earlier, simpler
+checked. The exceptions are the last five sections: the earlier, simpler
 implementations of the sweep hot spots, of the per-series predictive pmfs
 and of the study's scoring layers (per-series CLS fits, the pairwise
 representative clustering), kept verbatim so that the faster package
-versions can be checked to give the same numbers, and the earlier per-cell
+versions can be checked to give the same numbers; the earlier per-cell
 counts CSV parser, against which the package's parser is checked file by
-file.
+file; and the earlier rendering of the CLI's forecast, evaluation and study
+tables, one dict per row through ``csv.DictWriter``, against which the
+command outputs are checked byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -28,7 +32,11 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
 from poinar.baselines import ClsPanelEstimate
-from poinar.io import ParseError, load_exposure, months_of
+from poinar.diagnostics import forecast_metrics
+from poinar.forecast import posterior_conditional_means
+from poinar.harness import METHOD_BNP, METHODS, holdout_origin_weeks
+from poinar.io import ParseError, load_exposure, months_of, week_starts_from
+from poinar.model import model_exposure
 from poinar.panel import CountPanel
 from poinar.sampler import (
     INNOVATION_EXACT,
@@ -458,6 +466,144 @@ def per_series_posterior_predictive(y_T, draws, month: int, exposure=None) -> li
         m = pmf.shape[0] - 1
         out.append((pmf, m, float(np.arange(m + 1) @ pmf)))
     return out
+
+
+def per_series_quantile(pmf: np.ndarray, levels) -> np.ndarray:
+    """Smallest count whose CDF reaches each level, one series' pmf at a
+    time: one ``cumsum`` and one ``searchsorted``."""
+    levels = np.asarray(levels, dtype=float)
+    cdf = np.cumsum(pmf)
+    if np.any(levels > cdf[-1]):
+        raise ValueError("requested quantile lies beyond the truncation point")
+    return np.searchsorted(cdf, levels, side="left")
+
+
+# ---------------------------------------------------------------------------
+# Earlier output rendering: one dict per row through ``csv.DictWriter``
+# ---------------------------------------------------------------------------
+
+
+def _dict_csv(path: Path, fieldnames: list[str], rows: list[dict]):
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def dict_forecasts_csv(path, panel, draws, quantiles: list[float], horizon: int):
+    """``forecasts.csv`` of ``poinar forecast`` on ``panel``: one dict per
+    series, quantiles from each series' own pmf and cdf."""
+    exposure = model_exposure(panel, draws.mode)
+    future = months_of(
+        week_starts_from(panel.week_starts[-1] + datetime.timedelta(days=7), horizon)
+    )
+    y_last = panel.counts[:, -1]
+    means = posterior_conditional_means(draws, y_last, future, exposure)
+    dists = (per_series_posterior_predictive(y_last, draws, int(future[0]), exposure)
+             if quantiles else [])
+
+    q_fields = [f"q{q}" for q in quantiles]
+    rows = []
+    for l, sid in enumerate(panel.series_ids):
+        row = {"series_id": sid, "y_last": int(y_last[l]), "mean": repr(float(means[0, l]))}
+        if quantiles:
+            row.update(zip(q_fields, per_series_quantile(dists[l][0], quantiles).tolist()))
+        for h in range(2, horizon + 1):
+            row[f"mean_step{h}"] = repr(float(means[h - 1, l]))
+        rows.append(row)
+
+    columns = ["series_id", "y_last", "mean"] + q_fields
+    columns += [f"mean_step{h}" for h in range(2, horizon + 1)]
+    _dict_csv(Path(path), columns, rows)
+
+
+def dict_evaluation_files(out, panel, draws, holdout: int, origins: str, bucket_cap: int):
+    """``evaluation.csv``, ``evaluation.json`` and ``forecast_details.csv``
+    of ``poinar evaluate`` on ``panel``, written into ``out``: one dict per
+    forecast and per bucket."""
+    out = Path(out)
+    exposure = model_exposure(panel, draws.mode)
+    targets = np.array(holdout_origin_weeks(panel, holdout, origins), dtype=np.int64)
+    y_prev = panel.counts[:, targets - 1].T
+    months = panel.season_of[targets][:, None]
+    preds = posterior_conditional_means(draws, y_prev, months, exposure)[0]
+    actuals = panel.counts[:, targets].T
+    rows = [
+        {
+            "series_id": sid,
+            "week": int(w) + 1,
+            "last_value": int(y_prev[i, l]),
+            "prediction": float(preds[i, l]),
+            "actual": int(actuals[i, l]),
+        }
+        for i, w in enumerate(targets)
+        for l, sid in enumerate(panel.series_ids)
+    ]
+    report = forecast_metrics(
+        preds.ravel(), actuals.ravel(), y_prev.ravel(), bucket_cap=bucket_cap
+    )
+
+    columns = ["last_value", "rmse", "rmse_se", "bias", "bias_se", "frequency", "n"]
+    bucket_rows = [
+        {"last_value": f"{key}+" if key == report.bucket_cap else str(key),
+         **{c: repr(getattr(b, c)) for c in columns[1:-1]}, "n": b.n}
+        for key, b in sorted(report.by_last_value.items())
+    ]
+    bucket_rows.append({"last_value": "overall", "rmse": repr(report.rmse), "rmse_se": "",
+                        "bias": repr(report.bias), "bias_se": "", "frequency": repr(1.0),
+                        "n": report.n_total})
+    _dict_csv(out / "evaluation.csv", columns, bucket_rows)
+    doc = {
+        "rmse": report.rmse,
+        "ape": report.ape,
+        "bias": report.bias,
+        "n_total": report.n_total,
+        "n_ape": report.n_ape,
+        "n_zero_truth": report.n_zero_truth,
+        "bucket_cap": report.bucket_cap,
+        "by_last_value": {
+            str(k): dataclasses.asdict(v) for k, v in sorted(report.by_last_value.items())
+        },
+    }
+    with (out / "evaluation.json").open("w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    _dict_csv(
+        out / "forecast_details.csv",
+        ["series_id", "week", "last_value", "prediction", "actual"],
+        [{**r, "prediction": repr(r["prediction"])} for r in rows],
+    )
+
+
+def dict_study_csv(path, report):
+    """``study.csv`` of ``poinar study`` for ``report``: one dict per
+    scenario and method, floats as their ``repr``."""
+    rows = []
+    for r in report.results:
+        for method in METHODS:
+            rows.append(
+                {
+                    "scenario": r.scenario.name,
+                    "rates": "/".join(str(x) for x in r.scenario.cluster_rates),
+                    "thinning": r.scenario.thinning,
+                    "method": method,
+                    "rmse": r.rmse[method],
+                    "ape": r.ape[method],
+                    "true_conditional_mean": r.true_mean,
+                    "modal_k": r.modal_k if method == METHOD_BNP else "",
+                    "hamming_representative": (
+                        r.hamming_representative if method == METHOD_BNP else ""
+                    ),
+                }
+            )
+    rows = [{k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
+            for row in rows]
+    _dict_csv(
+        Path(path),
+        ["scenario", "rates", "thinning", "method", "rmse", "ape",
+         "true_conditional_mean", "modal_k", "hamming_representative"],
+        rows,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from drawrows import draws_from_states, one_draw_pmf
+from drawrows import draws_from_states, one_draw_pmf, series_distribution
 from oracles import per_series_posterior_predictive, scalar_predictive_pmf
 from poinar import forecast
 from poinar.forecast import (
@@ -181,15 +181,16 @@ class TestPredictivePmf:
 class TestPosteriorPredictive:
     def test_single_draw_equals_plain_pmf(self):
         state = _state(0.4, 2.0, 1.3, month=5)
-        avg = posterior_predictive([3], _draws([state]), month=5)[0]
+        avg = series_distribution(posterior_predictive([3], _draws([state]), month=5), 0)
         oracle = scalar_predictive_pmf(3, 0.4, 2.0 * 1.3)
         assert avg.y_max == oracle.shape[0] - 1  # the draw's own truncation point
         assert np.abs(avg.pmf - oracle).max() <= 1e-13
 
     def test_identical_draws_collapse(self):
         state = _state(0.4, 2.0, 1.3)
-        one = posterior_predictive([2], _draws([state]), 1)[0]
-        two = posterior_predictive([2], _draws([state, copy.deepcopy(state)]), 1)[0]
+        one = series_distribution(posterior_predictive([2], _draws([state]), 1), 0)
+        two = series_distribution(
+            posterior_predictive([2], _draws([state, copy.deepcopy(state)]), 1), 0)
         assert np.allclose(one.pmf, two.pmf, atol=1e-15)
 
     def test_mass_and_mean_linearity(self):
@@ -199,7 +200,7 @@ class TestPosteriorPredictive:
             for _ in range(20)
         ]
         y_T = 4
-        avg = posterior_predictive([y_T], _draws(states), 1)[0]
+        avg = series_distribution(posterior_predictive([y_T], _draws(states), 1), 0)
         assert avg.pmf.sum() >= 1 - 1e-9
         per_draw_means = [
             conditional_mean_h_step(y_T, s.alpha[0], s.phi_star[0], s.theta, [1])
@@ -213,7 +214,8 @@ class TestPosteriorPredictive:
         draws.mode = "covariate"
         with pytest.raises(ValueError):
             posterior_predictive([1], draws, 1)
-        scaled = posterior_predictive([1], draws, 1, exposure=np.array([2.0]))[0]
+        scaled = series_distribution(
+            posterior_predictive([1], draws, 1, exposure=np.array([2.0])), 0)
         plain = one_draw_pmf(1, 0.4, 4.0)
         assert np.allclose(scaled.pmf[: plain.y_max + 1], plain.pmf, atol=1e-15)
 
@@ -228,8 +230,9 @@ class TestPosteriorPredictive:
                        phi_star=np.array([r, 3.0]), theta=np.ones(12), tau=1.0)
             for a, r in ((0.3, 1.0), (0.6, 2.5))
         ]
-        dists = posterior_predictive(np.array([4, 0]), _draws(states), 1)
-        assert len(dists) == 2
+        block = posterior_predictive(np.array([4, 0]), _draws(states), 1)
+        assert block.pmf.shape[0] == block.y_max.shape[0] == block.mean.shape[0] == 2
+        dists = [series_distribution(block, l) for l in range(2)]
         assert dists[0].mean == pytest.approx(np.mean([0.3 * 4 + 1.0, 0.6 * 4 + 2.5]), abs=1e-10)
         assert np.allclose(dists[1].pmf, sps.poisson.pmf(np.arange(dists[1].y_max + 1), 3.0),
                            atol=1e-15)
@@ -277,13 +280,17 @@ class TestGroupedPosteriorPredictive:
 
     @staticmethod
     def assert_matches_oracle(counts, draws, month, exposure=None):
-        ours = posterior_predictive(counts, draws, month, exposure)
+        block = posterior_predictive(counts, draws, month, exposure)
         reference = per_series_posterior_predictive(counts, draws, month, exposure)
+        assert block.pmf.shape == (len(counts), block.y_max.max() + 1)
+        assert block.y_max.dtype == np.int64
+        ours = [series_distribution(block, l) for l in range(len(counts))]
         assert len(ours) == len(reference) == len(counts)
-        for dist, (pmf, y_max, mean) in zip(ours, reference):
+        for l, (dist, (pmf, y_max, mean)) in enumerate(zip(ours, reference)):
             assert dist.y_max == y_max
             assert np.array_equal(dist.pmf, pmf)
             assert dist.mean == mean
+            assert not block.pmf[l, y_max + 1:].any()  # zero past the row's own y_max
         return ours
 
     @given(inputs=predictive_inputs())
@@ -467,6 +474,36 @@ class TestQuantiles:
         )
         u2 = min(u1 + du, 0.995)
         assert quantile(dist, u1) <= quantile(dist, u2)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 8),
+           n_levels=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_block_rows_match_their_own_searchsorted(self, seed, n_rows, n_levels):
+        # ragged rows, some entries exactly 0, and levels that hit CDF values
+        rng = np.random.default_rng(seed)
+        y_max = rng.integers(0, 15, n_rows)
+        pmf = np.zeros((n_rows, y_max.max() + 1))
+        for l, m in enumerate(y_max):
+            row = rng.random(m + 1) ** 3 * (rng.random(m + 1) > 0.3)
+            row[rng.integers(0, m + 1)] += 0.5
+            pmf[l, : m + 1] = row / row.sum()
+        cdfs = [np.cumsum(pmf[l, : m + 1]) for l, m in enumerate(y_max)]
+        top = min(min(cdf[-1] for cdf in cdfs), np.nextafter(1.0, 0.0))
+        values = np.concatenate(cdfs)
+        ties = values[(values > 0.0) & (values <= top)]
+        pool = np.concatenate([rng.uniform(0.0, top, n_levels), ties])
+        levels = rng.choice(pool[pool > 0.0], n_levels)
+        dist = ForecastDistribution(pmf, y_max, np.zeros(n_rows))
+        got = quantile(dist, levels)
+        assert got.shape == (n_rows, n_levels)
+        for l, cdf in enumerate(cdfs):
+            assert got[l].tolist() == np.searchsorted(cdf, levels, "left").tolist()
+            assert quantile(dist, levels[0])[l] == np.searchsorted(cdf, levels[0], "left")
+        # a row short of mass puts every level above its last CDF value out of reach
+        short = int(rng.integers(0, n_rows))
+        pmf[short] *= 0.5
+        with pytest.raises(ValueError, match="beyond the truncation point"):
+            quantile(ForecastDistribution(pmf, y_max, np.zeros(n_rows)), [0.25, 0.75])
 
     def test_interval_brackets(self):
         dist = one_draw_pmf(2, 0.5, 2.0, 1.0)

@@ -105,8 +105,8 @@ class TestStudy:
         config = SamplerConfig(n_iterations=60, burn_in=10, thin_interval=5, seed=0)
         report = run_study([sc], sampler_config=config, scale="full",
                            n_replicates=1, seed=5)
-        rows = report.to_rows()
-        assert [r["method"] for r in rows] == ["BNP", "CLS", "SPP"]
+        table = report.columns()
+        assert table["method"] == ["BNP", "CLS", "SPP"]
 
 
 class TestShrinkageDominance:
@@ -173,12 +173,12 @@ class TestRollingEvaluation:
 
     def test_report_shape(self, fitted):
         panel, draws = fitted
-        report, rows = rolling_one_step_evaluation(panel, draws, holdout=40,
-                                                   origins="weekly", bucket_cap=4)
+        report, details = rolling_one_step_evaluation(panel, draws, holdout=40,
+                                                      origins="weekly", bucket_cap=4)
         assert report.n_total == 40 * panel.n_series
         assert report.frequencies_sum() == pytest.approx(1.0, abs=1e-12)
-        assert len(rows) == report.n_total
-        assert {"series_id", "week", "last_value", "prediction", "actual"} <= set(rows[0])
+        assert {"series_id", "week", "last_value", "prediction", "actual"} <= set(details)
+        assert all(len(column) == report.n_total for column in details.values())
 
     def test_holdout_bounds(self, fitted):
         panel, draws = fitted

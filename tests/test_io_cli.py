@@ -628,6 +628,28 @@ class TestCli:
             assert main([command, *inputs, "--out", str(tmp_path / command)]) == 2
             assert "covariate mode requires an exposure vector" in capsys.readouterr().err
 
+    def test_exposure_outside_covariate_mode_is_a_usage_error(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "hard-0.1", "--series", "8",
+                     "--out", str(sim)]) == 0
+        counts, exposure = str(sim / "counts.csv"), str(tmp_path / "exposure.csv")
+        io.save_exposure(io.load_counts(counts).series_ids, np.linspace(0.5, 4.0, 8), exposure)
+        sweeps = ["--iterations", "30", "--burn-in", "10", "--thin", "5"]
+        capsys.readouterr()
+        assert main(["fit", "--counts", counts, "--exposure", exposure, *sweeps,
+                     "--out", str(tmp_path / "bad")]) == 2
+        assert "--exposure applies only to covariate mode" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "draws.jsonl").exists()
+        assert main(["fit", "--counts", counts, *sweeps, "--out", str(tmp_path / "fit")]) == 0
+        draws = str(tmp_path / "fit" / "draws.jsonl")
+        capsys.readouterr()
+        for command in ("forecast", "evaluate"):
+            out = tmp_path / command
+            assert main([command, "--counts", counts, "--draws", draws,
+                         "--exposure", exposure, "--out", str(out)]) == 2
+            assert "not to plain mode" in capsys.readouterr().err
+            assert not any(out.glob("*.csv"))
+
     @pytest.mark.parametrize("mode", ["Covariate", "banana", None])
     def test_draws_of_an_unknown_mode_exit_one(self, tmp_path, tiny_draws, capsys, mode):
         panel = _tiny_panel()
