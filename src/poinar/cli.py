@@ -148,20 +148,9 @@ def _load_panel_and_draws(args) -> tuple:
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
     draws = io.load_draws(args.draws)
     _check_exposure_mode(args, draws.mode)
-    width = draws.alpha.shape[1]
-    if width != panel.n_series:
-        raise io.IntegrityError(
-            f"{args.draws}: draws cover {width} series, but {args.counts} "
-            f"holds {panel.n_series}"
-        )
     mismatch = io.fitted_panel_mismatch(draws, panel)
     if mismatch:
-        raise io.IntegrityError(
-            f"{args.draws} was not fitted to {args.counts}: {mismatch}"
-        )
-    outside = io.innovations_off_support(draws, panel)
-    if outside:
-        raise io.IntegrityError(f"{args.draws} does not fit {args.counts}: {outside}")
+        raise io.IntegrityError(f"{args.draws} does not fit {args.counts}: {mismatch}")
     return panel, draws, model_exposure(panel, draws.mode)
 
 

@@ -30,16 +30,12 @@ class ForecastDistribution:
 
     ``pmf[l, y]`` is the probability that series l shows ``y`` for y in
     0..y_max[l] and 0 past it; the tail beyond y_max[l] carries less than
-    the truncation budget of 1e-9 mass. ``mean[l]`` is the mean of row l's
-    prefix ``pmf[l, :y_max[l] + 1]``. ``posterior_predictive`` builds one
-    block: ``pmf`` (L, M+1) with M the largest ``y_max``, ``y_max`` int64
-    (L,) and ``mean`` (L,). One series may also stand alone, as a 1-D
-    ``pmf`` with an ``int`` ``y_max`` and a ``float`` ``mean``.
+    the truncation budget of 1e-9 mass. ``pmf`` is (L, M+1) with M the
+    largest ``y_max``, and ``y_max`` is int64 (L,).
     """
 
     pmf: np.ndarray
-    y_max: np.ndarray | int
-    mean: np.ndarray | float
+    y_max: np.ndarray
 
 
 def _check_pmfs(pmfs: np.ndarray):
@@ -269,16 +265,10 @@ def posterior_predictive(
     width = max((pmfs.shape[1] for _, pmfs in blocks), default=1)
     pmf = np.zeros((counts.size, width))
     y_max = np.empty(counts.size, dtype=np.int64)
-    mean = np.empty(counts.size)
     for series, pmfs in blocks:
-        m = pmfs.shape[1] - 1
-        pmf[series, : m + 1] = pmfs
-        y_max[series] = m
-        # one (1, m+1) @ (m+1, 1) product per row: numpy takes each as the
-        # dot product ``support @ row`` a series alone gets, where a
-        # matrix-vector product may sum in another order
-        mean[series] = (pmfs[:, None, :] @ np.arange(m + 1)[:, None])[:, 0, 0]
-    return ForecastDistribution(pmf, y_max, mean)
+        pmf[series, : pmfs.shape[1]] = pmfs
+        y_max[series] = pmfs.shape[1] - 1
+    return ForecastDistribution(pmf, y_max)
 
 
 def quantile(dist: ForecastDistribution, levels):
@@ -286,21 +276,17 @@ def quantile(dist: ForecastDistribution, levels):
     for every row of ``dist`` at once.
 
     A block of L series gives shape (L,) for one level and (L, n) for n
-    levels; a 1-D single-series ``dist`` gives an ``int`` for one level and
-    an int64 array for a sequence of them. The CDF is one ``cumsum`` along
-    the last axis; a row's zero padding past its ``y_max`` adds exactly 0.0,
-    so its last CDF value is the mass up to its own truncation point.
+    levels. The CDF is one ``cumsum`` along each row; a row's zero padding
+    past its ``y_max`` adds exactly 0.0, so its last CDF value is the mass
+    up to its own truncation point.
     """
     levels = np.asarray(levels, dtype=float)
     outside = levels[~((0.0 < levels) & (levels < 1.0))]
     if outside.size:
         raise ValueError(f"quantile level must lie strictly in (0, 1), got {outside[0]}")
-    cdf = np.cumsum(dist.pmf, axis=-1)
-    if np.any(levels > cdf[..., -1:]):
+    cdf = np.cumsum(dist.pmf, axis=1)
+    if np.any(levels > cdf[:, -1:]):
         raise ValueError("requested quantile lies beyond the truncation point")
     # the number of CDF entries below a level is searchsorted(side="left")
-    counts = np.count_nonzero(cdf[..., None, :] < levels.reshape(-1, 1), axis=-1)
-    if levels.ndim == 0:
-        counts = counts[..., 0]
-        return int(counts) if counts.ndim == 0 else counts
-    return counts
+    counts = np.count_nonzero(cdf[:, None, :] < levels.reshape(-1, 1), axis=2)
+    return counts[:, 0] if levels.ndim == 0 else counts

@@ -26,7 +26,7 @@ from .panel import N_MONTHS, CountPanel, innovation_bounds
 from .sampler import PosteriorDraws
 
 DRAWS_FORMAT = "poinar-draws"
-DRAWS_VERSION = 3  # version 2 headers bind no week dates, version 1 headers no panel
+DRAWS_VERSION = 3
 _RECORD_FIELDS = ("chain", "iteration", "tau", "alpha", "z", "phi_star", "theta")
 
 
@@ -265,26 +265,22 @@ def save_draws(draws: PosteriorDraws, path, panel: CountPanel):
 
 
 def fitted_panel_mismatch(draws: PosteriorDraws, panel: CountPanel) -> str | None:
-    """Why ``draws`` were not fitted to ``panel`` or to its first weeks, or
-    ``None``. Draws from version 1 files record no panel, so they pass;
-    those from version 2 files record no week dates, so only the series ids
-    and counts are checked."""
-    if draws.fitted_to is None:
-        return None
-    n_weeks, counts_sha256, dates_sha256 = draws.fitted_to
-    if n_weeks > panel.n_weeks:
-        return f"the draws were fitted to {n_weeks} weeks, the counts hold {panel.n_weeks}"
-    if counts_sha256 != panel_sha256(panel, n_weeks):
-        return f"the series ids or counts of the first {n_weeks} weeks differ"
-    if dates_sha256 is not None and dates_sha256 != week_starts_sha256(panel, n_weeks):
-        return f"the week-start dates of the first {n_weeks} weeks differ"
-    return None
-
-
-def innovations_off_support(draws: PosteriorDraws, panel: CountPanel) -> str | None:
-    """Where the first stored innovation leaves its support under the
-    counts of ``panel`` (see ``innovation_bounds``), or ``None``; draws
-    without innovations pass."""
+    """Why ``draws`` do not fit ``panel``, or ``None``: the first of a
+    series count other than the panel's; for draws read from a file, a
+    hash that differs from that of the panel's first ``n_weeks`` weeks; and
+    a stored innovation outside its support under the panel's counts (see
+    ``innovation_bounds``)."""
+    width = draws.alpha.shape[1]
+    if width != panel.n_series:
+        return f"the draws cover {width} series, but the panel holds {panel.n_series}"
+    if draws.fitted_to is not None:
+        n_weeks, counts_sha256, dates_sha256 = draws.fitted_to
+        if n_weeks > panel.n_weeks:
+            return f"the draws were fitted to {n_weeks} weeks, the counts hold {panel.n_weeks}"
+        if counts_sha256 != panel_sha256(panel, n_weeks):
+            return f"the series ids or counts of the first {n_weeks} weeks differ"
+        if dates_sha256 != week_starts_sha256(panel, n_weeks):
+            return f"the week-start dates of the first {n_weeks} weeks differ"
     eps = draws.innovations
     if eps is None:
         return None
@@ -300,27 +296,13 @@ def innovations_off_support(draws: PosteriorDraws, panel: CountPanel) -> str | N
             f"{panel.series_ids[l]!r}, week {t + 1}, outside [{lo[l, t]}, {hi[l, t]}]")
 
 
-def _fitted_to(path: Path, header: dict) -> tuple[int, str, str | None] | None:
-    """The header's ``(n_weeks, panel_sha256, week_starts_sha256)``; ``None``
-    in version 1, and no dates' hash in version 2."""
-    if header["version"] == 1:
-        return None
-    for key in ("n_series", "n_weeks"):
-        value = header.get(key)
-        if not isinstance(value, int) or value < 1:
-            raise IntegrityError(f"{path}: header field {key!r} is not a positive count")
-    keys = ("panel_sha256",) if header["version"] == 2 else ("panel_sha256", "week_starts_sha256")
-    for key in keys:
-        if not isinstance(header.get(key), str):
-            raise IntegrityError(f"{path}: header lacks the {key!r} string")
-    return header["n_weeks"], header["panel_sha256"], header.get("week_starts_sha256")
-
-
 def load_draws(path) -> PosteriorDraws:
-    """Read draws written by ``save_draws`` or by its versions 1 and 2.
+    """Read draws written by ``save_draws``.
 
-    The header's ``mode`` must be ``plain`` or ``covariate``; a header
-    without one reads as ``plain``.
+    The header must be of version ``DRAWS_VERSION``, with a ``mode`` of
+    ``plain`` or ``covariate``, positive ``n_series`` and ``n_weeks``, and
+    both hashes of the training panel; draws of older versions must be
+    refit.
 
     Every record is checked before use: ``chain``, ``iteration`` and ``z``
     hold JSON integers and the other fields JSON floats, each in range and
@@ -337,13 +319,19 @@ def load_draws(path) -> PosteriorDraws:
         raise IntegrityError(f"{path}: unreadable header line") from None
     if not isinstance(header, dict) or header.get("format") != DRAWS_FORMAT:
         raise IntegrityError(f"{path}: not a draws file")
-    if header.get("version") not in (1, 2, DRAWS_VERSION):
+    if header.get("version") != DRAWS_VERSION:
         raise IntegrityError(
             f"{path}: draws version {header.get('version')} unsupported "
-            f"(expected 1 to {DRAWS_VERSION})"
+            f"(expected {DRAWS_VERSION}); refit them with 'poinar fit'"
         )
-    fitted_to = _fitted_to(path, header)
-    mode = header.get("mode", MODE_PLAIN)  # version 1 files may omit it
+    for key in ("n_series", "n_weeks"):
+        value = header.get(key)
+        if type(value) is not int or value < 1:  # JSON true is no count
+            raise IntegrityError(f"{path}: header field {key!r} is not a positive count")
+    for key in ("panel_sha256", "week_starts_sha256"):
+        if not isinstance(header.get(key), str):
+            raise IntegrityError(f"{path}: header lacks the {key!r} string")
+    mode = header.get("mode")
     if mode not in (MODE_PLAIN, MODE_COVARIATE):
         raise IntegrityError(f"{path}: header mode {mode!r} is not 'plain' or 'covariate'")
     n_draws = header.get("n_draws")
@@ -355,7 +343,7 @@ def load_draws(path) -> PosteriorDraws:
             f"{path}: expected {n_draws} draws, found {len(records)} (truncated or padded file)"
         )
     rows = []
-    width, n_weeks, innovations = header.get("n_series"), header.get("n_weeks"), None
+    width, n_weeks, innovations = header["n_series"], header["n_weeks"], None
     for i, line in enumerate(records, start=2):
         try:
             rec = json.loads(line)
@@ -367,8 +355,6 @@ def load_draws(path) -> PosteriorDraws:
         if missing:
             raise IntegrityError(f"{path}: line {i}: record lacks field {missing[0]!r}")
         field = f"{path}: line {i}: field"
-        if width is None:  # version 1: the first record's
-            width = len(rec["alpha"]) if type(rec["alpha"]) is list else 1
         for name in ("chain", "iteration"):
             if type(rec[name]) is not int or not 0 <= rec[name] <= _COUNT_MAX:
                 raise IntegrityError(
@@ -394,7 +380,6 @@ def load_draws(path) -> PosteriorDraws:
                 eps = np.array(value)
             except ValueError:  # ragged rows
                 eps = np.empty(0)
-            n_weeks = n_weeks or np.atleast_2d(eps).shape[1]  # version 1: the first record's
             if eps.dtype != np.int64 or eps.shape != (width, n_weeks):
                 raise IntegrityError(
                     f"{field} 'innovations' is not a ({width}, {n_weeks}) matrix of "
@@ -436,7 +421,7 @@ def load_draws(path) -> PosteriorDraws:
         iteration=np.array([rec["iteration"] for rec in rows], dtype=np.int64),
         innovations=innovations,
         mode=mode,
-        fitted_to=fitted_to,
+        fitted_to=(n_weeks, header["panel_sha256"], header["week_starts_sha256"]),
     )
 
 

@@ -94,9 +94,9 @@ class PosteriorDraws:
     (D, 12); ``tau``, ``chain_index`` and ``iteration`` are (D,);
     ``innovations`` is (D, L, T), or ``None`` for draws that keep none.
     ``fitted_to`` is ``(n_weeks, panel_sha256, week_starts_sha256)`` of the
-    training panel when the draws were read from a file that records it
-    (the last is ``None`` when the file records no dates). Nothing
-    modifies the arrays once ``run_chain`` or ``load_draws`` returns them.
+    training panel for draws read from a file, ``None`` for draws a chain
+    returns. Nothing modifies the arrays once ``run_chain`` or
+    ``load_draws`` returns them.
     """
 
     alpha: np.ndarray
@@ -109,7 +109,7 @@ class PosteriorDraws:
     iteration: np.ndarray
     innovations: np.ndarray | None = None
     mode: str = MODE_PLAIN
-    fitted_to: tuple[int, str, str | None] | None = None
+    fitted_to: tuple[int, str, str] | None = None
 
     def __len__(self) -> int:
         return self.alpha.shape[0]
@@ -251,24 +251,27 @@ class InnovationKernel:
         self.strategy = strategy
         self.mh_threshold = mh_threshold
         self.lgam = gammaln(np.arange(int(counts.max()) + 2, dtype=float))
-        yp = counts[:, :-1]
-        yc = counts[:, 1:]
+        # the build reads counts and lower bounds as flat row-major arrays,
+        # at ``at_eps`` (``at_eps - 1`` for the week before): ``take`` on a
+        # strided (L, T-1) view would copy it whole first
+        y = counts.reshape(-1)
         lo, hi = innovation_bounds(counts)
+        lo_flat = lo.reshape(-1)
         self.lo = lo[:, 1:]
         width = hi[:, 1:] - self.lo
 
         active = width > 0
         if strategy == INNOVATION_METROPOLIS:
-            mh_mask = active & (yc > mh_threshold)
+            mh_mask = active & (counts[:, 1:] > mh_threshold)
             exact = active & ~mh_mask
         else:
             mh_mask = np.zeros_like(active)
             exact = active
         # the active cells never change, so gather their geometry once
         self.mh_rows, self.mh_at, self.mh_at_eps = _flat_cells(mh_mask)
-        self.mh_lo = self.lo.take(self.mh_at)
-        self.mh_yc = yc.take(self.mh_at)
-        self.mh_diff = yp.take(self.mh_at) - self.mh_yc
+        self.mh_lo = lo_flat.take(self.mh_at_eps)
+        self.mh_yc = y.take(self.mh_at_eps)
+        self.mh_diff = y.take(self.mh_at_eps - 1) - self.mh_yc
 
         rows, at, at_eps = _flat_cells(exact)
         w = width.take(at)
@@ -281,12 +284,13 @@ class InnovationKernel:
         self.rows = rows[self.draw_order]
         self.at = at[self.draw_order]
         self.at_eps = at_eps[self.draw_order]
-        self.base = self.lo.take(self.at)
+        self.base = lo_flat.take(self.at_eps)
         w, level = w[self.draw_order], level[self.draw_order]
         starts = np.unique(level, return_index=True)[1]
         self.buckets = [
             _Bucket(start, stop, self.base[start:stop], w[start:stop],
-                    yc.take(self.at[start:stop]), yp.take(self.at[start:stop]), self.lgam)
+                    y.take(self.at_eps[start:stop]), y.take(self.at_eps[start:stop] - 1),
+                    self.lgam)
             for start, stop in zip(starts, np.r_[starts[1:], w.size])
         ]
         self._draws = np.empty(w.size, dtype=np.int64)

@@ -65,16 +65,16 @@ def assert_same_draws(a: PosteriorDraws, b: PosteriorDraws):
 
 
 def series_distribution(dist: ForecastDistribution, l: int) -> ForecastDistribution:
-    """Row ``l`` of a block of predictive pmfs as a single-series
-    distribution: the row's prefix up to its own ``y_max``."""
+    """Row ``l`` of a block of predictive pmfs as a one-row block: the
+    row's prefix up to its own ``y_max``."""
     m = int(dist.y_max[l])
-    return ForecastDistribution(dist.pmf[l, : m + 1], m, float(dist.mean[l]))
+    return ForecastDistribution(dist.pmf[l : l + 1, : m + 1], dist.y_max[l : l + 1])
 
 
 def one_draw_pmf(y_T: int, alpha: float, lam: float, theta: float = 1.0) -> ForecastDistribution:
     """``posterior_predictive`` of one series at origin count ``y_T`` under
-    one draw: thinning ``alpha``, rate ``lam`` and seasonal effect ``theta``
-    in every month, so the innovation rate is ``lam * theta``."""
+    one draw, a one-row block: thinning ``alpha``, rate ``lam`` and seasonal
+    effect ``theta`` in every month, so the innovation rate is ``lam * theta``."""
     state = ModelState(alpha=[alpha], z=[0], phi_star=[lam], theta=np.full(N_MONTHS, theta),
                        tau=1.0)
-    return series_distribution(posterior_predictive([y_T], draws_from_states([state]), 1), 0)
+    return posterior_predictive([y_T], draws_from_states([state]), 1)

@@ -456,15 +456,14 @@ def _poisson_sf(k: int, rate: np.ndarray) -> np.ndarray:
 
 
 def per_series_posterior_predictive(y_T, draws, month: int, exposure=None) -> list[tuple]:
-    """``(pmf, y_max, mean)`` of every series' draw-averaged one-step pmf,
-    one kernel call per series."""
+    """``(pmf, y_max)`` of every series' draw-averaged one-step pmf, one
+    kernel call per series."""
     alpha, lam, theta = draws.stacked(exposure)
     rate = lam * theta[:, month - 1, None]
     out = []
     for l, y in enumerate(np.asarray(y_T)):
         pmf = per_series_predictive_rows(int(y), alpha[:, l], rate[:, l]).mean(axis=0)
-        m = pmf.shape[0] - 1
-        out.append((pmf, m, float(np.arange(m + 1) @ pmf)))
+        out.append((pmf, pmf.shape[0] - 1))
     return out
 
 

@@ -139,27 +139,26 @@ class TestPosteriorConditionalMeans:
 
 class TestPredictivePmf:
     def test_no_previous_count_gives_poisson(self):
-        dist = one_draw_pmf(0, 0.5, 2.0, 1.5)
+        pmf = one_draw_pmf(0, 0.5, 2.0, 1.5).pmf[0]
         rate = 3.0
-        assert dist.pmf[0] == pytest.approx(np.exp(-rate), rel=1e-12)
-        grid = np.arange(dist.y_max + 1)
-        assert np.allclose(dist.pmf, sps.poisson.pmf(grid, rate), atol=1e-12)
+        assert pmf[0] == pytest.approx(np.exp(-rate), rel=1e-12)
+        assert np.allclose(pmf, sps.poisson.pmf(np.arange(pmf.size), rate), atol=1e-12)
 
     def test_no_innovations_gives_binomial(self):
-        dist = one_draw_pmf(3, 0.5, 0.0, 1.0)
-        assert np.allclose(dist.pmf[:4], sps.binom.pmf(np.arange(4), 3, 0.5), atol=1e-14)
-        assert np.all(dist.pmf[4:] == 0)
+        pmf = one_draw_pmf(3, 0.5, 0.0, 1.0).pmf[0]
+        assert np.allclose(pmf[:4], sps.binom.pmf(np.arange(4), 3, 0.5), atol=1e-14)
+        assert np.all(pmf[4:] == 0)
 
     def test_mixed_case_brute_force(self):
         # P(Y=0) = (1 - alpha) * exp(-1)
-        dist = one_draw_pmf(1, 0.5, 1.0, 1.0)
-        assert dist.pmf[0] == pytest.approx(0.5 * np.exp(-1.0), rel=1e-12)
+        pmf = one_draw_pmf(1, 0.5, 1.0, 1.0).pmf[0]
+        assert pmf[0] == pytest.approx(0.5 * np.exp(-1.0), rel=1e-12)
         # full brute-force convolution over the survivor count
-        grid = np.arange(dist.y_max + 1)
-        brute = np.zeros_like(dist.pmf)
+        grid = np.arange(pmf.size)
+        brute = np.zeros_like(pmf)
         for survivors in (0, 1):
             brute += sps.binom.pmf(survivors, 1, 0.5) * sps.poisson.pmf(grid - survivors, 1.0)
-        assert np.abs(dist.pmf - brute).max() < 1e-13
+        assert np.abs(pmf - brute).max() < 1e-13
 
     def test_mean_identity_and_mass(self):
         rng = np.random.default_rng(1)
@@ -168,9 +167,9 @@ class TestPredictivePmf:
             alpha = rng.uniform(0, 1)
             lam = rng.uniform(0.01, 8.0)
             theta = rng.uniform(0.2, 3.0)
-            dist = one_draw_pmf(y_T, alpha, lam, theta)
-            assert abs(dist.mean - (alpha * y_T + lam * theta)) < 1e-10
-            assert dist.pmf.sum() >= 1 - 1e-9
+            pmf = one_draw_pmf(y_T, alpha, lam, theta).pmf[0]
+            assert abs(pmf @ np.arange(pmf.size) - (alpha * y_T + lam * theta)) < 1e-10
+            assert pmf.sum() >= 1 - 1e-9
 
     def test_explicit_truncation_extends_when_too_small(self):
         rows = shared_rows(2, [0.5], [5.0], m=3)
@@ -183,8 +182,8 @@ class TestPosteriorPredictive:
         state = _state(0.4, 2.0, 1.3, month=5)
         avg = series_distribution(posterior_predictive([3], _draws([state]), month=5), 0)
         oracle = scalar_predictive_pmf(3, 0.4, 2.0 * 1.3)
-        assert avg.y_max == oracle.shape[0] - 1  # the draw's own truncation point
-        assert np.abs(avg.pmf - oracle).max() <= 1e-13
+        assert avg.y_max[0] == oracle.shape[0] - 1  # the draw's own truncation point
+        assert np.abs(avg.pmf[0] - oracle).max() <= 1e-13
 
     def test_identical_draws_collapse(self):
         state = _state(0.4, 2.0, 1.3)
@@ -200,13 +199,13 @@ class TestPosteriorPredictive:
             for _ in range(20)
         ]
         y_T = 4
-        avg = series_distribution(posterior_predictive([y_T], _draws(states), 1), 0)
-        assert avg.pmf.sum() >= 1 - 1e-9
+        pmf = series_distribution(posterior_predictive([y_T], _draws(states), 1), 0).pmf[0]
+        assert pmf.sum() >= 1 - 1e-9
         per_draw_means = [
             conditional_mean_h_step(y_T, s.alpha[0], s.phi_star[0], s.theta, [1])
             for s in states
         ]
-        assert abs(avg.mean - np.mean(per_draw_means)) < 1e-10
+        assert abs(pmf @ np.arange(pmf.size) - np.mean(per_draw_means)) < 1e-10
 
     def test_covariate_draws_need_exposure(self):
         state = _state(0.4, 2.0, 1.0)
@@ -217,7 +216,7 @@ class TestPosteriorPredictive:
         scaled = series_distribution(
             posterior_predictive([1], draws, 1, exposure=np.array([2.0])), 0)
         plain = one_draw_pmf(1, 0.4, 4.0)
-        assert np.allclose(scaled.pmf[: plain.y_max + 1], plain.pmf, atol=1e-15)
+        assert np.allclose(scaled.pmf[0, : plain.y_max[0] + 1], plain.pmf[0], atol=1e-15)
 
     def test_empty_draws_rejected(self):
         with pytest.raises(ValueError):
@@ -231,11 +230,11 @@ class TestPosteriorPredictive:
             for a, r in ((0.3, 1.0), (0.6, 2.5))
         ]
         block = posterior_predictive(np.array([4, 0]), _draws(states), 1)
-        assert block.pmf.shape[0] == block.y_max.shape[0] == block.mean.shape[0] == 2
-        dists = [series_distribution(block, l) for l in range(2)]
-        assert dists[0].mean == pytest.approx(np.mean([0.3 * 4 + 1.0, 0.6 * 4 + 2.5]), abs=1e-10)
-        assert np.allclose(dists[1].pmf, sps.poisson.pmf(np.arange(dists[1].y_max + 1), 3.0),
-                           atol=1e-15)
+        assert block.pmf.shape[0] == block.y_max.shape[0] == 2
+        first, second = (series_distribution(block, l).pmf[0] for l in range(2))
+        assert first @ np.arange(first.size) == pytest.approx(
+            np.mean([0.3 * 4 + 1.0, 0.6 * 4 + 2.5]), abs=1e-10)
+        assert np.allclose(second, sps.poisson.pmf(np.arange(second.size), 3.0), atol=1e-15)
 
 
 def _series_draws(alpha, lam, theta, mode="plain"):
@@ -284,14 +283,12 @@ class TestGroupedPosteriorPredictive:
         reference = per_series_posterior_predictive(counts, draws, month, exposure)
         assert block.pmf.shape == (len(counts), block.y_max.max() + 1)
         assert block.y_max.dtype == np.int64
-        ours = [series_distribution(block, l) for l in range(len(counts))]
-        assert len(ours) == len(reference) == len(counts)
-        for l, (dist, (pmf, y_max, mean)) in enumerate(zip(ours, reference)):
-            assert dist.y_max == y_max
-            assert np.array_equal(dist.pmf, pmf)
-            assert dist.mean == mean
+        assert len(reference) == len(counts)
+        for l, (pmf, y_max) in enumerate(reference):
+            assert block.y_max[l] == y_max
+            assert np.array_equal(block.pmf[l, : y_max + 1], pmf)
             assert not block.pmf[l, y_max + 1:].any()  # zero past the row's own y_max
-        return ours
+        return block
 
     @given(inputs=predictive_inputs())
     @settings(max_examples=80, deadline=None)
@@ -325,13 +322,13 @@ class TestGroupedPosteriorPredictive:
         draws = _series_draws(rng.uniform(0.1, 0.9, (D, L)),
                               rates * rng.uniform(0.8, 1.2, (D, L)), np.ones((D, 12)))
         calls = self.grid_calls(monkeypatch)
-        dists = self.assert_matches_oracle(counts, draws, 1)
+        block = self.assert_matches_oracle(counts, draws, 1)
         passes = {y: [(rows, m) for count, rows, m in calls if count == y] for y in (0, 3)}
         assert [rows for rows, _ in passes[3]] == [4 * D]  # all four series at once
         (first, width), (_, wider) = passes[0]
         assert first == 4 * D and wider > width
         for y in (0, 3):
-            assert len({dists[l].y_max for l in np.flatnonzero(counts == y)}) >= 3
+            assert len(set(block.y_max[counts == y].tolist())) >= 3
 
     def test_passes_hold_the_cell_bound(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -436,22 +433,22 @@ class TestPredictiveKernel:
 
 class TestQuantiles:
     def test_point_mass(self):
-        pmf = np.zeros(7)
-        pmf[3] = 1.0
-        dist = ForecastDistribution(pmf=pmf, y_max=6, mean=3.0)
-        assert quantile(dist, 0.5) == 3
+        pmf = np.zeros((1, 7))
+        pmf[0, 3] = 1.0
+        dist = ForecastDistribution(pmf=pmf, y_max=np.array([6]))
+        assert quantile(dist, 0.5).tolist() == [3]
 
     def test_poisson_unit_rate(self):
         dist = one_draw_pmf(0, 0.0, 1.0, 1.0)
         # Poisson(1): CDF(2) = 0.9197 < 0.95 <= CDF(3) = 0.9810
-        assert quantile(dist, 0.95) == 3
-        assert quantile(dist, 0.5) == 1
+        assert quantile(dist, 0.95).tolist() == [3]
+        assert quantile(dist, 0.5).tolist() == [1]
 
     def test_levels_in_one_call(self):
         dist = one_draw_pmf(3, 0.4, 2.0, 1.3)
         levels = [0.05, 0.5, 0.95, 0.99]
-        assert quantile(dist, levels).tolist() == [quantile(dist, u) for u in levels]
-        assert type(quantile(dist, 0.5)) is int
+        assert quantile(dist, levels).tolist() == [[quantile(dist, u)[0] for u in levels]]
+        assert quantile(dist, 0.5).shape == (1,)
         with pytest.raises(ValueError, match="got 1.5"):
             quantile(dist, [0.5, 1.5])
 
@@ -473,7 +470,7 @@ class TestQuantiles:
             int(rng.integers(0, 10)), rng.uniform(0, 1), rng.uniform(0.05, 5.0), 1.0
         )
         u2 = min(u1 + du, 0.995)
-        assert quantile(dist, u1) <= quantile(dist, u2)
+        assert quantile(dist, u1)[0] <= quantile(dist, u2)[0]
 
     @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 8),
            n_levels=st.integers(1, 6))
@@ -493,7 +490,7 @@ class TestQuantiles:
         ties = values[(values > 0.0) & (values <= top)]
         pool = np.concatenate([rng.uniform(0.0, top, n_levels), ties])
         levels = rng.choice(pool[pool > 0.0], n_levels)
-        dist = ForecastDistribution(pmf, y_max, np.zeros(n_rows))
+        dist = ForecastDistribution(pmf, y_max)
         got = quantile(dist, levels)
         assert got.shape == (n_rows, n_levels)
         for l, cdf in enumerate(cdfs):
@@ -503,12 +500,12 @@ class TestQuantiles:
         short = int(rng.integers(0, n_rows))
         pmf[short] *= 0.5
         with pytest.raises(ValueError, match="beyond the truncation point"):
-            quantile(ForecastDistribution(pmf, y_max, np.zeros(n_rows)), [0.25, 0.75])
+            quantile(ForecastDistribution(pmf, y_max), [0.25, 0.75])
 
     def test_interval_brackets(self):
         dist = one_draw_pmf(2, 0.5, 2.0, 1.0)
-        lo, hi = quantile(dist, (0.05, 0.95))
-        assert lo <= quantile(dist, 0.5) <= hi
+        lo, hi = quantile(dist, (0.05, 0.95))[0]
+        assert lo <= quantile(dist, 0.5)[0] <= hi
 
     def test_median_brackets_mean_on_grid(self):
         # the convolution of two log-concave pmfs is unimodal, so the median
@@ -517,4 +514,5 @@ class TestQuantiles:
             for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
                 for rate in (0.1, 1.0, 5.0, 20.0):
                     dist = one_draw_pmf(y_T, alpha, rate, 1.0)
-                    assert abs(quantile(dist, 0.5) - round(dist.mean)) <= 1
+                    mean = dist.pmf[0] @ np.arange(dist.y_max[0] + 1)
+                    assert abs(quantile(dist, 0.5)[0] - round(mean)) <= 1

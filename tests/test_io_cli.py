@@ -229,16 +229,11 @@ def tiny_draws():
     return run_chain(_tiny_panel(), config)
 
 
-def _save_older_version(draws, path, version):
-    """Write ``draws`` with a version 1 header, which names no panel, or a
-    version 2 header, which names no week dates."""
-    io.save_draws(draws, path, _tiny_panel())
+def _edit_header(path, edit):
+    """Apply ``edit`` to the header of the draws file at ``path``."""
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    header["version"] = version
-    dropped = {1: ("n_series", "n_weeks", "panel_sha256"), 2: ()}[version]
-    for key in dropped + ("week_starts_sha256",):
-        del header[key]
+    edit(header)
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
@@ -288,11 +283,26 @@ class TestDrawsPersistence:
     def test_version_mismatch_detected(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
         io.save_draws(tiny_draws, path, _tiny_panel())
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["version"] = 99
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        _edit_header(path, lambda h: h.update(version=99))
         with pytest.raises(io.IntegrityError, match="version"):
+            io.load_draws(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_versions_rejected(self, tmp_path, tiny_draws, version):
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, _tiny_panel())
+        _edit_header(path, lambda h: h.update(version=version))
+        with pytest.raises(io.IntegrityError,
+                           match=f"draws version {version} unsupported .*; refit them"):
+            io.load_draws(path)
+
+    @pytest.mark.parametrize("value", [None, True, 0])
+    @pytest.mark.parametrize("key", ["n_series", "n_weeks"])
+    def test_header_needs_the_panel_size(self, tmp_path, tiny_draws, key, value):
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, _tiny_panel())
+        _edit_header(path, lambda h: h.update({key: value}))
+        with pytest.raises(io.IntegrityError, match=f"header field '{key}' is not a positive"):
             io.load_draws(path)
 
     def test_header_binds_the_training_panel(self, tmp_path, tiny_draws):
@@ -311,10 +321,7 @@ class TestDrawsPersistence:
     def test_version_three_header_needs_the_dates(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
         io.save_draws(tiny_draws, path, _tiny_panel())
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        del header["week_starts_sha256"]
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        _edit_header(path, lambda h: h.pop("week_starts_sha256"))
         with pytest.raises(io.IntegrityError, match="week_starts_sha256"):
             io.load_draws(path)
 
@@ -323,27 +330,10 @@ class TestDrawsPersistence:
         with pytest.raises(ValueError, match="no week dates"):
             io.save_draws(tiny_draws, tmp_path / "draws.jsonl", panel)
 
-    def test_version_two_file_checked_by_ids_and_counts_only(self, tmp_path, tiny_draws):
-        path = tmp_path / "draws.jsonl"
-        _save_older_version(tiny_draws, path, 2)
-        loaded = io.load_draws(path)
-        panel = _tiny_panel()
-        assert loaded.fitted_to == (72, io.panel_sha256(panel), None)
-        shifted = replace(panel, week_starts=[d + datetime.timedelta(days=364)
-                                              for d in panel.week_starts])
-        assert io.fitted_panel_mismatch(loaded, shifted) is None
-        counts = panel.counts.copy()
-        counts[0, 5] += 1
-        assert "counts of the first 72 weeks differ" in io.fitted_panel_mismatch(
-            loaded, replace(panel, counts=counts))
-
     def test_version_two_header_needs_the_panel(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
         io.save_draws(tiny_draws, path, _tiny_panel())
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        del header["panel_sha256"]
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        _edit_header(path, lambda h: h.pop("panel_sha256"))
         with pytest.raises(io.IntegrityError, match="panel_sha256"):
             io.load_draws(path)
 
@@ -377,18 +367,29 @@ class TestDrawsPersistence:
                     week_starts=panel.week_starts[:50])
         )
 
-    def test_version_one_file_still_loads(self, tmp_path, tiny_draws):
+    def test_no_draws_rejected(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
-        _save_older_version(tiny_draws, path, 1)
-        loaded = io.load_draws(path)
-        assert len(loaded) == len(tiny_draws) and loaded.fitted_to is None
-        assert io.fitted_panel_mismatch(loaded, _tiny_panel()) is None
-
-    def test_no_draws_rejected(self, tmp_path):
-        header = {"format": io.DRAWS_FORMAT, "version": 1, "mode": "plain", "n_draws": 0}
-        path = write(tmp_path / "draws.jsonl", json.dumps(header) + "\n")
+        io.save_draws(tiny_draws, path, _tiny_panel())
+        _edit_header(path, lambda h: h.update(n_draws=0))
+        path.write_text(path.read_text().splitlines()[0] + "\n")
         with pytest.raises(io.IntegrityError, match="holds no draws"):
             io.load_draws(path)
+
+    def test_draws_of_a_chain_checked_for_width_and_support(self, tiny_draws):
+        # draws ``run_chain`` returns record no panel hashes; the series
+        # count and the innovations still bind them to a panel
+        panel = _tiny_panel()
+        assert tiny_draws.fitted_to is None
+        assert io.fitted_panel_mismatch(tiny_draws, panel) is None
+        narrow = replace(panel, counts=panel.counts[:4], series_ids=panel.series_ids[:4])
+        assert io.fitted_panel_mismatch(tiny_draws, narrow) == (
+            "the draws cover 6 series, but the panel holds 4")
+        counts = panel.counts.copy()
+        counts[0, 0] += 1  # eps_1 = y_1 in every draw
+        y = int(counts[0, 0])
+        assert io.fitted_panel_mismatch(tiny_draws, replace(panel, counts=counts)) == (
+            f"draw 1 (line 2) puts innovation {y - 1} at series 's000', week 1, "
+            f"outside [{y}, {y}]")
 
     def test_foreign_file_rejected(self, tmp_path):
         path = write(tmp_path / "x.jsonl", '{"something": "else"}\n')
@@ -656,19 +657,16 @@ class TestCli:
         io.save_counts(panel, tmp_path / "c.csv")
         path = tmp_path / "draws.jsonl"
         io.save_draws(tiny_draws, path, panel)
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["mode"] = mode
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        _edit_header(path, lambda h: h.update(mode=mode))
         code = main(["forecast", "--counts", str(tmp_path / "c.csv"), "--draws", str(path),
                      "--out", str(tmp_path / "fc")])
         assert code == 1
         assert f"{path}: header mode {mode!r} is not" in capsys.readouterr().err
         assert not (tmp_path / "fc" / "forecasts.csv").exists()
-        # a header without a mode is a plain one
-        del header["mode"]
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        assert io.load_draws(path).mode == "plain"
+        # a header without a mode is refused too
+        _edit_header(path, lambda h: h.pop("mode"))
+        with pytest.raises(io.IntegrityError, match="header mode None is not"):
+            io.load_draws(path)
 
     def test_malformed_draws_record_exits_one(self, tmp_path, tiny_draws, capsys):
         sc = Scenario(name="d", cluster_rates=(1.0, 3.0), thinning=0.4, L=6, T=72)
@@ -817,12 +815,41 @@ class TestCli:
         assert "row 3, column 3: count 99999999999999999999 is above 2^63 - 1" in (
             capsys.readouterr().err)
 
-    def test_version_one_draws_checked_by_width_only(self, tmp_path, tiny_draws):
+    @pytest.mark.parametrize("command", ["forecast", "evaluate"])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_draws_versions_exit_one(self, tmp_path, tiny_draws, capsys,
+                                           version, command):
         io.save_counts(_tiny_panel(), tmp_path / "c.csv")
-        _save_older_version(tiny_draws, tmp_path / "draws.jsonl", 1)
-        assert main(["forecast", "--counts", str(tmp_path / "c.csv"),
-                     "--draws", str(tmp_path / "draws.jsonl"),
-                     "--out", str(tmp_path / "fc")]) == 0
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, _tiny_panel())
+        _edit_header(path, lambda h: h.update(version=version))
+        out = tmp_path / command
+        code = main([command, "--counts", str(tmp_path / "c.csv"), "--draws", str(path),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path}: draws version {version} unsupported" in err and "refit" in err
+        assert not any(out.glob("*.csv"))
+
+    def test_draws_from_another_panel_rejected_under_a_version_one_header(self, tmp_path,
+                                                                           capsys):
+        # a version 1 header bound no panel: such draws of a hard-0.1 fit
+        # forecast an easy-0.9 panel of the same width
+        hard, easy, fit = tmp_path / "hard", tmp_path / "easy", tmp_path / "fit"
+        for scenario, out in (("hard-0.1", hard), ("easy-0.9", easy)):
+            assert main(["simulate", "--scenario", scenario, "--series", "8",
+                         "--out", str(out)]) == 0
+        assert main(["fit", "--counts", str(hard / "counts.csv"), "--out", str(fit),
+                     "--iterations", "20", "--burn-in", "10", "--thin", "5"]) == 0
+        draws = fit / "draws.jsonl"
+        forecast = ["forecast", "--counts", str(easy / "counts.csv"), "--draws", str(draws),
+                    "--out", str(tmp_path / "fc")]
+        assert main(forecast) == 1
+        _edit_header(draws, lambda h: h.update(version=1))
+        capsys.readouterr()
+        assert main(forecast) == 1
+        assert f"{draws}: draws version 1 unsupported" in capsys.readouterr().err
+        assert not (tmp_path / "fc" / "forecasts.csv").exists()
 
     def test_forecast_quantiles_match_oracle_on_outlier_panel(self, tmp_path):
         # one series ends on an outlier week of 400: its pmf spans ~650 counts
