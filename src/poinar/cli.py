@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate panels, fit the sampler, forecast,
 evaluate holdout accuracy and run the scenario study.
 
-Every run writes a ``manifest.json`` (every parsed option, the output
-directory, library versions) sufficient to reproduce its outputs byte for
-byte.
+``main`` creates the output directory, runs one ``cmd_*``, which writes its
+files and returns the line to print, and then writes ``manifest.json``
+(every parsed option, the output directory, library versions), sufficient
+to reproduce the outputs byte for byte. A failed command writes no manifest.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ import argparse
 import ctypes
 import csv
 import datetime
-import json
 import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import io
 from .diagnostics import cluster_count_histogram, psrf, representative_assignment
@@ -38,6 +36,7 @@ from .sampler import (
     PosteriorDraws,
     SamplerConfig,
     run_chains,
+    stream,
 )
 
 _USAGE_EXIT = 2
@@ -115,7 +114,8 @@ def _quantile_levels(text: str) -> list[float]:
 
 def _write_csv(path: Path, header: list[str], rows: list):
     """Write ``header`` and then ``rows``, each a sequence of cells in the
-    header's order, in the csv module's default (excel) dialect. Raises
+    header's order, in the csv module's default (excel) dialect, which
+    writes a float as its round-trip ``repr``. Raises
     ``ValueError`` before writing when a row's width differs from the
     header's."""
     widths = set(map(len, rows)) - {len(header)}
@@ -154,20 +154,24 @@ def _load_panel_and_draws(args) -> tuple:
     return panel, draws, model_exposure(panel, draws.mode)
 
 
+def _sweep_config(args, **settings) -> SamplerConfig:
+    """The ``SamplerConfig`` of the ``_add_sweep_options`` values and ``settings``."""
+    return SamplerConfig(n_iterations=args.iterations, burn_in=args.burn_in,
+                         thin_interval=args.thin, seed=args.seed, **settings)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    out = _out_dir(args)
+def cmd_simulate(args, out: Path) -> str:
     scenario = replace(scenario_by_name(args.scenario), theta_mode=args.theta_mode)
     if args.series is not None:
         scenario = replace(scenario, L=args.series)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)))
-    panel, truth, next_month = simulate_scenario(scenario, rng)
+    panel, truth, next_month = simulate_scenario(scenario, stream(args.seed, 0))
 
     io.save_counts(panel, out / "counts.csv")
-    truth_doc = {
+    io.write_json(out / "truth.json", {
         "scenario": scenario.name,
         "seed": args.seed,
         "memberships": [int(k) for k in truth.z],
@@ -176,27 +180,16 @@ def cmd_simulate(args) -> int:
         "theta": [float(t) for t in truth.theta],
         "next_month": next_month,
         "series_ids": panel.series_ids,
-    }
-    with (out / "truth.json").open("w") as fh:
-        json.dump(truth_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    io.write_manifest(out, "simulate", _parameters(args, out))
-    print(f"wrote {out / 'counts.csv'} and {out / 'truth.json'}")
-    return 0
+    })
+    return f"wrote {out / 'counts.csv'} and {out / 'truth.json'}"
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, out: Path) -> str:
     _check_exposure_mode(args, args.mode)
-    out = _out_dir(args)
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
     exposure = model_exposure(panel, args.mode)
-    sampler_config = SamplerConfig(
-        n_iterations=args.iterations,
-        burn_in=args.burn_in,
-        thin_interval=args.thin,
-        n_chains=args.chains,
-        seed=args.seed,
-        hyper=_hyper_from_args(args),
+    sampler_config = _sweep_config(
+        args, n_chains=args.chains, hyper=_hyper_from_args(args),
         innovation_strategy=args.innovation_strategy,
         metropolis_threshold=args.metropolis_threshold,
         keep_innovations=args.include_innovations,
@@ -221,16 +214,11 @@ def cmd_fit(args) -> int:
         diagnostics["psrf_rate_sum"] = psrf(draws.rate_sum_traces(exposure))
         diagnostics["psrf_alpha"] = psrf(draws.by_chain(draws.alpha)).tolist()
         diagnostics["psrf_theta"] = psrf(draws.by_chain(draws.theta)).tolist()
-    with (out / "diagnostics.json").open("w") as fh:
-        json.dump(diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    io.write_manifest(out, "fit", _parameters(args, out))
-    print(f"wrote {out / 'draws.jsonl'} ({len(draws)} draws) and diagnostics.json")
-    return 0
+    io.write_json(out / "diagnostics.json", diagnostics)
+    return f"wrote {out / 'draws.jsonl'} ({len(draws)} draws) and diagnostics.json"
 
 
-def cmd_forecast(args) -> int:
-    out = _out_dir(args)
+def cmd_forecast(args, out: Path) -> str:
     quantiles = _quantile_levels(args.quantiles) if args.quantiles else []
     if args.horizon < 1:
         raise ConfigurationError("horizon must be at least 1")
@@ -241,25 +229,20 @@ def cmd_forecast(args) -> int:
         )
     )
     y_last = panel.counts[:, -1]
-    means = posterior_conditional_means(draws, y_last, future, exposure)
+    means = posterior_conditional_means(draws, y_last, future, exposure).tolist()
     q_columns = []
     if quantiles:
         dist = posterior_predictive(y_last, draws, int(future[0]), exposure)
         q_columns = quantile(dist, quantiles).T.tolist()
-    mean_columns = [map(repr, row) for row in means.tolist()]
 
     header = ["series_id", "y_last", "mean"] + [f"q{q}" for q in quantiles]
     header += [f"mean_step{h}" for h in range(2, args.horizon + 1)]
-    rows = list(zip(panel.series_ids, y_last.tolist(), mean_columns[0], *q_columns,
-                    *mean_columns[1:]))
+    rows = list(zip(panel.series_ids, y_last.tolist(), means[0], *q_columns, *means[1:]))
     _write_csv(out / "forecasts.csv", header, rows)
-    io.write_manifest(out, "forecast", _parameters(args, out))
-    print(f"wrote {out / 'forecasts.csv'} for {panel.n_series} series")
-    return 0
+    return f"wrote {out / 'forecasts.csv'} for {panel.n_series} series"
 
 
-def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
+def cmd_evaluate(args, out: Path) -> str:
     panel, draws, _ = _load_panel_and_draws(args)
     report, details = rolling_one_step_evaluation(
         panel, draws, holdout=args.holdout, origins=args.origins, bucket_cap=args.bucket_cap,
@@ -268,13 +251,12 @@ def cmd_evaluate(args) -> int:
     columns = ["last_value", "rmse", "rmse_se", "bias", "bias_se", "frequency", "n"]
     bucket_rows = [
         (f"{key}+" if key == report.bucket_cap else str(key),
-         *(repr(getattr(b, c)) for c in columns[1:-1]), b.n)
+         *(getattr(b, c) for c in columns[1:-1]), b.n)
         for key, b in sorted(report.by_last_value.items())
     ]
-    bucket_rows.append(("overall", repr(report.rmse), "", repr(report.bias), "", repr(1.0),
-                        report.n_total))
+    bucket_rows.append(("overall", report.rmse, "", report.bias, "", 1.0, report.n_total))
     _write_csv(out / "evaluation.csv", columns, bucket_rows)
-    doc = {
+    io.write_json(out / "evaluation.json", {
         "rmse": report.rmse,
         "ape": report.ape,
         "bias": report.bias,
@@ -285,36 +267,24 @@ def cmd_evaluate(args) -> int:
         "by_last_value": {
             str(k): asdict(v) for k, v in sorted(report.by_last_value.items())
         },
-    }
-    with (out / "evaluation.json").open("w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     _write_csv(
         out / "forecast_details.csv",
         ["series_id", "week", "last_value", "prediction", "actual"],
         list(zip(details["series_id"], details["week"].tolist(),
-                 details["last_value"].tolist(), map(repr, details["prediction"].tolist()),
+                 details["last_value"].tolist(), details["prediction"].tolist(),
                  details["actual"].tolist())),
     )
-    io.write_manifest(out, "evaluate", _parameters(args, out))
-    print(f"wrote {out / 'evaluation.csv'} over {report.n_total} forecasts")
-    return 0
+    return f"wrote {out / 'evaluation.csv'} over {report.n_total} forecasts"
 
 
-def cmd_study(args) -> int:
-    out = _out_dir(args)
+def cmd_study(args, out: Path) -> str:
     scenarios = None
     if args.scenarios:
         scenarios = [scenario_by_name(name) for name in args.scenarios.split(",")]
-    sampler_config = SamplerConfig(
-        n_iterations=args.iterations,
-        burn_in=args.burn_in,
-        thin_interval=args.thin,
-        seed=args.seed,
-    )
     report = run_study(
         scenarios=scenarios,
-        sampler_config=sampler_config,
+        sampler_config=_sweep_config(args),
         scale=args.scale,
         n_replicates=args.replicates,
         seed=args.seed,
@@ -322,10 +292,8 @@ def cmd_study(args) -> int:
     )
 
     table = report.columns()
-    cells = [[repr(v) if isinstance(v, float) else v for v in column]
-             for column in table.values()]
-    _write_csv(out / "study.csv", list(table), list(zip(*cells)))
-    doc = {
+    _write_csv(out / "study.csv", list(table), list(zip(*table.values())))
+    io.write_json(out / "study.json", {
         "scale": report.scale,
         "seed": report.seed,
         "n_replicates": report.n_replicates,
@@ -345,13 +313,8 @@ def cmd_study(args) -> int:
             }
             for r in report.results
         ],
-    }
-    with (out / "study.json").open("w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    io.write_manifest(out, "study", _parameters(args, out))
-    print(f"wrote {out / 'study.csv'} for {len(report.results)} scenarios")
-    return 0
+    })
+    return f"wrote {out / 'study.csv'} for {len(report.results)} scenarios"
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +323,7 @@ def cmd_study(args) -> int:
 
 def _add_sweep_options(p: argparse.ArgumentParser):
     """The sweep count, burn-in, thinning and seed of ``fit`` and ``study``,
-    defaulting to ``SamplerConfig``'s."""
+    defaulting to ``SamplerConfig``'s; ``_sweep_config`` reads them back."""
     p.add_argument("--iterations", type=int, default=SamplerConfig.n_iterations)
     p.add_argument("--burn-in", type=int, default=SamplerConfig.burn_in)
     p.add_argument("--thin", type=int, default=SamplerConfig.thin_interval)
@@ -441,13 +404,17 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's SeedSequence takes no negative entropy
             raise ConfigurationError("--seed must be non-negative")
-        return args.func(args)
+        out = _out_dir(args)
+        done = args.func(args, out)
     except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except (io.ParseError, io.IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _FAILURE_EXIT
+    io.write_manifest(out, args.command, _parameters(args, out))
+    print(done)
+    return 0
 
 
 if __name__ == "__main__":

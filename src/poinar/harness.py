@@ -27,7 +27,7 @@ from .forecast import conditional_mean_h_step, posterior_conditional_means
 from .io import months_of, week_starts_from
 from .model import model_exposure, simulate_panel
 from .panel import CountPanel
-from .sampler import ConfigurationError, PosteriorDraws, SamplerConfig, run_chain
+from .sampler import ConfigurationError, PosteriorDraws, SamplerConfig, run_chain, stream
 
 SEPARATIONS = {
     "easy": (1.0, 3.0, 6.0, 10.0),
@@ -213,19 +213,14 @@ def run_study(
         ham_mean: list[float] = []
 
         for r in range(reps):
-            sim_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(0, si, r))
-            )
-            panel, truth, next_month = simulate_scenario(sc, sim_rng)
+            panel, truth, next_month = simulate_scenario(sc, stream(seed, 0, si, r))
             y_last = panel.counts[:, -1]
-            truth_rates = truth.phi_star[truth.z]
-            truth_next = truth.alpha * y_last + truth_rates * truth.theta[next_month - 1]
+            truth_next = conditional_mean_h_step(
+                y_last, truth.alpha, truth.phi_star[truth.z], truth.theta, [next_month]
+            )
             true_means.append(truth_next)
 
-            chain_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(2, si, r))
-            )
-            draws = run_chain(panel, config, rng=chain_rng)
+            draws = run_chain(panel, config, rng=stream(seed, 2, si, r))
             # an all-zero series keeps the zero CLS model, which forecasts 0
             cls = cls_fit_panel(panel.counts, panel.season_of)
             predictions = {

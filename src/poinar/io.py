@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import MODE_COVARIATE, MODE_PLAIN
 from .panel import N_MONTHS, CountPanel, innovation_bounds
-from .sampler import PosteriorDraws
+from .sampler import SEED_DERIVATION, PosteriorDraws
 
 DRAWS_FORMAT = "poinar-draws"
 DRAWS_VERSION = 3
@@ -269,7 +269,7 @@ def fitted_panel_mismatch(draws: PosteriorDraws, panel: CountPanel) -> str | Non
     series count other than the panel's; for draws read from a file, a
     hash that differs from that of the panel's first ``n_weeks`` weeks; and
     a stored innovation outside its support under the panel's counts (see
-    ``innovation_bounds``)."""
+    ``innovation_bounds``), with its file line for draws read from a file."""
     width = draws.alpha.shape[1]
     if width != panel.n_series:
         return f"the draws cover {width} series, but the panel holds {panel.n_series}"
@@ -292,7 +292,8 @@ def fitted_panel_mismatch(draws: PosteriorDraws, panel: CountPanel) -> str | Non
     if not outside.any():
         return None
     d, l, t = np.argwhere(outside)[0].tolist()
-    return (f"draw {d + 1} (line {d + 2}) puts innovation {eps[d, l, t]} at series "
+    line = f" (line {d + 2})" if draws.fitted_to is not None else ""
+    return (f"draw {d + 1}{line} puts innovation {eps[d, l, t]} at series "
             f"{panel.series_ids[l]!r}, week {t + 1}, outside [{lo[l, t]}, {hi[l, t]}]")
 
 
@@ -456,13 +457,20 @@ def _shape(value) -> str:
         return "ragged"
 
 
+def write_json(path, doc: dict):
+    """Write ``doc`` as JSON indented by 2, keys sorted, ending in a newline."""
+    with Path(path).open("w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_manifest(out_dir, command: str, parameters: dict):
     """Record everything needed to reproduce a run: the command, its resolved
     parameters (seeds included) and the library versions. No timestamps, so
     identical runs produce identical manifests."""
     from . import __version__
 
-    manifest = {
+    write_json(Path(out_dir) / "manifest.json", {
         "command": command,
         "parameters": parameters,
         "versions": {
@@ -471,13 +479,5 @@ def write_manifest(out_dir, command: str, parameters: dict):
             "scipy": __import__("scipy").__version__,
             "python": sys.version.split()[0],
         },
-        "seed_derivation": (
-            "streams use numpy SeedSequence(entropy=seed, spawn_key=(k, ...)): "
-            "k=0 simulation, k=1 chains (then chain index), k=2 study replicates"
-        ),
-    }
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "manifest.json").open("w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "seed_derivation": SEED_DERIVATION,
+    })

@@ -76,13 +76,19 @@ class SamplerConfig:
         return (self.n_iterations - self.burn_in) // self.thin_interval
 
 
-def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
-    """Per-chain random stream derived from the master seed.
+# the spawn keys of ``stream``, as the manifest records them
+SEED_DERIVATION = (
+    "streams use numpy SeedSequence(entropy=seed, spawn_key=(k, ...)): "
+    "k=0 simulation, k=1 chains (then chain index), k=2 study replicates"
+)
 
-    Chain ``c`` uses ``SeedSequence(entropy=seed, spawn_key=(1, c))``; stream
-    key 1 is reserved for sampling (0 is used for simulation)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(1, chain_index))
-    return np.random.default_rng(ss)
+
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream of spawn ``key`` off the master ``seed``, the one
+    place the keys are built: ``(0,)`` simulates a panel, ``(1, c)`` runs
+    chain c, and ``(0, i, r)`` and ``(2, i, r)`` simulate and sample
+    replicate r of study scenario i."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 @dataclass
@@ -815,7 +821,7 @@ def run_chain(
     hyper = config.hyper
     model_exposure(panel, hyper.mode)  # a covariate panel without exposure fails here
     if rng is None:
-        rng = chain_rng(config.seed, chain_index)
+        rng = stream(config.seed, 1, chain_index)
     if kernel is None:
         kernel = _innovation_kernel(panel, config)
 

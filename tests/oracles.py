@@ -11,8 +11,9 @@ representative clustering), kept verbatim so that the faster package
 versions can be checked to give the same numbers; the earlier per-cell
 counts CSV parser, against which the package's parser is checked file by
 file; and the earlier rendering of the CLI's forecast, evaluation and study
-tables, one dict per row through ``csv.DictWriter``, against which the
-command outputs are checked byte for byte.
+tables, one dict per row through ``csv.DictWriter``, and of its JSON
+documents through ``json.dumps``, against which the command outputs are
+checked byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
 from poinar.baselines import ClsPanelEstimate
-from poinar.diagnostics import forecast_metrics
+from poinar.diagnostics import (
+    cluster_count_histogram,
+    forecast_metrics,
+    psrf,
+    representative_assignment,
+)
 from poinar.forecast import posterior_conditional_means
 from poinar.harness import METHOD_BNP, METHODS, holdout_origin_weeks
 from poinar.io import ParseError, load_exposure, months_of, week_starts_from
@@ -603,6 +609,66 @@ def dict_study_csv(path, report):
          "true_conditional_mean", "modal_k", "hamming_representative"],
         rows,
     )
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def truth_json(scenario, seed: int, panel, truth, next_month: int) -> str:
+    """``truth.json`` of ``poinar simulate`` for the simulated ``scenario``."""
+    return _json_text({
+        "scenario": scenario.name,
+        "seed": seed,
+        "memberships": [int(k) for k in truth.z],
+        "cluster_rates": [float(r) for r in truth.phi_star],
+        "alpha": [float(a) for a in truth.alpha],
+        "theta": [float(t) for t in truth.theta],
+        "next_month": next_month,
+        "series_ids": panel.series_ids,
+    })
+
+
+def diagnostics_json(draws, exposure) -> str:
+    """``diagnostics.json`` of ``poinar fit`` for its ``draws``; the PSRFs
+    only for two or more chains."""
+    hist = cluster_count_histogram(draws)
+    doc = {
+        "n_draws": len(draws),
+        "cluster_count_freqs": {str(k): v for k, v in hist.freqs.items()},
+        "modal_clusters": hist.mode,
+        "representative_assignment": [int(k) for k in representative_assignment(draws)],
+    }
+    if len(np.unique(draws.chain_index)) >= 2:
+        doc["psrf_rate_sum"] = psrf(draws.rate_sum_traces(exposure))
+        doc["psrf_alpha"] = psrf(draws.by_chain(draws.alpha)).tolist()
+        doc["psrf_theta"] = psrf(draws.by_chain(draws.theta)).tolist()
+    return _json_text(doc)
+
+
+def study_json(report) -> str:
+    """``study.json`` of ``poinar study`` for ``report``."""
+    return _json_text({
+        "scale": report.scale,
+        "seed": report.seed,
+        "n_replicates": report.n_replicates,
+        "results": [
+            {
+                "scenario": r.scenario.name,
+                "cluster_rates": list(r.scenario.cluster_rates),
+                "thinning": r.scenario.thinning,
+                "L": r.scenario.L,
+                "T": r.scenario.T,
+                "rmse": r.rmse,
+                "ape": r.ape,
+                "true_conditional_mean": r.true_mean,
+                "modal_k": r.modal_k,
+                "hamming_representative": r.hamming_representative,
+                "hamming_mean": r.hamming_mean,
+            }
+            for r in report.results
+        ],
+    })
 
 
 # ---------------------------------------------------------------------------

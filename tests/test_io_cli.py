@@ -388,7 +388,21 @@ class TestDrawsPersistence:
         counts[0, 0] += 1  # eps_1 = y_1 in every draw
         y = int(counts[0, 0])
         assert io.fitted_panel_mismatch(tiny_draws, replace(panel, counts=counts)) == (
-            f"draw 1 (line 2) puts innovation {y - 1} at series 's000', week 1, "
+            f"draw 1 puts innovation {y - 1} at series 's000', week 1, "
+            f"outside [{y}, {y}]")
+
+    def test_loaded_draws_off_support_name_the_line(self, tmp_path, tiny_draws):
+        # a record's innovation raised past its week's count, in a file
+        # whose header still binds the draws to the panel
+        panel = _tiny_panel()
+        y = int(panel.counts[0, 0])  # eps_1 = y_1 in every draw
+        path = tmp_path / "draws.jsonl"
+
+        def raise_first(record):
+            record["innovations"][0][0] += 1
+        line = self._edit_record(path, tiny_draws, 2, raise_first)
+        assert io.fitted_panel_mismatch(io.load_draws(path), panel) == (
+            f"draw 3 (line {line}) puts innovation {y + 1} at series 's000', week 1, "
             f"outside [{y}, {y}]")
 
     def test_foreign_file_rejected(self, tmp_path):

@@ -1,16 +1,25 @@
-"""The CLI's forecast, evaluation and study tables, byte for byte against the
-earlier rendering kept in ``oracles``: one dict per row through
-``csv.DictWriter`` and one quantile search per series."""
+"""The CLI's forecast, evaluation and study tables and its JSON documents,
+byte for byte against the earlier rendering kept in ``oracles``: one dict
+per row through ``csv.DictWriter``, one quantile search per series, and
+``json.dumps`` with sorted keys. A failed command writes no manifest."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import dict_evaluation_files, dict_forecasts_csv, dict_study_csv
+from oracles import (
+    diagnostics_json,
+    dict_evaluation_files,
+    dict_forecasts_csv,
+    dict_study_csv,
+    study_json,
+    truth_json,
+)
 from poinar import io
 from poinar.cli import main
 from poinar.harness import Scenario, run_study, scenario_by_name, simulate_scenario
+from poinar.model import model_exposure
 from poinar.sampler import SamplerConfig
 
 TRAIN = 100
@@ -94,3 +103,59 @@ def test_study_csv(tmp_path):
     )
     dict_study_csv(tmp_path / "oracle.csv", report)
     assert (tmp_path / "cli" / "study.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_truth_json(tmp_path):
+    assert main(["simulate", "--scenario", "med-0.5", "--series", "8", "--seed", "4",
+                 "--theta-mode", "sampled", "--out", str(tmp_path)]) == 0
+    scenario = replace(scenario_by_name("med-0.5"), L=8, theta_mode="sampled")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(0,)))
+    panel, truth, next_month = simulate_scenario(scenario, rng)
+    assert (tmp_path / "truth.json").read_bytes() == (
+        truth_json(scenario, 4, panel, truth, next_month).encode())
+
+
+@pytest.mark.parametrize("mode, chains", [("plain", 1), ("covariate", 2)])
+def test_diagnostics_json(fitted, tmp_path, mode, chains):
+    exposure = str(fitted / "exposure.csv") if mode == "covariate" else None
+    argv = ["fit", "--counts", str(fitted / "train.csv"), "--mode", mode,
+            "--chains", str(chains), "--iterations", "40", "--burn-in", "10", "--thin", "5",
+            "--seed", "2", "--out", str(tmp_path)]
+    assert main(argv + (["--exposure", exposure] if exposure else [])) == 0
+    panel = io.load_counts(fitted / "train.csv", exposure_path=exposure)
+    draws = io.load_draws(tmp_path / "draws.jsonl")
+    got = (tmp_path / "diagnostics.json").read_bytes()
+    assert got == diagnostics_json(draws, model_exposure(panel, mode)).encode()
+    assert (b"psrf_alpha" in got) == (chains >= 2)
+
+
+def test_study_json(tmp_path):
+    assert main(["study", "--scenarios", "med-0.5,easy-0.9", "--replicates", "2",
+                 "--iterations", "30", "--burn-in", "10", "--thin", "5", "--seed", "5",
+                 "--out", str(tmp_path)]) == 0
+    report = run_study(
+        scenarios=[scenario_by_name("med-0.5"), scenario_by_name("easy-0.9")],
+        sampler_config=SamplerConfig(n_iterations=30, burn_in=10, thin_interval=5, seed=5),
+        scale="desk", n_replicates=2, seed=5,
+    )
+    assert (tmp_path / "study.json").read_bytes() == study_json(report).encode()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fit", "--counts", "{root}/train.csv", "--seed", "-1"], 2),
+    (["fit", "--counts", "{root}/train.csv", "--exposure", "{root}/exposure.csv"], 2),
+    (["fit", "--counts", "{root}/missing.csv"], 2),
+    (["forecast", "--counts", "{root}/train.csv", "--draws", "{root}/covariate/draws.jsonl"], 2),
+    (["evaluate", "--counts", "{root}/full.csv", "--draws", "{root}/plain/draws.jsonl",
+      "--holdout", "0"], 2),
+    (["simulate", "--scenario", "nope"], 2),
+    (["study", "--scenarios", "hard-0.1", "--iterations", "20", "--burn-in", "10",
+      "--thin", "20"], 2),
+    (["forecast", "--counts", "{root}/exposure.csv", "--draws", "{root}/plain/draws.jsonl"], 1),
+    (["evaluate", "--counts", "{root}/full.csv", "--draws", "{root}/train.csv"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_failed_command_writes_no_manifest(fitted, tmp_path, argv, code):
+    out = tmp_path / "out"
+    assert main([a.format(root=fitted) for a in argv] + ["--out", str(out)]) == code
+    assert not (out / "manifest.json").exists()
+    assert not out.exists() or not any(out.iterdir())

@@ -463,6 +463,20 @@ class TestChains:
         with pytest.raises(ConfigurationError, match="seed"):
             SamplerConfig(seed=-1)
 
+    # simulation, chains 0 and 3, and study scenario 2's replicates 0 and 1
+    # (perfbench builds the (0,) and (0, i, 0) streams itself)
+    @pytest.mark.parametrize("key", [(0,), (1, 0), (1, 3), (0, 2, 0), (0, 2, 1), (2, 2, 1)])
+    def test_stream_is_the_spawn_key_sequence(self, key):
+        raw = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=key))
+        assert sampler.stream(11, *key).bit_generator.state == raw.bit_generator.state
+
+    def test_chain_draws_from_stream_one(self):
+        panel, _ = small_panel(L=6, T=60)
+        config = SamplerConfig(n_iterations=30, burn_in=10, thin_interval=5, seed=11)
+        raw = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(1, 2)))
+        assert_same_draws(run_chain(panel, config, chain_index=2),
+                          run_chain(panel, config, rng=raw, chain_index=2))
+
     def test_covariate_mode_requires_exposure(self):
         panel, _ = small_panel(L=4, T=48, rates=(1.0, 2.0))
         config = SamplerConfig(hyper=Hyperparams.default("covariate"))
