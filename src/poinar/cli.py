@@ -330,15 +330,8 @@ def _add_sweep_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=SamplerConfig.seed)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="poinar",
-        description="Clustered Poisson INAR(1) modeling of correlated low-count series",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _simulate_options(p: argparse.ArgumentParser):
     names = ", ".join(s.name for s in benchmark_scenarios())
-    p = sub.add_parser("simulate", help="simulate a scenario panel with ground truth")
     p.add_argument("--scenario", required=True, help=f"one of: {names}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--series", type=int, default=None, help="override the series count")
@@ -346,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory (or POINAR_OUT)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="run the sampler on a counts panel")
+
+def _fit_options(p: argparse.ArgumentParser):
     p.add_argument("--counts", required=True)
     p.add_argument("--exposure", default=None)
     p.add_argument("--mode", choices=[MODE_PLAIN, MODE_COVARIATE], default=MODE_PLAIN)
@@ -363,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("forecast", help="point, quantile and interval forecasts")
+
+def _forecast_options(p: argparse.ArgumentParser):
     p.add_argument("--counts", required=True)
     p.add_argument("--draws", required=True)
     p.add_argument("--exposure", default=None)
@@ -372,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("evaluate", help="rolling one-step holdout evaluation")
+
+def _evaluate_options(p: argparse.ArgumentParser):
     p.add_argument("--counts", required=True)
     p.add_argument("--draws", required=True)
     p.add_argument("--exposure", default=None)
@@ -382,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("study", help="run the scenario comparison study")
+
+def _study_options(p: argparse.ArgumentParser):
     p.add_argument("--scale", choices=["desk", "full"], default="desk")
     p.add_argument("--scenarios", default=None, help="comma-separated scenario names")
     p.add_argument("--replicates", type=int, default=None)
@@ -391,14 +388,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_study)
 
+
+# each subcommand's help line and the function adding its options
+_COMMANDS = {
+    "simulate": ("simulate a scenario panel with ground truth", _simulate_options),
+    "fit": ("run the sampler on a counts panel", _fit_options),
+    "forecast": ("point, quantile and interval forecasts", _forecast_options),
+    "evaluate": ("rolling one-step holdout evaluation", _evaluate_options),
+    "study": ("run the scenario comparison study", _study_options),
+}
+_EPILOG = f"poinar commands: {', '.join(_COMMANDS)}"
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given the command line ``argv``,
+    one in which only the invoked subcommand has its options.
+
+    The top-level parser takes no option with a value, so the invoked
+    subcommand is the first argument that does not start with "-". Every
+    subcommand is listed either way, so ``poinar --help`` and an unknown
+    command's error name all five, as does each subcommand's help; the
+    others' options, ``-h`` included, are left out, since adding each
+    builds an argparse help formatter.
+    """
+    parser = argparse.ArgumentParser(
+        prog="poinar",
+        description="Clustered Poisson INAR(1) modeling of correlated low-count series",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
+    for name, (help_text, add_options) in _COMMANDS.items():
+        built = argv is None or name == invoked
+        p = sub.add_parser(name, help=help_text, add_help=built, epilog=_EPILOG)
+        if built:
+            add_options(p)
     return parser
 
 
 def main(argv=None) -> int:
     _pin_allocator_thresholds()
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse uses exit 2 for usage errors
         return exc.code if isinstance(exc.code, int) else _USAGE_EXIT
     try:

@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .sampler import ConfigurationError, PosteriorDraws
 
@@ -40,13 +42,62 @@ def _factorize(z: np.ndarray) -> tuple[np.ndarray, int]:
     return inverse.reshape(-1), labels.shape[0]
 
 
+# Contingency tables with at least this many cells (k_a * k_b) are solved
+# sparsely. On a 2-core Xeon, on random memberships of 40 to 2000 series,
+# the dense solver took 20-30 us at 100 cells, 0.4-0.5 ms at 30,000, 0.8-1.4
+# ms at 39,000 and 3.5-6.3 ms at 160,000; the sparse one 0.2-0.4 ms up to
+# 7,000 cells, 0.6 ms at 30,000, 0.5-0.7 ms at 39,000 and 1.2-1.5 ms at
+# 160,000. They meet between 30,000 and 40,000.
+_SPARSE_MIN_CELLS = 40_000
+
+
+def _dense_overlap(inv_a: np.ndarray, k_a: int, inv_b: np.ndarray, k_b: int) -> int:
+    """The maximum total overlap of an injective relabeling of two factorized
+    labelings, from their dense (k_a, k_b) contingency table."""
+    table = np.bincount(inv_a * k_b + inv_b, minlength=k_a * k_b).reshape(k_a, k_b)
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return int(table[rows, cols].sum())
+
+
+def _sparse_overlap(inv_a: np.ndarray, k_a: int, inv_b: np.ndarray, k_b: int) -> int:
+    """:func:`_dense_overlap` from the table's nonzero cells alone.
+
+    With the smaller side as rows, the graph holds every nonzero cell and,
+    per row, one dummy column of zero overlap that only that row reaches,
+    so a full matching always exists. A cell of overlap o weighs (n + 1) -
+    o >= 1 (the solver takes no zero weights), and a full matching weighs
+    k_a * (n + 1) minus its overlap, so the minimum-weight one (Jonker and
+    Volgenant's sparse shortest augmenting paths) has the maximum overlap.
+    A row matched to its dummy stands for a row matched to a zero cell.
+    """
+    if k_a > k_b:
+        inv_a, k_a, inv_b, k_b = inv_b, k_b, inv_a, k_a
+    n = inv_a.shape[0]
+    cells, overlap = np.unique(inv_a * k_b + inv_b, return_counts=True)  # row-major
+    rows, cols = np.divmod(cells, k_b)
+    # each CSR row holds the row's cells and then its dummy, so the i-th
+    # cell, in row r, sits at i + r
+    indptr = np.zeros(k_a + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k_a) + 1, out=indptr[1:])
+    at = np.arange(cells.shape[0]) + rows
+    weight = np.full(indptr[-1], n + 1.0)
+    weight[at] -= overlap
+    column = np.empty(indptr[-1], dtype=np.int64)
+    column[at] = cols
+    column[indptr[1:] - 1] = k_b + np.arange(k_a)
+    graph = csr_array((weight, column, indptr), shape=(k_a, k_b + k_a))
+    rows, cols = min_weight_full_bipartite_matching(graph)
+    real = cols < k_b
+    return int(overlap[np.searchsorted(cells, rows[real] * k_b + cols[real])].sum())
+
+
 def _mismatches(inv_a: np.ndarray, k_a: int, inv_b: np.ndarray, k_b: int) -> int:
     """Memberships left unmatched by the best injective relabeling of two
     factorized labelings: n minus the maximum total overlap of their
-    contingency table (a rectangular assignment problem)."""
-    table = np.bincount(inv_a * k_b + inv_b, minlength=k_a * k_b).reshape(k_a, k_b)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return inv_a.shape[0] - int(table[rows, cols].sum())
+    contingency table (a rectangular assignment problem), solved densely
+    below ``_SPARSE_MIN_CELLS`` table cells and sparsely from there on."""
+    solve = _dense_overlap if k_a * k_b < _SPARSE_MIN_CELLS else _sparse_overlap
+    return inv_a.shape[0] - solve(inv_a, k_a, inv_b, k_b)
 
 
 def hamming_error(z_est, z_true) -> float:
@@ -99,7 +150,12 @@ def representative_assignment(draws: PosteriorDraws) -> np.ndarray:
     Works on the U distinct membership vectors: one assignment problem per
     pair of them, U(U-1)/2 in all, each giving an integer mismatch count.
     A draw's total distance is those counts weighted by how often each
-    vector occurs, summed exactly in integers, so ties are exact.
+    vector occurs, summed exactly in integers, so ties are exact. Pairs
+    whose contingency table has ``_SPARSE_MIN_CELLS`` cells or more, such
+    as those of hundreds of clusters a side, are solved as a sparse
+    matching over the table's nonzero cells, which number at most the
+    series count; smaller tables are solved densely. Both give the same
+    integer count.
     """
     if len(draws) == 0:
         raise ValueError("no draws to choose from")

@@ -188,7 +188,9 @@ def run_study(
     a single replicate. Replicate r of scenario i simulates with stream
     (0, i, r) and samples with stream (2, i, r) off the study seed. Fits
     default to ``SamplerConfig(seed=seed)``, the in-sample protocol: 1000
-    sweeps, the first 100 discarded, every 5th kept (180 draws).
+    sweeps, the first 100 discarded, every 5th kept (180 draws). Every
+    stream derives from ``seed`` alone, so a given ``sampler_config`` must
+    carry the same seed; another one raises ``ConfigurationError``.
     """
     if scale not in ("desk", "full"):
         raise ValueError("scale must be 'desk' or 'full'")
@@ -201,6 +203,11 @@ def run_study(
         reps = 1 if n_replicates is None else n_replicates
     if reps < 1:
         raise ConfigurationError("the study needs at least one replicate")
+    if sampler_config is not None and sampler_config.seed != seed:
+        raise ConfigurationError(
+            f"sampler_config.seed {sampler_config.seed} differs from the study seed {seed}; "
+            "the study samples from streams of its own seed"
+        )
     config = sampler_config or SamplerConfig(seed=seed)
 
     report = StudyReport(scale=scale, seed=seed, n_replicates=reps)

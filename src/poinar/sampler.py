@@ -14,6 +14,8 @@ one formula and one set of conjugate updates cover both model variants.
 
 from __future__ import annotations
 
+import os
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -249,14 +251,19 @@ class InnovationKernel:
     and scatters into a flat view of the new matrix, which is allocated
     C-ordered whatever the layout of ``counts``; no (L, T-1) temporary is
     built.
+
+    Before anything sized by the counts themselves is allocated, the
+    buckets' grid cells are counted from the support widths; if their
+    bytes would exceed the machine's physical memory, the build raises
+    ``ConfigurationError`` naming the series of the widest support
+    (``series_ids``, row numbers when not given).
     """
 
     def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
-                 mh_threshold: int = 30):
+                 mh_threshold: int = 30, series_ids: list[str] | None = None):
         self.counts = counts
         self.strategy = strategy
         self.mh_threshold = mh_threshold
-        self.lgam = gammaln(np.arange(int(counts.max()) + 2, dtype=float))
         # the build reads counts and lower bounds as flat row-major arrays,
         # at ``at_eps`` (``at_eps - 1`` for the week before): ``take`` on a
         # strided (L, T-1) view would copy it whole first
@@ -293,6 +300,8 @@ class InnovationKernel:
         self.base = lo_flat.take(self.at_eps)
         w, level = w[self.draw_order], level[self.draw_order]
         starts = np.unique(level, return_index=True)[1]
+        _check_grid_memory(w, starts, self.rows, series_ids)
+        self.lgam = gammaln(np.arange(int(counts.max()) + 2, dtype=float))
         self.buckets = [
             _Bucket(start, stop, self.base[start:stop], w[start:stop],
                     y.take(self.at_eps[start:stop]), y.take(self.at_eps[start:stop] - 1),
@@ -347,6 +356,45 @@ class InnovationKernel:
         return new
 
 
+# The bytes a bucket keeps per grid cell: the float64 rate multiplier,
+# log-factorial terms and work grid, a float64 cumsum grid for column-wise
+# buckets, and the bool comparison grid.
+_GRID_BYTES_PER_CELL = 4 * 8 + 1
+
+
+def _physical_memory() -> int | None:
+    """This machine's physical memory in bytes, or None where the OS does
+    not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_grid_memory(width: np.ndarray, starts: np.ndarray, rows: np.ndarray,
+                       series_ids: list[str] | None):
+    """Raise ``ConfigurationError`` if the buckets starting at ``starts``
+    over the sorted cell widths ``width`` (of series ``rows``) would not
+    fit in physical memory. Reads the widths only."""
+    memory = _physical_memory()
+    if memory is None or width.size == 0:
+        return
+    sizes = np.diff(np.r_[starts, width.size])
+    points = np.maximum.reduceat(width, starts) + 1
+    needed = _GRID_BYTES_PER_CELL * int(points @ sizes)
+    if needed > memory:
+        widest = int(np.argmax(width))
+        row = int(rows[widest])
+        name = repr(series_ids[row]) if series_ids is not None else f"in row {row}"
+        raise ConfigurationError(
+            f"the exact innovation kernel would need about {needed / 2**30:,.0f} GiB for "
+            f"its support grids, more than this machine's {memory / 2**30:,.1f} GiB; "
+            f"series {name} has the widest support, {int(width[widest]) + 1} values. "
+            "Use --innovation-strategy metropolis-poisson, which enumerates only the "
+            "weeks whose counts are at most --metropolis-threshold"
+        )
+
+
 def _flat_cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, flat (L, T-1) index and flat (L, T) index of each true cell of
     ``mask``, in row-major order."""
@@ -389,20 +437,28 @@ class _Bucket:
     def __init__(self, start, stop, base, width, y_curr, y_prev, lgam):
         self.cells = slice(start, stop)
         m = int(width.max()) + 1
-        valid = np.arange(m)[:, None] <= width
-        grid = (base + np.arange(m)[:, None]) * valid
-        surv = (y_curr - grid) * valid
-        fail = (y_prev - surv) * valid
+        c = width.shape[0]
         # log-factorial terms never change across sweeps; only the rate
-        # term multiplies the support grid
-        logw0 = -(lgam[grid + 1] + lgam[surv + 1] + lgam[fail + 1])
-        logw0[~valid] = np.nan
-        self.grid0 = grid.astype(float)
-        self.logw0 = logw0
-        c = logw0.shape[1]
+        # term multiplies the support grid. They are summed over the
+        # unmasked grid, one int64 buffer holding the innovation, then the
+        # survivors, then the thinned-away counts, with indices off the
+        # table clipped; only the padding reads clipped entries, and it is
+        # overwritten once at the end.
+        lgam = lgam[1:]  # lgam[x] is now log x!
+        counts = np.add.outer(np.arange(m), base)
+        self.grid0 = counts.astype(float)
+        self.logw0 = logw0 = lgam.take(counts, mode="clip")
+        self._logw = term = np.empty_like(logw0)
+        np.subtract(y_curr, counts, out=counts)
+        logw0 += lgam.take(counts, out=term, mode="clip")
+        np.subtract(y_prev, counts, out=counts)
+        logw0 += lgam.take(counts, out=term, mode="clip")
+        np.negative(logw0, out=logw0)
+        padding = np.greater.outer(np.arange(m), width)
+        logw0[padding] = np.nan
+        self.grid0[padding] = 0.0
         # flat index of each cell's last point
         self._last = width * c + np.arange(c)
-        self._logw = np.empty_like(logw0)
         self._below = np.empty((m - 1, c), dtype=bool)
         # the smallest unsigned type that holds an offset: summing bools
         # into it skips numpy's buffered cast to int64
@@ -520,8 +576,15 @@ def sample_memberships(
     and gammaln(shape_j) are read from ``log_gamma`` (a chain passes its
     own, built here otherwise) while its ``limit`` covers the sweep's total.
     The terms of ``log_innovation_total_marginal`` are combined in its own
-    order, and an emptied cluster is removed by shifting the later ones
-    down, so the draws are those of the plain per-visit formula.
+    order, so the draws are those of the plain per-visit formula.
+
+    During the sweep each series holds its cluster's slot id rather than
+    its label. A new cluster takes a fresh id, larger than every other, so
+    the live ids stay sorted in the order of the clusters' rows, and a
+    series finds its row by bisection. Removing an emptied cluster deletes
+    its id and shifts the later clusters' rows down by one, which keeps
+    their order and touches no series; the labels are computed once, at
+    the end.
     """
     g1, g2 = hyper.gamma1, hyper.gamma2
     if log_gamma is None:
@@ -529,8 +592,7 @@ def sample_memberships(
     elif log_gamma.gamma1 != g1:
         raise ValueError("the log-gamma table was built for another gamma1")
     S, mass = stats.S, stats.mass
-    z = state.z.copy()
-    L = z.shape[0]
+    L = S.shape[0]
     K = stats.n.shape[0]
     order = range(L) if order is None else np.asarray(order).tolist()
 
@@ -546,15 +608,17 @@ def sample_memberships(
         log_count = np.log(np.arange(L + 1.0))
 
     # cluster quantities read one at a time live in lists, those read over
-    # every cluster in rows with room for every series alone
+    # every cluster in rows with room for every series alone. The rows hold
+    # what a visit reads: the mass terms under one mass for every series,
+    # else rate_j and log rate_j, which share their rows.
     n, B, U = stats.n.tolist(), stats.B.tolist(), stats.U.tolist()
-    table = np.empty((7, L + 1))
-    log_n, log_gamma_shape, shape, fixed, slope, rate, log_rate = table
+    table = np.empty((5, L + 1))
+    log_n, log_gamma_shape, shape, fixed, slope = table
+    rate, log_rate = fixed, slope
     B_at = np.zeros(L + 1, dtype=np.int64)  # B as indices into the table
     log_n[:K] = log_count.take(stats.n)
     np.add(stats.B, g1, out=shape[:K])
-    np.add(stats.U, g2, out=rate[:K])
-    np.log(rate[:K], out=log_rate[:K])
+    rate_0 = stats.U + g2
     top = int(stats.B.max(initial=0))  # at least the largest B_j
     if exact:
         lg = log_gamma.covering(top, total)
@@ -564,10 +628,13 @@ def sample_memberships(
         gammaln(shape[:K], out=log_gamma_shape[:K])
     if memo:
         m, log_m = float(mass[0]), float(log_mass[0])
-        log_denom = np.log(rate[:K] + m)
-        np.subtract(log_rate[:K], log_denom, out=fixed[:K])
+        log_denom = np.log(rate_0 + m)
+        np.subtract(np.log(rate_0), log_denom, out=fixed[:K])
         fixed[:K] *= shape[:K]
         np.subtract(log_m, log_denom, out=slope[:K])
+    else:
+        rate[:K] = rate_0
+        np.log(rate_0, out=log_rate[:K])
 
     def refresh(k):
         shape[k] = shape_k = B[k] + g1
@@ -605,18 +672,21 @@ def sample_memberships(
     size = lg.shape[0] if exact else 0
     K_views = -1
     S, mass, s_int = S.tolist(), mass.tolist(), s_int.tolist()
+    slots = state.z.tolist()  # each series' slot id, at first its label
+    live = list(range(K))     # the clusters' slot ids, in row order
+    fresh = K
     for l in order:
         s, m_l, si = S[l], mass[l], s_int[l]
-        k = int(z[l])
+        k = bisect_left(live, slots[l])
         n[k] -= 1
         B[k] -= s
         U[k] -= m_l
         if n[k] == 0:
-            del n[k], B[k], U[k]
+            del n[k], B[k], U[k], live[k]
             table[:, k:K - 1] = table[:, k + 1:K]
-            B_at[k:K - 1] = B_at[k + 1:K]
+            if exact:
+                B_at[k:K - 1] = B_at[k + 1:K]
             K -= 1
-            np.subtract(z, z > k, out=z)
         else:
             refresh(k)
         if K != K_views:
@@ -667,8 +737,10 @@ def sample_memberships(
             n.append(0)
             B.append(0.0)
             U.append(0.0)
+            live.append(fresh)
+            fresh += 1
             K += 1
-        z[l] = k_new
+        slots[l] = live[k_new]
         n[k_new] += 1
         B[k_new] += s
         U[k_new] += m_l
@@ -677,7 +749,8 @@ def sample_memberships(
         refresh(k_new)
 
     z, (B, n, U) = _relabel_by_first_appearance(
-        z, np.array(B, dtype=float), np.array(n, dtype=np.int64), np.array(U, dtype=float))
+        np.searchsorted(live, slots), np.array(B, dtype=float), np.array(n, dtype=np.int64),
+        np.array(U, dtype=float))
     new_stats = SuffStats(
         S=stats.S, B=B, n=n, U=U, R=stats.R,
         theta_total=stats.theta_total, mass=stats.mass,
@@ -857,6 +930,7 @@ def _innovation_kernel(panel: CountPanel, config: SamplerConfig) -> InnovationKe
         panel.counts,
         strategy=config.innovation_strategy,
         mh_threshold=config.metropolis_threshold,
+        series_ids=panel.series_ids,
     )
 
 

@@ -251,10 +251,12 @@ def grid_search_sse(
 
 class PaddedInnovationKernel:
     """The innovation update with one grid padded to the widest support in
-    the panel: every exact cell gets that many columns."""
+    the panel: every exact cell gets that many columns. ``series_ids``,
+    which the package kernel names in its memory check, is accepted and
+    not used, so that ``run_chain`` can build this in its place."""
 
     def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
-                 mh_threshold: int = 30):
+                 mh_threshold: int = 30, series_ids=None):
         self.counts = counts
         self.strategy = strategy
         self.mh_threshold = mh_threshold
@@ -842,12 +844,18 @@ def _add_at_contingency(z_a, z_b):
     return table
 
 
+def add_at_mismatches(z_a, z_b) -> int:
+    """Memberships left unmatched by the best injective relabeling, from a
+    dense ``np.add.at`` table and ``linear_sum_assignment``."""
+    z_a = np.asarray(z_a)
+    table = _add_at_contingency(z_a, np.asarray(z_b))
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return z_a.shape[0] - int(table[rows, cols].sum())
+
+
 def add_at_hamming_error(z_est, z_true) -> float:
     """Relabeling-optimal mismatch fraction from an ``np.add.at`` table."""
-    z_est = np.asarray(z_est)
-    table = _add_at_contingency(z_est, np.asarray(z_true))
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return (z_est.shape[0] - int(table[rows, cols].sum())) / z_est.shape[0]
+    return add_at_mismatches(z_est, z_true) / np.asarray(z_est).shape[0]
 
 
 def per_draw_hamming_mean(zs, z_true) -> float:

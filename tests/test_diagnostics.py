@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from drawrows import draws_from_states
 from oracles import (
     add_at_hamming_error,
+    add_at_mismatches,
     exhaustive_min_hamming,
     pairwise_mean_distances,
     pairwise_representative_assignment,
@@ -22,8 +23,10 @@ from poinar.diagnostics import (
     psrf,
     representative_assignment,
 )
+from poinar import diagnostics
+from poinar.harness import Scenario, simulate_scenario
 from poinar.model import ModelState
-from poinar.sampler import PosteriorDraws
+from poinar.sampler import PosteriorDraws, SamplerConfig, run_chain
 
 
 def _draws_from_memberships(zs, chains=None, iterations=None):
@@ -151,6 +154,67 @@ class TestHamming:
         assert hamming_error(a, b) == add_at_hamming_error(a, b)
 
 
+@st.composite
+def membership_pairs(draw):
+    """Two labelings of up to 1600 series with up to 800 labels a side,
+    either side the larger. They agree on a drawn share of the series, or
+    the second merges a block of the first's labels into one, so those rows
+    of the table share no member with any other column and all but one
+    must be matched to a zero cell."""
+    L = draw(st.integers(1, 1600))
+    k_a = draw(st.integers(1, min(L, 800)))
+    k_b = draw(st.integers(1, min(L, 800)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.permutation(np.arange(L) % k_a)
+    kind = draw(st.sampled_from(["agree", "merge"]))
+    if kind == "agree":
+        agree = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+        b = np.where(rng.random(L) < agree, a % k_b, rng.permutation(np.arange(L) % k_b))
+    else:
+        b = np.where(a < draw(st.integers(1, k_a)), -1, rng.permutation(np.arange(L) % k_b))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def _factorized(a, b):
+    return (*diagnostics._factorize(a), *diagnostics._factorize(b))
+
+
+class TestSparseAssignment:
+    @given(membership_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_assignment_on_both_sides_of_the_crossover(self, pair):
+        a, b = pair
+        expected = add_at_mismatches(a, b)
+        inv_a, k_a, inv_b, k_b = _factorized(a, b)
+        assert diagnostics._mismatches(inv_a, k_a, inv_b, k_b) == expected
+        for args in ((inv_a, k_a, inv_b, k_b), (inv_b, k_b, inv_a, k_a)):
+            assert a.shape[0] - diagnostics._sparse_overlap(*args) == expected
+            assert a.shape[0] - diagnostics._dense_overlap(*args) == expected
+
+    def test_matches_exhaustive_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            L = int(rng.integers(1, 30))
+            a = rng.integers(0, rng.integers(1, 7), L)
+            b = rng.integers(0, rng.integers(1, 7), L)
+            expected = round(exhaustive_min_hamming(a, b) * L)
+            assert L - diagnostics._sparse_overlap(*_factorized(a, b)) == expected
+            assert L - diagnostics._sparse_overlap(*_factorized(b, a)) == expected
+
+    def test_table_size_picks_the_solver(self, monkeypatch):
+        calls = []
+        for name in ("_dense_overlap", "_sparse_overlap"):
+            solve = getattr(diagnostics, name)
+            monkeypatch.setattr(diagnostics, name,
+                                lambda *args, name=name, solve=solve: calls.append(name)
+                                or solve(*args))
+        side = int(np.ceil(np.sqrt(diagnostics._SPARSE_MIN_CELLS)))
+        for k in (side - 1, side):
+            z = np.arange(k)
+            assert diagnostics._mismatches(*_factorized(z, z[::-1])) == 0
+        assert calls == ["_dense_overlap", "_sparse_overlap"]
+
+
 class TestRepresentativeAssignment:
     def test_all_identical(self):
         z = np.array([0, 0, 1, 1])
@@ -218,6 +282,21 @@ class TestRepresentativeAssignment:
         chosen = next(i for i in range(D) if np.array_equal(draws.z[i], expected))
         assert chosen in tied
         assert avg[chosen] == pytest.approx(avg[winner], rel=1e-12, abs=0)
+
+
+    @pytest.mark.parametrize("min_cells", [0, diagnostics._SPARSE_MIN_CELLS])
+    def test_matches_pairwise_oracle_on_a_wide_fit(self, monkeypatch, min_cells):
+        # four sweeps from 400 singletons keep 50 to 150 clusters a draw;
+        # with no crossover every pair is solved sparsely
+        monkeypatch.setattr(diagnostics, "_SPARSE_MIN_CELLS", min_cells)
+        scenario = Scenario(name="wide", cluster_rates=(0.3, 0.8, 1.5, 3.0), thinning=0.3,
+                            L=400, T=104)
+        panel = simulate_scenario(scenario, np.random.default_rng(13))[0]
+        draws = run_chain(panel, SamplerConfig(n_iterations=4, burn_in=0, thin_interval=1,
+                                               seed=4))
+        assert len(np.unique(draws.n_clusters)) == 4 and draws.n_clusters.min() >= 40
+        assert np.array_equal(representative_assignment(draws),
+                              pairwise_representative_assignment(draws))
 
 
 def _integer_totals(zs) -> np.ndarray:

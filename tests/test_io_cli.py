@@ -821,6 +821,39 @@ class TestCli:
         assert code == 1
         assert "fitted to 120 weeks, the counts hold 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["fit", "--help"], 0), (["study", "-h"], 0), (["bogus"], 2), ([], 2),
+    ])
+    def test_help_and_usage_errors_name_every_command(self, capsys, argv, code):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        for command in ("simulate", "fit", "forecast", "evaluate", "study"):
+            assert command in captured.out + captured.err, command
+
+    def test_parser_of_a_command_line_holds_only_its_command_options(self):
+        argv = ["forecast", "--counts", "c.csv", "--draws", "d.jsonl", "--out", "o"]
+        lean = cli.build_parser(argv)
+        full = cli.build_parser()
+        subparsers = [next(a for a in p._actions if isinstance(a, argparse._SubParsersAction))
+                      for p in (lean, full)]
+        assert list(subparsers[0].choices) == list(subparsers[1].choices)
+        for name, parser in subparsers[0].choices.items():
+            assert bool(parser._actions) == (name == "forecast"), name
+        assert vars(lean.parse_args(argv)) == vars(full.parse_args(argv))
+        assert list(vars(lean.parse_args(argv))) == list(vars(full.parse_args(argv)))
+
+    def test_fit_whose_exact_grids_exceed_memory_is_a_usage_error(self, tmp_path, capsys):
+        weeks = io.week_starts_from(datetime.date(2001, 1, 1), 4000)
+        panel = CountPanel(counts=np.full((1, 4000), 10**7), season_of=io.months_of(weeks),
+                           series_ids=["huge"], week_starts=weeks)
+        io.save_counts(panel, tmp_path / "c.csv")
+        out = tmp_path / "fit"
+        assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "series 'huge' has the widest support, 10000001 values" in err
+        assert "--innovation-strategy metropolis-poisson" in err
+        assert not (out / "manifest.json").exists() and not (out / "draws.jsonl").exists()
+
     def test_count_beyond_int64_exits_one(self, tmp_path, capsys):
         path = write(tmp_path / "c.csv", GOOD_CSV.replace("b,3,1,0", "b,3,99999999999999999999,0"))
         code = main(["fit", "--counts", str(path), "--out", str(tmp_path / "fit"),

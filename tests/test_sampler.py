@@ -1,6 +1,7 @@
 """Sampler steps against independent oracles and their stated conditionals."""
 
 import copy
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,35 @@ class TestConjugateUpdates:
         for _ in range(2000):
             tau = sample_concentration(K=5, L=40, tau_old=tau, hyper=hyper, rng=rng)
             assert np.isfinite(tau) and tau > 0
+
+
+class TestKernelMemoryGuard:
+    def test_refused_before_anything_sized_by_the_counts(self):
+        # one series near 10^7 over 4000 weeks: its exact grids would take
+        # about 1.2 TiB, and its log-factorial table alone 80 MB
+        counts = np.random.default_rng(0).poisson(1e7, (1, 4000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError,
+                               match=r"series 'big' has the widest support.*"
+                                     r"--innovation-strategy metropolis-poisson"):
+                InnovationKernel(counts, series_ids=["big"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_estimate_counts_the_built_grids(self, monkeypatch):
+        panel, _ = small_panel(L=6, T=60)
+        counts = panel.counts.copy()
+        counts[2, 10:14] = 40  # a wide bucket of its own
+        cells = sum(b.grid0.size for b in InnovationKernel(counts).buckets)
+        needed = sampler._GRID_BYTES_PER_CELL * cells
+        monkeypatch.setattr(sampler, "_physical_memory", lambda: needed)
+        InnovationKernel(counts)
+        monkeypatch.setattr(sampler, "_physical_memory", lambda: needed - 1)
+        with pytest.raises(ConfigurationError, match="series in row 2 has the widest"):
+            InnovationKernel(counts)
 
 
 class TestChains:

@@ -123,6 +123,43 @@ def test_chain_draws_match_reference_sweep(case, monkeypatch):
         assert np.all(ours.n_clusters[-20:] <= 8)
 
 
+def wide_panel(L: int, entropy: int, exposure: bool = False):
+    panel = scenario_panel(Scenario(name="wide", cluster_rates=(0.3, 0.8, 1.5, 3.0),
+                                    thinning=0.3, L=L, T=52), entropy)
+    if exposure:
+        panel = replace(panel, exposure=np.random.default_rng(entropy).uniform(0.5, 4.0, L))
+    return panel
+
+
+# three sweeps from singletons at width, where hundreds of clusters empty in
+# a sweep, beyond the plain dyadic-gamma1 cases above: under per-series
+# exposures (a mass per visit), with a gamma1 the log-gamma table cannot
+# hold, and both
+WIDE_CASES = {
+    "covariate": lambda: (
+        wide_panel(220, 22, exposure=True),
+        sweep_config(3, seed=13, hyper=Hyperparams.default("covariate")),
+    ),
+    "gamma1-0.3": lambda: (wide_panel(200, 23), sweep_config(3, seed=14,
+                                                             hyper=Hyperparams(gamma1=0.3))),
+    "covariate-gamma1-0.3": lambda: (
+        wide_panel(200, 24, exposure=True),
+        sweep_config(3, seed=15, hyper=replace(Hyperparams.default("covariate"), gamma1=0.3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_CASES))
+def test_wide_chains_from_singletons_match_reference_sweep(case, monkeypatch):
+    panel, config = WIDE_CASES[case]()
+    assert panel.n_series >= 200
+    ours = chain_with(panel, config, monkeypatch, oracle=False)
+    assert_same_draws(ours, chain_with(panel, config, monkeypatch, oracle=True))
+    # every sweep empties clusters, and many remain
+    assert np.all(np.diff(np.r_[panel.n_series, ours.n_clusters]) < 0)
+    assert ours.n_clusters[-1] >= 20
+
+
 @st.composite
 def membership_inputs(draw):
     """A membership sweep's inputs: 1 to 40 series with innovation totals
