@@ -4,7 +4,8 @@ evaluate holdout accuracy and run the scenario study.
 ``main`` creates the output directory, runs one ``cmd_*``, which writes its
 files and returns the line to print, and then writes ``manifest.json``
 (every parsed option, the output directory, library versions), sufficient
-to reproduce the outputs byte for byte. A failed command writes no manifest.
+to reproduce the outputs byte for byte. A failed command writes no manifest,
+and removes the output directory if it created it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import ctypes
 import csv
 import datetime
 import os
+import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -76,13 +79,23 @@ def _pin_allocator_thresholds():
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _out_dir(args) -> Path:
+@contextmanager
+def _out_dir(args):
+    """Create the output directory and yield it; if the block fails, remove
+    the outermost directory this call created, so a failed command leaves
+    behind no directory it made. A directory that existed is left alone."""
     out = args.out or os.environ.get("POINAR_OUT")
     if not out:
         raise ConfigurationError("no output directory: pass --out or set POINAR_OUT")
     path = Path(out)
+    created = next((p for p in reversed([path, *path.parents]) if not p.exists()), None)
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    try:
+        yield path
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
 
 
 def _parameters(args, out: Path) -> dict:
@@ -229,11 +242,12 @@ def cmd_forecast(args, out: Path) -> str:
         )
     )
     y_last = panel.counts[:, -1]
-    means = posterior_conditional_means(draws, y_last, future, exposure).tolist()
     q_columns = []
-    if quantiles:
-        dist = posterior_predictive(y_last, draws, int(future[0]), exposure)
+    if quantiles:  # first, as it refuses rates whose pmfs cannot be computed
+        dist = posterior_predictive(y_last, draws, int(future[0]), exposure,
+                                    series_ids=panel.series_ids)
         q_columns = quantile(dist, quantiles).T.tolist()
+    means = posterior_conditional_means(draws, y_last, future, exposure).tolist()
 
     header = ["series_id", "y_last", "mean"] + [f"q{q}" for q in quantiles]
     header += [f"mean_step{h}" for h in range(2, args.horizon + 1)]
@@ -435,8 +449,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's SeedSequence takes no negative entropy
             raise ConfigurationError("--seed must be non-negative")
-        out = _out_dir(args)
-        done = args.func(args, out)
+        with _out_dir(args) as out:
+            done = args.func(args, out)
     except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT

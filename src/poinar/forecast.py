@@ -7,6 +7,13 @@ Poisson(lambda * theta) and its mean is alpha * y_T + lambda * theta.
 ``posterior_predictive`` returns the draw-averaged pmfs of all series as one
 zero-padded block, one row per series, and ``quantile`` reads every row's
 quantiles off that block in one call.
+
+Each series' pmfs are truncated at one point m, found by one stopping rule
+before any grid is built: every draw's tail mean E[S; S > m] lies below
+1e-12, which keeps pmf means exact to about 1e-12. The rule bounds the tail
+mass too. S > m needs more than k = m - y_T innovations, and for Poisson(r)
+innovations P(P > k) <= r/(k+1) P(P >= k), which the tail mean bounds, so
+the mass past m is below 1e-12, 1000 times inside ``TAIL_MASS``.
 """
 
 from __future__ import annotations
@@ -16,10 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
-from .sampler import PosteriorDraws
+from .model import ConfigurationError
+from .sampler import PosteriorDraws, _physical_memory, _series_name
 
-# Truncation budgets: total probability mass left in the tail, and the bound
-# on the tail's contribution to the mean (keeps pmf means exact to ~1e-12).
+# Truncation budgets: the bound on the tail's contribution to the mean, which
+# stops a truncation point, and the tail mass every pmf row is checked
+# against (the first implies the second, see above).
 TAIL_MASS = 1e-9
 _TAIL_MEAN = 1e-12
 
@@ -105,13 +114,23 @@ def posterior_conditional_means(
 # at most 8 MB. A series whose own grid is larger gets a pass to itself.
 _PASS_CELLS = 1 << 20
 
+# The bytes of one grid cell: ``_pmf_grid``'s four float64 work arrays.
+_GRID_BYTES_PER_CELL = 4 * 8
 
-def _check_parameters(alpha: np.ndarray, rate: np.ndarray):
+
+def _check_parameters(alpha: np.ndarray, rate: np.ndarray, series_ids: list[str] | None):
     bad = alpha[~((alpha >= 0.0) & (alpha <= 1.0))]
     if bad.size:
         raise ValueError(f"thinning probability must lie in [0, 1], got {bad[0]}")
     if not np.all(rate >= 0.0):
         raise ValueError("innovation rate must be nonnegative")
+    overflow = np.flatnonzero(np.isinf(rate).any(axis=1))
+    if overflow.size:
+        raise ConfigurationError(
+            f"series {_series_name(int(overflow[0]), series_ids)} has a draw whose innovation "
+            "rate, its cluster rate times the month's seasonal effect, overflows to inf, so "
+            "its predictive pmf cannot be computed"
+        )
 
 
 def _pmf_grid(y_T: int, alpha: np.ndarray, rate: np.ndarray, m: int) -> np.ndarray:
@@ -154,80 +173,47 @@ def _times_log(x: np.ndarray, log_y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _start_points(y_T: int, alpha: np.ndarray, rate: np.ndarray) -> list[int]:
-    """First truncation point of each series: the largest of its draws'
-    mean + 12*sqrt(mean), plus y_T. One row of draws per series."""
+def _truncation_points(y_T: int, alpha: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Truncation point of each series that has the origin count ``y_T``,
+    found without building a pmf grid.
+
+    ``alpha`` and ``rate`` hold one row of D draws per series, shape (n, D).
+    A series' draws share one point m. It starts at the largest of their
+    mean + 12*sqrt(mean), plus y_T, and grows by m*1.5 + 10 until every
+    draw's tail mean, E[S; S > m] <= y_T P(P > k) + rate P(P >= k) with
+    k = m - y_T >= 0 and P the Poisson(rate) innovations, lies below
+    ``_TAIL_MEAN``. Points are float64, shape (n,), so that one past the
+    range of int64 reaches the memory check as it is.
+    """
     mean_hint = alpha * y_T + rate
     top = np.ceil(mean_hint + 12.0 * np.sqrt(mean_hint)).max(axis=1)
-    return [max(int(t) + y_T, y_T, 1) for t in top.tolist()]
-
-
-def _tails_met(y_T: int, rows: np.ndarray, rate: np.ndarray, m: int) -> np.ndarray:
-    """Whether all draws of each series meet both tail budgets on 0..m.
-    ``rows`` has shape (series, draws, m+1) and ``rate`` (series, draws)."""
-    tail_mass = 1.0 - rows.sum(axis=2)
-    # E[S; S > m] <= y_T P(P > m - y_T) + rate P(P >= m - y_T)
-    tail_mean = y_T * _poisson_sf(m - y_T, rate) + rate * _poisson_sf(m - y_T - 1, rate)
-    return (tail_mass < TAIL_MASS).all(axis=1) & (tail_mean < _TAIL_MEAN).all(axis=1)
-
-
-def _passes(todo: np.ndarray, point: np.ndarray, n_draws: int):
-    """Split ``todo``, sorted by candidate point, into runs of series whose
-    grid at the run's widest point holds at most ``_PASS_CELLS`` cells."""
-    first = 0
-    for i in range(1, todo.size):
-        if (i - first + 1) * n_draws * (int(point[todo[i]]) + 1) > _PASS_CELLS:
-            yield todo[first:i]
-            first = i
-    yield todo[first:]
-
-
-def _truncated_rows(y_T: int, alpha: np.ndarray, rate: np.ndarray, start: list[int]):
-    """Exact one-step pmfs of series that share the origin count ``y_T``.
-
-    ``alpha`` and ``rate`` hold one row of D draws per series, shape (n, D),
-    and ``start`` the first candidate truncation point of each series. A
-    series' draws share one point, grown by m*1.5 + 10 until all of them
-    meet both tail budgets on its own prefix: the point the series would
-    get alone. Series are gridded together, sorted by candidate point, in
-    passes of at most ``_PASS_CELLS`` cells; a series whose candidate
-    outgrows its pass's grid moves on to a wider pass. Yields
-    ``(series, rows)``: the indices of series that settle at one point m
-    and their rows, shape (len(series), D, m+1).
-    """
-    n_draws = alpha.shape[1]
-    point = np.array(start, dtype=np.int64)
-    todo = np.arange(alpha.shape[0])
+    point = np.maximum(top + y_T, max(y_T, 1))
+    todo = np.arange(point.size)
     while todo.size:
-        todo = todo[np.argsort(point[todo], kind="stable")]
-        wider = []
-        for ids in _passes(todo, point, n_draws):
-            width = int(point[ids[-1]])
-            grid = _pmf_grid(y_T, alpha[ids].ravel(), rate[ids].ravel(), width)
-            grid = grid.reshape(ids.size, n_draws, width + 1)
-            live = np.arange(ids.size)
-            while live.size:
-                again = []
-                candidates = point[ids[live]]
-                for m in np.unique(candidates).tolist():
-                    at = live[candidates == m]
-                    rows = grid[at, :, : m + 1]  # a C-contiguous copy
-                    ok = _tails_met(y_T, rows, rate[ids[at]], m)
-                    if ok.any():
-                        yield ids[at[ok]], rows if ok.all() else rows[ok]
-                    failed, grown = at[~ok], int(m * 1.5) + 10
-                    point[ids[failed]] = grown
-                    if grown <= width:
-                        again.append(failed)
-                    else:
-                        wider.append(ids[failed])
-                live = np.concatenate(again) if again else np.empty(0, dtype=np.int64)
-        todo = np.concatenate(wider) if wider else np.empty(0, dtype=np.int64)
+        k = point[todo, None] - y_T
+        r = rate[todo]
+        at_least_k = np.where(k > 0, pdtrc(k - 1, r), 1.0)  # pdtrc(-1, r) is NaN
+        tail_mean = y_T * pdtrc(k, r) + r * at_least_k
+        todo = todo[~(tail_mean < _TAIL_MEAN).all(axis=1)]
+        point[todo] = np.floor(point[todo] * 1.5) + 10
+    return point
 
 
-def _poisson_sf(k: int, rate: np.ndarray) -> np.ndarray:
-    """P(Poisson(rate) > k); 1 for k < 0, where ``pdtrc`` gives NaN."""
-    return pdtrc(k, rate) if k >= 0 else np.ones_like(rate)
+def _check_grid_memory(point: np.ndarray, n_draws: int, series_ids: list[str] | None):
+    """Raise ``ConfigurationError`` if the widest series' own grid, its
+    draws by its support 0..point, would not fit in physical memory."""
+    memory = _physical_memory()
+    if memory is None or point.size == 0:
+        return
+    widest = int(np.argmax(point))
+    needed = _GRID_BYTES_PER_CELL * n_draws * (point[widest] + 1.0)
+    if needed > memory:
+        raise ConfigurationError(
+            f"the predictive pmf of series {_series_name(widest, series_ids)} needs its "
+            f"{n_draws} draws on 0..{point[widest]:,.0f}, about {needed / 2**30:,.0f} GiB of "
+            f"grid, more than this machine's {memory / 2**30:,.1f} GiB: its draws' innovation "
+            "rates are too large to forecast"
+        )
 
 
 def posterior_predictive(
@@ -235,39 +221,58 @@ def posterior_predictive(
     draws: PosteriorDraws,
     month: int,
     exposure: np.ndarray | None = None,
+    series_ids: list[str] | None = None,
 ) -> ForecastDistribution:
     """The exact one-step pmf of every series, averaged over the draws, as
     one block with a row per series.
 
     ``y_T`` holds the counts at the forecast origin, shape (L,), and
     ``month`` is the calendar month (1..12) of the forecast week. Each
-    series' draws share one truncation point, the one the series would get
-    on its own. The series with the same origin count share one kernel
-    pass, each of their draws a row of its grid, split into passes of at
-    most ``_PASS_CELLS`` grid cells. Covariate-mode draws need the panel's
-    ``exposure`` to scale each draw's per-exposure rate.
+    series' draws share one truncation point (``_truncation_points``), the
+    one the series would get on its own. Every point is fixed before any
+    grid is built. The series with the same origin count, sorted by point,
+    then share kernel passes of at most ``_PASS_CELLS`` grid cells, each
+    built once at its widest point, and every series' rows are read off
+    its pass's grid. Covariate-mode draws need the panel's ``exposure`` to
+    scale each draw's per-exposure rate.
+
+    A draw whose rate overflows to inf, or a series whose own grid would
+    not fit in physical memory, raises ``ConfigurationError`` naming the
+    series (``series_ids``, row numbers when not given) before any grid is
+    built.
     """
     alpha, lam, theta = draws.stacked(exposure)
-    rate = lam * theta[:, month - 1, None]
+    with np.errstate(over="ignore"):  # an overflow to inf is refused just below
+        rate = lam * theta[:, month - 1, None]
     alpha, rate = alpha.T, rate.T  # one row of draws per series
-    _check_parameters(alpha, rate)
+    _check_parameters(alpha, rate, series_ids)
     counts = np.array([int(y) for y in np.asarray(y_T)], dtype=np.int64)
     if np.any(counts < 0):
         raise ValueError("origin counts must be nonnegative")
-    blocks = []  # (series, pmfs) of each block of series settling at one point
-    for y in np.unique(counts).tolist():
-        series = np.flatnonzero(counts == y)
-        a, r = alpha[series], rate[series]
-        for ids, rows in _truncated_rows(y, a, r, _start_points(y, a, r)):
-            pmfs = rows.mean(axis=1)
-            _check_pmfs(pmfs)  # once per block, not once per series
-            blocks.append((series[ids], pmfs))
-    width = max((pmfs.shape[1] for _, pmfs in blocks), default=1)
-    pmf = np.zeros((counts.size, width))
-    y_max = np.empty(counts.size, dtype=np.int64)
-    for series, pmfs in blocks:
-        pmf[series, : pmfs.shape[1]] = pmfs
-        y_max[series] = pmfs.shape[1] - 1
+    groups = [(y, np.flatnonzero(counts == y)) for y in np.unique(counts).tolist()]
+    point = np.empty(counts.size)
+    for y, series in groups:
+        point[series] = _truncation_points(y, alpha[series], rate[series])
+    n_draws = alpha.shape[1]
+    _check_grid_memory(point, n_draws, series_ids)
+    y_max = point.astype(np.int64)
+    pmf = np.zeros((counts.size, int(y_max.max(initial=0)) + 1))
+    for y, series in groups:
+        series = series[np.argsort(y_max[series], kind="stable")]
+        while series.size:
+            # one pass: the longest run whose grid at its widest point holds
+            # at most _PASS_CELLS cells, or the first series alone
+            cells = np.arange(1, series.size + 1) * n_draws * (y_max[series] + 1)
+            ids = series[: max(1, int(np.searchsorted(cells, _PASS_CELLS, side="right")))]
+            series = series[ids.size:]
+            width = int(y_max[ids[-1]])
+            grid = _pmf_grid(y, alpha[ids].ravel(), rate[ids].ravel(), width)
+            grid = grid.reshape(ids.size, n_draws, width + 1)
+            for m in np.unique(y_max[ids]).tolist():
+                at = np.flatnonzero(y_max[ids] == m)
+                pmfs = grid[at, :, : m + 1].mean(axis=1)  # mean of a C-contiguous copy
+                _check_pmfs(pmfs)  # once per point, not once per series
+                pmf[ids[at], : m + 1] = pmfs
     return ForecastDistribution(pmf, y_max)
 
 

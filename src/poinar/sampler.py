@@ -253,10 +253,13 @@ class InnovationKernel:
     built.
 
     Before anything sized by the counts themselves is allocated, the
-    buckets' grid cells are counted from the support widths; if their
-    bytes would exceed the machine's physical memory, the build raises
-    ``ConfigurationError`` naming the series of the widest support
-    (``series_ids``, row numbers when not given).
+    buckets' grid cells are counted from the support widths, and the
+    log-factorial table's entries from the largest count next to an
+    exactly enumerated week; if their bytes would exceed the machine's
+    physical memory, the build raises ``ConfigurationError`` naming the
+    series of the widest support or of that count (``series_ids``, row
+    numbers when not given). The Metropolis move reads no table: it takes
+    ``gammaln`` of its own cells' counts.
     """
 
     def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
@@ -300,12 +303,14 @@ class InnovationKernel:
         self.base = lo_flat.take(self.at_eps)
         w, level = w[self.draw_order], level[self.draw_order]
         starts = np.unique(level, return_index=True)[1]
-        _check_grid_memory(w, starts, self.rows, series_ids)
-        self.lgam = gammaln(np.arange(int(counts.max()) + 2, dtype=float))
+        # a bucket reads the log-factorials of counts up to its cells' own
+        # y_curr or y_prev, so the table stops at the largest of these
+        top = np.maximum(y.take(self.at_eps), y.take(self.at_eps - 1))
+        _check_grid_memory(w, starts, self.rows, top, series_ids, strategy)
+        lgam = gammaln(np.arange(int(top.max(initial=-1)) + 2, dtype=float))
         self.buckets = [
             _Bucket(start, stop, self.base[start:stop], w[start:stop],
-                    y.take(self.at_eps[start:stop]), y.take(self.at_eps[start:stop] - 1),
-                    self.lgam)
+                    y.take(self.at_eps[start:stop]), y.take(self.at_eps[start:stop] - 1), lgam)
             for start, stop in zip(starts, np.r_[starts[1:], w.size])
         ]
         self._draws = np.empty(w.size, dtype=np.int64)
@@ -339,7 +344,6 @@ class InnovationKernel:
 
         rows = self.mh_rows
         if rows.size:
-            lgam = self.lgam
             cur = eps.take(self.mh_at_eps)
             prop = rng.poisson(rates.take(self.mh_at))
             lo_c, yc_c, diff = self.mh_lo, self.mh_yc, self.mh_diff
@@ -347,8 +351,8 @@ class InnovationKernel:
             p_safe = np.clip(prop, lo_c, yc_c)
             log_ratio = (
                 (p_safe - cur) * log_odds[rows]
-                + lgam[yc_c - cur + 1] + lgam[diff + cur + 1]
-                - lgam[yc_c - p_safe + 1] - lgam[diff + p_safe + 1]
+                + gammaln(yc_c - cur + 1) + gammaln(diff + cur + 1)
+                - gammaln(yc_c - p_safe + 1) - gammaln(diff + p_safe + 1)
             )
             accept = feasible & (np.log(rng.random(rows.size)) < log_ratio)
             flat[self.mh_at_eps] = np.where(accept, p_safe, cur)
@@ -360,6 +364,9 @@ class InnovationKernel:
 # log-factorial terms and work grid, a float64 cumsum grid for column-wise
 # buckets, and the bool comparison grid.
 _GRID_BYTES_PER_CELL = 4 * 8 + 1
+# The bytes per entry of the log-factorial table: the table and the float64
+# range it is computed from.
+_TABLE_BYTES_PER_ENTRY = 2 * 8
 
 
 def _physical_memory() -> int | None:
@@ -371,28 +378,48 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _series_name(row: int, series_ids: list[str] | None) -> str:
+    """How an error names the series in ``row``: its id, or its row number
+    when no ids are given."""
+    return repr(series_ids[row]) if series_ids is not None else f"in row {row}"
+
+
 def _check_grid_memory(width: np.ndarray, starts: np.ndarray, rows: np.ndarray,
-                       series_ids: list[str] | None):
+                       top: np.ndarray, series_ids: list[str] | None, strategy: str):
     """Raise ``ConfigurationError`` if the buckets starting at ``starts``
-    over the sorted cell widths ``width`` (of series ``rows``) would not
-    fit in physical memory. Reads the widths only."""
+    over the sorted cell widths ``width`` (of series ``rows``), plus the
+    log-factorial table up to the largest of the cells' counts ``top``,
+    would not fit in physical memory. Reads the widths and counts only."""
     memory = _physical_memory()
     if memory is None or width.size == 0:
         return
     sizes = np.diff(np.r_[starts, width.size])
     points = np.maximum.reduceat(width, starts) + 1
-    needed = _GRID_BYTES_PER_CELL * int(points @ sizes)
-    if needed > memory:
+    grid_bytes = _GRID_BYTES_PER_CELL * int(points @ sizes)
+    largest = int(np.argmax(top))
+    table_bytes = _TABLE_BYTES_PER_ENTRY * (int(top[largest]) + 2)
+    needed = grid_bytes + table_bytes
+    if needed <= memory:
+        return
+    if grid_bytes >= table_bytes:
         widest = int(np.argmax(width))
-        row = int(rows[widest])
-        name = repr(series_ids[row]) if series_ids is not None else f"in row {row}"
-        raise ConfigurationError(
-            f"the exact innovation kernel would need about {needed / 2**30:,.0f} GiB for "
-            f"its support grids, more than this machine's {memory / 2**30:,.1f} GiB; "
-            f"series {name} has the widest support, {int(width[widest]) + 1} values. "
-            "Use --innovation-strategy metropolis-poisson, which enumerates only the "
-            "weeks whose counts are at most --metropolis-threshold"
-        )
+        cause = (f"series {_series_name(int(rows[widest]), series_ids)} has the widest "
+                 f"support, {int(width[widest]) + 1} values")
+    else:
+        cause = (f"series {_series_name(int(rows[largest]), series_ids)} has a count of "
+                 f"{int(top[largest])} next to an exactly enumerated week")
+    if strategy == INNOVATION_METROPOLIS:
+        what = "the exact enumeration of the weeks whose counts are at most --metropolis-threshold"
+        advice = "Lower --metropolis-threshold, so that fewer weeks are enumerated exactly"
+    else:
+        what = "the exact innovation kernel"
+        advice = ("Use --innovation-strategy metropolis-poisson, which enumerates only the "
+                  "weeks whose counts are at most --metropolis-threshold")
+    raise ConfigurationError(
+        f"{what} would need about {needed / 2**30:,.0f} GiB for its support grids and "
+        f"log-factorial table, more than this machine's {memory / 2**30:,.1f} GiB; "
+        f"{cause}. {advice}"
+    )
 
 
 def _flat_cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

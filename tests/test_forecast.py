@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from drawrows import draws_from_states, one_draw_pmf, series_distribution
-from oracles import per_series_posterior_predictive, scalar_predictive_pmf
+from oracles import (
+    per_series_posterior_predictive,
+    per_series_predictive_rows,
+    scalar_predictive_pmf,
+)
 from poinar import forecast
 from poinar.forecast import (
     ForecastDistribution,
@@ -172,9 +176,12 @@ class TestPredictivePmf:
             assert pmf.sum() >= 1 - 1e-9
 
     def test_explicit_truncation_extends_when_too_small(self):
-        rows = shared_rows(2, [0.5], [5.0], m=3)
-        assert rows.shape[1] - 1 > 3
+        # at y_T = 0 a rate of 1e-3 starts at m = 1, where the tail mean is
+        # about 1e-6, so the point grows once, to int(1 * 1.5) + 10 = 11
+        rows = shared_rows(0, [0.5], [1e-3])
+        assert rows.shape[1] - 1 == 11
         assert rows.sum() >= 1 - 1e-9
+        assert rows.shape == per_series_predictive_rows(0, [0.5], [1e-3]).shape
 
 
 class TestPosteriorPredictive:
@@ -313,8 +320,9 @@ class TestGroupedPosteriorPredictive:
 
     def test_one_pass_per_count_with_own_truncation_points(self, monkeypatch):
         # rates 1e-3 .. 2 at each of two counts: the series get their own
-        # truncation points, and at count 0 the smallest rates outgrow the
-        # first pass's grid, so that count needs a wider pass
+        # truncation points, at count 0 the smallest rates grow theirs past
+        # its start, and each count still takes one grid, built at its
+        # widest point
         rates = np.array([1e-3, 2.0, 0.05, 1e-3, 0.5, 2.0, 0.5, 0.05])
         counts = np.array([3, 3, 3, 0, 0, 0, 3, 0])
         rng = np.random.default_rng(4)
@@ -323,11 +331,9 @@ class TestGroupedPosteriorPredictive:
                               rates * rng.uniform(0.8, 1.2, (D, L)), np.ones((D, 12)))
         calls = self.grid_calls(monkeypatch)
         block = self.assert_matches_oracle(counts, draws, 1)
-        passes = {y: [(rows, m) for count, rows, m in calls if count == y] for y in (0, 3)}
-        assert [rows for rows, _ in passes[3]] == [4 * D]  # all four series at once
-        (first, width), (_, wider) = passes[0]
-        assert first == 4 * D and wider > width
         for y in (0, 3):
+            passes = [(rows, m) for count, rows, m in calls if count == y]
+            assert passes == [(4 * D, block.y_max[counts == y].max())]  # all four at once
             assert len(set(block.y_max[counts == y].tolist())) >= 3
 
     def test_passes_hold_the_cell_bound(self, monkeypatch):
@@ -342,6 +348,21 @@ class TestGroupedPosteriorPredictive:
         assert len(calls) > 1  # the one count's series need several passes
         for _, rows, m in calls:
             assert rows * (m + 1) <= 1_000 or rows == D  # one series may exceed it
+
+    def test_points_equal_the_per_series_oracle_up_to_large_counts(self):
+        # 72 series, 6 at each of 12 counts up to 3,000, with rates
+        # 1e-4 .. 300 and alpha hitting 0 and 1: each point equals the
+        # per-series oracle's, found by growing a grid until both tail
+        # budgets hold, and every row misses less than 1e-10 of mass
+        rng = np.random.default_rng(18)
+        counts = np.tile([0, 1, 2, 7, 30, 120, 400, 900, 1500, 2200, 2700, 3000], 6)
+        D, L = 4, counts.size
+        alpha = rng.uniform(0.0, 1.0, (D, L))
+        alpha[rng.random((D, L)) < 0.1] = 0.0
+        alpha[rng.random((D, L)) < 0.1] = 1.0
+        lam = 10.0 ** rng.uniform(-4.0, np.log10(300.0), L) * rng.uniform(0.5, 1.0, (D, L))
+        block = self.assert_matches_oracle(counts, _series_draws(alpha, lam, np.ones((D, 12))), 1)
+        assert np.all(1.0 - block.pmf.sum(axis=1) < 1e-10)
 
     def test_each_pass_is_checked(self, monkeypatch):
         grid = forecast._pmf_grid
@@ -362,14 +383,13 @@ class TestGroupedPosteriorPredictive:
             posterior_predictive(np.array([1, -1]), draws, 1)
 
 
-def shared_rows(y_T: int, alpha, rate, m: int | None = None) -> np.ndarray:
-    """The pmf rows of one series' draws from ``_truncated_rows``, sharing
-    one truncation point that starts at ``m`` when given: shape (D, m+1)."""
-    alpha = np.asarray(alpha, dtype=float)[None]
-    rate = np.asarray(rate, dtype=float)[None]
-    start = forecast._start_points(y_T, alpha, rate) if m is None else [m]
-    ((_, rows),) = forecast._truncated_rows(y_T, alpha, rate, start)
-    return rows[0]
+def shared_rows(y_T: int, alpha, rate) -> np.ndarray:
+    """The pmf rows of one series' draws, on the truncation point they share
+    from ``_truncation_points``: shape (D, m+1)."""
+    alpha = np.asarray(alpha, dtype=float)
+    rate = np.asarray(rate, dtype=float)
+    (m,) = forecast._truncation_points(y_T, alpha[None], rate[None]).astype(int)
+    return forecast._pmf_grid(y_T, alpha, rate, m)
 
 
 class TestPredictiveKernel:

@@ -842,6 +842,21 @@ class TestCli:
         assert vars(lean.parse_args(argv)) == vars(full.parse_args(argv))
         assert list(vars(lean.parse_args(argv))) == list(vars(full.parse_args(argv)))
 
+    @pytest.mark.parametrize("strategy", ["exact-enumeration", "metropolis-poisson"])
+    def test_fit_beside_a_drop_from_a_huge_count_is_a_usage_error(self, tmp_path, capsys,
+                                                                    strategy):
+        # the week of 3 after 10^12 is enumerated exactly under either
+        # strategy, and its log-factorial table would reach 10^12 entries
+        weeks = io.week_starts_from(datetime.date(2001, 1, 1), 6)
+        panel = CountPanel(counts=np.array([[10**12, 3, 2, 4, 1, 0]]),
+                           season_of=io.months_of(weeks), series_ids=["drop"], week_starts=weeks)
+        io.save_counts(panel, tmp_path / "c.csv")
+        out = tmp_path / "fit"
+        assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out),
+                     "--innovation-strategy", strategy]) == 2
+        assert "series 'drop' has a count of 1000000000000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_whose_exact_grids_exceed_memory_is_a_usage_error(self, tmp_path, capsys):
         weeks = io.week_starts_from(datetime.date(2001, 1, 1), 4000)
         panel = CountPanel(counts=np.full((1, 4000), 10**7), season_of=io.months_of(weeks),
@@ -853,6 +868,44 @@ class TestCli:
         assert "series 'huge' has the widest support, 10000001 values" in err
         assert "--innovation-strategy metropolis-poisson" in err
         assert not (out / "manifest.json").exists() and not (out / "draws.jsonl").exists()
+
+    @pytest.mark.parametrize("phi_star, theta, message", [
+        # the rate overflows to inf before any truncation point is sought
+        (1e300, 1e10, "has a draw whose innovation rate, its cluster rate times the month's "
+                      "seasonal effect, overflows to inf"),
+        # a point near 10^15: every draw's grid would take petabytes
+        (1e15, 1.0, "GiB of grid, more than this machine's"),
+    ])
+    def test_forecast_whose_pmf_grid_cannot_be_built_is_a_usage_error(
+            self, tmp_path, tiny_draws, capsys, phi_star, theta, message):
+        panel = _tiny_panel()
+        io.save_counts(panel, tmp_path / "c.csv")
+        huge = replace(tiny_draws, phi_star=np.where(np.isnan(tiny_draws.phi_star), np.nan, phi_star),
+                       theta=np.full_like(tiny_draws.theta, theta))
+        io.save_draws(huge, tmp_path / "draws.jsonl", panel)
+        out = tmp_path / "fc"
+        code = main(["forecast", "--counts", str(tmp_path / "c.csv"),
+                     "--draws", str(tmp_path / "draws.jsonl"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert any(f"series {name!r}" in err for name in panel.series_ids)
+        assert not out.exists()
+
+    def test_failed_command_removes_only_the_directories_it_created(self, tmp_path, tiny_draws):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        io.save_draws(tiny_draws, tmp_path / "draws.jsonl", _tiny_panel())
+        argv = ["forecast", "--counts", str(tmp_path / "c.csv"),
+                "--draws", str(tmp_path / "draws.jsonl"), "--horizon", "0", "--out"]
+        assert main(argv + [str(tmp_path / "new" / "fc")]) == 2
+        assert not (tmp_path / "new").exists()  # the parent it made goes too
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine")
+        assert main(argv + [str(kept / "fc")]) == 2
+        assert main(argv + [str(kept)]) == 2
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_text() == "mine"
 
     def test_count_beyond_int64_exits_one(self, tmp_path, capsys):
         path = write(tmp_path / "c.csv", GOOD_CSV.replace("b,3,1,0", "b,3,99999999999999999999,0"))

@@ -17,7 +17,7 @@ from oracles import (
 )
 from poinar import sampler
 from poinar.model import Hyperparams, ModelState, simulate_panel
-from poinar.panel import CountPanel
+from poinar.panel import CountPanel, innovation_bounds
 from poinar.sampler import (
     INNOVATION_EXACT,
     INNOVATION_METROPOLIS,
@@ -388,12 +388,46 @@ class TestKernelMemoryGuard:
         counts = panel.counts.copy()
         counts[2, 10:14] = 40  # a wide bucket of its own
         cells = sum(b.grid0.size for b in InnovationKernel(counts).buckets)
-        needed = sampler._GRID_BYTES_PER_CELL * cells
+        # the log-factorial table runs to the largest count beside an active week
+        lo, hi = innovation_bounds(counts)
+        active = hi[:, 1:] > lo[:, 1:]
+        top = np.maximum(counts[:, 1:], counts[:, :-1])[active].max()
+        needed = (sampler._GRID_BYTES_PER_CELL * cells
+                  + sampler._TABLE_BYTES_PER_ENTRY * (int(top) + 2))
         monkeypatch.setattr(sampler, "_physical_memory", lambda: needed)
         InnovationKernel(counts)
         monkeypatch.setattr(sampler, "_physical_memory", lambda: needed - 1)
         with pytest.raises(ConfigurationError, match="series in row 2 has the widest"):
             InnovationKernel(counts)
+
+    def test_metropolis_kernel_builds_no_table_for_its_own_weeks(self):
+        # every week of a 1 x 4000 panel near 10^7 takes the Metropolis
+        # move, which computes its log-factorials cell by cell: no 80 MB
+        # table, whose build peaked at twice its size
+        counts = np.random.default_rng(0).poisson(1e7, (1, 4000))
+        rng = np.random.default_rng(1)
+        eps = np.minimum(counts, rng.poisson(1e6, counts.shape))
+        tracemalloc.start()
+        try:
+            kernel = InnovationKernel(counts, strategy=INNOVATION_METROPOLIS)
+            kernel(eps, np.array([0.9]), np.full((1, 3999), 1e6), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not kernel.buckets
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("strategy", [INNOVATION_EXACT, INNOVATION_METROPOLIS])
+    def test_table_beside_a_large_count_refused(self, strategy):
+        # a drop from 10^12 to 3: the week of 3 is enumerated exactly under
+        # either strategy, and its survivors' log-factorials reach 10^12
+        counts = np.array([[10**12, 3, 2, 4, 1]])
+        tail = ("Lower --metropolis-threshold" if strategy == INNOVATION_METROPOLIS
+                else "Use --innovation-strategy metropolis-poisson")
+        with pytest.raises(ConfigurationError,
+                           match=r"log-factorial table.*series 'drop' has a count of "
+                                 rf"1000000000000 next to an exactly enumerated week\. {tail}"):
+            InnovationKernel(counts, strategy=strategy, series_ids=["drop"])
 
 
 class TestChains:
