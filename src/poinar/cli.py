@@ -81,20 +81,27 @@ def _pin_allocator_thresholds():
 
 @contextmanager
 def _out_dir(args):
-    """Create the output directory and yield it; if the block fails, remove
-    the outermost directory this call created, so a failed command leaves
-    behind no directory it made. A directory that existed is left alone."""
+    """Create the output directory and yield it. If the block fails and
+    this call created the directory, remove it with what the command wrote
+    there, then each parent it created that is empty by then, nearest
+    first: another run's output under a shared new parent stays. A
+    directory that existed is left alone."""
     out = args.out or os.environ.get("POINAR_OUT")
     if not out:
         raise ConfigurationError("no output directory: pass --out or set POINAR_OUT")
     path = Path(out)
-    created = next((p for p in reversed([path, *path.parents]) if not p.exists()), None)
+    created = [p for p in [path, *path.parents] if not p.exists()]  # leaf first
     path.mkdir(parents=True, exist_ok=True)
     try:
         yield path
     except BaseException:
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
+        if created:
+            shutil.rmtree(path, ignore_errors=True)
+            for parent in created[1:]:
+                try:
+                    parent.rmdir()
+                except OSError:  # not empty: it holds another run's files
+                    break
         raise
 
 

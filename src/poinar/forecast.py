@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlog1py, xlogy
 
-from .model import ConfigurationError
-from .sampler import PosteriorDraws, _physical_memory, _series_name
+from .model import ConfigurationError, refuse_over_memory, series_name
+from .sampler import PosteriorDraws
 
 # Truncation budgets: the bound on the tail's contribution to the mean, which
 # stops a truncation point, and the tail mass every pmf row is checked
@@ -114,8 +114,12 @@ def posterior_conditional_means(
 # at most 8 MB. A series whose own grid is larger gets a pass to itself.
 _PASS_CELLS = 1 << 20
 
-# The bytes of one grid cell: ``_pmf_grid``'s four float64 work arrays.
-_GRID_BYTES_PER_CELL = 4 * 8
+# The bytes of one cell of a pass's grid: ``_pmf_grid``'s four float64
+# work arrays.
+_PASS_BYTES_PER_CELL = 4 * 8
+# The bytes of one cell of the (series, support) pmf block: the block, and
+# the float64 CDF and one level's bool comparison ``quantile`` builds of it.
+_BLOCK_BYTES_PER_CELL = 8 + 8 + 1
 
 
 def _check_parameters(alpha: np.ndarray, rate: np.ndarray, series_ids: list[str] | None):
@@ -127,7 +131,7 @@ def _check_parameters(alpha: np.ndarray, rate: np.ndarray, series_ids: list[str]
     overflow = np.flatnonzero(np.isinf(rate).any(axis=1))
     if overflow.size:
         raise ConfigurationError(
-            f"series {_series_name(int(overflow[0]), series_ids)} has a draw whose innovation "
+            f"series {series_name(int(overflow[0]), series_ids)} has a draw whose innovation "
             "rate, its cluster rate times the month's seasonal effect, overflows to inf, so "
             "its predictive pmf cannot be computed"
         )
@@ -199,21 +203,25 @@ def _truncation_points(y_T: int, alpha: np.ndarray, rate: np.ndarray) -> np.ndar
     return point
 
 
-def _check_grid_memory(point: np.ndarray, n_draws: int, series_ids: list[str] | None):
-    """Raise ``ConfigurationError`` if the widest series' own grid, its
-    draws by its support 0..point, would not fit in physical memory."""
-    memory = _physical_memory()
-    if memory is None or point.size == 0:
+def _check_forecast_memory(point: np.ndarray, n_draws: int, series_ids: list[str] | None):
+    """Raise ``ConfigurationError`` if the pmf block of the series with
+    truncation points ``point``, ``quantile``'s arrays over it, and the
+    largest pass's grid beside them would not fit in physical memory."""
+    if point.size == 0:
         return
     widest = int(np.argmax(point))
-    needed = _GRID_BYTES_PER_CELL * n_draws * (point[widest] + 1.0)
-    if needed > memory:
-        raise ConfigurationError(
-            f"the predictive pmf of series {_series_name(widest, series_ids)} needs its "
-            f"{n_draws} draws on 0..{point[widest]:,.0f}, about {needed / 2**30:,.0f} GiB of "
-            f"grid, more than this machine's {memory / 2**30:,.1f} GiB: its draws' innovation "
-            "rates are too large to forecast"
-        )
+    support = point[widest] + 1.0
+    # a pass holds at most _PASS_CELLS cells, or one series' draws alone
+    pass_cells = min(point.size * n_draws * support, max(_PASS_CELLS, n_draws * support))
+    needed = (_BLOCK_BYTES_PER_CELL * point.size * support
+              + _PASS_BYTES_PER_CELL * pass_cells)
+    refuse_over_memory(
+        needed,
+        f"the predictive pmfs of {point.size} series from {n_draws} draws on "
+        f"0..{point[widest]:,.0f}",
+        f"series {series_name(widest, series_ids)} has the widest support: its draws' "
+        "innovation rates are too large to forecast",
+    )
 
 
 def posterior_predictive(
@@ -236,10 +244,11 @@ def posterior_predictive(
     its pass's grid. Covariate-mode draws need the panel's ``exposure`` to
     scale each draw's per-exposure rate.
 
-    A draw whose rate overflows to inf, or a series whose own grid would
-    not fit in physical memory, raises ``ConfigurationError`` naming the
-    series (``series_ids``, row numbers when not given) before any grid is
-    built.
+    A draw whose rate overflows to inf raises ``ConfigurationError``
+    naming the series (``series_ids``, row numbers when not given) before
+    any grid is built; so do points whose pmf block, with ``quantile``'s
+    arrays over it, and largest pass would not fit in physical memory,
+    naming the series of the widest point.
     """
     alpha, lam, theta = draws.stacked(exposure)
     with np.errstate(over="ignore"):  # an overflow to inf is refused just below
@@ -254,7 +263,7 @@ def posterior_predictive(
     for y, series in groups:
         point[series] = _truncation_points(y, alpha[series], rate[series])
     n_draws = alpha.shape[1]
-    _check_grid_memory(point, n_draws, series_ids)
+    _check_forecast_memory(point, n_draws, series_ids)
     y_max = point.astype(np.int64)
     pmf = np.zeros((counts.size, int(y_max.max(initial=0)) + 1))
     for y, series in groups:
@@ -292,6 +301,9 @@ def quantile(dist: ForecastDistribution, levels):
     cdf = np.cumsum(dist.pmf, axis=1)
     if np.any(levels > cdf[:, -1:]):
         raise ValueError("requested quantile lies beyond the truncation point")
-    # the number of CDF entries below a level is searchsorted(side="left")
-    counts = np.count_nonzero(cdf[:, None, :] < levels.reshape(-1, 1), axis=2)
+    # the number of CDF entries below a level is searchsorted(side="left");
+    # one level at a time, so the comparison is no larger than the CDF
+    counts = np.empty((cdf.shape[0], levels.size), dtype=np.intp)
+    for i, level in enumerate(levels.reshape(-1)):
+        counts[:, i] = np.count_nonzero(cdf < level, axis=1)
     return counts[:, 0] if levels.ndim == 0 else counts

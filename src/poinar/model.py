@@ -7,6 +7,7 @@ operation is pure and reproducible given a seed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,34 @@ MODE_COVARIATE = "covariate"
 
 class ConfigurationError(ValueError):
     """Raised when settings are invalid or inconsistent with the data."""
+
+
+def physical_memory() -> int | None:
+    """This machine's physical memory in bytes, or None where the OS does
+    not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def series_name(row: int, series_ids: list[str] | None) -> str:
+    """How an error names the series in ``row``: its id, or its row number
+    when no ids are given."""
+    return repr(series_ids[row]) if series_ids is not None else f"in row {row}"
+
+
+def refuse_over_memory(needed: float, what: str, cause: str):
+    """Raise ``ConfigurationError`` if ``what`` would need ``needed`` bytes,
+    more than this machine's physical memory; ``cause`` names the series
+    that makes it so, and what to do. Where the OS does not say how much
+    memory it has, refuse nothing."""
+    memory = physical_memory()
+    if memory is not None and needed > memory:
+        raise ConfigurationError(
+            f"{what} would need about {needed / 2**30:,.0f} GiB, more than this "
+            f"machine's {memory / 2**30:,.1f} GiB; {cause}"
+        )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ one formula and one set of conjugate updates cover both model variants.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 
@@ -28,6 +27,8 @@ from .model import (
     Hyperparams,
     ModelState,
     model_exposure,
+    refuse_over_memory,
+    series_name,
 )
 from .panel import N_MONTHS, CountPanel, innovation_bounds
 
@@ -259,7 +260,8 @@ class InnovationKernel:
     physical memory, the build raises ``ConfigurationError`` naming the
     series of the widest support or of that count (``series_ids``, row
     numbers when not given). The Metropolis move reads no table: it takes
-    ``gammaln`` of its own cells' counts.
+    ``gammaln`` of its own cells' counts, of the proposals only once a
+    chain has run one call.
     """
 
     def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
@@ -288,6 +290,11 @@ class InnovationKernel:
         self.mh_lo = lo_flat.take(self.mh_at_eps)
         self.mh_yc = y.take(self.mh_at_eps)
         self.mh_diff = y.take(self.mh_at_eps - 1) - self.mh_yc
+        # the MH cells' current counts and their two log-factorial terms,
+        # kept across calls so that each call takes ``gammaln`` only of its
+        # proposals; a call whose counts differ (a chain's first) recomputes
+        self._mh_cur = None
+        self._mh_log_fact = None
 
         rows, at, at_eps = _flat_cells(exact)
         w = width.take(at)
@@ -345,17 +352,23 @@ class InnovationKernel:
         rows = self.mh_rows
         if rows.size:
             cur = eps.take(self.mh_at_eps)
-            prop = rng.poisson(rates.take(self.mh_at))
             lo_c, yc_c, diff = self.mh_lo, self.mh_yc, self.mh_diff
+            if self._mh_cur is None or not np.array_equal(cur, self._mh_cur):
+                self._mh_log_fact = (gammaln(yc_c - cur + 1), gammaln(diff + cur + 1))
+            fact_yc, fact_diff = self._mh_log_fact
+            prop = rng.poisson(rates.take(self.mh_at))
             feasible = (prop >= lo_c) & (prop <= yc_c)
             p_safe = np.clip(prop, lo_c, yc_c)
+            prop_yc, prop_diff = gammaln(yc_c - p_safe + 1), gammaln(diff + p_safe + 1)
             log_ratio = (
                 (p_safe - cur) * log_odds[rows]
-                + gammaln(yc_c - cur + 1) + gammaln(diff + cur + 1)
-                - gammaln(yc_c - p_safe + 1) - gammaln(diff + p_safe + 1)
+                + fact_yc + fact_diff - prop_yc - prop_diff
             )
             accept = feasible & (np.log(rng.random(rows.size)) < log_ratio)
-            flat[self.mh_at_eps] = np.where(accept, p_safe, cur)
+            np.copyto(fact_yc, prop_yc, where=accept)
+            np.copyto(fact_diff, prop_diff, where=accept)
+            self._mh_cur = np.where(accept, p_safe, cur)
+            flat[self.mh_at_eps] = self._mh_cur
 
         return new
 
@@ -369,44 +382,25 @@ _GRID_BYTES_PER_CELL = 4 * 8 + 1
 _TABLE_BYTES_PER_ENTRY = 2 * 8
 
 
-def _physical_memory() -> int | None:
-    """This machine's physical memory in bytes, or None where the OS does
-    not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
-def _series_name(row: int, series_ids: list[str] | None) -> str:
-    """How an error names the series in ``row``: its id, or its row number
-    when no ids are given."""
-    return repr(series_ids[row]) if series_ids is not None else f"in row {row}"
-
-
 def _check_grid_memory(width: np.ndarray, starts: np.ndarray, rows: np.ndarray,
                        top: np.ndarray, series_ids: list[str] | None, strategy: str):
     """Raise ``ConfigurationError`` if the buckets starting at ``starts``
     over the sorted cell widths ``width`` (of series ``rows``), plus the
     log-factorial table up to the largest of the cells' counts ``top``,
     would not fit in physical memory. Reads the widths and counts only."""
-    memory = _physical_memory()
-    if memory is None or width.size == 0:
+    if width.size == 0:
         return
     sizes = np.diff(np.r_[starts, width.size])
     points = np.maximum.reduceat(width, starts) + 1
     grid_bytes = _GRID_BYTES_PER_CELL * int(points @ sizes)
     largest = int(np.argmax(top))
     table_bytes = _TABLE_BYTES_PER_ENTRY * (int(top[largest]) + 2)
-    needed = grid_bytes + table_bytes
-    if needed <= memory:
-        return
     if grid_bytes >= table_bytes:
         widest = int(np.argmax(width))
-        cause = (f"series {_series_name(int(rows[widest]), series_ids)} has the widest "
+        cause = (f"series {series_name(int(rows[widest]), series_ids)} has the widest "
                  f"support, {int(width[widest]) + 1} values")
     else:
-        cause = (f"series {_series_name(int(rows[largest]), series_ids)} has a count of "
+        cause = (f"series {series_name(int(rows[largest]), series_ids)} has a count of "
                  f"{int(top[largest])} next to an exactly enumerated week")
     if strategy == INNOVATION_METROPOLIS:
         what = "the exact enumeration of the weeks whose counts are at most --metropolis-threshold"
@@ -415,11 +409,8 @@ def _check_grid_memory(width: np.ndarray, starts: np.ndarray, rows: np.ndarray,
         what = "the exact innovation kernel"
         advice = ("Use --innovation-strategy metropolis-poisson, which enumerates only the "
                   "weeks whose counts are at most --metropolis-threshold")
-    raise ConfigurationError(
-        f"{what} would need about {needed / 2**30:,.0f} GiB for its support grids and "
-        f"log-factorial table, more than this machine's {memory / 2**30:,.1f} GiB; "
-        f"{cause}. {advice}"
-    )
+    refuse_over_memory(grid_bytes + table_bytes,
+                       f"the support grids and log-factorial table of {what}", f"{cause}. {advice}")
 
 
 def _flat_cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

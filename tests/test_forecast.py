@@ -1,6 +1,7 @@
 """Predictive distributions: exactness, identities, quantiles."""
 
 import copy
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from oracles import (
     per_series_predictive_rows,
     scalar_predictive_pmf,
 )
-from poinar import forecast
+from poinar import forecast, model
 from poinar.forecast import (
     ForecastDistribution,
     conditional_mean_h_step,
@@ -23,7 +24,7 @@ from poinar.forecast import (
     posterior_predictive,
     quantile,
 )
-from poinar.model import ModelState
+from poinar.model import ConfigurationError, ModelState
 
 
 def _state(alpha, lam, theta_value, month=1):
@@ -381,6 +382,44 @@ class TestGroupedPosteriorPredictive:
         draws = _series_draws(np.full((2, 2), 0.5), np.ones((2, 2)), np.ones((2, 12)))
         with pytest.raises(ValueError, match="nonnegative"):
             posterior_predictive(np.array([1, -1]), draws, 1)
+
+    def test_pmf_block_beyond_memory_refused_though_each_grid_fits(self, monkeypatch):
+        # 2,000 series of 2 draws at rate 2,800: one series' grid takes about
+        # 0.2 MB, the (2000, ~3400) pmf block with quantile's CDF and
+        # comparison about 117 MB, more than the 64 MiB allowed here
+        L = 2000
+        draws = _series_draws(np.full((2, L), 0.5), np.full((2, L), 2800.0), np.ones((2, 12)))
+        monkeypatch.setattr(model, "physical_memory", lambda: 64 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError,
+                               match=r"the predictive pmfs of 2000 series from 2 draws on "
+                                     r"0\.\..*series 's0000' has the widest support"):
+                posterior_predictive(np.zeros(L, dtype=np.int64), draws, 1,
+                                     series_ids=[f"s{l:04d}" for l in range(L)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # refused before the block or any grid
+
+    @pytest.mark.parametrize("L, D, rate", [(3000, 2, 60.0), (40, 300, 20.0), (1, 1, 3e4)])
+    def test_memory_estimate_covers_the_traced_peak(self, monkeypatch, L, D, rate):
+        # many series of few draws (the block leads), few series of many
+        # draws (the passes lead), and one wide series alone
+        rng = np.random.default_rng(L)
+        draws = _series_draws(rng.uniform(0.1, 0.9, (D, L)),
+                              rate * rng.uniform(0.5, 1.0, (D, L)), np.ones((D, 12)))
+        counts = rng.integers(0, 30, L)
+        estimates = []
+        monkeypatch.setattr(forecast, "refuse_over_memory",
+                            lambda needed, what, cause: estimates.append(needed))
+        tracemalloc.start()
+        try:
+            quantile(posterior_predictive(counts, draws, 1), [0.5, 0.95, 0.99])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(estimates) == 1 and peak <= estimates[0]
 
 
 def shared_rows(y_T: int, alpha, rate) -> np.ndarray:

@@ -874,7 +874,7 @@ class TestCli:
         (1e300, 1e10, "has a draw whose innovation rate, its cluster rate times the month's "
                       "seasonal effect, overflows to inf"),
         # a point near 10^15: every draw's grid would take petabytes
-        (1e15, 1.0, "GiB of grid, more than this machine's"),
+        (1e15, 1.0, "GiB, more than this machine's"),
     ])
     def test_forecast_whose_pmf_grid_cannot_be_built_is_a_usage_error(
             self, tmp_path, tiny_draws, capsys, phi_star, theta, message):
@@ -906,6 +906,25 @@ class TestCli:
         assert main(argv + [str(kept)]) == 2
         assert [p.name for p in kept.iterdir()] == ["notes.txt"]
         assert (kept / "notes.txt").read_text() == "mine"
+
+    def test_failed_command_keeps_a_sibling_run_under_a_parent_it_created(
+            self, tmp_path, monkeypatch, capsys):
+        # two runs write under a new runs/today; the second writes its output
+        # while the first is still running, and then the first fails
+        sibling = tmp_path / "runs" / "today" / "s2"
+
+        def failing_forecast(args, out):
+            sibling.mkdir(parents=True)
+            (sibling / "forecasts.csv").write_text("theirs")
+            raise cli.ConfigurationError("failed while the sibling ran")
+
+        monkeypatch.setattr(cli, "cmd_forecast", failing_forecast)
+        argv = ["forecast", "--counts", "c.csv", "--draws", "d.jsonl",
+                "--out", str(tmp_path / "runs" / "today" / "s1")]
+        assert main(argv) == 2
+        assert "failed while the sibling ran" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "today" / "s1").exists()
+        assert (sibling / "forecasts.csv").read_text() == "theirs"
 
     def test_count_beyond_int64_exits_one(self, tmp_path, capsys):
         path = write(tmp_path / "c.csv", GOOD_CSV.replace("b,3,1,0", "b,3,99999999999999999999,0"))

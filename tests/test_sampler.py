@@ -15,7 +15,7 @@ from oracles import (
     innovation_support,
     quadrature_log_marginal,
 )
-from poinar import sampler
+from poinar import model, sampler
 from poinar.model import Hyperparams, ModelState, simulate_panel
 from poinar.panel import CountPanel, innovation_bounds
 from poinar.sampler import (
@@ -166,6 +166,22 @@ class TestInnovationConditional:
         lo, hi = innovation_support(y_prev, y_curr)
         empirical = np.array([(kept == e).mean() for e in range(lo, hi + 1)])
         assert np.abs(empirical - pmf).sum() / 2 < 0.02  # total variation
+
+    def test_metropolis_move_restarts_from_other_counts(self):
+        # the move keeps its current cells' log-factorials across calls; a
+        # kernel shared by chains must draw a new chain's first call as a
+        # fresh kernel would
+        rng = np.random.default_rng(5)
+        counts = rng.poisson(60.0, (4, 50))
+        alpha, rates = rng.uniform(0.2, 0.8, 4), rng.uniform(20.0, 40.0, (4, 49))
+        start = innovation_bounds(counts)[0]
+        fresh = InnovationKernel(counts, strategy=INNOVATION_METROPOLIS)
+        first = fresh(start, alpha, rates, np.random.default_rng(3))
+        shared = InnovationKernel(counts, strategy=INNOVATION_METROPOLIS)
+        second = shared(shared(start, alpha, rates, np.random.default_rng(3)),
+                        alpha, rates, np.random.default_rng(4))
+        assert not np.array_equal(second, start)
+        assert np.array_equal(shared(start, alpha, rates, np.random.default_rng(3)), first)
 
 
 class TestCollapsedMembershipWeights:
@@ -394,9 +410,9 @@ class TestKernelMemoryGuard:
         top = np.maximum(counts[:, 1:], counts[:, :-1])[active].max()
         needed = (sampler._GRID_BYTES_PER_CELL * cells
                   + sampler._TABLE_BYTES_PER_ENTRY * (int(top) + 2))
-        monkeypatch.setattr(sampler, "_physical_memory", lambda: needed)
+        monkeypatch.setattr(model, "physical_memory", lambda: needed)
         InnovationKernel(counts)
-        monkeypatch.setattr(sampler, "_physical_memory", lambda: needed - 1)
+        monkeypatch.setattr(model, "physical_memory", lambda: needed - 1)
         with pytest.raises(ConfigurationError, match="series in row 2 has the widest"):
             InnovationKernel(counts)
 
