@@ -18,6 +18,7 @@ import numpy as np
 from .panel import N_MONTHS
 
 _THETA_FLOOR = 1e-8
+_TOL, _MAX_ITER = 1e-8, 100  # convergence threshold and iteration cap
 
 
 @dataclass
@@ -60,22 +61,17 @@ def _sse(y_cur, y_lag, m_t, alpha, lam, theta) -> np.ndarray:
     return _row_dots(resid, resid)
 
 
-def cls_fit_panel(
-    counts,
-    season_of,
-    init: tuple | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    record_sse: bool = False,
-) -> ClsPanelEstimate:
+def cls_fit_panel(counts, season_of, record_sse: bool = False) -> ClsPanelEstimate:
     """Fit every series of a panel by cyclic CLS updates, all at once.
 
     Each iteration updates, for the series that have not yet converged, the
     joint (lam, alpha) minimizer given theta and then the constrained theta
-    minimizer given (alpha, lam); a series leaves the loop once its largest
-    absolute parameter change drops below ``tol``. Every series keeps its own
-    iteration count, convergence and projection flags, and its numbers equal
-    those of fitting it alone, bit for bit.
+    minimizer given (alpha, lam). Every series starts at alpha = 0.2, lam =
+    its mean and a flat seasonal vector, and leaves the loop once its largest
+    absolute parameter change drops below 1e-8, or unconverged after 100
+    iterations. Every series keeps its own iteration count, convergence and
+    projection flags, and its numbers equal those of fitting it alone, bit
+    for bit.
 
     Parameters
     ----------
@@ -83,11 +79,6 @@ def cls_fit_panel(
         Counts, T >= 14; identically zero rows are flagged, not fitted.
     season_of : sequence of int
         Month (1..12) of each week.
-    init : (alpha, lam, theta), optional
-        Starting values broadcasting to shapes (L,), (L,) and (L, 12);
-        default alpha=0.2, lam=the series mean and a flat seasonal vector.
-    tol : float
-        Convergence threshold on the largest absolute parameter change.
     record_sse : bool
         Keep each series' SSE after every block update in ``sse_traces``
         (each block is an exact coordinate minimizer, so a trace is
@@ -110,19 +101,11 @@ def cls_fit_panel(
     inv_n = np.where(present, 1.0 / n_safe, 0.0)
     inv_n_sum = inv_n.sum()
 
-    if init is None:
-        alpha = np.full(L, 0.2)
-        lam = y.mean(axis=1)
-        theta = np.full((L, N_MONTHS), 1.0 / N_MONTHS)
-    else:
-        alpha = np.broadcast_to(np.asarray(init[0], dtype=float), (L,)).copy()
-        lam = np.broadcast_to(np.asarray(init[1], dtype=float), (L,)).copy()
-        theta = np.broadcast_to(np.asarray(init[2], dtype=float), (L, N_MONTHS)).copy()
-
+    alpha = np.full(L, 0.2)
+    lam = y.mean(axis=1)
+    theta = np.full((L, N_MONTHS), 1.0 / N_MONTHS)
     degenerate = ~np.any(y > 0, axis=1)
-    alpha[degenerate] = 0.0
-    lam[degenerate] = 0.0
-    theta[degenerate] = 1.0 / N_MONTHS
+    alpha[degenerate] = 0.0  # the zero model: lam, the mean, is 0 and theta flat
     iterations = np.zeros(L, dtype=np.int64)
     converged = np.zeros(L, dtype=bool)
     projected = np.zeros(L, dtype=bool)
@@ -145,7 +128,7 @@ def cls_fit_panel(
     if record_sse:
         record()
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if not rows.size:
             break
         a_old, lm_old, th_old = a, lm, th
@@ -191,7 +174,7 @@ def cls_fit_panel(
         delta = np.maximum(
             np.maximum(np.abs(a - a_old), np.abs(lm - lm_old)), np.abs(th - th_old).max(axis=1)
         )
-        done = delta < tol
+        done = delta < _TOL
         iterations[rows] = it
         if done.any():
             out = rows[done]

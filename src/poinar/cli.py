@@ -250,11 +250,12 @@ def cmd_forecast(args, out: Path) -> str:
     )
     y_last = panel.counts[:, -1]
     q_columns = []
-    if quantiles:  # first, as it refuses rates whose pmfs cannot be computed
+    if quantiles:  # first, so that an overflowing rate is refused with the pmfs' message
         dist = posterior_predictive(y_last, draws, int(future[0]), exposure,
                                     series_ids=panel.series_ids)
         q_columns = quantile(dist, quantiles).T.tolist()
-    means = posterior_conditional_means(draws, y_last, future, exposure).tolist()
+    means = posterior_conditional_means(draws, y_last, future, exposure,
+                                        series_ids=panel.series_ids).tolist()
 
     header = ["series_id", "y_last", "mean"] + [f"q{q}" for q in quantiles]
     header += [f"mean_step{h}" for h in range(2, args.horizon + 1)]

@@ -83,20 +83,25 @@ def conditional_mean_h_step(y_T, alpha, lam, theta, future_months):
     return alpha**h * y_T + lam * (powers * path).sum(axis=-1)
 
 
-def posterior_conditional_means(
-    draws: PosteriorDraws, y_T, future_months, exposure: np.ndarray | None = None
-) -> np.ndarray:
+def posterior_conditional_means(draws: PosteriorDraws, y_T, future_months,
+                                exposure: np.ndarray | None = None,
+                                series_ids: list[str] | None = None) -> np.ndarray:
     """Draw-averaged conditional means at horizons 1..h.
 
     ``y_T`` holds the counts at the forecast origin, shape (L,), and
     ``future_months`` the months of the h weeks after it, shape (h,). For
     several origins at once, give one row per origin: shapes (n, L) and
     (n, h). Row h-1 of the result is the h-step mean, shape (h, L) or
-    (h, n, L). Covariate-mode draws need ``exposure``.
+    (h, n, L). Covariate-mode draws need ``exposure``. A draw whose rate
+    in one of the months overflows to inf raises ``ConfigurationError``
+    naming the series (``series_ids``, row numbers when not given).
     """
     alpha, lam, theta = draws.stacked(exposure)
     y_T = np.asarray(y_T, dtype=float)
     months = np.asarray(future_months, dtype=np.int64)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused just below
+        rate = lam[..., None] * theta[:, None, np.unique(months) - 1]
+    _refuse_overflow(np.isinf(rate).any(axis=(0, 2)), series_ids, "mean forecast")
     # draws lead, then one axis per origin axis of y_T, then series
     batch = (1,) * (y_T.ndim - 1)
     alpha = alpha.reshape(alpha.shape[:1] + batch + alpha.shape[1:])
@@ -128,12 +133,18 @@ def _check_parameters(alpha: np.ndarray, rate: np.ndarray, series_ids: list[str]
         raise ValueError(f"thinning probability must lie in [0, 1], got {bad[0]}")
     if not np.all(rate >= 0.0):
         raise ValueError("innovation rate must be nonnegative")
-    overflow = np.flatnonzero(np.isinf(rate).any(axis=1))
-    if overflow.size:
+    _refuse_overflow(np.isinf(rate).any(axis=1), series_ids, "predictive pmf")
+
+
+def _refuse_overflow(overflow: np.ndarray, series_ids: list[str] | None, what: str):
+    """Raise ``ConfigurationError`` naming the first series flagged in
+    ``overflow``, one bool per series, as having a rate that overflows."""
+    bad = np.flatnonzero(overflow)
+    if bad.size:
         raise ConfigurationError(
-            f"series {series_name(int(overflow[0]), series_ids)} has a draw whose innovation "
+            f"series {series_name(int(bad[0]), series_ids)} has a draw whose innovation "
             "rate, its cluster rate times the month's seasonal effect, overflows to inf, so "
-            "its predictive pmf cannot be computed"
+            f"its {what} cannot be computed"
         )
 
 
@@ -177,11 +188,11 @@ def _times_log(x: np.ndarray, log_y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncation_points(y_T: int, alpha: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Truncation point of each series that has the origin count ``y_T``,
-    found without building a pmf grid.
+def _truncation_points(y_T: np.ndarray, alpha: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Truncation point of each series, found without building a pmf grid.
 
-    ``alpha`` and ``rate`` hold one row of D draws per series, shape (n, D).
+    ``y_T`` holds each series' origin count, shape (n,), and ``alpha`` and
+    ``rate`` one row of D draws per series, shape (n, D).
     A series' draws share one point m. It starts at the largest of their
     mean + 12*sqrt(mean), plus y_T, and grows by m*1.5 + 10 until every
     draw's tail mean, E[S; S > m] <= y_T P(P > k) + rate P(P >= k) with
@@ -189,15 +200,16 @@ def _truncation_points(y_T: int, alpha: np.ndarray, rate: np.ndarray) -> np.ndar
     ``_TAIL_MEAN``. Points are float64, shape (n,), so that one past the
     range of int64 reaches the memory check as it is.
     """
-    mean_hint = alpha * y_T + rate
+    mean_hint = alpha * y_T[:, None] + rate
     top = np.ceil(mean_hint + 12.0 * np.sqrt(mean_hint)).max(axis=1)
-    point = np.maximum(top + y_T, max(y_T, 1))
+    point = np.maximum(top + y_T, np.maximum(y_T, 1))
     todo = np.arange(point.size)
     while todo.size:
-        k = point[todo, None] - y_T
+        y = y_T[todo, None]
+        k = point[todo, None] - y
         r = rate[todo]
         at_least_k = np.where(k > 0, pdtrc(k - 1, r), 1.0)  # pdtrc(-1, r) is NaN
-        tail_mean = y_T * pdtrc(k, r) + r * at_least_k
+        tail_mean = y * pdtrc(k, r) + r * at_least_k
         todo = todo[~(tail_mean < _TAIL_MEAN).all(axis=1)]
         point[todo] = np.floor(point[todo] * 1.5) + 10
     return point
@@ -240,9 +252,9 @@ def posterior_predictive(
     one the series would get on its own. Every point is fixed before any
     grid is built. The series with the same origin count, sorted by point,
     then share kernel passes of at most ``_PASS_CELLS`` grid cells, each
-    built once at its widest point, and every series' rows are read off
-    its pass's grid. Covariate-mode draws need the panel's ``exposure`` to
-    scale each draw's per-exposure rate.
+    built once at its widest point; one draw-mean of the grid gives the
+    pass's pmfs, each zeroed past its own point. Covariate-mode draws need
+    the panel's ``exposure`` to scale each draw's per-exposure rate.
 
     A draw whose rate overflows to inf raises ``ConfigurationError``
     naming the series (``series_ids``, row numbers when not given) before
@@ -258,15 +270,13 @@ def posterior_predictive(
     counts = np.array([int(y) for y in np.asarray(y_T)], dtype=np.int64)
     if np.any(counts < 0):
         raise ValueError("origin counts must be nonnegative")
-    groups = [(y, np.flatnonzero(counts == y)) for y in np.unique(counts).tolist()]
-    point = np.empty(counts.size)
-    for y, series in groups:
-        point[series] = _truncation_points(y, alpha[series], rate[series])
+    point = _truncation_points(counts, alpha, rate)
     n_draws = alpha.shape[1]
     _check_forecast_memory(point, n_draws, series_ids)
     y_max = point.astype(np.int64)
     pmf = np.zeros((counts.size, int(y_max.max(initial=0)) + 1))
-    for y, series in groups:
+    for y in np.unique(counts).tolist():
+        series = np.flatnonzero(counts == y)
         series = series[np.argsort(y_max[series], kind="stable")]
         while series.size:
             # one pass: the longest run whose grid at its widest point holds
@@ -276,12 +286,10 @@ def posterior_predictive(
             series = series[ids.size:]
             width = int(y_max[ids[-1]])
             grid = _pmf_grid(y, alpha[ids].ravel(), rate[ids].ravel(), width)
-            grid = grid.reshape(ids.size, n_draws, width + 1)
-            for m in np.unique(y_max[ids]).tolist():
-                at = np.flatnonzero(y_max[ids] == m)
-                pmfs = grid[at, :, : m + 1].mean(axis=1)  # mean of a C-contiguous copy
-                _check_pmfs(pmfs)  # once per point, not once per series
-                pmf[ids[at], : m + 1] = pmfs
+            pmfs = grid.reshape(ids.size, n_draws, width + 1).mean(axis=1)
+            pmfs[np.arange(width + 1) > y_max[ids, None]] = 0.0
+            _check_pmfs(pmfs)
+            pmf[ids, : width + 1] = pmfs
     return ForecastDistribution(pmf, y_max)
 
 

@@ -76,22 +76,21 @@ class Scenario:
         return np.repeat(np.arange(self.n_clusters), self.L // self.n_clusters)
 
 
-def benchmark_scenarios(L: int = 100, T: int = 208) -> list[Scenario]:
+def benchmark_scenarios() -> list[Scenario]:
     """The 3x3 separation-by-thinning grid plus the single-cluster sanity
-    case (all series sharing one rate)."""
+    case (all series sharing one rate), each at ``Scenario``'s default size;
+    ``dataclasses.replace`` resizes one."""
     scenarios = [
-        Scenario(name=f"{sep}-{thin}", cluster_rates=rates, thinning=thin, L=L, T=T)
+        Scenario(name=f"{sep}-{thin}", cluster_rates=rates, thinning=thin)
         for sep, rates in SEPARATIONS.items()
         for thin in THINNINGS
     ]
-    scenarios.append(
-        Scenario(name="single-cluster", cluster_rates=(3.0,), thinning=0.5, L=L, T=T)
-    )
+    scenarios.append(Scenario(name="single-cluster", cluster_rates=(3.0,), thinning=0.5))
     return scenarios
 
 
-def scenario_by_name(name: str, L: int = 100, T: int = 208) -> Scenario:
-    for sc in benchmark_scenarios(L=L, T=T):
+def scenario_by_name(name: str) -> Scenario:
+    for sc in benchmark_scenarios():
         if sc.name == name:
             return sc
     names = ", ".join(s.name for s in benchmark_scenarios())
@@ -311,7 +310,7 @@ def rolling_one_step_evaluation(
 
     y_prev = panel.counts[:, targets - 1].T  # (origins, series)
     months = panel.season_of[targets][:, None]
-    preds = posterior_conditional_means(draws, y_prev, months, exposure)[0]
+    preds = posterior_conditional_means(draws, y_prev, months, exposure, panel.series_ids)[0]
     actuals = panel.counts[:, targets].T
 
     details = {

@@ -153,15 +153,13 @@ def _raise_first_bad_row(path: Path, n_weeks: int):
                     )
 
 
-def save_counts(panel: CountPanel, path, week_starts: list[datetime.date] | None = None):
-    """Write a panel as a counts CSV; dates must reproduce its season map."""
-    dates = week_starts if week_starts is not None else panel.week_starts
+def save_counts(panel: CountPanel, path):
+    """Write a panel as a counts CSV under its own week dates."""
+    dates = panel.week_starts
     if dates is None:
-        raise ValueError("panel has no week dates; pass week_starts")
-    if len(dates) != panel.n_weeks:
-        raise ValueError("week_starts must cover every week")
+        raise ValueError("panel has no week dates")
     if np.any(months_of(dates) != panel.season_of):
-        raise ValueError("week_starts do not reproduce the panel's season map")
+        raise ValueError("the panel's week dates do not reproduce its season map")
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -177,23 +177,21 @@ def simulate_poinar(
     alpha: float,
     theta: np.ndarray,
     season_of: np.ndarray,
-    T: int | None = None,
+    rng: np.random.Generator,
     y0: int | None = None,
-    rng: np.random.Generator | None = None,
     return_innovations: bool = False,
 ):
     """Simulate one Poisson INAR(1) series with monthly innovation rates.
 
-    Each step carries over a binomial thinning of the previous count and adds
-    a Poisson(lam * theta_{s(t)}) innovation. When ``y0`` is omitted the
+    The series has a week for every entry of ``season_of``. Each step
+    carries over a binomial thinning of the previous count and adds a
+    Poisson(lam * theta_{s(t)}) innovation. When ``y0`` is omitted the
     first observation is drawn near stationarity, from
     Poisson(lam * theta_{s(1)} / (1 - alpha)).
 
     Returns the length-T count series; with ``return_innovations=True`` also
     returns the simulated innovations (first entry set to the first count).
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if lam < 0:
         raise ValueError("innovation rate must be nonnegative")
     if not 0.0 <= alpha <= 1.0:
@@ -202,12 +200,9 @@ def simulate_poinar(
     if np.any(theta <= 0):
         raise ValueError("seasonal effects must be strictly positive")
     season_of = np.asarray(season_of, dtype=np.int64)
-    if T is None:
-        T = season_of.shape[0]
-    if season_of.shape[0] < T:
-        raise ValueError("season_of must cover every simulated week")
+    T = season_of.shape[0]
 
-    rates = lam * theta[season_of[:T] - 1]
+    rates = lam * theta[season_of - 1]
     if y0 is None:
         if alpha >= 1.0:
             raise ValueError("alpha = 1 has no stationary start; pass y0 explicitly")

@@ -816,7 +816,7 @@ def per_series_cls_fit(series, season_of, init=None, tol: float = 1e-8, max_iter
     return alpha, lam, theta, float(resid @ resid), it, converged, projected
 
 
-def per_series_cls_panel(counts, season_of, **kwargs) -> ClsPanelEstimate:
+def per_series_cls_panel(counts, season_of) -> ClsPanelEstimate:
     """``cls_fit_panel``'s result assembled from one oracle fit per row,
     with the zero model for identically zero rows."""
     L = len(counts)
@@ -827,7 +827,7 @@ def per_series_cls_panel(counts, season_of, **kwargs) -> ClsPanelEstimate:
     )
     for l, series in enumerate(counts):
         try:
-            fit = per_series_cls_fit(series, season_of, **kwargs)
+            fit = per_series_cls_fit(series, season_of)
         except DegenerateSeriesError:
             out.degenerate[l] = True
             continue

@@ -141,6 +141,18 @@ class TestPosteriorConditionalMeans:
         plain = posterior_conditional_means(draws, np.zeros(3), [1])
         assert np.allclose(scaled, plain * exposure, rtol=1e-14)
 
+    def test_draws_whose_rate_overflows_in_a_forecast_month_refused(self):
+        # cluster 1 (series 1) times August's effect overflows; March's does not
+        draws = self._draws(np.random.default_rng(7))
+        draws.phi_star[:, 1] = 1e300
+        draws.theta[:, 7] = 1e10
+        assert np.all(np.isfinite(posterior_conditional_means(draws, np.ones(3), [3, 3])))
+        with pytest.raises(ConfigurationError, match="series in row 1 has a draw whose"):
+            posterior_conditional_means(draws, np.ones(3), [3, 8])
+        with pytest.raises(ConfigurationError, match="series 'b' has a draw whose"):
+            posterior_conditional_means(draws, np.ones((2, 3)), [[3], [8]],
+                                        series_ids=["a", "b", "c"])
+
 
 class TestPredictivePmf:
     def test_no_previous_count_gives_poisson(self):
@@ -427,7 +439,7 @@ def shared_rows(y_T: int, alpha, rate) -> np.ndarray:
     from ``_truncation_points``: shape (D, m+1)."""
     alpha = np.asarray(alpha, dtype=float)
     rate = np.asarray(rate, dtype=float)
-    (m,) = forecast._truncation_points(y_T, alpha[None], rate[None]).astype(int)
+    (m,) = forecast._truncation_points(np.array([y_T]), alpha[None], rate[None]).astype(int)
     return forecast._pmf_grid(y_T, alpha, rate, m)
 
 

@@ -210,10 +210,11 @@ class TestCountsRoundTrip:
         assert loaded.week_starts == panel.week_starts
 
     def test_dates_must_match_season(self, tmp_path):
-        panel = CountPanel(counts=np.array([[1, 2]]), season_of=np.array([1, 3]))
         dates = [datetime.date(2001, 1, 1), datetime.date(2001, 1, 8)]
+        panel = CountPanel(counts=np.array([[1, 2]]), season_of=np.array([1, 3]),
+                           week_starts=dates)
         with pytest.raises(ValueError, match="season"):
-            io.save_counts(panel, tmp_path / "c.csv", week_starts=dates)
+            io.save_counts(panel, tmp_path / "c.csv")
 
 
 def _tiny_panel():
@@ -890,6 +891,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err
         assert any(f"series {name!r}" in err for name in panel.series_ids)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["forecast", "--quantiles", ""], ["evaluate"]])
+    def test_means_from_draws_whose_rate_overflows_are_a_usage_error(
+            self, tmp_path, tiny_draws, capsys, command):
+        panel = _tiny_panel()
+        io.save_counts(panel, tmp_path / "c.csv")
+        huge = replace(tiny_draws, phi_star=np.where(np.isnan(tiny_draws.phi_star), np.nan, 1e300),
+                       theta=np.full_like(tiny_draws.theta, 1e10))
+        io.save_draws(huge, tmp_path / "draws.jsonl", panel)
+        out = tmp_path / "out"
+        assert main(command + ["--counts", str(tmp_path / "c.csv"),
+                               "--draws", str(tmp_path / "draws.jsonl"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"series {panel.series_ids[0]!r} has a draw whose innovation rate" in err
+        assert "overflows to inf, so its mean forecast cannot be computed" in err
         assert not out.exists()
 
     def test_failed_command_removes_only_the_directories_it_created(self, tmp_path, tiny_draws):

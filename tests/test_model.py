@@ -114,7 +114,7 @@ class TestSimulatePoinar:
 
     def test_alpha_one_requires_explicit_start(self):
         with pytest.raises(ValueError):
-            simulate_poinar(1.0, 1.0, UNIT_THETA, FLAT_SEASONS[:10])
+            simulate_poinar(1.0, 1.0, UNIT_THETA, FLAT_SEASONS[:10], np.random.default_rng(0))
 
 
 class TestSimulatePanel:

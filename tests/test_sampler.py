@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+import oracles
 from drawrows import assert_same_draws, draw_state, draws_from_states
 from oracles import (
     convolution_innovation_pmf,
@@ -16,13 +17,14 @@ from oracles import (
     quadrature_log_marginal,
 )
 from poinar import model, sampler
-from poinar.model import Hyperparams, ModelState, simulate_panel
+from poinar.model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, ModelState, simulate_panel
 from poinar.panel import CountPanel, innovation_bounds
 from poinar.sampler import (
     INNOVATION_EXACT,
     INNOVATION_METROPOLIS,
     ConfigurationError,
     InnovationKernel,
+    LogGammaTable,
     PosteriorDraws,
     SamplerConfig,
     SuffStats,
@@ -146,6 +148,30 @@ class TestInnovationConditional:
         for k, p in enumerate(pmf):
             observed = np.sum(draws == lo + k)
             assert abs(observed - n * p) < 3.5 * np.sqrt(n * p * (1 - p))
+
+    def test_wide_buckets_draw_from_the_exact_pmf(self):
+        # after a call, each exact cell draws from its bucket's running sums
+        # over their total: a row-wise bucket of 200 cells with 300 to 384
+        # support values, and a column-wise one of 6 cells with 385 to 400
+        rng = np.random.default_rng(10)
+        counts = np.vstack([rng.integers(299, 384, (100, 3)), rng.integers(384, 400, (3, 3))])
+        counts[-1] = 399
+        T = counts.shape[1]
+        alpha = rng.uniform(0.05, 0.95, counts.shape[0])
+        rates = rng.lognormal(np.log(100.0), 1.0, (counts.shape[0], T - 1))
+        kernel = InnovationKernel(counts)
+        kernel(np.zeros_like(counts), alpha, rates, np.random.default_rng(11))
+        assert [(b.row_wise, b._work.shape) for b in kernel.buckets] == [
+            (True, (int(np.minimum(counts[:100, 1:], counts[:100, :-1]).max()) + 1, 200)),
+            (False, (400, 6)),
+        ]
+        for bucket in kernel.buckets:
+            for column, cell in enumerate(range(kernel.rows.size)[bucket.cells]):
+                l, t = divmod(int(kernel.at[cell]), T - 1)
+                pmf = innovation_pmf(int(counts[l, t]), int(counts[l, t + 1]), alpha[l],
+                                     rates[l, t])
+                sums = bucket._work[: pmf.size, column]
+                assert np.abs(np.diff(sums, prepend=0.0) / sums[-1] - pmf).max() < 1e-12
 
     def test_metropolis_stationary_distribution(self):
         # large-count cell updated by MH must converge to the exact conditional
@@ -274,6 +300,56 @@ class TestCollapsedMembershipWeights:
         table = table[:, table.sum(axis=0) >= 10]
         _, p_value, _, _ = chi2_contingency(table)
         assert p_value > 0.005
+
+    @staticmethod
+    def visit_log_weights(module, sweep, *args, **kwargs):
+        """``sweep(*args, **kwargs)`` and the argument of every ``np.exp``
+        call in ``module`` while it runs: one array of max-shifted
+        log-weights per visit."""
+        recorded = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *rest):
+                recorded.append(np.array(x, copy=True))
+                return np.exp(x, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "np", Numpy())
+            return sweep(*args, **kwargs), recorded
+
+    @pytest.mark.parametrize("mode", [MODE_PLAIN, MODE_COVARIATE])
+    @pytest.mark.parametrize("gamma1", [1.0, 0.3, 1 / 3])
+    def test_visit_log_weights_match_the_list_sweep_bit_for_bit(self, mode, gamma1):
+        # two sweeps from 60 singletons, the second from the clusters the
+        # first left and on the table it grew. At 1/3, table entries
+        # gammaln(N + 1/3) in place of gammaln((B + 1/3) + s) would change
+        # about half of these weights (at 0.3 none), so only the sweep's
+        # gammaln keeps them equal.
+        rng = np.random.default_rng(12)
+        L, T = 60, 8
+        eps = rng.poisson(rng.uniform(0.0, 40.0, (L, 1)), (L, T))
+        eps[rng.random(L) < 0.2] = 0
+        exposure = rng.uniform(0.2, 5.0, L) if mode == MODE_COVARIATE else None
+        panel = CountPanel(counts=eps, season_of=rng.integers(1, 13, T), exposure=exposure)
+        state = ModelState(alpha=np.full(L, 0.5), z=np.arange(L), phi_star=np.ones(L),
+                           theta=rng.gamma(2.0, 0.5, 12), tau=1.5, innovations=eps)
+        hyper = Hyperparams(gamma1=gamma1, gamma2=0.5, mode=mode)
+        table = LogGammaTable(gamma1)
+        ours = theirs = (state.z, SuffStats.from_state(state, panel, mode))
+        for seed in (1, 2):
+            ours, got = self.visit_log_weights(
+                sampler, sample_memberships, replace(state, z=ours[0]), panel, ours[1], hyper,
+                np.random.default_rng(seed), log_gamma=table)
+            theirs, want = self.visit_log_weights(
+                oracles, oracles.list_sample_memberships, replace(state, z=theirs[0]), panel,
+                theirs[1], hyper, np.random.default_rng(seed))
+            assert len(got) == len(want) == L
+            differ = [i for i, (g, w) in enumerate(zip(got, want)) if g.tobytes() != w.tobytes()]
+            assert not differ, f"sweep {seed}: visits {differ[:5]} weigh differently"
+        assert 1 < ours[1].n.size < L
 
 
 class TestConjugateUpdates:
