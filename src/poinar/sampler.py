@@ -239,11 +239,11 @@ class InnovationKernel:
     width: a bucket holds the cells whose width lies in one half of an
     octave, [2^j, 1.5 * 2^j) or [1.5 * 2^j, 2^(j+1)), and pads them only to
     its own widest support, so the grid holds at most 1.5 times the useful
-    support however wide the widest cell is. Each bucket keeps its
-    precomputed log-factorial terms and work buffers, laid out support
-    point by cell, across sweeps. With the Metropolis strategy, cells whose
-    current count exceeds the threshold get a Poisson-proposal MH move
-    instead of exact enumeration.
+    support however wide the widest cell is. A bucket keeps one float64 per
+    grid cell across sweeps, its log-factorial terms laid out support point
+    by cell, and draws through work grids shared by all buckets. With the
+    Metropolis strategy, cells whose current count exceeds the threshold
+    get a Poisson-proposal MH move instead of exact enumeration.
 
     Cells are addressed by flat indices computed once: ``at`` into the
     row-major (L, T-1) ``rates`` and ``at_eps = at + row + 1`` into the
@@ -256,10 +256,11 @@ class InnovationKernel:
     Before anything sized by the counts themselves is allocated, the
     buckets' grid cells are counted from the support widths, and the
     log-factorial table's entries from the largest count next to an
-    exactly enumerated week; if their bytes would exceed the machine's
-    physical memory, the build raises ``ConfigurationError`` naming the
-    series of the widest support or of that count (``series_ids``, row
-    numbers when not given). The Metropolis move reads no table: it takes
+    exactly enumerated week; if their bytes, with the cells' index arrays
+    and a call's temporaries, would exceed the machine's physical memory,
+    the build raises ``ConfigurationError`` naming the series of the
+    widest support or of that count (``series_ids``, row numbers when not
+    given). The Metropolis move reads no table: it takes
     ``gammaln`` of its own cells' counts, of the proposals only once a
     chain has run one call.
     """
@@ -298,27 +299,39 @@ class InnovationKernel:
 
         rows, at, at_eps = _flat_cells(exact)
         w = width.take(at)
+        del width, active, exact, mh_mask
         # the uniforms are drawn in row-major order; cells are stored bucket
         # by bucket, and ``draw_order`` maps the one to the other. A one-byte
         # key makes the stable sort a radix sort.
         mantissa, octave = np.frexp(w)  # w = mantissa * 2^octave, 0.5 <= mantissa < 1
         level = (2 * octave + (mantissa >= 0.75)).astype(np.uint8)
+        del mantissa, octave
         self.draw_order = np.argsort(level, kind="stable")
-        self.rows = rows[self.draw_order]
-        self.at = at[self.draw_order]
-        self.at_eps = at_eps[self.draw_order]
+        self.rows, self.at, self.at_eps = (a.take(self.draw_order) for a in (rows, at, at_eps))
+        del rows, at, at_eps
         self.base = lo_flat.take(self.at_eps)
-        w, level = w[self.draw_order], level[self.draw_order]
+        w, level = w.take(self.draw_order), level.take(self.draw_order)
         starts = np.unique(level, return_index=True)[1]
+        sizes = np.diff(np.r_[starts, w.size])
+        points = np.maximum.reduceat(w, starts) + 1
+        grids = points * sizes
+        fixed, per_cell, per_point = _COLUMN_SUM_NS
+        row_wise = _ROW_SUM_NS * (points - 1) < fixed + per_cell * sizes + per_point * grids
         # a bucket reads the log-factorials of counts up to its cells' own
         # y_curr or y_prev, so the table stops at the largest of these
         top = np.maximum(y.take(self.at_eps), y.take(self.at_eps - 1))
-        _check_grid_memory(w, starts, self.rows, top, series_ids, strategy)
+        _check_grid_memory(w, points, grids, row_wise, self.rows, top, self.mh_rows.size,
+                           counts.size, series_ids, strategy)
         lgam = gammaln(np.arange(int(top.max(initial=-1)) + 2, dtype=float))
+        del level, top
+        shared = (np.empty(grids.max(initial=0)), np.empty(grids.max(initial=0), dtype=bool),
+                  np.empty(grids[~row_wise].max(initial=0)),
+                  np.arange(points.max(initial=0), dtype=float)[:, None])
         self.buckets = [
-            _Bucket(start, stop, self.base[start:stop], w[start:stop],
-                    y.take(self.at_eps[start:stop]), y.take(self.at_eps[start:stop] - 1), lgam)
-            for start, stop in zip(starts, np.r_[starts[1:], w.size])
+            _Bucket(slice(start, stop), self.base[start:stop], w[start:stop],
+                    y.take(self.at_eps[start:stop]), y.take(self.at_eps[start:stop] - 1), lgam,
+                    by_rows, *shared)
+            for start, stop, by_rows in zip(starts, starts + sizes, row_wise)
         ]
         self._draws = np.empty(w.size, dtype=np.int64)
 
@@ -333,12 +346,6 @@ class InnovationKernel:
         a = np.clip(alpha, _ALPHA_EPS, 1.0 - _ALPHA_EPS)
         log_odds = np.log1p(-a) - np.log(a)
 
-        # C order whatever the layout of ``counts``, so ``flat`` is a view
-        new = np.empty(self.counts.shape, dtype=self.counts.dtype)
-        new[:, 0] = self.counts[:, 0]
-        new[:, 1:] = self.lo  # deterministic cells resolve to their support point
-        flat = new.reshape(-1)
-
         n = self.rows.size
         if n:
             log_c = np.log(rates.take(self.at))
@@ -346,8 +353,15 @@ class InnovationKernel:
             u = rng.random(n).take(self.draw_order)
             for bucket in self.buckets:
                 bucket.draw(log_c, u, self._draws)
+            del log_c, u
             self._draws += self.base
-            flat[self.at_eps] = self._draws
+
+        # C order whatever the layout of ``counts``, so ``flat`` is a view
+        new = np.empty(self.counts.shape, dtype=self.counts.dtype)
+        new[:, 0] = self.counts[:, 0]
+        new[:, 1:] = self.lo  # deterministic cells resolve to their support point
+        flat = new.reshape(-1)
+        flat[self.at_eps] = self._draws
 
         rows = self.mh_rows
         if rows.size:
@@ -373,28 +387,30 @@ class InnovationKernel:
         return new
 
 
-# The bytes a bucket keeps per grid cell: the float64 rate multiplier,
-# log-factorial terms and work grid, a float64 cumsum grid for column-wise
-# buckets, and the bool comparison grid.
-_GRID_BYTES_PER_CELL = 4 * 8 + 1
-# The bytes per entry of the log-factorial table: the table and the float64
-# range it is computed from.
-_TABLE_BYTES_PER_ENTRY = 2 * 8
+# The kernel's bytes, rounded up from tracemalloc peaks of builds and first
+# calls: per grid cell, logw0; per cell of the largest (column-wise) bucket,
+# the shared work and comparison (column-sum) grids; per point of a
+# row-wise bucket, its row views; per table entry, the table and its range;
+# per exact cell, Metropolis cell and panel entry, the arrays kept and the
+# temporaries of a build and of one call.
+_GRID_BYTES, _SHARED_BYTES, _SUMS_BYTES, _STEP_BYTES, _TABLE_BYTES = 8, 8 + 1, 8, 320, 2 * 8
+_CELL_BYTES, _MH_CELL_BYTES, _ENTRY_BYTES = 96, 160, 32
 
 
-def _check_grid_memory(width: np.ndarray, starts: np.ndarray, rows: np.ndarray,
-                       top: np.ndarray, series_ids: list[str] | None, strategy: str):
-    """Raise ``ConfigurationError`` if the buckets starting at ``starts``
-    over the sorted cell widths ``width`` (of series ``rows``), plus the
-    log-factorial table up to the largest of the cells' counts ``top``,
-    would not fit in physical memory. Reads the widths and counts only."""
+def _check_grid_memory(width: np.ndarray, points: np.ndarray, grids: np.ndarray,
+                       row_wise: np.ndarray, rows: np.ndarray, top: np.ndarray, n_mh: int,
+                       n_entries: int, series_ids: list[str] | None, strategy: str):
+    """Raise ``ConfigurationError`` if the kernel would not fit in memory:
+    buckets of ``points`` points and ``grids`` cells over the sorted widths
+    ``width`` (of series ``rows``), the log-factorial table up to the count
+    ``top``, and ``n_mh`` Metropolis cells in ``n_entries`` panel entries."""
     if width.size == 0:
         return
-    sizes = np.diff(np.r_[starts, width.size])
-    points = np.maximum.reduceat(width, starts) + 1
-    grid_bytes = _GRID_BYTES_PER_CELL * int(points @ sizes)
+    grid_bytes = (_GRID_BYTES * int(grids.sum()) + _SHARED_BYTES * int(grids.max())
+                  + _SUMS_BYTES * int(grids[~row_wise].max(initial=0))
+                  + _STEP_BYTES * int((points - 1)[row_wise].sum()))
     largest = int(np.argmax(top))
-    table_bytes = _TABLE_BYTES_PER_ENTRY * (int(top[largest]) + 2)
+    table_bytes = _TABLE_BYTES * (int(top[largest]) + 2)
     if grid_bytes >= table_bytes:
         widest = int(np.argmax(width))
         cause = (f"series {series_name(int(rows[widest]), series_ids)} has the widest "
@@ -409,7 +425,8 @@ def _check_grid_memory(width: np.ndarray, starts: np.ndarray, rows: np.ndarray,
         what = "the exact innovation kernel"
         advice = ("Use --innovation-strategy metropolis-poisson, which enumerates only the "
                   "weeks whose counts are at most --metropolis-threshold")
-    refuse_over_memory(grid_bytes + table_bytes,
+    cell_bytes = _CELL_BYTES * width.size + _MH_CELL_BYTES * n_mh + _ENTRY_BYTES * n_entries
+    refuse_over_memory(grid_bytes + table_bytes + cell_bytes,
                        f"the support grids and log-factorial table of {what}", f"{cause}. {advice}")
 
 
@@ -426,11 +443,13 @@ def _flat_cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # and a strided loop per cell, adding whole rows pays a call per point.
 _COLUMN_SUM_NS = (2500.0, 10.0, 4.0)  # fixed, per cell, per grid point
 _ROW_SUM_NS = 600.0                   # per support point after the first
+_BUILD_CHUNK = 2**14  # grid entries whose log-factorials a build gathers at once
 
 
 class _Bucket:
-    """The exact cells ``start:stop`` of an ``InnovationKernel``, on a grid
-    of shape (support points, cells) padded to their widest support.
+    """The exact cells ``cells`` (a slice) of an ``InnovationKernel``, on a
+    grid of shape (support points, cells) padded to their widest support.
+    Its work grids are views of the kernel's, valid until the next draw.
 
     A cell draws the number of its running weight sums that lie below
     ``u`` times its total. Padded points sit after each cell's last point
@@ -452,49 +471,48 @@ class _Bucket:
     on, so they give bit-identical sums.
     """
 
-    def __init__(self, start, stop, base, width, y_curr, y_prev, lgam):
-        self.cells = slice(start, stop)
+    def __init__(self, cells, base, width, y_curr, y_prev, lgam, row_wise,
+                 work, below, sums, k):
+        self.cells, self.base, self.row_wise = cells, base, row_wise
         m = int(width.max()) + 1
         c = width.shape[0]
+        self._k = k[:m]  # the support offsets, a float64 column
+        self._logw = logw = work[: m * c].reshape(m, c)
         # log-factorial terms never change across sweeps; only the rate
         # term multiplies the support grid. They are summed over the
-        # unmasked grid, one int64 buffer holding the innovation, then the
-        # survivors, then the thinned-away counts, with indices off the
+        # unmasked grid, the work grid holding the innovation as int64, then
+        # the survivors, then the thinned-away counts, with indices off the
         # table clipped; only the padding reads clipped entries, and it is
-        # overwritten once at the end.
+        # overwritten once at the end. The last two terms are gathered a
+        # chunk at a time, so no second grid is built.
         lgam = lgam[1:]  # lgam[x] is now log x!
-        counts = np.add.outer(np.arange(m), base)
-        self.grid0 = counts.astype(float)
+        counts = np.add.outer(np.arange(m), base, out=logw.view(np.int64))
         self.logw0 = logw0 = lgam.take(counts, mode="clip")
-        self._logw = term = np.empty_like(logw0)
-        np.subtract(y_curr, counts, out=counts)
-        logw0 += lgam.take(counts, out=term, mode="clip")
-        np.subtract(y_prev, counts, out=counts)
-        logw0 += lgam.take(counts, out=term, mode="clip")
+        flat, indices = logw0.reshape(-1), counts.reshape(-1)
+        for y in (y_curr, y_prev):
+            np.subtract(y, counts, out=counts)
+            for i in range(0, m * c, _BUILD_CHUNK):
+                flat[i:i + _BUILD_CHUNK] += lgam.take(indices[i:i + _BUILD_CHUNK], mode="clip")
         np.negative(logw0, out=logw0)
-        padding = np.greater.outer(np.arange(m), width)
-        logw0[padding] = np.nan
-        self.grid0[padding] = 0.0
+        logw0[np.greater.outer(np.arange(m), width, out=below[: m * c].reshape(m, c))] = np.nan
         # flat index of each cell's last point
         self._last = width * c + np.arange(c)
-        self._below = np.empty((m - 1, c), dtype=bool)
+        self._below = below[: (m - 1) * c].reshape(m - 1, c)
         # the smallest unsigned type that holds an offset: summing bools
         # into it skips numpy's buffered cast to int64
         self._offsets = np.empty(c, dtype=np.min_scalar_type(m - 1))
-        fixed, per_cell, per_point = _COLUMN_SUM_NS
-        self.row_wise = _ROW_SUM_NS * (m - 1) < fixed + per_cell * c + per_point * m * c
-        if self.row_wise:
-            self._steps = list(zip(self._logw[:-1], self._logw[1:]))
-            self._work = self._logw
-        else:
-            self._work = np.empty_like(logw0)
+        self._work = logw if row_wise else sums[: m * c].reshape(m, c)
+        self._steps = list(zip(logw[:-1], logw[1:])) if row_wise else []
 
     def draw(self, log_c: np.ndarray, u: np.ndarray, out: np.ndarray):
         """Write each cell's offset into its support to ``out``, from the
         log rate-odds ``log_c`` and uniforms ``u`` of all the kernel's cells."""
         cells = self.cells
         logw, work = self._logw, self._work
-        np.multiply(self.grid0, log_c[cells], out=logw)
+        # the rate multiplier k + base is an integer below 2^53, exact in
+        # float64, so the product has the bits of a stored multiplier grid's
+        np.add(self._k, self.base, out=logw)
+        logw *= log_c[cells]
         logw += self.logw0
         np.subtract(logw, np.fmax.reduce(logw, axis=0), out=logw)
         np.exp(logw, out=logw)

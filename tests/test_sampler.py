@@ -17,7 +17,15 @@ from oracles import (
     quadrature_log_marginal,
 )
 from poinar import model, sampler
-from poinar.model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, ModelState, simulate_panel
+from poinar.harness import Scenario, scenario_by_name, simulate_scenario
+from poinar.model import (
+    MODE_COVARIATE,
+    MODE_PLAIN,
+    Hyperparams,
+    ModelState,
+    simulate_panel,
+    simulate_poinar,
+)
 from poinar.panel import CountPanel, innovation_bounds
 from poinar.sampler import (
     INNOVATION_EXACT,
@@ -51,6 +59,28 @@ def small_panel(L=6, T=60, rates=(1.0, 4.0), alpha=0.4, seed=100, exposure=None)
         exposure=exposure,
     )
     return panel, truth
+
+
+def desk_with_outlier(lam: float) -> np.ndarray:
+    """Desk easy-0.9 (40 x 208) and one INAR(1) series at thinning 0.5 and
+    innovation rate ``lam``, whose counts sit near 2 lam."""
+    desk = simulate_scenario(replace(scenario_by_name("easy-0.9"), L=40), sampler.stream(1, 0))[0]
+    outlier = simulate_poinar(lam, 0.5, UNIT_THETA, desk.season_of, np.random.default_rng(0))
+    return np.vstack([desk.counts, outlier])
+
+
+def traced_kernel_peak(counts: np.ndarray, **kwargs) -> int:
+    """The tracemalloc peak, in bytes, of building an ``InnovationKernel``
+    on ``counts`` and running its first call."""
+    rng = np.random.default_rng(5)
+    alpha = rng.uniform(0.2, 0.8, counts.shape[0])
+    rates = np.maximum(counts[:, 1:], 1) * rng.uniform(0.3, 0.7, counts[:, 1:].shape)
+    tracemalloc.start()
+    try:
+        InnovationKernel(counts, **kwargs)(counts, alpha, rates, rng)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def kernel_draws(counts, alpha, rates, seed=0):
@@ -160,17 +190,25 @@ class TestInnovationConditional:
         alpha = rng.uniform(0.05, 0.95, counts.shape[0])
         rates = rng.lognormal(np.log(100.0), 1.0, (counts.shape[0], T - 1))
         kernel = InnovationKernel(counts)
+        # the buckets share their work grids, so each bucket's running sums
+        # are read right after its own draw
+        work = []
+        for bucket in kernel.buckets:
+            def draw(*args, bucket=bucket, draw=bucket.draw):
+                draw(*args)
+                work.append(bucket._work.copy())
+            bucket.draw = draw
         kernel(np.zeros_like(counts), alpha, rates, np.random.default_rng(11))
-        assert [(b.row_wise, b._work.shape) for b in kernel.buckets] == [
+        assert [(b.row_wise, w.shape) for b, w in zip(kernel.buckets, work)] == [
             (True, (int(np.minimum(counts[:100, 1:], counts[:100, :-1]).max()) + 1, 200)),
             (False, (400, 6)),
         ]
-        for bucket in kernel.buckets:
+        for bucket, grid in zip(kernel.buckets, work):
             for column, cell in enumerate(range(kernel.rows.size)[bucket.cells]):
                 l, t = divmod(int(kernel.at[cell]), T - 1)
                 pmf = innovation_pmf(int(counts[l, t]), int(counts[l, t + 1]), alpha[l],
                                      rates[l, t])
-                sums = bucket._work[: pmf.size, column]
+                sums = grid[: pmf.size, column]
                 assert np.abs(np.diff(sums, prepend=0.0) / sums[-1] - pmf).max() < 1e-12
 
     def test_metropolis_stationary_distribution(self):
@@ -479,13 +517,20 @@ class TestKernelMemoryGuard:
         panel, _ = small_panel(L=6, T=60)
         counts = panel.counts.copy()
         counts[2, 10:14] = 40  # a wide bucket of its own
-        cells = sum(b.grid0.size for b in InnovationKernel(counts).buckets)
+        kernel = InnovationKernel(counts)
+        grids = [b.logw0.size for b in kernel.buckets]
+        assert {b.row_wise for b in kernel.buckets} == {True, False}
         # the log-factorial table runs to the largest count beside an active week
         lo, hi = innovation_bounds(counts)
         active = hi[:, 1:] > lo[:, 1:]
         top = np.maximum(counts[:, 1:], counts[:, :-1])[active].max()
-        needed = (sampler._GRID_BYTES_PER_CELL * cells
-                  + sampler._TABLE_BYTES_PER_ENTRY * (int(top) + 2))
+        needed = (sampler._GRID_BYTES * sum(grids) + sampler._SHARED_BYTES * max(grids)
+                  + sampler._SUMS_BYTES * max(b.logw0.size for b in kernel.buckets
+                                              if not b.row_wise)
+                  + sampler._STEP_BYTES * sum(b.logw0.shape[0] - 1 for b in kernel.buckets
+                                              if b.row_wise)
+                  + sampler._TABLE_BYTES * (int(top) + 2)
+                  + sampler._CELL_BYTES * kernel.rows.size + sampler._ENTRY_BYTES * counts.size)
         monkeypatch.setattr(model, "physical_memory", lambda: needed)
         InnovationKernel(counts)
         monkeypatch.setattr(model, "physical_memory", lambda: needed - 1)
@@ -508,6 +553,32 @@ class TestKernelMemoryGuard:
             tracemalloc.stop()
         assert not kernel.buckets
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("shape", ["narrow", "outlier", "metropolis"])
+    def test_memory_estimate_covers_the_traced_peak(self, monkeypatch, shape):
+        # many narrow cells (a 2000 x 208 low-count panel: index arrays
+        # lead), one wide outlier series (its grids lead), and a Metropolis
+        # panel whose weeks of counts at most 30 are enumerated exactly
+        if shape == "narrow":
+            scenario = Scenario(name="wide", cluster_rates=(0.3, 0.8, 1.5, 3.0), thinning=0.3,
+                                L=2000, T=208)
+            counts, kwargs = simulate_scenario(scenario, sampler.stream(1, 0))[0].counts, {}
+        else:
+            counts = desk_with_outlier(1000.0)
+            kwargs = {"strategy": INNOVATION_METROPOLIS} if shape == "metropolis" else {}
+        estimates = []
+        monkeypatch.setattr(sampler, "refuse_over_memory",
+                            lambda needed, what, cause: estimates.append(needed))
+        peak = traced_kernel_peak(counts, **kwargs)
+        assert len(estimates) == 1 and peak <= estimates[0]
+
+    def test_outlier_series_memory_follows_one_float_per_grid_cell(self):
+        # one series near 20,000 has about 4.2 million grid cells: 34 MB of
+        # log-weights and as much again of the shared work grid. Keeping a
+        # multiplier grid and work grids per bucket traced 155 MiB.
+        counts = desk_with_outlier(10_000.0)
+        assert 19_000 < counts[-1].max() < 22_000
+        assert traced_kernel_peak(counts) < 110 * 2**20
 
     @pytest.mark.parametrize("strategy", [INNOVATION_EXACT, INNOVATION_METROPOLIS])
     def test_table_beside_a_large_count_refused(self, strategy):

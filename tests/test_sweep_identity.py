@@ -428,7 +428,7 @@ def test_outlier_grid_follows_useful_support():
     counts = panel.counts
     width = np.minimum(counts[:, 1:], counts[:, :-1])
     useful = int((width[width > 0] + 1).sum())
-    grid_cells = sum(b.grid0.size for b in InnovationKernel(counts).buckets)
+    grid_cells = sum(b.logw0.size for b in InnovationKernel(counts).buckets)
     assert grid_cells <= 1.5 * useful
     # the padded grid gives every active cell the outlier's 401 columns
     padded = oracles.PaddedInnovationKernel(counts)
