@@ -38,6 +38,7 @@ from .sampler import (
     ConfigurationError,
     PosteriorDraws,
     SamplerConfig,
+    WorkerExited,
     run_chains,
     stream,
 )
@@ -462,7 +463,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (io.ParseError, io.IntegrityError) as exc:
+    except (io.ParseError, io.IntegrityError, WorkerExited) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _FAILURE_EXIT
     io.write_manifest(out, args.command, _parameters(args, out))

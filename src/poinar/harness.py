@@ -27,7 +27,14 @@ from .forecast import conditional_mean_h_step, posterior_conditional_means
 from .io import months_of, week_starts_from
 from .model import model_exposure, simulate_panel
 from .panel import CountPanel
-from .sampler import ConfigurationError, PosteriorDraws, SamplerConfig, run_chain, stream
+from .sampler import (
+    ConfigurationError,
+    PosteriorDraws,
+    SamplerConfig,
+    _in_workers,
+    run_chain,
+    stream,
+)
 
 SEPARATIONS = {
     "easy": (1.0, 3.0, 6.0, 10.0),
@@ -190,6 +197,12 @@ def run_study(
     sweeps, the first 100 discarded, every 5th kept (180 draws). Every
     stream derives from ``seed`` alone, so a given ``sampler_config`` must
     carry the same seed; another one raises ``ConfigurationError``.
+
+    The replicates run side by side in forked worker processes on the
+    usable CPUs (``sampler._in_workers``), one after another on one CPU;
+    their own streams make the report the same either way. ``progress``
+    gets one line per replicate, in scenario and replicate order, as its
+    result arrives.
     """
     if scale not in ("desk", "full"):
         raise ValueError("scale must be 'desk' or 'full'")
@@ -209,61 +222,64 @@ def run_study(
         )
     config = sampler_config or SamplerConfig(seed=seed)
 
+    tasks = [(si, r) for si in range(len(scenarios)) for r in range(reps)]
+
+    def report_done(i, _):
+        si, r = tasks[i]
+        progress(f"{scenarios[si].name} replicate {r + 1}/{reps} done")
+
+    replicates = _in_workers(
+        lambda task: _replicate(scenarios[task[0]], *task, config, seed), tasks,
+        lambda task: f"{scenarios[task[0]].name} replicate {task[1] + 1}/{reps}",
+        done=report_done if progress is not None else None,
+    )
     report = StudyReport(scale=scale, seed=seed, n_replicates=reps)
     for si, sc in enumerate(scenarios):
-        errors: dict[str, list[np.ndarray]] = {m: [] for m in METHODS}
-        apes: dict[str, list[np.ndarray]] = {m: [] for m in METHODS}
-        true_means: list[np.ndarray] = []
-        modal_k: list[int] = []
-        ham_repr: list[float] = []
-        ham_mean: list[float] = []
-
-        for r in range(reps):
-            panel, truth, next_month = simulate_scenario(sc, stream(seed, 0, si, r))
-            y_last = panel.counts[:, -1]
-            truth_next = conditional_mean_h_step(
-                y_last, truth.alpha, truth.phi_star[truth.z], truth.theta, [next_month]
-            )
-            true_means.append(truth_next)
-
-            draws = run_chain(panel, config, rng=stream(seed, 2, si, r))
-            # an all-zero series keeps the zero CLS model, which forecasts 0
-            cls = cls_fit_panel(panel.counts, panel.season_of)
-            predictions = {
-                METHOD_BNP: posterior_conditional_means(draws, y_last, [next_month])[0],
-                METHOD_CLS: conditional_mean_h_step(
-                    y_last, cls.alpha, cls.lam, cls.theta, [next_month]
-                ),
-                METHOD_SPP: panel.counts.mean(axis=1),
-            }
-            for m in METHODS:
-                err = predictions[m] - truth_next
-                errors[m].append(err)
-                apes[m].append(np.abs(err) / truth_next)
-
-            hist = cluster_count_histogram(draws)
-            modal_k.append(hist.mode)
-            z_repr = representative_assignment(draws)
-            ham_repr.append(hamming_error(z_repr, truth.z))
-            ham_mean.append(mean_hamming_error(draws.z, truth.z))
-            if progress is not None:
-                progress(f"{sc.name} replicate {r + 1}/{reps} done")
-
+        runs = replicates[si * reps:(si + 1) * reps]
+        errors, apes, true_means, modal_k, ham_repr, ham_mean = zip(*runs)
         report.results.append(
             ScenarioResult(
                 scenario=sc,
                 rmse={
-                    m: float(np.sqrt(np.mean(np.concatenate(errors[m]) ** 2)))
+                    m: float(np.sqrt(np.mean(np.concatenate([e[m] for e in errors]) ** 2)))
                     for m in METHODS
                 },
-                ape={m: float(np.mean(np.concatenate(apes[m]))) for m in METHODS},
+                ape={m: float(np.mean(np.concatenate([a[m] for a in apes]))) for m in METHODS},
                 true_mean=float(np.mean(np.concatenate(true_means))),
-                modal_k=modal_k,
-                hamming_representative=ham_repr,
-                hamming_mean=ham_mean,
+                modal_k=list(modal_k),
+                hamming_representative=list(ham_repr),
+                hamming_mean=list(ham_mean),
             )
         )
     return report
+
+
+def _replicate(sc: Scenario, si: int, r: int, config: SamplerConfig, seed: int) -> tuple:
+    """Replicate ``r`` of scenario ``si``, ``sc``: simulate, fit and score.
+    Returns each method's forecast errors and absolute percentage errors
+    (dicts by method), the true conditional means, the modal cluster count,
+    and the representative and mean Hamming errors."""
+    panel, truth, next_month = simulate_scenario(sc, stream(seed, 0, si, r))
+    y_last = panel.counts[:, -1]
+    truth_next = conditional_mean_h_step(
+        y_last, truth.alpha, truth.phi_star[truth.z], truth.theta, [next_month]
+    )
+
+    draws = run_chain(panel, config, rng=stream(seed, 2, si, r))
+    # an all-zero series keeps the zero CLS model, which forecasts 0
+    cls = cls_fit_panel(panel.counts, panel.season_of)
+    predictions = {
+        METHOD_BNP: posterior_conditional_means(draws, y_last, [next_month])[0],
+        METHOD_CLS: conditional_mean_h_step(
+            y_last, cls.alpha, cls.lam, cls.theta, [next_month]
+        ),
+        METHOD_SPP: panel.counts.mean(axis=1),
+    }
+    errors = {m: predictions[m] - truth_next for m in METHODS}
+    apes = {m: np.abs(errors[m]) / truth_next for m in METHODS}
+    return (errors, apes, truth_next, cluster_count_histogram(draws).mode,
+            hamming_error(representative_assignment(draws), truth.z),
+            mean_hamming_error(draws.z, truth.z))
 
 
 # ---------------------------------------------------------------------------

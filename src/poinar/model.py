@@ -50,6 +50,16 @@ def refuse_over_memory(needed: float, what: str, cause: str):
         )
 
 
+def copies_that_fit(held: float, each: float, most: int) -> int:
+    """The largest n <= ``most`` for which ``held`` bytes and n copies of
+    ``each`` bytes fit in this machine's physical memory, and at least 1:
+    ``most`` where the OS does not say."""
+    memory = physical_memory()
+    if memory is None or each <= 0:
+        return most
+    return max(1, min(most, int((memory - held) // each)))
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Prior hyperparameters of the clustered INAR model.

@@ -14,6 +14,10 @@ one formula and one set of conjugate updates cover both model variants.
 
 from __future__ import annotations
 
+import math
+import os
+import signal
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 
@@ -26,6 +30,7 @@ from .model import (
     ConfigurationError,
     Hyperparams,
     ModelState,
+    copies_that_fit,
     model_exposure,
     refuse_over_memory,
     series_name,
@@ -262,7 +267,10 @@ class InnovationKernel:
     widest support or of that count (``series_ids``, row numbers when not
     given). The Metropolis move reads no table: it takes
     ``gammaln`` of its own cells' counts, of the proposals only once a
-    chain has run one call.
+    chain has run one call. The kernel keeps the bytes counted,
+    ``held_bytes``, and ``chain_bytes``, the part of them a chain run in a
+    forked worker writes and so copies, by which ``run_chains`` sizes its
+    pool.
     """
 
     def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
@@ -320,8 +328,9 @@ class InnovationKernel:
         # a bucket reads the log-factorials of counts up to its cells' own
         # y_curr or y_prev, so the table stops at the largest of these
         top = np.maximum(y.take(self.at_eps), y.take(self.at_eps - 1))
-        _check_grid_memory(w, points, grids, row_wise, self.rows, top, self.mh_rows.size,
-                           counts.size, series_ids, strategy)
+        self.held_bytes, self.chain_bytes = _check_grid_memory(
+            w, points, grids, row_wise, self.rows, top, self.mh_rows.size, counts.size,
+            series_ids, strategy)
         lgam = gammaln(np.arange(int(top.max(initial=-1)) + 2, dtype=float))
         del level, top
         shared = (np.empty(grids.max(initial=0)), np.empty(grids.max(initial=0), dtype=bool),
@@ -399,16 +408,24 @@ _CELL_BYTES, _MH_CELL_BYTES, _ENTRY_BYTES = 96, 160, 32
 
 def _check_grid_memory(width: np.ndarray, points: np.ndarray, grids: np.ndarray,
                        row_wise: np.ndarray, rows: np.ndarray, top: np.ndarray, n_mh: int,
-                       n_entries: int, series_ids: list[str] | None, strategy: str):
+                       n_entries: int, series_ids: list[str] | None,
+                       strategy: str) -> tuple[int, int]:
     """Raise ``ConfigurationError`` if the kernel would not fit in memory:
     buckets of ``points`` points and ``grids`` cells over the sorted widths
     ``width`` (of series ``rows``), the log-factorial table up to the count
-    ``top``, and ``n_mh`` Metropolis cells in ``n_entries`` panel entries."""
+    ``top``, and ``n_mh`` Metropolis cells in ``n_entries`` panel entries.
+
+    Returns the bytes counted and the part of them a chain in a forked
+    worker writes, and so copies: all but the log-weights, which it only
+    reads, and the table, which only the build holds."""
+    cell_bytes = _CELL_BYTES * width.size + _MH_CELL_BYTES * n_mh + _ENTRY_BYTES * n_entries
     if width.size == 0:
-        return
-    grid_bytes = (_GRID_BYTES * int(grids.sum()) + _SHARED_BYTES * int(grids.max())
+        return cell_bytes, cell_bytes
+    log_weights = _GRID_BYTES * int(grids.sum())
+    work_bytes = (_SHARED_BYTES * int(grids.max())
                   + _SUMS_BYTES * int(grids[~row_wise].max(initial=0))
                   + _STEP_BYTES * int((points - 1)[row_wise].sum()))
+    grid_bytes = log_weights + work_bytes
     largest = int(np.argmax(top))
     table_bytes = _TABLE_BYTES * (int(top[largest]) + 2)
     if grid_bytes >= table_bytes:
@@ -425,9 +442,10 @@ def _check_grid_memory(width: np.ndarray, points: np.ndarray, grids: np.ndarray,
         what = "the exact innovation kernel"
         advice = ("Use --innovation-strategy metropolis-poisson, which enumerates only the "
                   "weeks whose counts are at most --metropolis-threshold")
-    cell_bytes = _CELL_BYTES * width.size + _MH_CELL_BYTES * n_mh + _ENTRY_BYTES * n_entries
-    refuse_over_memory(grid_bytes + table_bytes + cell_bytes,
-                       f"the support grids and log-factorial table of {what}", f"{cause}. {advice}")
+    needed = grid_bytes + table_bytes + cell_bytes
+    refuse_over_memory(needed, f"the support grids and log-factorial table of {what}",
+                       f"{cause}. {advice}")
+    return needed, work_bytes + cell_bytes
 
 
 def _flat_cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -940,15 +958,12 @@ def run_chain(
     state.innovations = innovation_bounds(panel.counts)[0]
 
     D = config.draws_per_chain
-    draws = PosteriorDraws(
-        alpha=np.empty((D, L)), z=np.empty((D, L), dtype=np.int64),
-        phi_star=np.full((D, L), np.nan), n_clusters=np.empty(D, dtype=np.int64),
-        theta=np.empty((D, N_MONTHS)), tau=np.empty(D), chain_index=np.full(D, chain_index),
-        iteration=config.burn_in + config.thin_interval * np.arange(1, D + 1),
-        innovations=np.empty((D, L, panel.n_weeks), dtype=np.int64)
-        if config.keep_innovations else None,
-        mode=hyper.mode,
-    )
+    draws = PosteriorDraws(**{name: np.empty(shape, dtype) for name, (shape, dtype)
+                              in _draw_arrays(L, panel.n_weeks, config).items()},
+                           mode=hyper.mode)
+    draws.phi_star.fill(np.nan)
+    draws.chain_index.fill(chain_index)
+    draws.iteration[:] = config.burn_in + config.thin_interval * np.arange(1, D + 1)
     for it in range(1, config.n_iterations + 1):
         sweep(state, panel, kernel, hyper, rng, log_gamma)
         if it > config.burn_in and (it - config.burn_in) % config.thin_interval == 0:
@@ -959,6 +974,21 @@ def run_chain(
             if config.keep_innovations:
                 draws.innovations[d] = state.innovations
     return draws
+
+
+def _draw_arrays(n_series: int, n_weeks: int,
+                 config: SamplerConfig) -> dict[str, tuple[tuple[int, ...], type]]:
+    """Shape and dtype of each array of one chain's ``PosteriorDraws``."""
+    D, L = config.draws_per_chain, n_series
+    arrays = {
+        "alpha": ((D, L), np.float64), "z": ((D, L), np.int64),
+        "phi_star": ((D, L), np.float64), "n_clusters": ((D,), np.int64),
+        "theta": ((D, N_MONTHS), np.float64), "tau": ((D,), np.float64),
+        "chain_index": ((D,), np.int64), "iteration": ((D,), np.int64),
+    }
+    if config.keep_innovations:
+        arrays["innovations"] = ((D, L, n_weeks), np.int64)
+    return arrays
 
 
 def _innovation_kernel(panel: CountPanel, config: SamplerConfig) -> InnovationKernel:
@@ -974,12 +1004,144 @@ def run_chains(panel: CountPanel, config: SamplerConfig) -> list[PosteriorDraws]
     """Run ``config.n_chains`` independent chains with derived per-chain
     seeds and individually drawn starting points.
 
-    The chains run one after another and share one innovation kernel: it
-    keeps only the panel's geometry across calls and overwrites its work
-    buffers on every call.
+    The chains share one innovation kernel, built here: it keeps only the
+    panel's geometry across calls and overwrites its work buffers on every
+    call. They run side by side in forked worker processes on the usable
+    CPUs (``_in_workers``), as many as memory holds when each chain copies
+    the buffers it writes and holds its draws twice, as an array and
+    pickled. Each chain draws from its own stream, so the draws are those of
+    the chains run one after another, which is how they run on one CPU.
     """
     kernel = _innovation_kernel(panel, config)
-    return [
-        run_chain(panel, config, chain_index=c, kernel=kernel)
-        for c in range(config.n_chains)
-    ]
+    draw_bytes = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype
+                     in _draw_arrays(panel.n_series, panel.n_weeks, config).values())
+    return _in_workers(lambda c: run_chain(panel, config, chain_index=c, kernel=kernel),
+                       range(config.n_chains), lambda c: f"chain {c}",
+                       held=kernel.held_bytes, per_worker=kernel.chain_bytes + 2 * draw_bytes)
+
+
+# ---------------------------------------------------------------------------
+# Independent tasks in forked worker processes
+# ---------------------------------------------------------------------------
+
+class WorkerExited(RuntimeError):
+    """Raised when a worker process exits before its task returns."""
+
+
+# a task's state in the table a pool's workers share with the parent
+_STARTED, _DONE, _STOPPED = 1, 2, 3
+
+# set in worker processes only: the (task function, tasks, state table)
+# a worker inherited, and the index of the task it runs
+_job = None
+_running = None
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_workers(fn, tasks, describe, *, held: float = 0, per_worker: float = 0,
+                done=None) -> list:
+    """``[fn(t) for t in tasks]``, in task order, computed in forked worker
+    processes on the usable CPUs.
+
+    The pool takes one worker per usable CPU, at most one per task, and no
+    more than fit in physical memory beside ``held`` bytes when each writes
+    ``per_worker`` bytes of its own. With one worker, where the platform
+    cannot fork, while another Python thread runs (a fork copies only
+    the calling thread, so a lock another one holds stays held in the
+    worker), or while a function of this module is wrapped in place
+    (``_wrapped_in_place``), the tasks run here instead, one after another.
+    Workers inherit ``fn`` and ``tasks`` through the fork, so only task
+    indices and results are pickled. ``fn`` must draw only from random
+    streams of its own, so that every result is the serial run's.
+    ``done(i, result)``, if given, runs here as each result arrives, in
+    task order.
+
+    An exception ``fn`` raises reaches the caller with its type, from the
+    first failing task in task order, as in the serial run. A worker that
+    exits before its task returns raises ``WorkerExited``, naming the task
+    by ``describe(task)``. No worker outlives the call.
+    """
+    tasks = list(tasks)
+    results = []
+
+    def collect(result):
+        results.append(result)
+        if done is not None:
+            done(len(results) - 1, result)
+
+    workers = copies_that_fit(held, per_worker, min(len(tasks), _usable_cpus()))
+    if (workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+            or _wrapped_in_place()):
+        for task in tasks:
+            collect(fn(task))
+        return results
+
+    import mmap
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # anonymous shared memory, which the workers inherit
+    states = np.frombuffer(mmap.mmap(-1, len(tasks)), dtype=np.uint8)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(fn, tasks, states)) as pool:
+        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+        try:
+            for future in futures:
+                collect(future.result())
+        except BrokenProcessPool as exc:
+            pool.shutdown()  # the workers are gone, so each state is final
+            # the pool stops the other workers; their tasks read _STOPPED
+            lost = np.flatnonzero(states == _STARTED)
+            if not lost.size:
+                lost = np.flatnonzero(states != _DONE)
+            names = ", ".join(describe(tasks[i]) for i in lost.tolist())
+            raise WorkerExited(f"{names or 'a task'} did not finish: its worker process "
+                               "exited before returning") from exc
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return results
+
+
+def _wrapped_in_place() -> bool:
+    """Whether a function this module binds has been rebound to a wrapper
+    that calls it (one with ``__wrapped__``, as ``functools.wraps`` sets),
+    as a tracer or profiler does: what such a wrapper records in a worker
+    would stay there."""
+    return any(hasattr(value, "__wrapped__") for value in list(globals().values())
+               if callable(value) and not isinstance(value, type))
+
+
+def _adopt(fn, tasks, states):
+    """Worker initializer: keep the job, and mark the running task
+    ``_STOPPED`` when the pool terminates this worker."""
+    global _job
+    _job = (fn, tasks, states)
+    signal.signal(signal.SIGTERM, _stopped)
+
+
+def _stopped(signum, frame):
+    states = _job[2]
+    if _running is not None and states[_running] == _STARTED:
+        states[_running] = _STOPPED
+    os._exit(128 + signum)
+
+
+def _run_task(i: int):
+    global _running
+    fn, tasks, states = _job
+    _running = i
+    states[i] = _STARTED
+    try:
+        return fn(tasks[i])
+    finally:
+        states[i] = _DONE
+        _running = None
