@@ -310,7 +310,6 @@ def cmd_study(args, out: Path) -> str:
         sampler_config=_sweep_config(args),
         scale=args.scale,
         n_replicates=args.replicates,
-        seed=args.seed,
         progress=(lambda msg: print(msg)) if args.verbose else None,
     )
 

@@ -184,7 +184,6 @@ def run_study(
     sampler_config: SamplerConfig | None = None,
     scale: str = "desk",
     n_replicates: int | None = None,
-    seed: int = 0,
     progress=None,
 ) -> StudyReport:
     """Simulate, fit and score every scenario.
@@ -192,11 +191,10 @@ def run_study(
     Desk scale shrinks the panels to 40 series and averages 3 replicates so
     the grid finishes in minutes; full scale keeps the 100-series design with
     a single replicate. Replicate r of scenario i simulates with stream
-    (0, i, r) and samples with stream (2, i, r) off the study seed. Fits
-    default to ``SamplerConfig(seed=seed)``, the in-sample protocol: 1000
-    sweeps, the first 100 discarded, every 5th kept (180 draws). Every
-    stream derives from ``seed`` alone, so a given ``sampler_config`` must
-    carry the same seed; another one raises ``ConfigurationError``.
+    (0, i, r) and samples with stream (2, i, r) off the study seed,
+    ``sampler_config.seed``. Fits default to ``SamplerConfig()``, the
+    in-sample protocol at seed 0: 1000 sweeps, the first 100 discarded,
+    every 5th kept (180 draws).
 
     The replicates run side by side in forked worker processes on the
     usable CPUs (``sampler._in_workers``), one after another on one CPU;
@@ -215,12 +213,7 @@ def run_study(
         reps = 1 if n_replicates is None else n_replicates
     if reps < 1:
         raise ConfigurationError("the study needs at least one replicate")
-    if sampler_config is not None and sampler_config.seed != seed:
-        raise ConfigurationError(
-            f"sampler_config.seed {sampler_config.seed} differs from the study seed {seed}; "
-            "the study samples from streams of its own seed"
-        )
-    config = sampler_config or SamplerConfig(seed=seed)
+    config = sampler_config or SamplerConfig()
 
     tasks = [(si, r) for si in range(len(scenarios)) for r in range(reps)]
 
@@ -229,11 +222,11 @@ def run_study(
         progress(f"{scenarios[si].name} replicate {r + 1}/{reps} done")
 
     replicates = _in_workers(
-        lambda task: _replicate(scenarios[task[0]], *task, config, seed), tasks,
+        lambda task: _replicate(scenarios[task[0]], *task, config), tasks,
         lambda task: f"{scenarios[task[0]].name} replicate {task[1] + 1}/{reps}",
         done=report_done if progress is not None else None,
     )
-    report = StudyReport(scale=scale, seed=seed, n_replicates=reps)
+    report = StudyReport(scale=scale, seed=config.seed, n_replicates=reps)
     for si, sc in enumerate(scenarios):
         runs = replicates[si * reps:(si + 1) * reps]
         errors, apes, true_means, modal_k, ham_repr, ham_mean = zip(*runs)
@@ -254,18 +247,18 @@ def run_study(
     return report
 
 
-def _replicate(sc: Scenario, si: int, r: int, config: SamplerConfig, seed: int) -> tuple:
+def _replicate(sc: Scenario, si: int, r: int, config: SamplerConfig) -> tuple:
     """Replicate ``r`` of scenario ``si``, ``sc``: simulate, fit and score.
     Returns each method's forecast errors and absolute percentage errors
     (dicts by method), the true conditional means, the modal cluster count,
     and the representative and mean Hamming errors."""
-    panel, truth, next_month = simulate_scenario(sc, stream(seed, 0, si, r))
+    panel, truth, next_month = simulate_scenario(sc, stream(config.seed, 0, si, r))
     y_last = panel.counts[:, -1]
     truth_next = conditional_mean_h_step(
         y_last, truth.alpha, truth.phi_star[truth.z], truth.theta, [next_month]
     )
 
-    draws = run_chain(panel, config, rng=stream(seed, 2, si, r))
+    draws = run_chain(panel, config, rng=stream(config.seed, 2, si, r))
     # an all-zero series keeps the zero CLS model, which forecasts 0
     cls = cls_fit_panel(panel.counts, panel.season_of)
     predictions = {

@@ -275,17 +275,15 @@ class InnovationKernel:
 
     def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
                  mh_threshold: int = 30, series_ids: list[str] | None = None):
-        self.counts = counts
-        self.strategy = strategy
-        self.mh_threshold = mh_threshold
         # the build reads counts and lower bounds as flat row-major arrays,
         # at ``at_eps`` (``at_eps - 1`` for the week before): ``take`` on a
-        # strided (L, T-1) view would copy it whole first
+        # strided (L, T-1) view would copy it whole first. The lower bounds
+        # are C-ordered, pin week 1 to its count and hold every other cell's
+        # lowest support point, so a call starts its draw from a copy.
         y = counts.reshape(-1)
-        lo, hi = innovation_bounds(counts)
-        lo_flat = lo.reshape(-1)
-        self.lo = lo[:, 1:]
-        width = hi[:, 1:] - self.lo
+        self._start, hi = innovation_bounds(counts)
+        lo_flat = self._start.reshape(-1)
+        width = hi[:, 1:] - self._start[:, 1:]
 
         active = width > 0
         if strategy == INNOVATION_METROPOLIS:
@@ -334,7 +332,6 @@ class InnovationKernel:
         lgam = gammaln(np.arange(int(top.max(initial=-1)) + 2, dtype=float))
         del level, top
         shared = (np.empty(grids.max(initial=0)), np.empty(grids.max(initial=0), dtype=bool),
-                  np.empty(grids[~row_wise].max(initial=0)),
                   np.arange(points.max(initial=0), dtype=float)[:, None])
         self.buckets = [
             _Bucket(slice(start, stop), self.base[start:stop], w[start:stop],
@@ -365,10 +362,9 @@ class InnovationKernel:
             del log_c, u
             self._draws += self.base
 
-        # C order whatever the layout of ``counts``, so ``flat`` is a view
-        new = np.empty(self.counts.shape, dtype=self.counts.dtype)
-        new[:, 0] = self.counts[:, 0]
-        new[:, 1:] = self.lo  # deterministic cells resolve to their support point
+        # deterministic cells resolve to their support point; C order
+        # whatever the layout of ``counts``, so ``flat`` is a view
+        new = self._start.copy()
         flat = new.reshape(-1)
         flat[self.at_eps] = self._draws
 
@@ -397,12 +393,12 @@ class InnovationKernel:
 
 
 # The kernel's bytes, rounded up from tracemalloc peaks of builds and first
-# calls: per grid cell, logw0; per cell of the largest (column-wise) bucket,
-# the shared work and comparison (column-sum) grids; per point of a
-# row-wise bucket, its row views; per table entry, the table and its range;
-# per exact cell, Metropolis cell and panel entry, the arrays kept and the
-# temporaries of a build and of one call.
-_GRID_BYTES, _SHARED_BYTES, _SUMS_BYTES, _STEP_BYTES, _TABLE_BYTES = 8, 8 + 1, 8, 320, 2 * 8
+# calls: per grid cell, logw0; per cell of the largest bucket, the shared
+# work and comparison grids; per point of a row-wise bucket, its row view
+# and list slots; per table entry, the table and its range; per exact cell,
+# Metropolis cell and panel entry, the arrays kept and the temporaries of a
+# build and of one call.
+_GRID_BYTES, _SHARED_BYTES, _STEP_BYTES, _TABLE_BYTES = 8, 8 + 1, 128, 2 * 8
 _CELL_BYTES, _MH_CELL_BYTES, _ENTRY_BYTES = 96, 160, 32
 
 
@@ -422,9 +418,7 @@ def _check_grid_memory(width: np.ndarray, points: np.ndarray, grids: np.ndarray,
     if width.size == 0:
         return cell_bytes, cell_bytes
     log_weights = _GRID_BYTES * int(grids.sum())
-    work_bytes = (_SHARED_BYTES * int(grids.max())
-                  + _SUMS_BYTES * int(grids[~row_wise].max(initial=0))
-                  + _STEP_BYTES * int((points - 1)[row_wise].sum()))
+    work_bytes = _SHARED_BYTES * int(grids.max()) + _STEP_BYTES * int(points[row_wise].sum())
     grid_bytes = log_weights + work_bytes
     largest = int(np.argmax(top))
     table_bytes = _TABLE_BYTES * (int(top[largest]) + 2)
@@ -467,7 +461,8 @@ _BUILD_CHUNK = 2**14  # grid entries whose log-factorials a build gathers at onc
 class _Bucket:
     """The exact cells ``cells`` (a slice) of an ``InnovationKernel``, on a
     grid of shape (support points, cells) padded to their widest support.
-    Its work grids are views of the kernel's, valid until the next draw.
+    Its log-weight and comparison grids are views of the kernel's shared
+    ones, valid until the next draw.
 
     A cell draws the number of its running weight sums that lie below
     ``u`` times its total. Padded points sit after each cell's last point
@@ -484,13 +479,14 @@ class _Bucket:
 
     The running sums run one of two ways, chosen from the grid's shape by
     the measured costs above: wide grids add whole contiguous rows in place
-    (``logw[i] += logw[i - 1]``), tall narrow ones take ``np.cumsum`` along
-    axis 0. Both add each cell's weights one at a time from the first point
-    on, so they give bit-identical sums.
+    (``logw[i] += logw[i - 1]``, through one view per row), tall narrow ones
+    take ``np.cumsum`` along axis 0 into the grid itself, which numpy
+    computes as if input and output did not overlap. Both add each cell's
+    weights one at a time from the first point on, so they give
+    bit-identical sums.
     """
 
-    def __init__(self, cells, base, width, y_curr, y_prev, lgam, row_wise,
-                 work, below, sums, k):
+    def __init__(self, cells, base, width, y_curr, y_prev, lgam, row_wise, work, below, k):
         self.cells, self.base, self.row_wise = cells, base, row_wise
         m = int(width.max()) + 1
         c = width.shape[0]
@@ -519,14 +515,13 @@ class _Bucket:
         # the smallest unsigned type that holds an offset: summing bools
         # into it skips numpy's buffered cast to int64
         self._offsets = np.empty(c, dtype=np.min_scalar_type(m - 1))
-        self._work = logw if row_wise else sums[: m * c].reshape(m, c)
-        self._steps = list(zip(logw[:-1], logw[1:])) if row_wise else []
+        self._rows = list(logw) if row_wise else []
 
     def draw(self, log_c: np.ndarray, u: np.ndarray, out: np.ndarray):
         """Write each cell's offset into its support to ``out``, from the
         log rate-odds ``log_c`` and uniforms ``u`` of all the kernel's cells."""
         cells = self.cells
-        logw, work = self._logw, self._work
+        logw = self._logw
         # the rate multiplier k + base is an integer below 2^53, exact in
         # float64, so the product has the bits of a stored multiplier grid's
         np.add(self._k, self.base, out=logw)
@@ -535,12 +530,13 @@ class _Bucket:
         np.subtract(logw, np.fmax.reduce(logw, axis=0), out=logw)
         np.exp(logw, out=logw)
         if self.row_wise:
-            for prev, row in self._steps:
+            rows = self._rows
+            for prev, row in zip(rows, rows[1:]):
                 row += prev
         else:
-            np.cumsum(logw, axis=0, out=work)
-        total = work.take(self._last)
-        np.less(work[:-1], u[cells] * total, out=self._below)
+            np.cumsum(logw, axis=0, out=logw)
+        total = logw.take(self._last)
+        np.less(logw[:-1], u[cells] * total, out=self._below)
         np.add.reduce(self._below, axis=0, dtype=self._offsets.dtype, out=self._offsets)
         out[cells] = self._offsets
 

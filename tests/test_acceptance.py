@@ -38,6 +38,7 @@ from poinar.sampler import (
     InnovationKernel,
     PosteriorDraws,
     SamplerConfig,
+    _in_workers,
     log_innovation_total_marginal,
     run_chain,
     run_chains,
@@ -298,19 +299,28 @@ def test_c11_reproducibility(tmp_path):
     )
 
 
+def desk_seeds(name: str, score) -> list:
+    """``score(draws, truth)`` of a default-config chain on the desk panel
+    ``name`` of each seed 0-4, the seeds fitted side by side in worker
+    processes; each seed draws from its own streams."""
+    def fit(seed):
+        panel, truth, _ = desk_panel(name, seed)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+        return score(run_chain(panel, SamplerConfig(), rng=rng), truth)
+
+    return _in_workers(fit, range(5), lambda seed: f"seed {seed}")
+
+
 @pytest.mark.slow
 def test_c04_cluster_recovery_easy_desk():
     """Modal K = 4 with mean Hamming < 10% in at least 4 of 5 seeds."""
     started = time.monotonic()
-    config = SamplerConfig()
     good = 0
     lines = []
-    for seed in range(5):
-        panel, truth, _ = desk_panel("easy-0.5", seed)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        draws = run_chain(panel, config, rng=rng)
-        mode = cluster_count_histogram(draws).mode
-        ham = float(np.mean([hamming_error(z, truth.z) for z in draws.z]))
+    scores = desk_seeds("easy-0.5", lambda draws, truth: (
+        cluster_count_histogram(draws).mode,
+        float(np.mean([hamming_error(z, truth.z) for z in draws.z]))))
+    for seed, (mode, ham) in enumerate(scores):
         ok = mode == 4 and ham < 0.10
         good += ok
         lines.append(f"seed {seed}: K={mode} hamming={ham:.3f}")
@@ -326,16 +336,8 @@ def test_c04_cluster_recovery_easy_desk():
 def test_c05_single_cluster_sanity():
     """No spurious clusters: modal K = 1 in at least 4 of 5 seeds."""
     started = time.monotonic()
-    config = SamplerConfig()
-    good = 0
-    modes = []
-    for seed in range(5):
-        panel, truth, _ = desk_panel("single-cluster", seed)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-        draws = run_chain(panel, config, rng=rng)
-        mode = cluster_count_histogram(draws).mode
-        modes.append(mode)
-        good += mode == 1
+    modes = desk_seeds("single-cluster", lambda draws, truth: cluster_count_histogram(draws).mode)
+    good = sum(mode == 1 for mode in modes)
     elapsed = time.monotonic() - started
     report(
         "criterion 5: single-cluster sanity",
@@ -415,7 +417,7 @@ def test_c06_method_ordering_desk_grid():
     least 7 of the 9 scenarios at desk scale."""
     started = time.monotonic()
     grid = [s for s in benchmark_scenarios() if s.name != "single-cluster"]
-    study = run_study(grid, scale="desk", seed=0)
+    study = run_study(grid, scale="desk")
     wins = 0
     lines = []
     for result in study.results:

@@ -61,9 +61,10 @@ class TestStudy:
         sc = Scenario(name="smoke", cluster_rates=(1.0, 6.0), thinning=0.3, L=8, T=120)
         config = SamplerConfig(n_iterations=150, burn_in=30, thin_interval=5, seed=11)
         report_a = run_study([sc], sampler_config=config, scale="full",
-                             n_replicates=2, seed=11)
+                             n_replicates=2)
         report_b = run_study([sc], sampler_config=config, scale="full",
-                             n_replicates=2, seed=11)
+                             n_replicates=2)
+        assert report_a.seed == 11  # the study seed is the config's
         result = report_a.result("smoke")
         assert set(result.rmse) == {"BNP", "CLS", "SPP"}
         assert all(np.isfinite(v) for v in result.rmse.values())
@@ -75,17 +76,6 @@ class TestStudy:
                 report_b.result("smoke"), name
             )
 
-    def test_config_seed_other_than_the_study_seed_rejected(self):
-        # the study samples from streams of its own seed; this config's seed
-        # of 7 was silently ignored, giving the results of seed 0
-        config = SamplerConfig(n_iterations=12, burn_in=2, thin_interval=5, seed=7)
-        with pytest.raises(ConfigurationError, match="seed 7 differs from the study seed 0"):
-            run_study([scenario_by_name("hard-0.1")], sampler_config=config,
-                      n_replicates=1, seed=0)
-        report = run_study([scenario_by_name("hard-0.1")], n_replicates=1, seed=7,
-                           sampler_config=config)
-        assert report.seed == 7
-
     def test_settings_that_keep_no_draws_rejected(self):
         with pytest.raises(ConfigurationError, match="keep no draws"):
             run_study([scenario_by_name("hard-0.1")], n_replicates=1,
@@ -96,14 +86,14 @@ class TestStudy:
         sc = scenario_by_name("hard-0.1")
         config = SamplerConfig(n_iterations=60, burn_in=10, thin_interval=5, seed=3)
         report = run_study([sc], sampler_config=config, scale="desk",
-                           n_replicates=1, seed=3)
+                           n_replicates=1)
         assert report.results[0].scenario.L == 40
 
     def test_report_equals_the_one_from_per_series_scoring(self, monkeypatch):
         # a near-zero cluster rate leaves some short series all zero
         sc = Scenario(name="oracle", cluster_rates=(0.02, 4.0), thinning=0.4, L=6, T=40)
         config = SamplerConfig(n_iterations=60, burn_in=10, thin_interval=2, seed=2)
-        kwargs = dict(sampler_config=config, scale="full", n_replicates=3, seed=2)
+        kwargs = dict(sampler_config=config, scale="full", n_replicates=3)
         report = run_study([sc], **kwargs)
         monkeypatch.setattr(harness, "cls_fit_panel", per_series_cls_panel)
         monkeypatch.setattr(harness, "representative_assignment",
@@ -115,7 +105,7 @@ class TestStudy:
         sc = Scenario(name="rows", cluster_rates=(2.0,), thinning=0.2, L=4, T=80)
         config = SamplerConfig(n_iterations=60, burn_in=10, thin_interval=5, seed=5)
         report = run_study([sc], sampler_config=config, scale="full",
-                           n_replicates=1, seed=5)
+                           n_replicates=1)
         table = report.columns()
         assert table["method"] == ["BNP", "CLS", "SPP"]
 
@@ -127,7 +117,8 @@ class TestShrinkageDominance:
         # over; checked on the low-thinning row, where the series average is
         # at its most competitive
         grid = [scenario_by_name(name) for name in ("easy-0.1", "med-0.1", "hard-0.1")]
-        report = run_study(grid, scale="desk", n_replicates=5, seed=1)
+        report = run_study(grid, sampler_config=SamplerConfig(seed=1), scale="desk",
+                           n_replicates=5)
         for result in report.results:
             assert result.rmse["BNP"] <= result.rmse["SPP"], result.scenario.name
 

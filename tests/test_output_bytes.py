@@ -99,7 +99,7 @@ def test_study_csv(tmp_path):
     report = run_study(
         scenarios=[scenario_by_name("hard-0.1"), scenario_by_name("easy-0.5")],
         sampler_config=SamplerConfig(n_iterations=30, burn_in=10, thin_interval=5, seed=3),
-        scale="desk", n_replicates=1, seed=3,
+        scale="desk", n_replicates=1,
     )
     dict_study_csv(tmp_path / "oracle.csv", report)
     assert (tmp_path / "cli" / "study.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -136,7 +136,7 @@ def test_study_json(tmp_path):
     report = run_study(
         scenarios=[scenario_by_name("med-0.5"), scenario_by_name("easy-0.9")],
         sampler_config=SamplerConfig(n_iterations=30, burn_in=10, thin_interval=5, seed=5),
-        scale="desk", n_replicates=2, seed=5,
+        scale="desk", n_replicates=2,
     )
     assert (tmp_path / "study.json").read_bytes() == study_json(report).encode()
 

@@ -190,13 +190,13 @@ class TestInnovationConditional:
         alpha = rng.uniform(0.05, 0.95, counts.shape[0])
         rates = rng.lognormal(np.log(100.0), 1.0, (counts.shape[0], T - 1))
         kernel = InnovationKernel(counts)
-        # the buckets share their work grids, so each bucket's running sums
+        # the buckets share their work grid, so each bucket's running sums
         # are read right after its own draw
         work = []
         for bucket in kernel.buckets:
             def draw(*args, bucket=bucket, draw=bucket.draw):
                 draw(*args)
-                work.append(bucket._work.copy())
+                work.append(bucket._logw.copy())
             bucket.draw = draw
         kernel(np.zeros_like(counts), alpha, rates, np.random.default_rng(11))
         assert [(b.row_wise, w.shape) for b, w in zip(kernel.buckets, work)] == [
@@ -525,9 +525,7 @@ class TestKernelMemoryGuard:
         active = hi[:, 1:] > lo[:, 1:]
         top = np.maximum(counts[:, 1:], counts[:, :-1])[active].max()
         needed = (sampler._GRID_BYTES * sum(grids) + sampler._SHARED_BYTES * max(grids)
-                  + sampler._SUMS_BYTES * max(b.logw0.size for b in kernel.buckets
-                                              if not b.row_wise)
-                  + sampler._STEP_BYTES * sum(b.logw0.shape[0] - 1 for b in kernel.buckets
+                  + sampler._STEP_BYTES * sum(b.logw0.shape[0] for b in kernel.buckets
                                               if b.row_wise)
                   + sampler._TABLE_BYTES * (int(top) + 2)
                   + sampler._CELL_BYTES * kernel.rows.size + sampler._ENTRY_BYTES * counts.size)
