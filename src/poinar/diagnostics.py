@@ -6,9 +6,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .sampler import ConfigurationError, PosteriorDraws
 
@@ -42,6 +39,10 @@ def _factorize(z: np.ndarray) -> tuple[np.ndarray, int]:
     return inverse.reshape(-1), labels.shape[0]
 
 
+# The two assignment solvers below are imported where they are called: most
+# commands solve no assignment, and loading scipy.optimize or
+# scipy.sparse.csgraph takes a fraction of a second and megabytes of memory.
+#
 # Contingency tables with at least this many cells (k_a * k_b) are solved
 # sparsely. On a 2-core Xeon, on random memberships of 40 to 2000 series,
 # the dense solver took 20-30 us at 100 cells, 0.4-0.5 ms at 30,000, 0.8-1.4
@@ -54,6 +55,8 @@ _SPARSE_MIN_CELLS = 40_000
 def _dense_overlap(inv_a: np.ndarray, k_a: int, inv_b: np.ndarray, k_b: int) -> int:
     """The maximum total overlap of an injective relabeling of two factorized
     labelings, from their dense (k_a, k_b) contingency table."""
+    from scipy.optimize import linear_sum_assignment
+
     table = np.bincount(inv_a * k_b + inv_b, minlength=k_a * k_b).reshape(k_a, k_b)
     rows, cols = linear_sum_assignment(table, maximize=True)
     return int(table[rows, cols].sum())
@@ -70,6 +73,9 @@ def _sparse_overlap(inv_a: np.ndarray, k_a: int, inv_b: np.ndarray, k_b: int) ->
     Volgenant's sparse shortest augmenting paths) has the maximum overlap.
     A row matched to its dummy stands for a row matched to a zero cell.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     if k_a > k_b:
         inv_a, k_a, inv_b, k_b = inv_b, k_b, inv_a, k_a
     n = inv_a.shape[0]

@@ -221,6 +221,11 @@ def run_study(
         si, r = tasks[i]
         progress(f"{scenarios[si].name} replicate {r + 1}/{reps} done")
 
+    # every replicate scores its fit with the dense assignment solver: load it
+    # once here, so that forked workers share its pages instead of each
+    # loading its own
+    import scipy.optimize  # noqa: F401
+
     replicates = _in_workers(
         lambda task: _replicate(scenarios[task[0]], *task, config), tasks,
         lambda task: f"{scenarios[task[0]].name} replicate {task[1] + 1}/{reps}",
