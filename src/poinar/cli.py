@@ -33,8 +33,6 @@ from .harness import (
 )
 from .model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, model_exposure
 from .sampler import (
-    INNOVATION_EXACT,
-    INNOVATION_METROPOLIS,
     ConfigurationError,
     PosteriorDraws,
     SamplerConfig,
@@ -211,7 +209,6 @@ def cmd_fit(args, out: Path) -> str:
     exposure = model_exposure(panel, args.mode)
     sampler_config = _sweep_config(
         args, n_chains=args.chains, hyper=_hyper_from_args(args),
-        innovation_strategy=args.innovation_strategy,
         metropolis_threshold=args.metropolis_threshold,
         keep_innovations=args.include_innovations,
     )
@@ -303,7 +300,7 @@ def cmd_evaluate(args, out: Path) -> str:
 
 def cmd_study(args, out: Path) -> str:
     scenarios = None
-    if args.scenarios:
+    if args.scenarios is not None:
         scenarios = [scenario_by_name(name) for name in args.scenarios.split(",")]
     report = run_study(
         scenarios=scenarios,
@@ -368,9 +365,6 @@ def _fit_options(p: argparse.ArgumentParser):
     p.add_argument("--mode", choices=[MODE_PLAIN, MODE_COVARIATE], default=MODE_PLAIN)
     _add_sweep_options(p)
     p.add_argument("--chains", type=int, default=SamplerConfig.n_chains)
-    p.add_argument("--innovation-strategy",
-                   choices=[INNOVATION_EXACT, INNOVATION_METROPOLIS],
-                   default=SamplerConfig.innovation_strategy)
     p.add_argument("--metropolis-threshold", type=int,
                    default=SamplerConfig.metropolis_threshold)
     p.add_argument("--include-innovations", action="store_true")

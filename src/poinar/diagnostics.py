@@ -227,9 +227,6 @@ class EvalReport:
     n_zero_truth: int
     bucket_cap: int | None = None
 
-    def frequencies_sum(self) -> float:
-        return sum(b.frequency for b in self.by_last_value.values())
-
 
 def _sem(values: np.ndarray) -> float:
     if values.shape[0] < 2:

@@ -149,12 +149,6 @@ class StudyReport:
     n_replicates: int
     results: list[ScenarioResult] = field(default_factory=list)
 
-    def result(self, name: str) -> ScenarioResult:
-        for r in self.results:
-            if r.scenario.name == name:
-                return r
-        raise KeyError(name)
-
     def columns(self) -> dict[str, list]:
         """The study table, one list per column: a row per scenario and
         method, methods inner. ``modal_k`` and ``hamming_representative``

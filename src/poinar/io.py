@@ -299,9 +299,9 @@ def load_draws(path) -> PosteriorDraws:
     """Read draws written by ``save_draws``.
 
     The header must be of version ``DRAWS_VERSION``, with a ``mode`` of
-    ``plain`` or ``covariate``, positive ``n_series`` and ``n_weeks``, and
-    both hashes of the training panel; draws of older versions must be
-    refit.
+    ``plain`` or ``covariate``, positive ``n_series``, ``n_weeks`` and
+    ``n_draws``, and both hashes of the training panel; draws of older
+    versions must be refit.
 
     Every record is checked before use: ``chain``, ``iteration`` and ``z``
     hold JSON integers and the other fields JSON floats, each in range and
@@ -334,6 +334,8 @@ def load_draws(path) -> PosteriorDraws:
     if mode not in (MODE_PLAIN, MODE_COVARIATE):
         raise IntegrityError(f"{path}: header mode {mode!r} is not 'plain' or 'covariate'")
     n_draws = header.get("n_draws")
+    if type(n_draws) is not int:  # nor are JSON true and 6.0
+        raise IntegrityError(f"{path}: header field 'n_draws' is not a count")
     if n_draws == 0:
         raise IntegrityError(f"{path}: holds no draws")
     records = lines[1:]

@@ -37,9 +37,6 @@ from .model import (
 )
 from .panel import N_MONTHS, CountPanel, innovation_bounds
 
-INNOVATION_EXACT = "exact-enumeration"
-INNOVATION_METROPOLIS = "metropolis-poisson"
-
 # (1 - alpha) / alpha is undefined at the endpoints; the Beta posterior puts
 # zero mass there, so clamping is numerically safe.
 _ALPHA_EPS = 1e-12
@@ -55,8 +52,8 @@ class SamplerConfig:
     n_chains: int = 1
     seed: int = 0
     hyper: Hyperparams = field(default_factory=Hyperparams)
-    innovation_strategy: str = INNOVATION_EXACT
-    metropolis_threshold: int = 30
+    # None enumerates every week; N gives weeks of counts above N the MH move
+    metropolis_threshold: int | None = None
     # stored draws keep their sweep's (L, T) innovation matrix only if asked
     keep_innovations: bool = False
 
@@ -76,8 +73,6 @@ class SamplerConfig:
             raise ConfigurationError("n_chains must be at least 1")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        if self.innovation_strategy not in (INNOVATION_EXACT, INNOVATION_METROPOLIS):
-            raise ConfigurationError(f"unknown innovation strategy {self.innovation_strategy!r}")
 
     @property
     def draws_per_chain(self) -> int:
@@ -246,9 +241,9 @@ class InnovationKernel:
     its own widest support, so the grid holds at most 1.5 times the useful
     support however wide the widest cell is. A bucket keeps one float64 per
     grid cell across sweeps, its log-factorial terms laid out support point
-    by cell, and draws through work grids shared by all buckets. With the
-    Metropolis strategy, cells whose current count exceeds the threshold
-    get a Poisson-proposal MH move instead of exact enumeration.
+    by cell, and draws through work grids shared by all buckets. Given an
+    ``mh_threshold``, cells whose count exceeds it get a Poisson-proposal
+    MH move instead of exact enumeration; ``None`` enumerates every cell.
 
     Cells are addressed by flat indices computed once: ``at`` into the
     row-major (L, T-1) ``rates`` and ``at_eps = at + row + 1`` into the
@@ -273,8 +268,8 @@ class InnovationKernel:
     pool.
     """
 
-    def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
-                 mh_threshold: int = 30, series_ids: list[str] | None = None):
+    def __init__(self, counts: np.ndarray, mh_threshold: int | None = None,
+                 series_ids: list[str] | None = None):
         # the build reads counts and lower bounds as flat row-major arrays,
         # at ``at_eps`` (``at_eps - 1`` for the week before): ``take`` on a
         # strided (L, T-1) view would copy it whole first. The lower bounds
@@ -286,7 +281,7 @@ class InnovationKernel:
         width = hi[:, 1:] - self._start[:, 1:]
 
         active = width > 0
-        if strategy == INNOVATION_METROPOLIS:
+        if mh_threshold is not None:
             mh_mask = active & (counts[:, 1:] > mh_threshold)
             exact = active & ~mh_mask
         else:
@@ -328,7 +323,7 @@ class InnovationKernel:
         top = np.maximum(y.take(self.at_eps), y.take(self.at_eps - 1))
         self.held_bytes, self.chain_bytes = _check_grid_memory(
             w, points, grids, row_wise, self.rows, top, self.mh_rows.size, counts.size,
-            series_ids, strategy)
+            series_ids, mh_threshold)
         lgam = gammaln(np.arange(int(top.max(initial=-1)) + 2, dtype=float))
         del level, top
         shared = (np.empty(grids.max(initial=0)), np.empty(grids.max(initial=0), dtype=bool),
@@ -405,7 +400,7 @@ _CELL_BYTES, _MH_CELL_BYTES, _ENTRY_BYTES = 96, 160, 32
 def _check_grid_memory(width: np.ndarray, points: np.ndarray, grids: np.ndarray,
                        row_wise: np.ndarray, rows: np.ndarray, top: np.ndarray, n_mh: int,
                        n_entries: int, series_ids: list[str] | None,
-                       strategy: str) -> tuple[int, int]:
+                       mh_threshold: int | None) -> tuple[int, int]:
     """Raise ``ConfigurationError`` if the kernel would not fit in memory:
     buckets of ``points`` points and ``grids`` cells over the sorted widths
     ``width`` (of series ``rows``), the log-factorial table up to the count
@@ -429,13 +424,13 @@ def _check_grid_memory(width: np.ndarray, points: np.ndarray, grids: np.ndarray,
     else:
         cause = (f"series {series_name(int(rows[largest]), series_ids)} has a count of "
                  f"{int(top[largest])} next to an exactly enumerated week")
-    if strategy == INNOVATION_METROPOLIS:
+    if mh_threshold is not None:
         what = "the exact enumeration of the weeks whose counts are at most --metropolis-threshold"
         advice = "Lower --metropolis-threshold, so that fewer weeks are enumerated exactly"
     else:
         what = "the exact innovation kernel"
-        advice = ("Use --innovation-strategy metropolis-poisson, which enumerates only the "
-                  "weeks whose counts are at most --metropolis-threshold")
+        advice = ("Pass --metropolis-threshold N, which enumerates only the weeks whose "
+                  "counts are at most N")
     needed = grid_bytes + table_bytes + cell_bytes
     refuse_over_memory(needed, f"the support grids and log-factorial table of {what}",
                        f"{cause}. {advice}")
@@ -939,7 +934,7 @@ def run_chain(
     ``config.draws_per_chain`` preallocated rows, its innovations only
     under ``config.keep_innovations``. Deterministic given the generator's
     seed. ``kernel``, the panel's ``InnovationKernel`` under ``config``'s
-    strategy, is built here when not given.
+    Metropolis threshold, is built here when not given.
     """
     hyper = config.hyper
     model_exposure(panel, hyper.mode)  # a covariate panel without exposure fails here
@@ -989,11 +984,7 @@ def _draw_arrays(n_series: int, n_weeks: int,
 
 def _innovation_kernel(panel: CountPanel, config: SamplerConfig) -> InnovationKernel:
     return InnovationKernel(
-        panel.counts,
-        strategy=config.innovation_strategy,
-        mh_threshold=config.metropolis_threshold,
-        series_ids=panel.series_ids,
-    )
+        panel.counts, mh_threshold=config.metropolis_threshold, series_ids=panel.series_ids)
 
 
 def run_chains(panel: CountPanel, config: SamplerConfig) -> list[PosteriorDraws]:

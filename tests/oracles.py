@@ -45,8 +45,6 @@ from poinar.io import ParseError, load_exposure, months_of, week_starts_from
 from poinar.model import model_exposure
 from poinar.panel import CountPanel
 from poinar.sampler import (
-    INNOVATION_EXACT,
-    INNOVATION_METROPOLIS,
     SuffStats,
     log_innovation_total_marginal,
 )
@@ -275,10 +273,8 @@ class PaddedInnovationKernel:
     which the package kernel names in its memory check, is accepted and
     not used, so that ``run_chain`` can build this in its place."""
 
-    def __init__(self, counts: np.ndarray, strategy: str = INNOVATION_EXACT,
-                 mh_threshold: int = 30, series_ids=None):
+    def __init__(self, counts: np.ndarray, mh_threshold: int | None = None, series_ids=None):
         self.counts = counts
-        self.strategy = strategy
         self.mh_threshold = mh_threshold
         self.lgam = gammaln(np.arange(int(counts.max()) + 2, dtype=float))
         self.yp = counts[:, :-1]
@@ -287,7 +283,7 @@ class PaddedInnovationKernel:
         width = np.minimum(self.yc, self.yp)
 
         active = width > 0
-        if strategy == INNOVATION_METROPOLIS:
+        if mh_threshold is not None:
             self.mh_mask = active & (self.yc > mh_threshold)
             exact = active & ~self.mh_mask
         else:

@@ -368,7 +368,8 @@ class TestForecastMetrics:
         pred = rng.normal(size=500)
         truth = rng.normal(size=500)
         report = forecast_metrics(pred, truth, last, bucket_cap=4)
-        assert report.frequencies_sum() == pytest.approx(1.0, abs=1e-12)
+        assert sum(b.frequency for b in report.by_last_value.values()) == pytest.approx(
+            1.0, abs=1e-12)
         assert set(report.by_last_value) <= {0, 1, 2, 3, 4}
         pooled = report.by_last_value[4]
         assert pooled.n == int(np.sum(last >= 4))

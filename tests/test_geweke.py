@@ -19,8 +19,6 @@ from generative import crp_draw
 from poinar.model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, ModelState
 from poinar.panel import N_MONTHS, CountPanel
 from poinar.sampler import (
-    INNOVATION_EXACT,
-    INNOVATION_METROPOLIS,
     InnovationKernel,
     LogGammaTable,
     sweep,
@@ -73,7 +71,8 @@ def simulate_data(state: ModelState, exposure: np.ndarray,
     return eps, y
 
 
-def successive_conditional(mode: str, strategy: str, rng: np.random.Generator) -> np.ndarray:
+def successive_conditional(mode: str, mh_threshold: int | None,
+                           rng: np.random.Generator) -> np.ndarray:
     """ITERATIONS rows of STATS from the successive-conditional simulator."""
     hyper = Hyperparams(**HYPER, mode=mode)
     exposure = EXPOSURE if mode == MODE_COVARIATE else np.ones(EXPOSURE.size)
@@ -87,7 +86,7 @@ def successive_conditional(mode: str, strategy: str, rng: np.random.Generator) -
                         f"{COUNT_CAP}; the sweep has drifted off the posterior")
         panel = CountPanel(counts, SEASON_OF, exposure=exposure if mode == MODE_COVARIATE
                            else None)
-        kernel = InnovationKernel(counts, strategy=strategy, mh_threshold=2)
+        kernel = InnovationKernel(counts, mh_threshold=mh_threshold)
         sweep(state, panel, kernel, hyper, rng, log_gamma)
         out[it] = statistics(state)
     return out
@@ -103,13 +102,14 @@ def prior_moments():
     return draws.mean(axis=0), draws.std(axis=0, ddof=1) / np.sqrt(PRIOR_DRAWS)
 
 
-@pytest.mark.parametrize("mode, strategy, seed", [
-    (MODE_PLAIN, INNOVATION_EXACT, 1),
-    (MODE_COVARIATE, INNOVATION_EXACT, 2),
-    (MODE_PLAIN, INNOVATION_METROPOLIS, 3),
-])
-def test_sweep_leaves_the_prior_invariant(prior_moments, mode, strategy, seed):
-    chain = successive_conditional(mode, strategy, np.random.default_rng(seed))
+@pytest.mark.parametrize("mode, mh_threshold, seed", [
+    (MODE_PLAIN, None, 1),
+    (MODE_COVARIATE, None, 2),
+    (MODE_PLAIN, 2, 3),
+], ids=["plain-exact-enumeration-1", "covariate-exact-enumeration-2",
+        "plain-metropolis-poisson-3"])
+def test_sweep_leaves_the_prior_invariant(prior_moments, mode, mh_threshold, seed):
+    chain = successive_conditional(mode, mh_threshold, np.random.default_rng(seed))
     batches = chain.reshape(BATCHES, -1, len(STATS)).mean(axis=1)
     chain_se = batches.std(axis=0, ddof=1) / np.sqrt(BATCHES)
     prior_mean, prior_se = prior_moments

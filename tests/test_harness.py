@@ -65,16 +65,15 @@ class TestStudy:
         report_b = run_study([sc], sampler_config=config, scale="full",
                              n_replicates=2)
         assert report_a.seed == 11  # the study seed is the config's
-        result = report_a.result("smoke")
+        result, = (r for r in report_a.results if r.scenario.name == "smoke")
         assert set(result.rmse) == {"BNP", "CLS", "SPP"}
         assert all(np.isfinite(v) for v in result.rmse.values())
         assert all(np.isfinite(v) for v in result.ape.values())
         assert result.true_mean > 0
         assert len(result.modal_k) == 2
+        result_b, = (r for r in report_b.results if r.scenario.name == "smoke")
         for name in ("rmse", "ape"):
-            assert getattr(report_a.result("smoke"), name) == getattr(
-                report_b.result("smoke"), name
-            )
+            assert getattr(result, name) == getattr(result_b, name)
 
     def test_settings_that_keep_no_draws_rejected(self):
         with pytest.raises(ConfigurationError, match="keep no draws"):
@@ -178,7 +177,8 @@ class TestRollingEvaluation:
         report, details = rolling_one_step_evaluation(panel, draws, holdout=40,
                                                       origins="weekly", bucket_cap=4)
         assert report.n_total == 40 * panel.n_series
-        assert report.frequencies_sum() == pytest.approx(1.0, abs=1e-12)
+        assert sum(b.frequency for b in report.by_last_value.values()) == pytest.approx(
+            1.0, abs=1e-12)
         assert {"series_id", "week", "last_value", "prediction", "actual"} <= set(details)
         assert all(len(column) == report.n_total for column in details.values())
 

@@ -376,6 +376,21 @@ class TestDrawsPersistence:
         with pytest.raises(io.IntegrityError, match="holds no draws"):
             io.load_draws(path)
 
+    @pytest.mark.parametrize("value", [6.0, True])
+    def test_draw_count_must_be_a_json_integer(self, tmp_path, tiny_draws, capsys, value):
+        panel = _tiny_panel()
+        io.save_counts(panel, tmp_path / "c.csv")
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, panel)
+        _edit_header(path, lambda h: h.update(n_draws=value))
+        with pytest.raises(io.IntegrityError, match="header field 'n_draws' is not a count"):
+            io.load_draws(path)
+        out = tmp_path / "fc"
+        assert main(["forecast", "--counts", str(tmp_path / "c.csv"), "--draws", str(path),
+                     "--out", str(out)]) == 1
+        assert "header field 'n_draws' is not a count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_draws_of_a_chain_checked_for_width_and_support(self, tiny_draws):
         # draws ``run_chain`` returns record no panel hashes; the series
         # count and the innovations still bind them to a panel
@@ -843,18 +858,20 @@ class TestCli:
         assert vars(lean.parse_args(argv)) == vars(full.parse_args(argv))
         assert list(vars(lean.parse_args(argv))) == list(vars(full.parse_args(argv)))
 
-    @pytest.mark.parametrize("strategy", ["exact-enumeration", "metropolis-poisson"])
+    @pytest.mark.parametrize("threshold", [[], ["--metropolis-threshold", "30"]],
+                             ids=["exact-enumeration", "metropolis-poisson"])
     def test_fit_beside_a_drop_from_a_huge_count_is_a_usage_error(self, tmp_path, capsys,
-                                                                    strategy):
-        # the week of 3 after 10^12 is enumerated exactly under either
-        # strategy, and its log-factorial table would reach 10^12 entries
+                                                                    threshold):
+        # the week of 3 after 10^12 is enumerated exactly with or without
+        # the Metropolis move, and its log-factorial table would reach 10^12
+        # entries
         weeks = io.week_starts_from(datetime.date(2001, 1, 1), 6)
         panel = CountPanel(counts=np.array([[10**12, 3, 2, 4, 1, 0]]),
                            season_of=io.months_of(weeks), series_ids=["drop"], week_starts=weeks)
         io.save_counts(panel, tmp_path / "c.csv")
         out = tmp_path / "fit"
         assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out),
-                     "--innovation-strategy", strategy]) == 2
+                     *threshold]) == 2
         assert "series 'drop' has a count of 1000000000000" in capsys.readouterr().err
         assert not out.exists()
 
@@ -867,8 +884,12 @@ class TestCli:
         assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "series 'huge' has the widest support, 10000001 values" in err
-        assert "--innovation-strategy metropolis-poisson" in err
+        assert "Pass --metropolis-threshold N" in err
         assert not (out / "manifest.json").exists() and not (out / "draws.jsonl").exists()
+        # the advice works: the Metropolis move builds no grid for these weeks
+        assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out),
+                     "--metropolis-threshold", "0", "--iterations", "20", "--burn-in", "5"]) == 0
+        assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("phi_star, theta, message", [
         # the rate overflows to inf before any truncation point is sought
@@ -1185,3 +1206,11 @@ class TestCli:
         lines = (out / "study.csv").read_text().splitlines()
         assert len(lines) == 4  # header + one row per method
         assert (out / "study.json").exists() and (out / "manifest.json").exists()
+
+    def test_study_of_no_scenario_names_is_a_usage_error(self, tmp_path, capsys):
+        # an empty list names the scenario '', not the full grid
+        out = tmp_path / "study"
+        assert main(["study", "--scenarios", "", "--replicates", "1", "--iterations", "20",
+                     "--burn-in", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown scenario ''")
+        assert not out.exists()

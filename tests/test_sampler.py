@@ -28,8 +28,6 @@ from poinar.model import (
 )
 from poinar.panel import CountPanel, innovation_bounds
 from poinar.sampler import (
-    INNOVATION_EXACT,
-    INNOVATION_METROPOLIS,
     ConfigurationError,
     InnovationKernel,
     LogGammaTable,
@@ -219,7 +217,7 @@ class TestInnovationConditional:
         alpha_v = np.array([alpha])
         rng = np.random.default_rng(8)
         eps = np.array([[y_prev, max(0, y_curr - y_prev)]])
-        kernel = InnovationKernel(counts, strategy=INNOVATION_METROPOLIS, mh_threshold=10)
+        kernel = InnovationKernel(counts, mh_threshold=10)
         kept = []
         for sweep in range(30_000):
             eps = kernel(eps, alpha_v, rates, rng)
@@ -239,9 +237,9 @@ class TestInnovationConditional:
         counts = rng.poisson(60.0, (4, 50))
         alpha, rates = rng.uniform(0.2, 0.8, 4), rng.uniform(20.0, 40.0, (4, 49))
         start = innovation_bounds(counts)[0]
-        fresh = InnovationKernel(counts, strategy=INNOVATION_METROPOLIS)
+        fresh = InnovationKernel(counts, mh_threshold=30)
         first = fresh(start, alpha, rates, np.random.default_rng(3))
-        shared = InnovationKernel(counts, strategy=INNOVATION_METROPOLIS)
+        shared = InnovationKernel(counts, mh_threshold=30)
         second = shared(shared(start, alpha, rates, np.random.default_rng(3)),
                         alpha, rates, np.random.default_rng(4))
         assert not np.array_equal(second, start)
@@ -506,7 +504,7 @@ class TestKernelMemoryGuard:
         try:
             with pytest.raises(ConfigurationError,
                                match=r"series 'big' has the widest support.*"
-                                     r"--innovation-strategy metropolis-poisson"):
+                                     r"Pass --metropolis-threshold N"):
                 InnovationKernel(counts, series_ids=["big"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -544,7 +542,7 @@ class TestKernelMemoryGuard:
         eps = np.minimum(counts, rng.poisson(1e6, counts.shape))
         tracemalloc.start()
         try:
-            kernel = InnovationKernel(counts, strategy=INNOVATION_METROPOLIS)
+            kernel = InnovationKernel(counts, mh_threshold=30)
             kernel(eps, np.array([0.9]), np.full((1, 3999), 1e6), rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -563,7 +561,7 @@ class TestKernelMemoryGuard:
             counts, kwargs = simulate_scenario(scenario, sampler.stream(1, 0))[0].counts, {}
         else:
             counts = desk_with_outlier(1000.0)
-            kwargs = {"strategy": INNOVATION_METROPOLIS} if shape == "metropolis" else {}
+            kwargs = {"mh_threshold": 30} if shape == "metropolis" else {}
         estimates = []
         monkeypatch.setattr(sampler, "refuse_over_memory",
                             lambda needed, what, cause: estimates.append(needed))
@@ -578,17 +576,19 @@ class TestKernelMemoryGuard:
         assert 19_000 < counts[-1].max() < 22_000
         assert traced_kernel_peak(counts) < 110 * 2**20
 
-    @pytest.mark.parametrize("strategy", [INNOVATION_EXACT, INNOVATION_METROPOLIS])
-    def test_table_beside_a_large_count_refused(self, strategy):
-        # a drop from 10^12 to 3: the week of 3 is enumerated exactly under
-        # either strategy, and its survivors' log-factorials reach 10^12
+    @pytest.mark.parametrize("mh_threshold", [None, 30],
+                             ids=["exact-enumeration", "metropolis-poisson"])
+    def test_table_beside_a_large_count_refused(self, mh_threshold):
+        # a drop from 10^12 to 3: the week of 3 is enumerated exactly with
+        # or without the Metropolis move, and its survivors' log-factorials
+        # reach 10^12
         counts = np.array([[10**12, 3, 2, 4, 1]])
-        tail = ("Lower --metropolis-threshold" if strategy == INNOVATION_METROPOLIS
-                else "Use --innovation-strategy metropolis-poisson")
+        tail = ("Pass --metropolis-threshold N" if mh_threshold is None
+                else "Lower --metropolis-threshold")
         with pytest.raises(ConfigurationError,
                            match=r"log-factorial table.*series 'drop' has a count of "
                                  rf"1000000000000 next to an exactly enumerated week\. {tail}"):
-            InnovationKernel(counts, strategy=strategy, series_ids=["drop"])
+            InnovationKernel(counts, mh_threshold, series_ids=["drop"])
 
 
 class TestChains:
@@ -608,11 +608,12 @@ class TestChains:
         assert len(chains) == 2
         assert not np.allclose(chains[0].alpha[-1], chains[1].alpha[-1])
 
-    @pytest.mark.parametrize("strategy", [INNOVATION_EXACT, INNOVATION_METROPOLIS])
-    def test_chains_share_one_kernel_and_draw_as_if_alone(self, strategy, monkeypatch):
+    @pytest.mark.parametrize("threshold", [None, 2],
+                             ids=["exact-enumeration", "metropolis-poisson"])
+    def test_chains_share_one_kernel_and_draw_as_if_alone(self, threshold, monkeypatch):
         panel, _ = small_panel(L=6, T=60)
         config = SamplerConfig(n_iterations=20, burn_in=4, thin_interval=4, seed=5, n_chains=3,
-                               innovation_strategy=strategy, metropolis_threshold=2,
+                               metropolis_threshold=threshold,
                                keep_innovations=True)
         alone = [run_chain(panel, config, chain_index=c) for c in range(3)]
         built = []

@@ -24,8 +24,6 @@ from poinar.harness import Scenario, scenario_by_name, simulate_scenario
 from poinar.model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, ModelState
 from poinar.panel import CountPanel
 from poinar.sampler import (
-    INNOVATION_EXACT,
-    INNOVATION_METROPOLIS,
     InnovationKernel,
     LogGammaTable,
     SamplerConfig,
@@ -96,8 +94,7 @@ CASES = {
     ),
     "metropolis": lambda: (
         desk_panel("easy-0.9", 16),
-        sweep_config(30, seed=6, innovation_strategy=INNOVATION_METROPOLIS,
-                     metropolis_threshold=4),
+        sweep_config(30, seed=6, metropolis_threshold=4),
     ),
     "outlier": lambda: (outlier_panel(), sweep_config(15, seed=7)),
     # criterion 12's 188 series over four years: K falls to a few clusters
@@ -276,7 +273,7 @@ def test_log_gamma_table_grows_on_demand_up_to_the_total():
 @st.composite
 def kernel_inputs(draw):
     """A small panel mixing all-zero rows, single-week spikes up to 400 and
-    large counts, with parameters and a strategy."""
+    large counts, with parameters and a Metropolis threshold or None."""
     L = draw(st.integers(1, 6))
     T = draw(st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -293,21 +290,20 @@ def kernel_inputs(draw):
     alpha = rng.uniform(0.0, 1.0, L)
     alpha[rng.random(L) < 0.2] = draw(st.sampled_from([0.0, 1.0]))
     rates = rng.lognormal(0.0, 2.0, (L, T - 1))
-    strategy = draw(st.sampled_from([INNOVATION_EXACT, INNOVATION_METROPOLIS]))
-    threshold = draw(st.integers(0, 50))
-    return counts, alpha, rates, strategy, threshold, draw(st.integers(0, 2**32 - 1))
+    threshold = draw(st.none() | st.integers(0, 50))
+    return counts, alpha, rates, threshold, draw(st.integers(0, 2**32 - 1))
 
 
 @given(kernel_inputs())
 @settings(max_examples=150, deadline=None)
 def test_bucketed_kernel_matches_padded_kernel(inputs):
-    counts, alpha, rates, strategy, threshold, seed = inputs
+    counts, alpha, rates, threshold, seed = inputs
     eps = counts.copy()
     eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
     rng_ours = np.random.default_rng(seed)
     rng_ref = np.random.default_rng(seed)
-    kernel = InnovationKernel(counts, strategy, threshold)
-    reference = oracles.PaddedInnovationKernel(counts, strategy, threshold)
+    kernel = InnovationKernel(counts, threshold)
+    reference = oracles.PaddedInnovationKernel(counts, threshold)
     for _ in range(2):  # the second call starts from drawn innovations
         ours = kernel(eps, alpha, rates, rng_ours)
         expected = reference(eps, alpha, rates, rng_ref)
@@ -338,13 +334,13 @@ def layouts(matrix):
 @given(kernel_inputs())
 @settings(max_examples=40, deadline=None)
 def test_kernel_reads_any_layout_and_writes_a_new_matrix(inputs):
-    counts, alpha, rates, strategy, threshold, seed = inputs
+    counts, alpha, rates, threshold, seed = inputs
     eps = counts.copy()
     eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
-    expected = oracles.PaddedInnovationKernel(counts, strategy, threshold)(
+    expected = oracles.PaddedInnovationKernel(counts, threshold)(
         eps, alpha, rates, np.random.default_rng(seed))
     for counts_layout, counts_in in layouts(counts).items():
-        kernel = InnovationKernel(counts_in, strategy, threshold)
+        kernel = InnovationKernel(counts_in, threshold)
         for eps_layout, eps_in in layouts(eps).items():
             for rates_layout, rates_in in layouts(rates).items():
                 ours = kernel(eps_in, alpha, rates_in, np.random.default_rng(seed))
@@ -361,8 +357,8 @@ def test_chain_draws_do_not_depend_on_the_counts_layout():
     panel = desk_panel("easy-0.9", 18)
     transposed = replace(panel, counts=np.ascontiguousarray(panel.counts.T).T)
     assert transposed.counts.flags.f_contiguous and not transposed.counts.flags.c_contiguous
-    for strategy in (INNOVATION_EXACT, INNOVATION_METROPOLIS):
-        config = sweep_config(5, seed=10, innovation_strategy=strategy, metropolis_threshold=4)
+    for threshold in (None, 4):
+        config = sweep_config(5, seed=10, metropolis_threshold=threshold)
         assert_same_draws(run_chain(transposed, config), run_chain(panel, config))
 
 

@@ -20,8 +20,6 @@ from poinar import harness, io, model, sampler
 from poinar.cli import main
 from poinar.harness import run_study, scenario_by_name, simulate_scenario
 from poinar.sampler import (
-    INNOVATION_EXACT,
-    INNOVATION_METROPOLIS,
     ConfigurationError,
     InnovationKernel,
     SamplerConfig,
@@ -256,15 +254,15 @@ def inputs(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("strategy", [INNOVATION_EXACT, INNOVATION_METROPOLIS])
+@pytest.mark.parametrize("threshold", [[], ["--metropolis-threshold", "4"]],
+                         ids=["exact-enumeration", "metropolis-poisson"])
 @pytest.mark.parametrize("mode", ["plain", "covariate"])
 @pytest.mark.parametrize("chains", [1, 2, 3])
 def test_fit_writes_the_same_bytes_on_one_and_two_workers(cpus, inputs, tmp_path, capsys,
-                                                          chains, mode, strategy):
+                                                          chains, mode, threshold):
     argv = ["fit", "--counts", str(inputs / "counts.csv"), "--chains", str(chains),
             "--iterations", "16", "--burn-in", "4", "--thin", "2", "--seed", "3",
-            "--innovation-strategy", strategy, "--metropolis-threshold", "4",
-            "--include-innovations"]
+            "--include-innovations", *threshold]
     if mode == "covariate":
         argv += ["--mode", mode, "--exposure", str(inputs / "exposure.csv")]
     one = run_on(cpus, 1, argv, tmp_path / "fit", capsys)
