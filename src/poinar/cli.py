@@ -44,6 +44,10 @@ from .sampler import (
 _USAGE_EXIT = 2
 _FAILURE_EXIT = 1
 
+# a path option naming what is missing, unreadable or of the wrong kind
+_PATH_ERRORS = (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError,
+                PermissionError)
+
 # the priors settable from the command line: every hyperparameter but the mode
 _HYPERPARAMS = [f.name for f in fields(Hyperparams) if f.name != "mode"]
 
@@ -209,7 +213,6 @@ def cmd_fit(args, out: Path) -> str:
     exposure = model_exposure(panel, args.mode)
     sampler_config = _sweep_config(
         args, n_chains=args.chains, hyper=_hyper_from_args(args),
-        metropolis_threshold=args.metropolis_threshold,
         keep_innovations=args.include_innovations,
     )
     if args.chains >= 2 and sampler_config.draws_per_chain < 2:
@@ -365,8 +368,6 @@ def _fit_options(p: argparse.ArgumentParser):
     p.add_argument("--mode", choices=[MODE_PLAIN, MODE_COVARIATE], default=MODE_PLAIN)
     _add_sweep_options(p)
     p.add_argument("--chains", type=int, default=SamplerConfig.n_chains)
-    p.add_argument("--metropolis-threshold", type=int,
-                   default=SamplerConfig.metropolis_threshold)
     p.add_argument("--include-innovations", action="store_true")
     for name in _HYPERPARAMS:
         p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
@@ -453,7 +454,7 @@ def main(argv=None) -> int:
             raise ConfigurationError("--seed must be non-negative")
         with _out_dir(args) as out:
             done = args.func(args, out)
-    except (FileNotFoundError, ConfigurationError) as exc:
+    except (*_PATH_ERRORS, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except (io.ParseError, io.IntegrityError, WorkerExited) as exc:

@@ -52,8 +52,6 @@ class SamplerConfig:
     n_chains: int = 1
     seed: int = 0
     hyper: Hyperparams = field(default_factory=Hyperparams)
-    # None enumerates every week; N gives weeks of counts above N the MH move
-    metropolis_threshold: int | None = None
     # stored draws keep their sweep's (L, T) innovation matrix only if asked
     keep_innovations: bool = False
 
@@ -241,17 +239,16 @@ class InnovationKernel:
     its own widest support, so the grid holds at most 1.5 times the useful
     support however wide the widest cell is. A bucket keeps one float64 per
     grid cell across sweeps, its log-factorial terms laid out support point
-    by cell, and draws through work grids shared by all buckets. Given an
-    ``mh_threshold``, cells whose count exceeds it get a Poisson-proposal
-    MH move instead of exact enumeration; ``None`` enumerates every cell.
+    by cell, and draws through work grids shared by all buckets. Every
+    cell is enumerated, so a draw reads nothing of the previous
+    innovations.
 
     Cells are addressed by flat indices computed once: ``at`` into the
     row-major (L, T-1) ``rates`` and ``at_eps = at + row + 1`` into the
     (L, T) innovation matrix. A call gathers with ``take``, which reads
-    ``rates`` and ``eps`` in row-major order whatever their memory layout,
-    and scatters into a flat view of the new matrix, which is allocated
-    C-ordered whatever the layout of ``counts``; no (L, T-1) temporary is
-    built.
+    ``rates`` in row-major order whatever its memory layout, and scatters
+    into a flat view of the new matrix, which is allocated C-ordered
+    whatever the layout of ``counts``; no (L, T-1) temporary is built.
 
     Before anything sized by the counts themselves is allocated, the
     buckets' grid cells are counted from the support widths, and the
@@ -260,16 +257,12 @@ class InnovationKernel:
     and a call's temporaries, would exceed the machine's physical memory,
     the build raises ``ConfigurationError`` naming the series of the
     widest support or of that count (``series_ids``, row numbers when not
-    given). The Metropolis move reads no table: it takes
-    ``gammaln`` of its own cells' counts, of the proposals only once a
-    chain has run one call. The kernel keeps the bytes counted,
-    ``held_bytes``, and ``chain_bytes``, the part of them a chain run in a
-    forked worker writes and so copies, by which ``run_chains`` sizes its
-    pool.
+    given). The kernel keeps the bytes counted, ``held_bytes``, and
+    ``chain_bytes``, the part of them a chain run in a forked worker writes
+    and so copies, by which ``run_chains`` sizes its pool.
     """
 
-    def __init__(self, counts: np.ndarray, mh_threshold: int | None = None,
-                 series_ids: list[str] | None = None):
+    def __init__(self, counts: np.ndarray, series_ids: list[str] | None = None):
         # the build reads counts and lower bounds as flat row-major arrays,
         # at ``at_eps`` (``at_eps - 1`` for the week before): ``take`` on a
         # strided (L, T-1) view would copy it whole first. The lower bounds
@@ -280,27 +273,12 @@ class InnovationKernel:
         lo_flat = self._start.reshape(-1)
         width = hi[:, 1:] - self._start[:, 1:]
 
-        active = width > 0
-        if mh_threshold is not None:
-            mh_mask = active & (counts[:, 1:] > mh_threshold)
-            exact = active & ~mh_mask
-        else:
-            mh_mask = np.zeros_like(active)
-            exact = active
         # the active cells never change, so gather their geometry once
-        self.mh_rows, self.mh_at, self.mh_at_eps = _flat_cells(mh_mask)
-        self.mh_lo = lo_flat.take(self.mh_at_eps)
-        self.mh_yc = y.take(self.mh_at_eps)
-        self.mh_diff = y.take(self.mh_at_eps - 1) - self.mh_yc
-        # the MH cells' current counts and their two log-factorial terms,
-        # kept across calls so that each call takes ``gammaln`` only of its
-        # proposals; a call whose counts differ (a chain's first) recomputes
-        self._mh_cur = None
-        self._mh_log_fact = None
-
-        rows, at, at_eps = _flat_cells(exact)
+        at = np.flatnonzero(width > 0)
+        rows = at // width.shape[1]
+        at_eps = at + rows + 1
         w = width.take(at)
-        del width, active, exact, mh_mask
+        del width
         # the uniforms are drawn in row-major order; cells are stored bucket
         # by bucket, and ``draw_order`` maps the one to the other. A one-byte
         # key makes the stable sort a radix sort.
@@ -322,8 +300,7 @@ class InnovationKernel:
         # y_curr or y_prev, so the table stops at the largest of these
         top = np.maximum(y.take(self.at_eps), y.take(self.at_eps - 1))
         self.held_bytes, self.chain_bytes = _check_grid_memory(
-            w, points, grids, row_wise, self.rows, top, self.mh_rows.size, counts.size,
-            series_ids, mh_threshold)
+            w, points, grids, row_wise, self.rows, top, counts.size, series_ids)
         lgam = gammaln(np.arange(int(top.max(initial=-1)) + 2, dtype=float))
         del level, top
         shared = (np.empty(grids.max(initial=0)), np.empty(grids.max(initial=0), dtype=bool),
@@ -336,7 +313,7 @@ class InnovationKernel:
         ]
         self._draws = np.empty(w.size, dtype=np.int64)
 
-    def __call__(self, eps: np.ndarray, alpha: np.ndarray, rates: np.ndarray,
+    def __call__(self, alpha: np.ndarray, rates: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
         """Draw a full innovation matrix given the current parameters.
 
@@ -362,54 +339,30 @@ class InnovationKernel:
         new = self._start.copy()
         flat = new.reshape(-1)
         flat[self.at_eps] = self._draws
-
-        rows = self.mh_rows
-        if rows.size:
-            cur = eps.take(self.mh_at_eps)
-            lo_c, yc_c, diff = self.mh_lo, self.mh_yc, self.mh_diff
-            if self._mh_cur is None or not np.array_equal(cur, self._mh_cur):
-                self._mh_log_fact = (gammaln(yc_c - cur + 1), gammaln(diff + cur + 1))
-            fact_yc, fact_diff = self._mh_log_fact
-            prop = rng.poisson(rates.take(self.mh_at))
-            feasible = (prop >= lo_c) & (prop <= yc_c)
-            p_safe = np.clip(prop, lo_c, yc_c)
-            prop_yc, prop_diff = gammaln(yc_c - p_safe + 1), gammaln(diff + p_safe + 1)
-            log_ratio = (
-                (p_safe - cur) * log_odds[rows]
-                + fact_yc + fact_diff - prop_yc - prop_diff
-            )
-            accept = feasible & (np.log(rng.random(rows.size)) < log_ratio)
-            np.copyto(fact_yc, prop_yc, where=accept)
-            np.copyto(fact_diff, prop_diff, where=accept)
-            self._mh_cur = np.where(accept, p_safe, cur)
-            flat[self.mh_at_eps] = self._mh_cur
-
         return new
 
 
 # The kernel's bytes, rounded up from tracemalloc peaks of builds and first
 # calls: per grid cell, logw0; per cell of the largest bucket, the shared
 # work and comparison grids; per point of a row-wise bucket, its row view
-# and list slots; per table entry, the table and its range; per exact cell,
-# Metropolis cell and panel entry, the arrays kept and the temporaries of a
-# build and of one call.
+# and list slots; per table entry, the table and its range; per cell and
+# panel entry, the arrays kept and the temporaries of a build and of one call.
 _GRID_BYTES, _SHARED_BYTES, _STEP_BYTES, _TABLE_BYTES = 8, 8 + 1, 128, 2 * 8
-_CELL_BYTES, _MH_CELL_BYTES, _ENTRY_BYTES = 96, 160, 32
+_CELL_BYTES, _ENTRY_BYTES = 96, 32
 
 
 def _check_grid_memory(width: np.ndarray, points: np.ndarray, grids: np.ndarray,
-                       row_wise: np.ndarray, rows: np.ndarray, top: np.ndarray, n_mh: int,
-                       n_entries: int, series_ids: list[str] | None,
-                       mh_threshold: int | None) -> tuple[int, int]:
+                       row_wise: np.ndarray, rows: np.ndarray, top: np.ndarray,
+                       n_entries: int, series_ids: list[str] | None) -> tuple[int, int]:
     """Raise ``ConfigurationError`` if the kernel would not fit in memory:
     buckets of ``points`` points and ``grids`` cells over the sorted widths
     ``width`` (of series ``rows``), the log-factorial table up to the count
-    ``top``, and ``n_mh`` Metropolis cells in ``n_entries`` panel entries.
+    ``top``, and ``n_entries`` panel entries.
 
     Returns the bytes counted and the part of them a chain in a forked
     worker writes, and so copies: all but the log-weights, which it only
     reads, and the table, which only the build holds."""
-    cell_bytes = _CELL_BYTES * width.size + _MH_CELL_BYTES * n_mh + _ENTRY_BYTES * n_entries
+    cell_bytes = _CELL_BYTES * width.size + _ENTRY_BYTES * n_entries
     if width.size == 0:
         return cell_bytes, cell_bytes
     log_weights = _GRID_BYTES * int(grids.sum())
@@ -424,25 +377,10 @@ def _check_grid_memory(width: np.ndarray, points: np.ndarray, grids: np.ndarray,
     else:
         cause = (f"series {series_name(int(rows[largest]), series_ids)} has a count of "
                  f"{int(top[largest])} next to an exactly enumerated week")
-    if mh_threshold is not None:
-        what = "the exact enumeration of the weeks whose counts are at most --metropolis-threshold"
-        advice = "Lower --metropolis-threshold, so that fewer weeks are enumerated exactly"
-    else:
-        what = "the exact innovation kernel"
-        advice = ("Pass --metropolis-threshold N, which enumerates only the weeks whose "
-                  "counts are at most N")
     needed = grid_bytes + table_bytes + cell_bytes
-    refuse_over_memory(needed, f"the support grids and log-factorial table of {what}",
-                       f"{cause}. {advice}")
+    refuse_over_memory(needed, "the support grids and log-factorial table of the exact "
+                       "innovation kernel", cause)
     return needed, work_bytes + cell_bytes
-
-
-def _flat_cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, flat (L, T-1) index and flat (L, T) index of each true cell of
-    ``mask``, in row-major order."""
-    at = np.flatnonzero(mask)
-    rows = at // mask.shape[1]
-    return rows, at, at + rows + 1
 
 
 # Cost of one bucket's running sums on a (points, cells) grid, in ns,
@@ -910,7 +848,7 @@ def sweep(state: ModelState, panel: CountPanel, kernel: InnovationKernel, hyper:
     """
     lam = model_exposure(panel, hyper.mode) * state.phi_star[state.z]
     rates = lam[:, None] * state.theta[panel.season_of[1:] - 1]
-    state.innovations = kernel(state.innovations, state.alpha, rates, rng)
+    state.innovations = kernel(state.alpha, rates, rng)
     stats = SuffStats.from_state(state, panel, mode=hyper.mode)
     state.z, stats = sample_memberships(state, panel, stats, hyper, rng, log_gamma=log_gamma)
     state.phi_star = sample_unique_rates(stats, hyper, rng)
@@ -933,20 +871,19 @@ def run_chain(
     sweep burn_in + k * thin_interval fills row k - 1 of
     ``config.draws_per_chain`` preallocated rows, its innovations only
     under ``config.keep_innovations``. Deterministic given the generator's
-    seed. ``kernel``, the panel's ``InnovationKernel`` under ``config``'s
-    Metropolis threshold, is built here when not given.
+    seed. ``kernel``, the panel's ``InnovationKernel``, is built here when
+    not given.
     """
     hyper = config.hyper
     model_exposure(panel, hyper.mode)  # a covariate panel without exposure fails here
     if rng is None:
         rng = stream(config.seed, 1, chain_index)
     if kernel is None:
-        kernel = _innovation_kernel(panel, config)
+        kernel = InnovationKernel(panel.counts, panel.series_ids)
 
     L = panel.n_series
     log_gamma = LogGammaTable(hyper.gamma1)
     state = _initial_state(panel, rng)
-    state.innovations = innovation_bounds(panel.counts)[0]
 
     D = config.draws_per_chain
     draws = PosteriorDraws(**{name: np.empty(shape, dtype) for name, (shape, dtype)
@@ -982,11 +919,6 @@ def _draw_arrays(n_series: int, n_weeks: int,
     return arrays
 
 
-def _innovation_kernel(panel: CountPanel, config: SamplerConfig) -> InnovationKernel:
-    return InnovationKernel(
-        panel.counts, mh_threshold=config.metropolis_threshold, series_ids=panel.series_ids)
-
-
 def run_chains(panel: CountPanel, config: SamplerConfig) -> list[PosteriorDraws]:
     """Run ``config.n_chains`` independent chains with derived per-chain
     seeds and individually drawn starting points.
@@ -998,10 +930,16 @@ def run_chains(panel: CountPanel, config: SamplerConfig) -> list[PosteriorDraws]
     the buffers it writes and holds its draws twice, as an array and
     pickled. Each chain draws from its own stream, so the draws are those of
     the chains run one after another, which is how they run on one CPU.
+    Before any sweep, the fit is refused if the kernel and every chain's
+    draws, held twice (the chains and their concatenation), would exceed
+    physical memory.
     """
-    kernel = _innovation_kernel(panel, config)
+    kernel = InnovationKernel(panel.counts, panel.series_ids)
     draw_bytes = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype
                      in _draw_arrays(panel.n_series, panel.n_weeks, config).values())
+    refuse_over_memory(kernel.held_bytes + 2 * config.n_chains * draw_bytes,
+                       f"the {config.n_chains * config.draws_per_chain} draws the chains keep",
+                       "lower --iterations, raise --thin or leave out --include-innovations")
     return _in_workers(lambda c: run_chain(panel, config, chain_index=c, kernel=kernel),
                        range(config.n_chains), lambda c: f"chain {c}",
                        held=kernel.held_bytes, per_worker=kernel.chain_bytes + 2 * draw_bytes)

@@ -269,28 +269,20 @@ def grid_search_sse(
 
 class PaddedInnovationKernel:
     """The innovation update with one grid padded to the widest support in
-    the panel: every exact cell gets that many columns. ``series_ids``,
+    the panel: every enumerated cell gets that many columns. ``series_ids``,
     which the package kernel names in its memory check, is accepted and
     not used, so that ``run_chain`` can build this in its place."""
 
-    def __init__(self, counts: np.ndarray, mh_threshold: int | None = None, series_ids=None):
+    def __init__(self, counts: np.ndarray, series_ids=None):
         self.counts = counts
-        self.mh_threshold = mh_threshold
         self.lgam = gammaln(np.arange(int(counts.max()) + 2, dtype=float))
         self.yp = counts[:, :-1]
         self.yc = counts[:, 1:]
         self.lo = np.maximum(self.yc - self.yp, 0)
         width = np.minimum(self.yc, self.yp)
 
-        active = width > 0
-        if mh_threshold is not None:
-            self.mh_mask = active & (self.yc > mh_threshold)
-            exact = active & ~self.mh_mask
-        else:
-            self.mh_mask = None
-            exact = active
         # the active cells never change, so gather their geometry once
-        self.rows, self.cols = np.nonzero(exact)
+        self.rows, self.cols = np.nonzero(width > 0)
         self.base = self.lo[self.rows, self.cols]
         n = self.rows.size
         m = int(width[self.rows, self.cols].max()) + 1 if n else 0
@@ -313,7 +305,7 @@ class PaddedInnovationKernel:
         self._work = np.empty_like(self.logw0)
         self._below = np.empty(self.logw0.shape, dtype=bool)
 
-    def __call__(self, eps: np.ndarray, alpha: np.ndarray, rates: np.ndarray,
+    def __call__(self, alpha: np.ndarray, rates: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
         a = np.clip(alpha, _ALPHA_EPS, 1.0 - _ALPHA_EPS)
         log_odds = np.log1p(-a) - np.log(a)
@@ -335,25 +327,6 @@ class PaddedInnovationKernel:
             u = rng.random(n) * work[:, -1]
             np.less(work, u[:, None], out=self._below)
             tail[self.rows, self.cols] = self.base + self._below.sum(axis=1)
-
-        if self.mh_mask is not None:
-            rows, cols = np.nonzero(self.mh_mask)
-            if rows.size:
-                lgam = self.lgam
-                cur = eps[rows, cols + 1]
-                prop = rng.poisson(rates[rows, cols])
-                lo_c = self.lo[rows, cols]
-                yc_c = self.yc[rows, cols]
-                diff = self.yp[rows, cols] - yc_c
-                feasible = (prop >= lo_c) & (prop <= yc_c)
-                p_safe = np.clip(prop, lo_c, yc_c)
-                log_ratio = (
-                    (p_safe - cur) * log_odds[rows]
-                    + lgam[yc_c - cur + 1] + lgam[diff + cur + 1]
-                    - lgam[yc_c - p_safe + 1] - lgam[diff + p_safe + 1]
-                )
-                accept = feasible & (np.log(rng.random(rows.size)) < log_ratio)
-                tail[rows, cols] = np.where(accept, p_safe, cur)
 
         new[:, 1:] = tail
         return new

@@ -86,9 +86,7 @@ def test_c01_innovation_sampler_exactness():
     ]
     for y_prev, y_curr, alpha, rate in configs:
         counts = np.tile([[y_prev, y_curr]], (n, 1))
-        out = InnovationKernel(counts)(
-            np.zeros_like(counts), np.full(n, alpha), np.full((n, 1), rate), rng
-        )
+        out = InnovationKernel(counts)(np.full(n, alpha), np.full((n, 1), rate), rng)
         draws = out[:, 1]
         pmf = innovation_pmf(y_prev, y_curr, alpha, rate)
         lo, _ = innovation_support(y_prev, y_curr)

@@ -858,20 +858,15 @@ class TestCli:
         assert vars(lean.parse_args(argv)) == vars(full.parse_args(argv))
         assert list(vars(lean.parse_args(argv))) == list(vars(full.parse_args(argv)))
 
-    @pytest.mark.parametrize("threshold", [[], ["--metropolis-threshold", "30"]],
-                             ids=["exact-enumeration", "metropolis-poisson"])
-    def test_fit_beside_a_drop_from_a_huge_count_is_a_usage_error(self, tmp_path, capsys,
-                                                                    threshold):
-        # the week of 3 after 10^12 is enumerated exactly with or without
-        # the Metropolis move, and its log-factorial table would reach 10^12
-        # entries
+    def test_fit_beside_a_drop_from_a_huge_count_is_a_usage_error(self, tmp_path, capsys):
+        # the week of 3 after 10^12 is enumerated, and its log-factorial
+        # table would reach 10^12 entries
         weeks = io.week_starts_from(datetime.date(2001, 1, 1), 6)
         panel = CountPanel(counts=np.array([[10**12, 3, 2, 4, 1, 0]]),
                            season_of=io.months_of(weeks), series_ids=["drop"], week_starts=weeks)
         io.save_counts(panel, tmp_path / "c.csv")
         out = tmp_path / "fit"
-        assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out),
-                     *threshold]) == 2
+        assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out)]) == 2
         assert "series 'drop' has a count of 1000000000000" in capsys.readouterr().err
         assert not out.exists()
 
@@ -883,13 +878,55 @@ class TestCli:
         out = tmp_path / "fit"
         assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "series 'huge' has the widest support, 10000001 values" in err
-        assert "Pass --metropolis-threshold N" in err
-        assert not (out / "manifest.json").exists() and not (out / "draws.jsonl").exists()
-        # the advice works: the Metropolis move builds no grid for these weeks
-        assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--out", str(out),
-                     "--metropolis-threshold", "0", "--iterations", "20", "--burn-in", "5"]) == 0
-        assert (out / "manifest.json").exists()
+        assert err.startswith("error: the support grids and log-factorial table of the exact "
+                              "innovation kernel would need about ")
+        # the message ends with its cause and names no option
+        assert err.endswith("; series 'huge' has the widest support, 10000001 values\n")
+        assert "--" not in err
+        assert not out.exists()
+
+    def test_metropolis_threshold_is_no_option(self, tmp_path, capsys):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        out = tmp_path / "fit"
+        assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--metropolis-threshold", "4",
+                     "--iterations", "20", "--burn-in", "10", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --metropolis-threshold 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, options, error", [
+        ("fit", ["--counts", "c.csv", "--out", "file.txt"], "File exists"),
+        ("fit", ["--counts", "c.csv", "--out", "file.txt/fit"], "Not a directory"),
+        ("fit", ["--counts", "dir", "--out", "new/fit"], "Is a directory"),
+        ("forecast", ["--counts", "c.csv", "--draws", "dir", "--out", "new/fc"],
+         "Is a directory"),
+        ("fit", ["--counts", "c.csv", "--exposure", "dir", "--mode", "covariate",
+                 "--out", "new/fit"], "Is a directory"),
+        ("fit", ["--counts", "locked.csv", "--out", "new/fit"], "Permission denied"),
+    ], ids=["out-is-a-file", "out-under-a-file", "counts-is-a-directory",
+            "draws-is-a-directory", "exposure-is-a-directory", "counts-unreadable"])
+    def test_path_of_the_wrong_kind_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                     command, options, error):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        (tmp_path / "file.txt").write_text("mine")
+        (tmp_path / "dir").mkdir()
+        load_counts = io.load_counts
+
+        def locked(path, **kwargs):
+            if Path(path).name == "locked.csv":  # a root user may read any file
+                raise PermissionError(13, "Permission denied", str(path))
+            return load_counts(path, **kwargs)
+
+        monkeypatch.setattr(io, "load_counts", locked)
+        argv = [command]
+        for flag, value in zip(options[::2], options[1::2]):
+            argv += [flag, value if flag == "--mode" else str(tmp_path / value)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and error in err
+        # nothing is written, and the new output directory is removed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "dir", "file.txt"]
+        assert (tmp_path / "file.txt").read_text() == "mine"
+        assert not any((tmp_path / "dir").iterdir())
 
     @pytest.mark.parametrize("phi_star, theta, message", [
         # the rate overflows to inf before any truncation point is sought
@@ -1114,7 +1151,7 @@ class TestCli:
             assert manifest["parameters"]["out"] == str(out)
 
     @pytest.mark.parametrize("flag, value", [
-        ("--gamma1", "0.3"), ("--eta1", "2"), ("--metropolis-threshold", "2"),
+        ("--gamma1", "0.3"), ("--eta1", "2"),
     ])
     def test_fits_differing_in_one_setting_write_different_manifests(self, tmp_path,
                                                                      flag, value):

@@ -67,7 +67,7 @@ def desk_with_outlier(lam: float) -> np.ndarray:
     return np.vstack([desk.counts, outlier])
 
 
-def traced_kernel_peak(counts: np.ndarray, **kwargs) -> int:
+def traced_kernel_peak(counts: np.ndarray) -> int:
     """The tracemalloc peak, in bytes, of building an ``InnovationKernel``
     on ``counts`` and running its first call."""
     rng = np.random.default_rng(5)
@@ -75,33 +75,33 @@ def traced_kernel_peak(counts: np.ndarray, **kwargs) -> int:
     rates = np.maximum(counts[:, 1:], 1) * rng.uniform(0.3, 0.7, counts[:, 1:].shape)
     tracemalloc.start()
     try:
-        InnovationKernel(counts, **kwargs)(counts, alpha, rates, rng)
+        InnovationKernel(counts)(alpha, rates, rng)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def kernel_draws(counts, alpha, rates, seed=0):
-    """One ``InnovationKernel`` update of ``counts`` from zero innovations."""
-    counts = np.asarray(counts)
-    return InnovationKernel(counts)(np.zeros_like(counts), np.asarray(alpha, dtype=float),
-                                    np.asarray(rates, dtype=float), np.random.default_rng(seed))
+    """One ``InnovationKernel`` draw of the innovations of ``counts``."""
+    return InnovationKernel(np.asarray(counts))(np.asarray(alpha, dtype=float),
+                                                np.asarray(rates, dtype=float),
+                                                np.random.default_rng(seed))
 
 
 class TestInnovationConditional:
     def test_zero_previous_forces_all_innovation(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        out = InnovationKernel(np.array([[0, 3, 0, 2]]))(
-            np.zeros((1, 4), dtype=np.int64), np.array([0.7]), np.full((1, 3), 2.0), rng)
+        out = InnovationKernel(np.array([[0, 3, 0, 2]]))(np.array([0.7]), np.full((1, 3), 2.0),
+                                                         rng)
         assert out.tolist() == [[0, 3, 0, 2]]
         assert rng.bit_generator.state == before  # no randomness needed
 
     def test_zero_current_forces_zero(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        out = InnovationKernel(np.array([[2, 0, 4, 0]]))(
-            np.ones((1, 4), dtype=np.int64), np.array([0.7]), np.full((1, 3), 2.0), rng)
+        out = InnovationKernel(np.array([[2, 0, 4, 0]]))(np.array([0.7]), np.full((1, 3), 2.0),
+                                                         rng)
         assert out.tolist() == [[2, 0, 4, 0]]
         assert rng.bit_generator.state == before
 
@@ -152,10 +152,8 @@ class TestInnovationConditional:
         counts = panel.counts
         alpha = np.full(8, 0.4)
         rates = np.tile(truth.phi_star[truth.z][:, None], (1, counts.shape[1] - 1))
-        out1 = InnovationKernel(counts)(truth.innovations, alpha, rates,
-                                        np.random.default_rng(42))
-        out2 = InnovationKernel(counts)(truth.innovations, alpha, rates,
-                                        np.random.default_rng(42))
+        out1 = InnovationKernel(counts)(alpha, rates, np.random.default_rng(42))
+        out2 = InnovationKernel(counts)(alpha, rates, np.random.default_rng(42))
         assert np.array_equal(out1, out2)
         lo = np.maximum(0, counts[:, 1:] - counts[:, :-1])
         assert np.all(out1[:, 1:] >= lo) and np.all(out1[:, 1:] <= counts[:, 1:])
@@ -167,9 +165,7 @@ class TestInnovationConditional:
         n = 60_000
         counts = np.tile([[y_prev, y_curr]], (n, 1))
         rates = np.full((n, 1), rate)
-        eps0 = np.zeros_like(counts)
-        out = InnovationKernel(counts)(eps0, np.full(n, alpha), rates,
-                                       np.random.default_rng(7))
+        out = InnovationKernel(counts)(np.full(n, alpha), rates, np.random.default_rng(7))
         draws = out[:, 1]
         pmf = innovation_pmf(y_prev, y_curr, alpha, rate)
         lo, _ = innovation_support(y_prev, y_curr)
@@ -196,7 +192,7 @@ class TestInnovationConditional:
                 draw(*args)
                 work.append(bucket._logw.copy())
             bucket.draw = draw
-        kernel(np.zeros_like(counts), alpha, rates, np.random.default_rng(11))
+        kernel(alpha, rates, np.random.default_rng(11))
         assert [(b.row_wise, w.shape) for b, w in zip(kernel.buckets, work)] == [
             (True, (int(np.minimum(counts[:100, 1:], counts[:100, :-1]).max()) + 1, 200)),
             (False, (400, 6)),
@@ -208,42 +204,6 @@ class TestInnovationConditional:
                                      rates[l, t])
                 sums = grid[: pmf.size, column]
                 assert np.abs(np.diff(sums, prepend=0.0) / sums[-1] - pmf).max() < 1e-12
-
-    def test_metropolis_stationary_distribution(self):
-        # large-count cell updated by MH must converge to the exact conditional
-        y_prev, y_curr, alpha, rate = 40, 35, 0.6, 12.0
-        counts = np.array([[y_prev, y_curr]])
-        rates = np.array([[rate]])
-        alpha_v = np.array([alpha])
-        rng = np.random.default_rng(8)
-        eps = np.array([[y_prev, max(0, y_curr - y_prev)]])
-        kernel = InnovationKernel(counts, mh_threshold=10)
-        kept = []
-        for sweep in range(30_000):
-            eps = kernel(eps, alpha_v, rates, rng)
-            if sweep >= 500:
-                kept.append(eps[0, 1])
-        kept = np.array(kept)
-        pmf = innovation_pmf(y_prev, y_curr, alpha, rate)
-        lo, hi = innovation_support(y_prev, y_curr)
-        empirical = np.array([(kept == e).mean() for e in range(lo, hi + 1)])
-        assert np.abs(empirical - pmf).sum() / 2 < 0.02  # total variation
-
-    def test_metropolis_move_restarts_from_other_counts(self):
-        # the move keeps its current cells' log-factorials across calls; a
-        # kernel shared by chains must draw a new chain's first call as a
-        # fresh kernel would
-        rng = np.random.default_rng(5)
-        counts = rng.poisson(60.0, (4, 50))
-        alpha, rates = rng.uniform(0.2, 0.8, 4), rng.uniform(20.0, 40.0, (4, 49))
-        start = innovation_bounds(counts)[0]
-        fresh = InnovationKernel(counts, mh_threshold=30)
-        first = fresh(start, alpha, rates, np.random.default_rng(3))
-        shared = InnovationKernel(counts, mh_threshold=30)
-        second = shared(shared(start, alpha, rates, np.random.default_rng(3)),
-                        alpha, rates, np.random.default_rng(4))
-        assert not np.array_equal(second, start)
-        assert np.array_equal(shared(start, alpha, rates, np.random.default_rng(3)), first)
 
 
 class TestCollapsedMembershipWeights:
@@ -498,13 +458,12 @@ class TestConjugateUpdates:
 class TestKernelMemoryGuard:
     def test_refused_before_anything_sized_by_the_counts(self):
         # one series near 10^7 over 4000 weeks: its exact grids would take
-        # about 1.2 TiB, and its log-factorial table alone 80 MB
+        # about 634 GiB, and its log-factorial table alone 80 MB
         counts = np.random.default_rng(0).poisson(1e7, (1, 4000))
         tracemalloc.start()
         try:
             with pytest.raises(ConfigurationError,
-                               match=r"series 'big' has the widest support.*"
-                                     r"Pass --metropolis-threshold N"):
+                               match=r"series 'big' has the widest support, \d+ values$"):
                 InnovationKernel(counts, series_ids=["big"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -533,39 +492,20 @@ class TestKernelMemoryGuard:
         with pytest.raises(ConfigurationError, match="series in row 2 has the widest"):
             InnovationKernel(counts)
 
-    def test_metropolis_kernel_builds_no_table_for_its_own_weeks(self):
-        # every week of a 1 x 4000 panel near 10^7 takes the Metropolis
-        # move, which computes its log-factorials cell by cell: no 80 MB
-        # table, whose build peaked at twice its size
-        counts = np.random.default_rng(0).poisson(1e7, (1, 4000))
-        rng = np.random.default_rng(1)
-        eps = np.minimum(counts, rng.poisson(1e6, counts.shape))
-        tracemalloc.start()
-        try:
-            kernel = InnovationKernel(counts, mh_threshold=30)
-            kernel(eps, np.array([0.9]), np.full((1, 3999), 1e6), rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not kernel.buckets
-        assert peak < 2 * 2**20
-
-    @pytest.mark.parametrize("shape", ["narrow", "outlier", "metropolis"])
+    @pytest.mark.parametrize("shape", ["narrow", "outlier"])
     def test_memory_estimate_covers_the_traced_peak(self, monkeypatch, shape):
         # many narrow cells (a 2000 x 208 low-count panel: index arrays
-        # lead), one wide outlier series (its grids lead), and a Metropolis
-        # panel whose weeks of counts at most 30 are enumerated exactly
+        # lead) and one wide outlier series (its grids lead)
         if shape == "narrow":
             scenario = Scenario(name="wide", cluster_rates=(0.3, 0.8, 1.5, 3.0), thinning=0.3,
                                 L=2000, T=208)
-            counts, kwargs = simulate_scenario(scenario, sampler.stream(1, 0))[0].counts, {}
+            counts = simulate_scenario(scenario, sampler.stream(1, 0))[0].counts
         else:
             counts = desk_with_outlier(1000.0)
-            kwargs = {"mh_threshold": 30} if shape == "metropolis" else {}
         estimates = []
         monkeypatch.setattr(sampler, "refuse_over_memory",
                             lambda needed, what, cause: estimates.append(needed))
-        peak = traced_kernel_peak(counts, **kwargs)
+        peak = traced_kernel_peak(counts)
         assert len(estimates) == 1 and peak <= estimates[0]
 
     def test_outlier_series_memory_follows_one_float_per_grid_cell(self):
@@ -576,19 +516,14 @@ class TestKernelMemoryGuard:
         assert 19_000 < counts[-1].max() < 22_000
         assert traced_kernel_peak(counts) < 110 * 2**20
 
-    @pytest.mark.parametrize("mh_threshold", [None, 30],
-                             ids=["exact-enumeration", "metropolis-poisson"])
-    def test_table_beside_a_large_count_refused(self, mh_threshold):
-        # a drop from 10^12 to 3: the week of 3 is enumerated exactly with
-        # or without the Metropolis move, and its survivors' log-factorials
-        # reach 10^12
+    def test_table_beside_a_large_count_refused(self):
+        # a drop from 10^12 to 3: the week of 3 is enumerated, and its
+        # survivors' log-factorials reach 10^12
         counts = np.array([[10**12, 3, 2, 4, 1]])
-        tail = ("Pass --metropolis-threshold N" if mh_threshold is None
-                else "Lower --metropolis-threshold")
         with pytest.raises(ConfigurationError,
                            match=r"log-factorial table.*series 'drop' has a count of "
-                                 rf"1000000000000 next to an exactly enumerated week\. {tail}"):
-            InnovationKernel(counts, mh_threshold, series_ids=["drop"])
+                                 r"1000000000000 next to an exactly enumerated week$"):
+            InnovationKernel(counts, series_ids=["drop"])
 
 
 class TestChains:
@@ -608,12 +543,9 @@ class TestChains:
         assert len(chains) == 2
         assert not np.allclose(chains[0].alpha[-1], chains[1].alpha[-1])
 
-    @pytest.mark.parametrize("threshold", [None, 2],
-                             ids=["exact-enumeration", "metropolis-poisson"])
-    def test_chains_share_one_kernel_and_draw_as_if_alone(self, threshold, monkeypatch):
+    def test_chains_share_one_kernel_and_draw_as_if_alone(self, monkeypatch):
         panel, _ = small_panel(L=6, T=60)
         config = SamplerConfig(n_iterations=20, burn_in=4, thin_interval=4, seed=5, n_chains=3,
-                               metropolis_threshold=threshold,
                                keep_innovations=True)
         alone = [run_chain(panel, config, chain_index=c) for c in range(3)]
         built = []

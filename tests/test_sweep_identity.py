@@ -92,10 +92,6 @@ CASES = {
                 exposure=np.random.default_rng(15).uniform(0.5, 4.0, 40)),
         sweep_config(30, seed=5, hyper=Hyperparams.default("covariate")),
     ),
-    "metropolis": lambda: (
-        desk_panel("easy-0.9", 16),
-        sweep_config(30, seed=6, metropolis_threshold=4),
-    ),
     "outlier": lambda: (outlier_panel(), sweep_config(15, seed=7)),
     # criterion 12's 188 series over four years: K falls to a few clusters
     # within about 20 sweeps, where numpy's per-call cost dominates both
@@ -273,7 +269,7 @@ def test_log_gamma_table_grows_on_demand_up_to_the_total():
 @st.composite
 def kernel_inputs(draw):
     """A small panel mixing all-zero rows, single-week spikes up to 400 and
-    large counts, with parameters and a Metropolis threshold or None."""
+    large counts, with parameters."""
     L = draw(st.integers(1, 6))
     T = draw(st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -290,26 +286,22 @@ def kernel_inputs(draw):
     alpha = rng.uniform(0.0, 1.0, L)
     alpha[rng.random(L) < 0.2] = draw(st.sampled_from([0.0, 1.0]))
     rates = rng.lognormal(0.0, 2.0, (L, T - 1))
-    threshold = draw(st.none() | st.integers(0, 50))
-    return counts, alpha, rates, threshold, draw(st.integers(0, 2**32 - 1))
+    return counts, alpha, rates, draw(st.integers(0, 2**32 - 1))
 
 
 @given(kernel_inputs())
 @settings(max_examples=150, deadline=None)
 def test_bucketed_kernel_matches_padded_kernel(inputs):
-    counts, alpha, rates, threshold, seed = inputs
-    eps = counts.copy()
-    eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
+    counts, alpha, rates, seed = inputs
     rng_ours = np.random.default_rng(seed)
     rng_ref = np.random.default_rng(seed)
-    kernel = InnovationKernel(counts, threshold)
-    reference = oracles.PaddedInnovationKernel(counts, threshold)
-    for _ in range(2):  # the second call starts from drawn innovations
-        ours = kernel(eps, alpha, rates, rng_ours)
-        expected = reference(eps, alpha, rates, rng_ref)
+    kernel = InnovationKernel(counts)
+    reference = oracles.PaddedInnovationKernel(counts)
+    for _ in range(2):  # the second call reuses the first one's work grids
+        ours = kernel(alpha, rates, rng_ours)
+        expected = reference(alpha, rates, rng_ref)
         assert np.array_equal(ours, expected)
         assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
-        eps = ours
 
     yp, yc = counts[:, :-1], counts[:, 1:]
     lo = np.maximum(yc - yp, 0)
@@ -334,22 +326,16 @@ def layouts(matrix):
 @given(kernel_inputs())
 @settings(max_examples=40, deadline=None)
 def test_kernel_reads_any_layout_and_writes_a_new_matrix(inputs):
-    counts, alpha, rates, threshold, seed = inputs
-    eps = counts.copy()
-    eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
-    expected = oracles.PaddedInnovationKernel(counts, threshold)(
-        eps, alpha, rates, np.random.default_rng(seed))
+    counts, alpha, rates, seed = inputs
+    expected = oracles.PaddedInnovationKernel(counts)(alpha, rates, np.random.default_rng(seed))
     for counts_layout, counts_in in layouts(counts).items():
-        kernel = InnovationKernel(counts_in, threshold)
-        for eps_layout, eps_in in layouts(eps).items():
-            for rates_layout, rates_in in layouts(rates).items():
-                ours = kernel(eps_in, alpha, rates_in, np.random.default_rng(seed))
-                where = (counts_layout, eps_layout, rates_layout)
-                assert np.array_equal(ours, expected), where
-                assert np.array_equal(counts_in, counts), where
-                assert np.array_equal(eps_in, eps), where
-                assert not np.shares_memory(ours, counts_in), where
-                assert not np.shares_memory(ours, eps_in), where
+        kernel = InnovationKernel(counts_in)
+        for rates_layout, rates_in in layouts(rates).items():
+            ours = kernel(alpha, rates_in, np.random.default_rng(seed))
+            where = (counts_layout, rates_layout)
+            assert np.array_equal(ours, expected), where
+            assert np.array_equal(counts_in, counts), where
+            assert not np.shares_memory(ours, counts_in), where
 
 
 def test_chain_draws_do_not_depend_on_the_counts_layout():
@@ -357,9 +343,8 @@ def test_chain_draws_do_not_depend_on_the_counts_layout():
     panel = desk_panel("easy-0.9", 18)
     transposed = replace(panel, counts=np.ascontiguousarray(panel.counts.T).T)
     assert transposed.counts.flags.f_contiguous and not transposed.counts.flags.c_contiguous
-    for threshold in (None, 4):
-        config = sweep_config(5, seed=10, metropolis_threshold=threshold)
-        assert_same_draws(run_chain(transposed, config), run_chain(panel, config))
+    config = sweep_config(5, seed=10)
+    assert_same_draws(run_chain(transposed, config), run_chain(panel, config))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -375,12 +360,10 @@ def test_kernel_matches_padded_kernel_on_degenerate_rates(seed):
         rates[kind == k] = value
     alpha = rng.uniform(0.0, 1.0, L)
     alpha[:2] = 0.0, 1.0
-    eps = counts.copy()
-    eps[:, 1:] = np.maximum(counts[:, 1:] - counts[:, :-1], 0)
     with np.errstate(all="ignore"):
-        ours = InnovationKernel(counts)(eps, alpha, rates, np.random.default_rng(seed))
-        expected = oracles.PaddedInnovationKernel(counts)(
-            eps, alpha, rates, np.random.default_rng(seed))
+        ours = InnovationKernel(counts)(alpha, rates, np.random.default_rng(seed))
+        expected = oracles.PaddedInnovationKernel(counts)(alpha, rates,
+                                                          np.random.default_rng(seed))
     assert np.array_equal(ours, expected)
 
 

@@ -162,14 +162,36 @@ class TestMemory:
             with pytest.raises(_Refused):
                 run_chains(panel, config)
             assert sizes.pop() == workers
-        # one worker runs the chains here; a panel that fits alone still fits
-        for memory in (kernel.held_bytes + 2 * worker - 1, kernel.held_bytes):
+        # one worker runs the chains here; a panel whose kernel and draws,
+        # held twice, fit alone still fits
+        for memory in (kernel.held_bytes + 2 * worker - 1, kernel.held_bytes + 6 * draw_bytes):
             monkeypatch.setattr(model, "physical_memory", lambda: memory)
             assert len(run_chains(panel, config)) == 3
         assert sizes == []
         monkeypatch.setattr(model, "physical_memory", lambda: kernel.held_bytes - 1)
         with pytest.raises(ConfigurationError, match="would need"):
             run_chains(panel, config)
+
+    def test_kept_draws_beyond_memory_refused_before_any_sweep(self, monkeypatch, cpus):
+        # the kernel fits, but not the draws of 3 chains held twice: by the
+        # chains and by their concatenation
+        panel = small_panel()
+        config = chains_config(3)
+        kernel = InnovationKernel(panel.counts)
+        draws = run_chain(panel, config)
+        draw_bytes = sum(v.nbytes for v in vars(draws).values() if isinstance(v, np.ndarray))
+        sweeps = []
+        sweep = sampler.sweep
+        monkeypatch.setattr(sampler, "sweep", lambda *args: sweeps.append(1) or sweep(*args))
+        forked = cpus(2)
+        monkeypatch.setattr(model, "physical_memory",
+                            lambda: kernel.held_bytes + 6 * draw_bytes - 1)
+        with pytest.raises(ConfigurationError,
+                           match=r"^the 15 draws the chains keep would need .*; lower "
+                                 r"--iterations, raise --thin or leave out "
+                                 r"--include-innovations$"):
+            run_chains(panel, config)
+        assert sweeps == [] and forked == []
 
     def test_chain_bytes_exclude_only_what_workers_read(self):
         kernel = InnovationKernel(small_panel().counts)
@@ -254,15 +276,14 @@ def inputs(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("threshold", [[], ["--metropolis-threshold", "4"]],
-                         ids=["exact-enumeration", "metropolis-poisson"])
-@pytest.mark.parametrize("mode", ["plain", "covariate"])
+@pytest.mark.parametrize("mode", ["plain", "covariate"],
+                         ids=["plain-exact-enumeration", "covariate-exact-enumeration"])
 @pytest.mark.parametrize("chains", [1, 2, 3])
 def test_fit_writes_the_same_bytes_on_one_and_two_workers(cpus, inputs, tmp_path, capsys,
-                                                          chains, mode, threshold):
+                                                          chains, mode):
     argv = ["fit", "--counts", str(inputs / "counts.csv"), "--chains", str(chains),
             "--iterations", "16", "--burn-in", "4", "--thin", "2", "--seed", "3",
-            "--include-innovations", *threshold]
+            "--include-innovations"]
     if mode == "covariate":
         argv += ["--mode", mode, "--exposure", str(inputs / "exposure.csv")]
     one = run_on(cpus, 1, argv, tmp_path / "fit", capsys)
