@@ -241,7 +241,9 @@ class InnovationKernel:
     grid cell across sweeps, its log-factorial terms laid out support point
     by cell, and draws through work grids shared by all buckets. Every
     cell is enumerated, so a draw reads nothing of the previous
-    innovations.
+    innovations; a tall bucket stops at the last support point that can
+    change a draw, so a call's time follows the support up to there, past
+    each cell's mode, while its memory follows the whole support.
 
     Cells are addressed by flat indices computed once: ``at`` into the
     row-major (L, T-1) ``rates`` and ``at_eps = at + row + 1`` into the
@@ -389,6 +391,11 @@ def _check_grid_memory(width: np.ndarray, points: np.ndarray, grids: np.ndarray,
 _COLUMN_SUM_NS = (2500.0, 10.0, 4.0)  # fixed, per cell, per grid point
 _ROW_SUM_NS = 600.0                   # per support point after the first
 _BUILD_CHUNK = 2**14  # grid entries whose log-factorials a build gathers at once
+# A tall bucket's draw builds its log-weights a block of rows at a time
+# (``_Bucket``): at least this many rows first, then this many more, until
+# every cell lies this far in log below its maximum
+_FIRST_ROWS, _NEXT_ROWS = 24, 8
+_NEGLIGIBLE = 54 * math.log(2)  # that far below its maximum, a weight is under 2^-54 of it
 
 
 class _Bucket:
@@ -417,6 +424,33 @@ class _Bucket:
     computes as if input and output did not overlap. Both add each cell's
     weights one at a time from the first point on, so they give
     bit-identical sums.
+
+    A bucket of more than ``_FIRST_ROWS`` points builds its log-weights
+    that many rows first, or ``_NEXT_ROWS`` fewer than its last draw built
+    if that is more, then ``_NEXT_ROWS`` at a time, keeping each cell's
+    running maximum. It stops once every cell's newest log-weight lies
+    more than ``_NEGLIGIBLE`` = 54 ln 2 below its maximum (``fmax`` skips
+    NaN, padded or degenerate cells). Parameters move little from sweep to
+    sweep, so starting near the last draw's stop spares most checks,
+    above all on a bucket that one cell with a high mode keeps from
+    stopping; the draws do not depend on where the rows start. Everything
+    after, from the maximum to the comparisons, runs on the rows built,
+    and a cell reads its total at its last point or the last row built,
+    whichever comes first. The draws are those of the full grid:
+
+    - the conditional is log-concave (its weight ratio c (y_t - e) / ((e +
+      1) (y_{t-1} - y_t + e + 1)) falls in e), so a point that far below
+      its column's running maximum lies past the mode, and every later
+      point lies further below it: the maximum is the full column's, and
+      every weight not built is below 2^-54 once the maximum is subtracted;
+    - the maximum's point weighs exp(0) = 1, so every running sum from
+      there on is at least 1, and adding a weight below 2^-54 leaves it
+      unchanged under round to nearest. So the running sums that can fall
+      below u times the total, and the total itself, are the full grid's
+      floats, and a sum past the last row built equals the total, which
+      never compares below the threshold;
+    - a degenerate cell (a rate of 0, inf or NaN) has a NaN total and
+      draws offset 0 either way.
     """
 
     def __init__(self, cells, base, width, y_curr, y_prev, lgam, row_wise, work, below, k):
@@ -449,28 +483,48 @@ class _Bucket:
         # into it skips numpy's buffered cast to int64
         self._offsets = np.empty(c, dtype=np.min_scalar_type(m - 1))
         self._rows = list(logw) if row_wise else []
+        self._built = 0  # the rows the last draw built
 
     def draw(self, log_c: np.ndarray, u: np.ndarray, out: np.ndarray):
         """Write each cell's offset into its support to ``out``, from the
         log rate-odds ``log_c`` and uniforms ``u`` of all the kernel's cells."""
-        cells = self.cells
-        logw = self._logw
-        # the rate multiplier k + base is an integer below 2^53, exact in
-        # float64, so the product has the bits of a stored multiplier grid's
-        np.add(self._k, self.base, out=logw)
-        logw *= log_c[cells]
-        logw += self.logw0
-        np.subtract(logw, np.fmax.reduce(logw, axis=0), out=logw)
+        cells, k, base, logw0, grid = self.cells, self._k, self.base, self.logw0, self._logw
+        m, c = grid.shape
+        log_c = log_c[cells]
+        start, stop = 0, max(min(m, _FIRST_ROWS), self._built - _NEXT_ROWS)
+        while True:
+            # the rate multiplier k + base is an integer below 2^53, exact in
+            # float64, so the product has the bits of a stored multiplier grid's
+            logw = grid[start:stop]
+            np.add(k[start:stop], base, out=logw)
+            logw *= log_c
+            logw += logw0[start:stop]
+            if start == 0:
+                top = np.fmax.reduce(logw, axis=0)
+            else:
+                np.fmax(top, np.fmax.reduce(logw, axis=0), out=top)
+            if stop == m or np.fmax.reduce(logw[-1] - top) < -_NEGLIGIBLE:
+                break
+            start, stop = stop, min(m, stop + _NEXT_ROWS)
+        self._built = stop
+        logw = grid[:stop]
+        np.subtract(logw, top, out=logw)
+        del log_c, top  # freed before the comparisons' temporaries, each a float per cell
         np.exp(logw, out=logw)
         if self.row_wise:
             rows = self._rows
-            for prev, row in zip(rows, rows[1:]):
+            for prev, row in zip(rows, rows[1:stop]):
                 row += prev
         else:
             np.cumsum(logw, axis=0, out=logw)
-        total = logw.take(self._last)
-        np.less(logw[:-1], u[cells] * total, out=self._below)
-        np.add.reduce(self._below, axis=0, dtype=self._offsets.dtype, out=self._offsets)
+        last = self._last
+        if stop < m:  # a cell wider than the rows built reads its total at the last one
+            last = np.arange((stop - 1) * c, stop * c)
+            np.minimum(self._last, last, out=last)
+        total = logw.take(last)
+        below = self._below[:stop - 1]
+        np.less(logw[:-1], u[cells] * total, out=below)
+        np.add.reduce(below, axis=0, dtype=self._offsets.dtype, out=self._offsets)
         out[cells] = self._offsets
 
 
@@ -919,6 +973,12 @@ def _draw_arrays(n_series: int, n_weeks: int,
     return arrays
 
 
+def _draw_bytes(n_series: int, n_weeks: int, config: SamplerConfig) -> int:
+    """The bytes of one chain's ``PosteriorDraws`` arrays."""
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize
+               for shape, dtype in _draw_arrays(n_series, n_weeks, config).values())
+
+
 def run_chains(panel: CountPanel, config: SamplerConfig) -> list[PosteriorDraws]:
     """Run ``config.n_chains`` independent chains with derived per-chain
     seeds and individually drawn starting points.
@@ -935,8 +995,7 @@ def run_chains(panel: CountPanel, config: SamplerConfig) -> list[PosteriorDraws]
     physical memory.
     """
     kernel = InnovationKernel(panel.counts, panel.series_ids)
-    draw_bytes = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype
-                     in _draw_arrays(panel.n_series, panel.n_weeks, config).values())
+    draw_bytes = _draw_bytes(panel.n_series, panel.n_weeks, config)
     refuse_over_memory(kernel.held_bytes + 2 * config.n_chains * draw_bytes,
                        f"the {config.n_chains * config.draws_per_chain} draws the chains keep",
                        "lower --iterations, raise --thin or leave out --include-innovations")

@@ -81,6 +81,17 @@ def traced_kernel_peak(counts: np.ndarray) -> int:
         tracemalloc.stop()
 
 
+# what a test writes to a kernel's work grid before a draw: no draw writes
+# inf, so the rows still holding it are the rows the draw did not build
+SENTINEL = np.inf
+
+
+def rows_built(grid: np.ndarray) -> int:
+    """The rows of a bucket's work ``grid`` that its last draw wrote: a
+    prefix, as a draw builds its rows in order."""
+    return int(np.any(grid != SENTINEL, axis=1).sum())
+
+
 def kernel_draws(counts, alpha, rates, seed=0):
     """One ``InnovationKernel`` draw of the innovations of ``counts``."""
     return InnovationKernel(np.asarray(counts))(np.asarray(alpha, dtype=float),
@@ -176,7 +187,10 @@ class TestInnovationConditional:
     def test_wide_buckets_draw_from_the_exact_pmf(self):
         # after a call, each exact cell draws from its bucket's running sums
         # over their total: a row-wise bucket of 200 cells with 300 to 384
-        # support values, and a column-wise one of 6 cells with 385 to 400
+        # support values, and a column-wise one of 6 cells with 385 to 400.
+        # A draw builds the rows of these tall buckets only up to the last
+        # one that can change a draw: the sums built follow the pmf, and
+        # the pmf's mass past them is below 2^-53
         rng = np.random.default_rng(10)
         counts = np.vstack([rng.integers(299, 384, (100, 3)), rng.integers(384, 400, (3, 3))])
         counts[-1] = 399
@@ -185,10 +199,12 @@ class TestInnovationConditional:
         rates = rng.lognormal(np.log(100.0), 1.0, (counts.shape[0], T - 1))
         kernel = InnovationKernel(counts)
         # the buckets share their work grid, so each bucket's running sums
-        # are read right after its own draw
+        # are read right after its own draw, and the rows it did not build
+        # keep the sentinel
         work = []
         for bucket in kernel.buckets:
             def draw(*args, bucket=bucket, draw=bucket.draw):
+                bucket._logw.fill(SENTINEL)
                 draw(*args)
                 work.append(bucket._logw.copy())
             bucket.draw = draw
@@ -198,12 +214,39 @@ class TestInnovationConditional:
             (False, (400, 6)),
         ]
         for bucket, grid in zip(kernel.buckets, work):
+            built = rows_built(grid)
             for column, cell in enumerate(range(kernel.rows.size)[bucket.cells]):
                 l, t = divmod(int(kernel.at[cell]), T - 1)
                 pmf = innovation_pmf(int(counts[l, t]), int(counts[l, t + 1]), alpha[l],
                                      rates[l, t])
-                sums = grid[: pmf.size, column]
-                assert np.abs(np.diff(sums, prepend=0.0) / sums[-1] - pmf).max() < 1e-12
+                r = min(pmf.size, built)
+                sums = grid[:r, column]
+                assert np.abs(np.diff(sums, prepend=0.0) / sums[-1] - pmf[:r]).max() < 1e-12
+                assert pmf[r:].sum() < 2.0**-53
+
+    def test_tall_bucket_stops_past_the_modes(self):
+        # 300-value supports whose modes sit at their lowest point: within
+        # the first 24 rows every weight falls below 2^-54 of its maximum,
+        # so the draw builds no later row of the grid
+        counts = np.full((50, 2), 299)
+        alpha, rates = np.full(50, 0.5), np.full((50, 1), 0.01)
+        kernel = InnovationKernel(counts)
+        (bucket,) = kernel.buckets
+        assert bucket._logw.shape == (300, 50)
+        bucket._logw.fill(SENTINEL)
+        ours = kernel(alpha, rates, np.random.default_rng(3))
+        assert rows_built(bucket._logw) == 24
+        assert np.all(bucket._logw[24:] == SENTINEL)
+        expected = oracles.PaddedInnovationKernel(counts)(alpha, rates, np.random.default_rng(3))
+        assert np.array_equal(ours, expected)
+        assert ours[:, 1].max() > 0
+        # at rates that put the modes at the top nothing stops, and the next
+        # draw starts 8 rows before the 300 this one built
+        kernel(alpha, np.full((50, 1), 1e6), np.random.default_rng(4))
+        assert rows_built(bucket._logw) == 300
+        bucket._logw.fill(SENTINEL)
+        kernel(alpha, rates, np.random.default_rng(5))
+        assert rows_built(bucket._logw) == 292
 
 
 class TestCollapsedMembershipWeights:

@@ -311,6 +311,89 @@ def test_bucketed_kernel_matches_padded_kernel(inputs):
     assert np.array_equal(ours[:, 1:][fixed], lo[fixed])
 
 
+@st.composite
+def tall_kernel_inputs(draw, regime: str):
+    """A panel whose supports hold 25 to 600 values, so that every bucket
+    builds its rows in blocks, with alpha at both clamps and about a tenth
+    of the rates 0, inf or NaN. The other rates put every mode at the
+    bottom of its support under ``low``, so a tall bucket stops early, and
+    at the top under ``high``, so none does; under ``mixed`` they run
+    log-uniformly from 1e-8 to 1e8."""
+    L = draw(st.integers(1, 8))
+    T = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(24, 600, (L, 1)) + rng.integers(0, 5, (L, T))
+    alpha = rng.uniform(0.0, 1.0, L)
+    alpha[rng.random(L) < 0.3] = draw(st.sampled_from([0.0, 1.0]))
+    if regime == "low":  # rate (1 - alpha) / alpha at most 1e-2
+        alpha = np.maximum(alpha, 0.5)
+        rates = 10.0 ** rng.uniform(-8.0, -2.0, (L, T - 1))
+    elif regime == "high":  # at least 1e14
+        alpha[:] = 0.0
+        rates = 10.0 ** rng.uniform(2.0, 8.0, (L, T - 1))
+    else:
+        rates = 10.0 ** rng.uniform(-8.0, 8.0, (L, T - 1))
+    degenerate = rng.random((L, T - 1)) < 0.1
+    degenerate[0, 0] = False  # one cell that can stop its bucket
+    rates[degenerate] = rng.choice([0.0, np.inf, np.nan], int(degenerate.sum()))
+    return counts, alpha, rates, draw(st.integers(0, 2**32 - 1))
+
+
+def full_grid_sums(bucket, log_c: np.ndarray) -> np.ndarray:
+    """The running weight sums of ``bucket``'s whole grid at the log
+    rate-odds ``log_c`` of all the kernel's cells, in the draw's order of
+    operations."""
+    logw = (bucket._k + bucket.base) * log_c[bucket.cells] + bucket.logw0
+    logw -= np.fmax.reduce(logw, axis=0)
+    return np.cumsum(np.exp(logw), axis=0)
+
+
+def check_each_draw(kernel: InnovationKernel) -> list:
+    """Wrap every bucket's draw to check what it built against its whole
+    grid: the rows it built hold the whole grid's running sums, and each
+    cell's total, read at its last point or the last row built, is the
+    whole grid's. Returns the (grid rows, rows built) of each draw. The
+    grid is filled with inf, which no draw writes, before each draw."""
+    built = []
+    for bucket in kernel.buckets:
+        def draw(log_c, *rest, bucket=bucket, draw=bucket.draw):
+            grid = bucket._logw
+            grid.fill(np.inf)
+            draw(log_c, *rest)
+            rows, c = grid.shape
+            n = int(np.any(grid != np.inf, axis=1).sum())
+            full = full_grid_sums(bucket, log_c)
+            assert np.array_equal(grid[:n], full[:n], equal_nan=True)
+            last = np.minimum(bucket._last, (n - 1) * c + np.arange(c))
+            assert np.array_equal(grid.take(last), full.take(bucket._last), equal_nan=True)
+            built.append((rows, n))
+        bucket.draw = draw
+    return built
+
+
+@pytest.mark.parametrize("regime", ["low", "high", "mixed"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_tall_buckets_draw_what_the_padded_kernel_draws(regime, data):
+    counts, alpha, rates, seed = data.draw(tall_kernel_inputs(regime))
+    rng_ours = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    kernel = InnovationKernel(counts)
+    built = check_each_draw(kernel)
+    reference = oracles.PaddedInnovationKernel(counts)
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            ours = kernel(alpha, rates, rng_ours)
+            assert np.array_equal(ours, reference(alpha, rates, rng_ref))
+    tall = [(rows, written) for rows, written in built if rows > sampler._FIRST_ROWS]
+    assert tall
+    stopped = [written < rows for rows, written in tall]
+    if regime == "low":
+        assert any(stopped)
+    elif regime == "high":
+        assert not any(stopped)
+
+
 def layouts(matrix):
     """``matrix`` as C- and Fortran-ordered copies and as a strided view."""
     L, width = matrix.shape

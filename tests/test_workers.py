@@ -193,6 +193,42 @@ class TestMemory:
             run_chains(panel, config)
         assert sweeps == [] and forked == []
 
+    def test_study_draws_beyond_memory_refused_before_any_replicate(self, monkeypatch,
+                                                                     tmp_path, capsys):
+        # a desk replicate keeps one chain's draws of a 40-series panel
+        config = SamplerConfig(n_iterations=30, burn_in=10, thin_interval=1)
+        panel = simulate_scenario(replace(scenario_by_name("hard-0.1"), L=harness.DESK_L),
+                                  sampler.stream(0, 0))[0]
+        draws = run_chain(panel, config)
+        draw_bytes = sum(v.nbytes for v in vars(draws).values() if isinstance(v, np.ndarray))
+        simulated, pools = [], []
+        simulate = harness.simulate_scenario
+        monkeypatch.setattr(harness, "simulate_scenario",
+                            lambda *args: simulated.append(args) or simulate(*args))
+
+        def pool(fn, tasks, describe, **kwargs):
+            pools.append(kwargs["per_worker"])
+            raise _Refused
+
+        monkeypatch.setattr(harness, "_in_workers", pool)
+        monkeypatch.setattr(model, "physical_memory", lambda: draw_bytes - 1)
+        with pytest.raises(ConfigurationError,
+                           match=r"^the 20 draws a replicate keeps would need .*; lower "
+                                 r"--iterations or raise --thin$"):
+            run_study([scenario_by_name("hard-0.1")], config, n_replicates=2)
+        assert simulated == [] and pools == []
+        # the command line's usage error: exit 2, nothing written
+        out = tmp_path / "study"
+        assert main(["study", "--scenarios", "hard-0.1", "--replicates", "1", "--iterations",
+                     "30", "--burn-in", "10", "--thin", "1", "--out", str(out)]) == 2
+        assert "--iterations" in capsys.readouterr().err
+        assert not out.exists() and simulated == [] and pools == []
+        # one replicate's draws fit, and size the pool's workers
+        monkeypatch.setattr(model, "physical_memory", lambda: draw_bytes)
+        with pytest.raises(_Refused):
+            run_study([scenario_by_name("hard-0.1")], config, n_replicates=2)
+        assert pools == [draw_bytes]
+
     def test_chain_bytes_exclude_only_what_workers_read(self):
         kernel = InnovationKernel(small_panel().counts)
         log_weights = sampler._GRID_BYTES * sum(b.logw0.size for b in kernel.buckets)
