@@ -10,6 +10,10 @@ draws, with batch-means standard errors and a bound fixed before looking.
 This checks what the per-step tests cannot: that the six steps compose, with
 the exposure scaling, the week-1 convention (y_1 is all innovation), the
 concentration mixture and the relabelling, to a sampler of the posterior.
+
+At L = 4 every membership sweep of the plain case takes the list visit, and
+every sweep of the covariate case, whose exposures differ, the table visit;
+``test_sweep_identity`` pins both visits to the same draws.
 """
 
 import numpy as np

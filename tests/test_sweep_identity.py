@@ -1,11 +1,13 @@
 """The sweep hot spots against their earlier, simpler versions.
 
-``sample_memberships`` and ``InnovationKernel`` keep their cluster statistics
-and support grids in preallocated arrays and buckets, and
-``sample_thinnings`` works from per-series totals. They must draw exactly
-what the list-based sweep, the padded kernel and the week-by-week thinning
-update in ``oracles`` draw, seed for seed; criterion 11 compares two runs of
-the same code, so only these tests pin the draws to the earlier ones.
+``sample_memberships`` keeps its cluster terms in Python lists (the list
+visit) or in preallocated arrays (the table visit), ``InnovationKernel``
+keeps its support grids in buckets, and ``sample_thinnings`` works from
+per-series totals. They must draw exactly what the list-based sweep, the
+padded kernel and the week-by-week thinning update in ``oracles`` draw, seed
+for seed; criterion 11 compares two runs of the same code, so only these
+tests pin the draws to the earlier ones. Each membership case records which
+visits it took, so that neither visit passes by never being taken.
 """
 
 import time
@@ -51,13 +53,41 @@ def outlier_panel():
     return replace(panel, counts=counts)
 
 
-def chain_with(panel, config, monkeypatch, oracle: bool):
+def first_series(L: int, entropy: int) -> CountPanel:
+    """The first L series of a 40-series desk hard-0.1 panel."""
+    panel = desk_panel("hard-0.1", entropy)
+    return CountPanel(counts=panel.counts[:L], season_of=panel.season_of)
+
+
+LIST, TABLE = "_list_visits", "_table_visits"
+
+
+def record_visits(patch) -> list[str]:
+    """Patch ``sample_memberships``'s two visits to note, in order, which
+    one each sweep takes; returns the list they append to."""
+    taken = []
+    for name in (LIST, TABLE):
+        def visit(*args, name=name, run=getattr(sampler, name)):
+            taken.append(name)
+            return run(*args)
+        patch.setattr(sampler, name, visit)
+    return taken
+
+
+def chain_with(panel, config, monkeypatch, oracle: bool, visits: list | None = None):
+    """The chain's draws with the package's sweep, or with the oracles'
+    under ``oracle``; ``visits``, if given, receives the membership visit
+    each package sweep took."""
     with monkeypatch.context() as patch:
         if oracle:
             patch.setattr(sampler, "sample_memberships", oracles.list_sample_memberships)
             patch.setattr(sampler, "InnovationKernel", oracles.PaddedInnovationKernel)
             patch.setattr(sampler, "sample_thinnings", oracles.weekly_sample_thinnings)
-        return run_chain(panel, config)
+        taken = [] if oracle else record_visits(patch)
+        draws = run_chain(panel, config)
+    if visits is not None:
+        visits.extend(taken)
+    return draws
 
 
 def assert_same_draws(ours, reference):
@@ -92,6 +122,20 @@ CASES = {
                 exposure=np.random.default_rng(15).uniform(0.5, 4.0, 40)),
         sweep_config(30, seed=5, hyper=Hyperparams.default("covariate")),
     ),
+    # per-series exposures put a mass per visit, and gamma1 0.3 and 1e-300
+    # leave the log-gamma table empty: every sweep takes the table visit
+    "covariate-gamma1-0.3": lambda: (
+        replace(desk_panel("med-0.5", 20),
+                exposure=np.random.default_rng(21).uniform(0.5, 4.0, 40)),
+        sweep_config(20, seed=16, hyper=replace(Hyperparams.default("covariate"), gamma1=0.3)),
+    ),
+    "gamma1-1e-300": lambda: (desk_panel("easy-0.5", 25),
+                              sweep_config(20, seed=17, hyper=Hyperparams(gamma1=1e-300))),
+    # one exposure for every series is one mass: the list visit in covariate mode
+    "covariate-one-exposure": lambda: (
+        replace(desk_panel("med-0.5", 26), exposure=np.full(40, 2.5)),
+        sweep_config(20, seed=18, hyper=Hyperparams.default("covariate")),
+    ),
     "outlier": lambda: (outlier_panel(), sweep_config(15, seed=7)),
     # criterion 12's 188 series over four years: K falls to a few clusters
     # within about 20 sweeps, where numpy's per-call cost dominates both
@@ -102,14 +146,33 @@ CASES = {
         sweep_config(50, seed=9),
     ),
 }
+# a chain's first sweep starts from its singletons: one cluster below, at
+# and above the largest count the list visit takes
+for offset in (-1, 0, 1):
+    CASES[f"singletons-crossover{offset:+d}"] = lambda offset=offset: (
+        first_series(sampler._LIST_VISIT_CLUSTERS + offset, 27 + offset),
+        sweep_config(10, seed=19 + offset),
+    )
+# the visits each case must take: its first sweep's, then the set of all
+FIRST_VISIT = {"singletons-crossover-1": LIST, "singletons-crossover+0": LIST,
+               "singletons-crossover+1": TABLE}
+ALL_VISITS = {"covariate": {TABLE}, "covariate-gamma1-0.3": {TABLE}, "gamma1-1e-300": {TABLE},
+              "covariate-one-exposure": {LIST, TABLE}, "dc-like-188": {LIST, TABLE},
+              "desk-easy-0.9": {LIST, TABLE}}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_chain_draws_match_reference_sweep(case, monkeypatch):
     panel, config = CASES[case]()
-    ours = chain_with(panel, config, monkeypatch, oracle=False)
+    visits = []
+    ours = chain_with(panel, config, monkeypatch, oracle=False, visits=visits)
     reference = chain_with(panel, config, monkeypatch, oracle=True)
     assert_same_draws(ours, reference)
+    assert len(visits) == config.n_iterations
+    if case in FIRST_VISIT:
+        assert visits[0] == FIRST_VISIT[case]
+    if case in ALL_VISITS:
+        assert set(visits) == ALL_VISITS[case]
     if case in ("wide-400", "wide-singletons"):
         assert ours.n_clusters[0] >= 100
     if case == "dc-like-188":
@@ -203,6 +266,39 @@ def test_membership_sweeps_match_list_sweeps(inputs):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
     assert table.values.shape[0] <= int(stats.S.sum()) + 1
+
+
+def test_list_visit_sweep_opens_clusters_past_the_crossover(monkeypatch):
+    # 40 series in 3 clusters under a vast tau: the sweep starts on the
+    # list visit, which it keeps while nearly every series opens a cluster
+    L = 40
+    rng = np.random.default_rng(28)
+    eps = rng.poisson(rng.uniform(0.5, 20.0, (L, 1)), (L, 10))
+    panel = CountPanel(counts=eps, season_of=np.arange(1, 11))
+    state = ModelState(alpha=np.full(L, 0.5), z=np.arange(L) % 3, phi_star=np.ones(3),
+                       theta=np.ones(12), tau=1e6, innovations=eps)
+    stats = SuffStats.from_state(state, panel)
+    with monkeypatch.context() as patch:
+        visits = record_visits(patch)
+        z, ours = sample_memberships(state, panel, stats, Hyperparams(),
+                                     np.random.default_rng(3))
+    z_ref, want = oracles.list_sample_memberships(state, panel, stats, Hyperparams(),
+                                                  np.random.default_rng(3))
+    assert visits == [LIST]
+    assert np.array_equal(z, z_ref)
+    for name in ("B", "n", "U"):
+        assert np.array_equal(getattr(ours, name), getattr(want, name)), name
+    assert ours.n.size > sampler._LIST_VISIT_CLUSTERS + 10
+
+
+def test_desk_sweeps_take_the_list_visit_and_wide_singletons_the_table_visit(monkeypatch):
+    with monkeypatch.context() as patch:
+        visits = record_visits(patch)
+        desk = run_chain(desk_panel("easy-0.9", 11), sweep_config(10, seed=2))
+        run_chain(wide_panel(400, 19), sweep_config(1, seed=11))
+    # the desk chain's last sweep starts from the clusters the one before left
+    assert desk.n_clusters[-2] <= sampler._LIST_VISIT_CLUSTERS
+    assert visits[9:] == [LIST, TABLE]
 
 
 @pytest.mark.parametrize("gamma1", [1.0, 0.5, 0.3])
