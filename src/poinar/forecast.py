@@ -71,16 +71,21 @@ def conditional_mean_h_step(y_T, alpha, lam, theta, future_months):
     h = months.shape[-1]
     if h < 1:
         raise ValueError("need at least one future month")
-    theta = np.asarray(theta, dtype=float)
-    lead = np.broadcast_shapes(theta.shape[:-1], months.shape[:-1])
-    path = np.take_along_axis(  # theta of each future week, shape lead + (h,)
-        np.broadcast_to(theta, lead + theta.shape[-1:]),
-        np.broadcast_to(months - 1, lead + (h,)),
-        axis=-1,
-    )
+    path = _seasonal_path(np.asarray(theta, dtype=float), months)
     alpha = np.asarray(alpha, dtype=float)
     powers = alpha[..., None] ** np.arange(h - 1, -1, -1, dtype=float)
     return alpha**h * y_T + lam * (powers * path).sum(axis=-1)
+
+
+def _seasonal_path(theta: np.ndarray, months: np.ndarray) -> np.ndarray:
+    """theta of each future week: ``theta[..., months[..., j] - 1]`` at
+    index j of the last axis, the leading axes of both broadcast."""
+    lead = np.broadcast_shapes(theta.shape[:-1], months.shape[:-1])
+    return np.take_along_axis(
+        np.broadcast_to(theta, lead + theta.shape[-1:]),
+        np.broadcast_to(months - 1, lead + months.shape[-1:]),
+        axis=-1,
+    )
 
 
 def posterior_conditional_means(draws: PosteriorDraws, y_T, future_months,
@@ -95,6 +100,12 @@ def posterior_conditional_means(draws: PosteriorDraws, y_T, future_months,
     (h, n, L). Covariate-mode draws need ``exposure``. A draw whose rate
     in one of the months overflows to inf raises ``ConfigurationError``
     naming the series (``series_ids``, row numbers when not given).
+
+    Each draw's means follow Horner's rule, m_h = alpha * m_{h-1} + lam *
+    theta_{m_h} from m_0 = y_T, and are averaged over the draws once per
+    step: linear in the horizon, holding one step's means at a time. The
+    1-step mean has the bits of ``conditional_mean_h_step``; later ones
+    sum its terms in another order, so they agree with it to rounding.
     """
     alpha, lam, theta = draws.stacked(exposure)
     y_T = np.asarray(y_T, dtype=float)
@@ -107,11 +118,12 @@ def posterior_conditional_means(draws: PosteriorDraws, y_T, future_months,
     alpha = alpha.reshape(alpha.shape[:1] + batch + alpha.shape[1:])
     lam = lam.reshape(alpha.shape)
     theta = theta.reshape(theta.shape[:1] + batch + (1, theta.shape[1]))
-    months = months[..., None, :]  # one path for every series
-    return np.stack([
-        conditional_mean_h_step(y_T, alpha, lam, theta, months[..., :h]).mean(axis=0)
-        for h in range(1, months.shape[-1] + 1)
-    ])
+    path = _seasonal_path(theta, months[..., None, :])  # one path for every series
+    means, mean = [], y_T
+    for h in range(months.shape[-1]):
+        mean = alpha * mean + lam * path[..., h]
+        means.append(mean.mean(axis=0))
+    return np.stack(means)
 
 
 # Grid cells (series x draws x support points) of one kernel pass in

@@ -220,11 +220,15 @@ def simulate_poinar(
 
     innovations = rng.poisson(rates[1:]) if T > 1 else np.empty(0, dtype=np.int64)
     # the weekly recursion runs on Python ints: indexing numpy arrays one
-    # scalar at a time would cost more than the binomial draws
+    # scalar at a time would cost more than the binomial draws. It makes no
+    # call where the previous count or alpha is 0: numpy's binomial then
+    # returns 0 without drawing, so every other call, and the generator's
+    # state after it, is the same as if each week made one
+    alpha = float(alpha)
     prev = int(y0)
     path = [prev]
     for e in innovations.tolist():
-        prev = int(rng.binomial(prev, alpha)) + e
+        prev = (rng.binomial(prev, alpha) if prev and alpha else 0) + e
         path.append(prev)
     y = np.array(path, dtype=np.int64)
     eps = np.empty(T, dtype=np.int64)

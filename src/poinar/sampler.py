@@ -557,6 +557,12 @@ def _relabel_by_first_appearance(z, *cluster_arrays):
     return perm[z], tuple(arr[old_order] for arr in cluster_arrays)
 
 
+# The most entries a ``LogGammaTable`` holds: 128 MiB of float64. A sweep's
+# total innovation count is bounded by nothing but the panel, and no memory
+# check counts the table, so a larger total is left to gammaln.
+_LOG_GAMMA_ENTRIES = 2**24
+
+
 class LogGammaTable:
     """``gammaln(gamma1 + N)`` for N = 0, 1, 2, ..., grown on demand.
 
@@ -565,15 +571,17 @@ class LogGammaTable:
     gamma1 is num / den with den a power of two; while N * den + num <=
     2^53, both B_j + gamma1 and (B_j + gamma1) + s are exact and equal
     gamma1 + N for N = B_j + s, so entry N is the value gammaln would
-    compute. ``limit`` is the largest such N: beyond any panel for a dyadic
-    gamma1 such as 1.0, 0.5 or 3.0, and 0 for 0.3 or 1/3, whose sweeps call
-    gammaln instead.
+    compute. ``limit`` is the largest such N, capped so that the table holds
+    at most ``_LOG_GAMMA_ENTRIES`` entries: the cap for a dyadic gamma1 such
+    as 1.0, 0.5 or 3.0, and 0 for 0.3 or 1/3. A sweep whose total innovation
+    count exceeds ``limit`` calls gammaln instead, which gives the table's
+    values, so its draws are the same.
     """
 
     def __init__(self, gamma1: float):
         self.gamma1 = float(gamma1)
         num, den = self.gamma1.as_integer_ratio()
-        self.limit = (2**53 - num) // den
+        self.limit = min((2**53 - num) // den, _LOG_GAMMA_ENTRIES - 1)
         self.values = np.empty(0)
 
     def covering(self, n: int, total: int) -> np.ndarray:

@@ -118,6 +118,29 @@ class TestPosteriorConditionalMeans:
                 ]
                 assert got[h - 1, l] == pytest.approx(np.mean(per_draw), rel=1e-13)
 
+    @pytest.mark.parametrize("mode", ["plain", "covariate"])
+    def test_horner_steps_match_the_per_horizon_formula(self, mode):
+        # a year of horizons from three origins: Horner's rule sums the
+        # terms in another order, so the means agree to rounding, except at
+        # h = 1, whose bits are the formula's
+        rng = np.random.default_rng(8)
+        draws = self._draws(rng, D=12)
+        draws.mode = mode
+        exposure = np.array([0.5, 1.0, 3.0]) if mode == "covariate" else None
+        alpha, lam, theta = draws.stacked(exposure)
+        y_T = np.array([[2, 0, 5], [0, 0, 0], [11, 3, 1]])
+        months = rng.integers(1, 13, (3, 52))
+        got = posterior_conditional_means(draws, y_T, months, exposure)
+        assert got.shape == (52, 3, 3)
+        for i in range(3):
+            for h in range(1, 53):
+                want = conditional_mean_h_step(y_T[i], alpha, lam, theta[:, None, :],
+                                               months[i, :h]).mean(axis=0)
+                if h == 1:
+                    assert np.array_equal(got[0, i], want)
+                else:
+                    assert np.allclose(got[h - 1, i], want, rtol=1e-12, atol=0)
+
     def test_one_row_per_origin(self):
         rng = np.random.default_rng(5)
         draws = self._draws(rng)

@@ -29,6 +29,22 @@ UNIT_THETA = np.ones(12)
 FLAT_SEASONS = np.tile(np.arange(1, 13), 30)
 
 
+def array_indexed_recursion(lam, alpha, theta, season, rng, y0=None):
+    """The INAR(1) recursion as ``simulate_poinar`` once ran it: indexing
+    numpy arrays week by week, with one binomial call every week."""
+    T = season.shape[0]
+    rates = lam * theta[season - 1]
+    start = y0 if y0 is not None else int(rng.poisson(rates[0] / (1.0 - alpha)))
+    y = np.empty(T, dtype=np.int64)
+    eps = np.empty(T, dtype=np.int64)
+    y[0] = eps[0] = start
+    innovations = rng.poisson(rates[1:]) if T > 1 else np.empty(0, dtype=np.int64)
+    for t in range(1, T):
+        eps[t] = innovations[t - 1]
+        y[t] = rng.binomial(y[t - 1], alpha) + eps[t]
+    return y, eps
+
+
 class TestBinomialThin:
     def test_all_trials_fail_at_zero(self):
         rng = np.random.default_rng(0)
@@ -74,28 +90,34 @@ class TestSimulatePoinar:
         y = simulate_poinar(1.0, 0.5, UNIT_THETA, np.ones(10**5, dtype=int), rng=rng)
         assert abs(y.mean() - stationary_mean(1.0, 0.5)) < 0.04  # 2% of 2.0
 
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1.0])
+    def test_binomial_of_nothing_draws_nothing(self, p):
+        # simulate_poinar skips the binomial call where the previous count or
+        # alpha is 0; its draws equal the week-by-week recursion's only while
+        # numpy returns 0 there without advancing the generator
+        rng = np.random.default_rng(8)
+        for n, q in ((0, p), (5, 0.0)):
+            before = rng.bit_generator.state
+            assert rng.binomial(n, q) == 0
+            assert rng.bit_generator.state == before, (
+                f"rng.binomial({n}, {q}) advanced the generator, so skipping it "
+                "in simulate_poinar changes the draws")
+
     @pytest.mark.parametrize("lam, alpha, y0, T", [
         (2.0, 0.4, None, 120), (0.3, 0.9, None, 208), (5.0, 0.0, 7, 60), (1.0, 1.0, 4, 50),
-        (1.5, 0.5, None, 1),
+        (1.5, 0.5, None, 1), (0.05, 0.3, None, 400), (0.5, 0.0, None, 300),
     ])
     def test_draws_match_the_array_indexed_recursion(self, lam, alpha, y0, T):
-        # the earlier loop, indexing numpy arrays week by week, makes the
-        # same generator calls in the same order
+        # the earlier loop, indexing numpy arrays week by week and making a
+        # binomial call every week, makes the same generator calls in the
+        # same order, zero-heavy series included
         theta = np.linspace(0.5, 1.5, 12)
         season = np.arange(T) % 12 + 1
         used = np.random.default_rng(21)
         y, eps = simulate_poinar(lam, alpha, theta, season, y0=y0, rng=used,
                                  return_innovations=True)
         rng = np.random.default_rng(21)
-        rates = lam * theta[season - 1]
-        start = y0 if y0 is not None else int(rng.poisson(rates[0] / (1.0 - alpha)))
-        want_y = np.empty(T, dtype=np.int64)
-        want_eps = np.empty(T, dtype=np.int64)
-        want_y[0] = want_eps[0] = start
-        innovations = rng.poisson(rates[1:]) if T > 1 else np.empty(0, dtype=np.int64)
-        for t in range(1, T):
-            want_eps[t] = innovations[t - 1]
-            want_y[t] = rng.binomial(want_y[t - 1], alpha) + want_eps[t]
+        want_y, want_eps = array_indexed_recursion(lam, alpha, theta, season, rng, y0)
         assert y.dtype == eps.dtype == np.int64
         assert np.array_equal(y, want_y) and np.array_equal(eps, want_eps)
         assert used.bit_generator.state == rng.bit_generator.state
@@ -153,6 +175,26 @@ class TestSimulatePanel:
         with pytest.raises(ValueError):
             simulate_panel(np.array([1.0]), np.array([0, 1]), 0.5, UNIT_THETA,
                            FLAT_SEASONS[:50], rng)
+
+    def test_draws_match_the_array_indexed_recursion(self):
+        # low rates and a spread of alphas, 0 and 1 among them, so that many
+        # weeks follow a zero; one generator serves the series in turn
+        rates = np.array([0.05, 0.4, 2.0])
+        z = np.array([0, 1, 2, 0, 1, 0, 2, 0])
+        alpha = np.array([0.3, 0.0, 0.9, 0.0, 0.5, 0.95, 0.1, 0.6])
+        exposure = np.linspace(0.5, 2.0, 8)
+        theta = np.linspace(0.5, 1.5, 12)
+        season = FLAT_SEASONS[:208]
+        used = np.random.default_rng(22)
+        panel, truth = simulate_panel(rates, z, alpha, theta, season, used, exposure=exposure)
+        rng = np.random.default_rng(22)
+        for l in range(z.size):
+            want_y, want_eps = array_indexed_recursion(rates[z[l]] * exposure[l], alpha[l],
+                                                       theta, season, rng)
+            assert np.array_equal(panel.counts[l], want_y)
+            assert np.array_equal(truth.innovations[l], want_eps)
+        assert used.bit_generator.state == rng.bit_generator.state
+        assert np.mean(panel.counts[:, :-1] == 0) > 0.3  # the skipped calls are many
 
     def test_truth_innovations_satisfy_support(self):
         rng = np.random.default_rng(15)

@@ -11,6 +11,7 @@ visits it took, so that neither visit passes by never being taken.
 """
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -341,8 +342,9 @@ def test_log_gamma_table_holds_what_the_sweep_computes(gamma1):
 
 
 def test_log_gamma_table_is_exact_only_for_dyadic_gamma1():
-    assert LogGammaTable(1.0).limit >= 2**52
-    assert LogGammaTable(0.25).limit >= 2**50
+    # exact far beyond the cap on its size for these two
+    assert LogGammaTable(1.0).limit == sampler._LOG_GAMMA_ENTRIES - 1
+    assert LogGammaTable(0.25).limit == sampler._LOG_GAMMA_ENTRIES - 1
     assert LogGammaTable(0.3).limit == 0
     assert LogGammaTable(1 / 3).limit == 0
     # 1 + 2^-40 is dyadic, but N + g1 needs 54 bits from N = 2^13 - 1 on
@@ -360,6 +362,57 @@ def test_log_gamma_table_grows_on_demand_up_to_the_total():
     assert table.covering(600, 1000).shape == (601,)
     assert table.covering(700, 1000).shape == (1001,)  # doubling capped at the total
     assert np.array_equal(table.values, gammaln(np.arange(1001) + 0.5))
+
+
+@pytest.mark.parametrize("entries", [64, 50_000])
+def test_capped_log_gamma_table_draws_the_uncapped_memberships(entries, monkeypatch):
+    # the desk chain's sweeps total 46,000 to 58,000 innovations: a cap of
+    # 64 entries leaves every sweep to gammaln, one of 50,000 some of them
+    panel, config = CASES["desk-easy-0.9"]()
+    uncapped = run_chain(panel, config)
+    sizes = []
+
+    def covering(self, n, total, grow=LogGammaTable.covering):
+        values = grow(self, n, total)
+        sizes.append(values.shape[0])
+        return values
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampler, "_LOG_GAMMA_ENTRIES", entries)
+        patch.setattr(LogGammaTable, "covering", covering)
+        visits = record_visits(patch)
+        capped = run_chain(panel, config)
+    assert_same_draws(capped, uncapped)
+    assert max(sizes, default=0) <= entries
+    totals = uncapped.innovations.sum(axis=(1, 2))
+    if entries == 64:
+        assert sizes == [] and set(visits) == {TABLE}
+    else:
+        assert sizes and totals.min() < entries < totals.max()
+
+
+def test_membership_sweep_over_vast_totals_keeps_no_table():
+    # two series alternating between 0 and 10^7: about 2e9 innovations, a
+    # table of 16 GB were it built to the total
+    counts = np.tile([0, 10**7], (2, 104))
+    panel = CountPanel(counts=counts, season_of=np.arange(208) % 12 + 1)
+    state = ModelState(alpha=np.full(2, 0.5), z=np.array([0, 1]), phi_star=np.ones(2),
+                       theta=np.ones(12), tau=1.0, innovations=counts)
+    hyper = Hyperparams()
+    stats = SuffStats.from_state(state, panel)
+    table = LogGammaTable(hyper.gamma1)
+    tracemalloc.start()
+    try:
+        z, got = sample_memberships(state, panel, stats, hyper, np.random.default_rng(4),
+                                    log_gamma=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert table.values.shape[0] == 0
+    z_ref, want = oracles.list_sample_memberships(state, panel, stats, hyper,
+                                                  np.random.default_rng(4))
+    assert np.array_equal(z, z_ref) and np.array_equal(got.B, want.B)
 
 
 @st.composite
