@@ -24,16 +24,15 @@ from .forecast import (
     quantile,
 )
 from .harness import Scenario, benchmark_scenarios, run_study
+from .memberships import SuffStats, sample_memberships
 from .model import Hyperparams, ModelState, simulate_panel, simulate_poinar
 from .panel import CountPanel
 from .sampler import (
     PosteriorDraws,
     SamplerConfig,
-    SuffStats,
     run_chain,
     run_chains,
     sample_concentration,
-    sample_memberships,
     sample_seasonals,
     sample_thinnings,
     sample_unique_rates,

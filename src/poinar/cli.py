@@ -31,15 +31,9 @@ from .harness import (
     scenario_by_name,
     simulate_scenario,
 )
-from .model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, model_exposure
-from .sampler import (
-    ConfigurationError,
-    PosteriorDraws,
-    SamplerConfig,
-    WorkerExited,
-    run_chains,
-    stream,
-)
+from .model import MODE_COVARIATE, MODE_PLAIN, ConfigurationError, Hyperparams, model_exposure
+from .sampler import PosteriorDraws, SamplerConfig, run_chains, stream
+from .workers import WorkerExited
 
 _USAGE_EXIT = 2
 _FAILURE_EXIT = 1

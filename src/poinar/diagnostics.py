@@ -7,7 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sampler import ConfigurationError, PosteriorDraws
+from .model import ConfigurationError
+from .sampler import PosteriorDraws
 
 
 def psrf(chains):

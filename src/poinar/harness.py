@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import workers
 from .baselines import cls_fit_panel
 from .diagnostics import (
     EvalReport,
@@ -25,17 +26,9 @@ from .diagnostics import (
 )
 from .forecast import conditional_mean_h_step, posterior_conditional_means
 from .io import months_of, week_starts_from
-from .model import model_exposure, refuse_over_memory, simulate_panel
+from .model import ConfigurationError, model_exposure, refuse_over_memory, simulate_panel
 from .panel import CountPanel
-from .sampler import (
-    ConfigurationError,
-    PosteriorDraws,
-    SamplerConfig,
-    _draw_bytes,
-    _in_workers,
-    run_chain,
-    stream,
-)
+from .sampler import PosteriorDraws, SamplerConfig, draw_bytes, run_chain, stream
 
 SEPARATIONS = {
     "easy": (1.0, 3.0, 6.0, 10.0),
@@ -192,7 +185,7 @@ def run_study(
     every 5th kept (180 draws).
 
     The replicates run side by side in forked worker processes on the
-    usable CPUs (``sampler._in_workers``), as many as memory holds when
+    usable CPUs (``workers.in_workers``), as many as memory holds when
     each keeps its chain's draws, one after another on one CPU; their own
     streams make the report the same either way. Before any panel is
     simulated, the study is refused if one replicate's draws would exceed
@@ -212,8 +205,8 @@ def run_study(
         raise ConfigurationError("the study needs at least one replicate")
     config = sampler_config or SamplerConfig()
     # a replicate holds its chain's draws while it scores them
-    draw_bytes = max(_draw_bytes(sc.L, sc.T, config) for sc in scenarios)
-    refuse_over_memory(draw_bytes, f"the {config.draws_per_chain} draws a replicate keeps",
+    per_replicate = max(draw_bytes(sc.L, sc.T, config) for sc in scenarios)
+    refuse_over_memory(per_replicate, f"the {config.draws_per_chain} draws a replicate keeps",
                        "lower --iterations or raise --thin")
 
     tasks = [(si, r) for si in range(len(scenarios)) for r in range(reps)]
@@ -227,10 +220,10 @@ def run_study(
     # loading its own
     import scipy.optimize  # noqa: F401
 
-    replicates = _in_workers(
+    replicates = workers.in_workers(
         lambda task: _replicate(scenarios[task[0]], *task, config), tasks,
         lambda task: f"{scenarios[task[0]].name} replicate {task[1] + 1}/{reps}",
-        per_worker=draw_bytes, done=report_done if progress is not None else None,
+        per_worker=per_replicate, done=report_done if progress is not None else None,
     )
     report = StudyReport(scale=scale, seed=config.seed, n_replicates=reps)
     for si, sc in enumerate(scenarios):

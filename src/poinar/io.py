@@ -201,15 +201,6 @@ def load_exposure(path, series_ids: list[str]) -> np.ndarray:
     return np.array([values[sid] for sid in series_ids], dtype=float)
 
 
-def save_exposure(series_ids: list[str], exposure: np.ndarray, path):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series_id", "exposure"])
-        for sid, value in zip(series_ids, exposure):
-            writer.writerow([sid, repr(float(value))])
-
-
 def panel_sha256(panel: CountPanel, n_weeks: int | None = None) -> str:
     """sha256 of the series ids and the first ``n_weeks`` weeks of counts."""
     digest = hashlib.sha256(json.dumps(panel.series_ids).encode())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import N_MONTHS, CountPanel, innovation_bounds
+from .panel import CountPanel
 
 MODE_PLAIN = "plain"
 MODE_COVARIATE = "covariate"
@@ -158,28 +158,6 @@ class ModelState:
     @property
     def n_clusters(self) -> int:
         return self.phi_star.shape[0]
-
-    def validate(self, panel: CountPanel | None = None):
-        """Assert the structural invariants."""
-        L = self.z.shape[0]
-        K = self.n_clusters
-        if self.alpha.shape != (L,) or np.any((self.alpha < 0) | (self.alpha > 1)):
-            raise AssertionError("alpha must be length L within [0, 1]")
-        if np.any((self.z < 0) | (self.z >= K)):
-            raise AssertionError("memberships must reference existing clusters")
-        if len(np.unique(self.z)) != K:
-            raise AssertionError("clusters must be contiguously indexed with no empties")
-        if np.any(self.phi_star <= 0) or np.any(self.theta <= 0) or not self.tau > 0:
-            raise AssertionError("rates, seasonals and concentration must be positive")
-        if self.theta.shape != (N_MONTHS,):
-            raise AssertionError("theta must have 12 entries")
-        if panel is not None and self.innovations is not None:
-            eps = self.innovations
-            if eps.shape != panel.counts.shape:
-                raise AssertionError("innovations must match the panel shape")
-            lo, hi = innovation_bounds(panel.counts)
-            if np.any(eps < lo) or np.any(eps > hi):
-                raise AssertionError("innovation support bounds violated")
 
 
 def simulate_poinar(

@@ -4,7 +4,7 @@ Everything here is deliberately written from the definitions (brute force,
 quadrature, exhaustive enumeration) and shares no code path with the package.
 That includes ``innovation_pmf``, the exact conditional of one innovation
 count, against which the sampler's vectorized ``InnovationKernel`` is
-checked. The exceptions are the last five sections: the earlier, simpler
+checked. The exceptions are the last six sections: the earlier, simpler
 implementations of the sweep hot spots, of the per-series predictive pmfs
 and of the study's scoring layers (per-series CLS fits, the pairwise
 representative clustering), kept verbatim so that the faster package
@@ -13,7 +13,8 @@ counts CSV parser, against which the package's parser is checked file by
 file; and the earlier rendering of the CLI's forecast, evaluation and study
 tables, one dict per row through ``csv.DictWriter``, and of its JSON
 documents through ``json.dumps``, against which the command outputs are
-checked byte for byte.
+checked byte for byte; and the checks of a sampler state's and its
+statistics' invariants and the exposure CSV writer, which only tests call.
 """
 
 from __future__ import annotations
@@ -42,12 +43,9 @@ from poinar.diagnostics import (
 from poinar.forecast import posterior_conditional_means
 from poinar.harness import METHOD_BNP, METHODS, holdout_origin_weeks
 from poinar.io import ParseError, load_exposure, months_of, week_starts_from
-from poinar.model import model_exposure
-from poinar.panel import CountPanel
-from poinar.sampler import (
-    SuffStats,
-    log_innovation_total_marginal,
-)
+from poinar.memberships import SuffStats, log_innovation_total_marginal
+from poinar.model import ModelState, model_exposure
+from poinar.panel import N_MONTHS, CountPanel, innovation_bounds
 
 
 _ALPHA_EPS = 1e-12
@@ -874,3 +872,50 @@ def pairwise_representative_assignment(draws) -> np.ndarray:
     best = np.flatnonzero(avg <= avg.min())
     keys = sorted(best, key=lambda i: (draws.chain_index[i], draws.iteration[i]))
     return zs[keys[0]].copy()
+
+
+# ---------------------------------------------------------------------------
+# Invariant checks and an exposure writer that only the tests call
+# ---------------------------------------------------------------------------
+
+
+def validate_state(state: ModelState, panel: CountPanel | None = None):
+    """Assert the structural invariants of ``state``."""
+    L = state.z.shape[0]
+    K = state.n_clusters
+    if state.alpha.shape != (L,) or np.any((state.alpha < 0) | (state.alpha > 1)):
+        raise AssertionError("alpha must be length L within [0, 1]")
+    if np.any((state.z < 0) | (state.z >= K)):
+        raise AssertionError("memberships must reference existing clusters")
+    if len(np.unique(state.z)) != K:
+        raise AssertionError("clusters must be contiguously indexed with no empties")
+    if np.any(state.phi_star <= 0) or np.any(state.theta <= 0) or not state.tau > 0:
+        raise AssertionError("rates, seasonals and concentration must be positive")
+    if state.theta.shape != (N_MONTHS,):
+        raise AssertionError("theta must have 12 entries")
+    if panel is not None and state.innovations is not None:
+        eps = state.innovations
+        if eps.shape != panel.counts.shape:
+            raise AssertionError("innovations must match the panel shape")
+        lo, hi = innovation_bounds(panel.counts)
+        if np.any(eps < lo) or np.any(eps > hi):
+            raise AssertionError("innovation support bounds violated")
+
+
+def validate_stats(stats: SuffStats):
+    """Assert that ``stats``' totals agree and its clusters are non-empty."""
+    if not np.isclose(stats.B.sum(), stats.S.sum(), rtol=1e-9):
+        raise AssertionError("cluster totals must sum to the series totals")
+    if not np.isclose(stats.R.sum(), stats.S.sum(), rtol=1e-9):
+        raise AssertionError("weekly totals must sum to the series totals")
+    if stats.n.sum() != stats.S.shape[0] or np.any(stats.n < 1):
+        raise AssertionError("cluster sizes must be positive and sum to L")
+
+
+def save_exposure(series_ids: list[str], exposure: np.ndarray, path):
+    """Write an exposure CSV that ``io.load_exposure`` reads."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["series_id", "exposure"])
+        for sid, value in zip(series_ids, exposure):
+            writer.writerow([sid, repr(float(value))])

@@ -33,16 +33,11 @@ from poinar.harness import (
     simulate_scenario,
 )
 from poinar.io import load_counts, load_draws, save_counts, save_draws
+from poinar.kernel import InnovationKernel
+from poinar.memberships import log_innovation_total_marginal
 from poinar.model import simulate_poinar
-from poinar.sampler import (
-    InnovationKernel,
-    PosteriorDraws,
-    SamplerConfig,
-    _in_workers,
-    log_innovation_total_marginal,
-    run_chain,
-    run_chains,
-)
+from poinar.sampler import PosteriorDraws, SamplerConfig, run_chain, run_chains
+from poinar.workers import in_workers
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -306,7 +301,7 @@ def desk_seeds(name: str, score) -> list:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         return score(run_chain(panel, SamplerConfig(), rng=rng), truth)
 
-    return _in_workers(fit, range(5), lambda seed: f"seed {seed}")
+    return in_workers(fit, range(5), lambda seed: f"seed {seed}")
 
 
 @pytest.mark.slow

@@ -20,13 +20,11 @@ import numpy as np
 import pytest
 
 from generative import crp_draw
+from poinar.kernel import InnovationKernel
+from poinar.memberships import LogGammaTable
 from poinar.model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, ModelState
 from poinar.panel import N_MONTHS, CountPanel
-from poinar.sampler import (
-    InnovationKernel,
-    LogGammaTable,
-    sweep,
-)
+from poinar.sampler import sweep
 
 # small panels and priors that keep counts small: a rate e * phi * theta
 # near 1 per week, over 6 weeks in months 1-3

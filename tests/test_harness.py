@@ -5,7 +5,12 @@ import pytest
 
 import poinar.harness as harness
 from drawrows import draws_from_states
-from oracles import pairwise_representative_assignment, per_draw_hamming_mean, per_series_cls_panel
+from oracles import (
+    pairwise_representative_assignment,
+    per_draw_hamming_mean,
+    per_series_cls_panel,
+    validate_state,
+)
 from poinar.harness import (
     Scenario,
     holdout_origin_weeks,
@@ -16,8 +21,8 @@ from poinar.harness import (
     simulate_scenario,
 )
 from poinar.forecast import posterior_conditional_means
-from poinar.model import ModelState
-from poinar.sampler import ConfigurationError, SamplerConfig, run_chain
+from poinar.model import ConfigurationError, ModelState
+from poinar.sampler import SamplerConfig, run_chain
 
 
 class TestScenarios:
@@ -53,7 +58,7 @@ class TestScenarios:
         assert panel.n_weeks == 60
         assert panel.week_starts is not None
         assert 1 <= next_month <= 12
-        truth.validate(panel)
+        validate_state(truth, panel)
 
 
 class TestStudy:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drawrows import assert_same_draws
-from oracles import draw_averaged_pmf, per_cell_load_counts
+from oracles import draw_averaged_pmf, per_cell_load_counts, save_exposure
 from poinar import cli, io
 from poinar.cli import main
 from poinar.forecast import posterior_conditional_means
@@ -193,7 +193,7 @@ class TestExposure:
 
     def test_round_trip(self, tmp_path):
         values = np.array([1.23456789012345678, 2.5])
-        io.save_exposure(["a", "b"], values, tmp_path / "e.csv")
+        save_exposure(["a", "b"], values, tmp_path / "e.csv")
         loaded = io.load_exposure(tmp_path / "e.csv", ["a", "b"])
         assert np.array_equal(loaded, values)
 
@@ -633,7 +633,7 @@ class TestCli:
                      "--out", str(sim)]) == 0
         counts, exposure = str(sim / "counts.csv"), str(tmp_path / "exposure.csv")
         ids = io.load_counts(counts).series_ids
-        io.save_exposure(ids, np.linspace(0.5, 4.0, len(ids)), exposure)
+        save_exposure(ids, np.linspace(0.5, 4.0, len(ids)), exposure)
         draws = str(tmp_path / "fit" / "draws.jsonl")
         assert main(["fit", "--counts", counts, "--exposure", exposure, "--mode", "covariate",
                      "--chains", "2", "--iterations", "30", "--burn-in", "10", "--thin", "5",
@@ -664,7 +664,7 @@ class TestCli:
         assert main(["simulate", "--scenario", "hard-0.1", "--series", "8",
                      "--out", str(sim)]) == 0
         counts, exposure = str(sim / "counts.csv"), str(tmp_path / "exposure.csv")
-        io.save_exposure(io.load_counts(counts).series_ids, np.linspace(0.5, 4.0, 8), exposure)
+        save_exposure(io.load_counts(counts).series_ids, np.linspace(0.5, 4.0, 8), exposure)
         sweeps = ["--iterations", "30", "--burn-in", "10", "--thin", "5"]
         capsys.readouterr()
         assert main(["fit", "--counts", counts, "--exposure", exposure, *sweeps,

@@ -15,6 +15,7 @@ from generative import (
     stationary_mean,
     stick_breaking,
 )
+from oracles import validate_state
 from poinar.model import (
     ConfigurationError,
     Hyperparams,
@@ -201,7 +202,7 @@ class TestSimulatePanel:
         panel, truth = simulate_panel(
             np.array([2.0, 4.0]), np.array([0, 1]), 0.3, UNIT_THETA, FLAT_SEASONS[:100], rng
         )
-        truth.validate(panel)
+        validate_state(truth, panel)
 
 
 class TestCrp:
@@ -349,4 +350,4 @@ class TestPanelTypes:
             tau=1.0,
         )
         with pytest.raises(AssertionError):
-            state.validate()
+            validate_state(state)

@@ -13,6 +13,7 @@ from oracles import (
     dict_evaluation_files,
     dict_forecasts_csv,
     dict_study_csv,
+    save_exposure,
     study_json,
     truth_json,
 )
@@ -41,7 +42,7 @@ def fitted(tmp_path_factory):
                     week_starts=full.week_starts[:TRAIN])
     io.save_counts(full, root / "full.csv")
     io.save_counts(train, root / "train.csv")
-    io.save_exposure(IDS, np.linspace(0.5, 4.0, len(IDS)), root / "exposure.csv")
+    save_exposure(IDS, np.linspace(0.5, 4.0, len(IDS)), root / "exposure.csv")
     sweeps = ["--iterations", "40", "--burn-in", "10", "--thin", "5", "--seed", "2"]
     assert main(["fit", "--counts", str(root / "train.csv"), *sweeps,
                  "--out", str(root / "plain")]) == 0

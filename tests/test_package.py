@@ -1,5 +1,7 @@
-"""The package's public names, and the scipy modules each command loads."""
+"""The package's public names, the seams between its modules, and the scipy
+modules each command loads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,6 +19,52 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from poinar import *", namespace)
     assert set(poinar.__all__) <= set(namespace)
+
+
+def test_no_module_reaches_into_another_for_a_private_name():
+    # neither ``from .x import _name`` nor ``x._name`` after ``from . import x``
+    found = []
+    for path in sorted(Path(poinar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level]
+        siblings = {alias.asname or alias.name for node in imports if node.module is None
+                    for alias in node.names}
+        found += [f"{path.stem}: from .{node.module} import {alias.name}" for node in imports
+                  if node.module not in (None, path.stem) for alias in node.names
+                  if alias.name.startswith("_")]
+        found += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings and node.attr.startswith("_")]
+    assert not found
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    # no module re-exports another's names, in the package or to the tests
+    package = Path(poinar.__file__).parent
+    defined = {path.stem: _top_level_names(ast.parse(path.read_text()))
+               for path in package.glob("*.py")}
+    found = []
+    for path in sorted([*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            source = node.module if node.level else node.module.removeprefix("poinar.")
+            if (node.level or node.module.startswith("poinar.")) and source in defined:
+                found += [f"{path.name}: {source}.{alias.name}" for alias in node.names
+                          if alias.name not in defined[source]]
+    assert not found
 
 
 # Run in a fresh interpreter: this one has long since loaded scipy.optimize,

@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 import oracles
+import poinar.kernel
 from drawrows import assert_same_draws, draw_state, draws_from_states
 from oracles import (
     convolution_innovation_pmf,
@@ -16,11 +17,19 @@ from oracles import (
     innovation_support,
     quadrature_log_marginal,
 )
-from poinar import model, sampler
+from poinar import memberships, model, sampler
 from poinar.harness import Scenario, scenario_by_name, simulate_scenario
+from poinar.kernel import InnovationKernel
+from poinar.memberships import (
+    LogGammaTable,
+    SuffStats,
+    log_innovation_total_marginal,
+    sample_memberships,
+)
 from poinar.model import (
     MODE_COVARIATE,
     MODE_PLAIN,
+    ConfigurationError,
     Hyperparams,
     ModelState,
     simulate_panel,
@@ -28,18 +37,12 @@ from poinar.model import (
 )
 from poinar.panel import CountPanel, innovation_bounds
 from poinar.sampler import (
-    ConfigurationError,
-    InnovationKernel,
-    LogGammaTable,
     PosteriorDraws,
     SamplerConfig,
-    SuffStats,
     concentration_mixture,
-    log_innovation_total_marginal,
     run_chain,
     run_chains,
     sample_concentration,
-    sample_memberships,
     sample_seasonals,
     sample_thinnings,
     sample_unique_rates,
@@ -380,7 +383,7 @@ class TestCollapsedMembershipWeights:
         ours = theirs = (state.z, SuffStats.from_state(state, panel, mode))
         for seed in (1, 2):
             ours, got = self.visit_log_weights(
-                sampler, sample_memberships, replace(state, z=ours[0]), panel, ours[1], hyper,
+                memberships, sample_memberships, replace(state, z=ours[0]), panel, ours[1], hyper,
                 np.random.default_rng(seed), log_gamma=table)
             theirs, want = self.visit_log_weights(
                 oracles, oracles.list_sample_memberships, replace(state, z=theirs[0]), panel,
@@ -524,11 +527,13 @@ class TestKernelMemoryGuard:
         lo, hi = innovation_bounds(counts)
         active = hi[:, 1:] > lo[:, 1:]
         top = np.maximum(counts[:, 1:], counts[:, :-1])[active].max()
-        needed = (sampler._GRID_BYTES * sum(grids) + sampler._SHARED_BYTES * max(grids)
-                  + sampler._STEP_BYTES * sum(b.logw0.shape[0] for b in kernel.buckets
-                                              if b.row_wise)
-                  + sampler._TABLE_BYTES * (int(top) + 2)
-                  + sampler._CELL_BYTES * kernel.rows.size + sampler._ENTRY_BYTES * counts.size)
+        needed = (poinar.kernel._GRID_BYTES * sum(grids)
+                  + poinar.kernel._SHARED_BYTES * max(grids)
+                  + poinar.kernel._STEP_BYTES * sum(b.logw0.shape[0] for b in kernel.buckets
+                                                    if b.row_wise)
+                  + poinar.kernel._TABLE_BYTES * (int(top) + 2)
+                  + poinar.kernel._CELL_BYTES * kernel.rows.size
+                  + poinar.kernel._ENTRY_BYTES * counts.size)
         monkeypatch.setattr(model, "physical_memory", lambda: needed)
         InnovationKernel(counts)
         monkeypatch.setattr(model, "physical_memory", lambda: needed - 1)
@@ -546,7 +551,7 @@ class TestKernelMemoryGuard:
         else:
             counts = desk_with_outlier(1000.0)
         estimates = []
-        monkeypatch.setattr(sampler, "refuse_over_memory",
+        monkeypatch.setattr(poinar.kernel, "refuse_over_memory",
                             lambda needed, what, cause: estimates.append(needed))
         peak = traced_kernel_peak(counts)
         assert len(estimates) == 1 and peak <= estimates[0]
@@ -639,8 +644,8 @@ class TestChains:
 
         def validating(state, panel, *args):
             stats = sweep(state, panel, *args)
-            state.validate(panel)  # raises on any violation
-            stats.validate()
+            oracles.validate_state(state, panel)  # raises on any violation
+            oracles.validate_stats(stats)
             checked.append(state.n_clusters)
             return stats
 

@@ -22,19 +22,14 @@ from scipy.special import gammaln
 
 import drawrows
 import oracles
-from poinar import sampler
+import poinar.kernel
+from poinar import memberships, sampler
 from poinar.harness import Scenario, scenario_by_name, simulate_scenario
+from poinar.kernel import InnovationKernel
+from poinar.memberships import LogGammaTable, SuffStats, sample_memberships
 from poinar.model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, ModelState
 from poinar.panel import CountPanel
-from poinar.sampler import (
-    InnovationKernel,
-    LogGammaTable,
-    SamplerConfig,
-    SuffStats,
-    run_chain,
-    sample_memberships,
-    sample_thinnings,
-)
+from poinar.sampler import SamplerConfig, run_chain, sample_thinnings
 
 
 def scenario_panel(scenario: Scenario, entropy: int):
@@ -68,10 +63,10 @@ def record_visits(patch) -> list[str]:
     one each sweep takes; returns the list they append to."""
     taken = []
     for name in (LIST, TABLE):
-        def visit(*args, name=name, run=getattr(sampler, name)):
+        def visit(*args, name=name, run=getattr(memberships, name)):
             taken.append(name)
             return run(*args)
-        patch.setattr(sampler, name, visit)
+        patch.setattr(memberships, name, visit)
     return taken
 
 
@@ -151,7 +146,7 @@ CASES = {
 # and above the largest count the list visit takes
 for offset in (-1, 0, 1):
     CASES[f"singletons-crossover{offset:+d}"] = lambda offset=offset: (
-        first_series(sampler._LIST_VISIT_CLUSTERS + offset, 27 + offset),
+        first_series(memberships._LIST_VISIT_CLUSTERS + offset, 27 + offset),
         sweep_config(10, seed=19 + offset),
     )
 # the visits each case must take: its first sweep's, then the set of all
@@ -289,7 +284,7 @@ def test_list_visit_sweep_opens_clusters_past_the_crossover(monkeypatch):
     assert np.array_equal(z, z_ref)
     for name in ("B", "n", "U"):
         assert np.array_equal(getattr(ours, name), getattr(want, name)), name
-    assert ours.n.size > sampler._LIST_VISIT_CLUSTERS + 10
+    assert ours.n.size > memberships._LIST_VISIT_CLUSTERS + 10
 
 
 def test_desk_sweeps_take_the_list_visit_and_wide_singletons_the_table_visit(monkeypatch):
@@ -298,7 +293,7 @@ def test_desk_sweeps_take_the_list_visit_and_wide_singletons_the_table_visit(mon
         desk = run_chain(desk_panel("easy-0.9", 11), sweep_config(10, seed=2))
         run_chain(wide_panel(400, 19), sweep_config(1, seed=11))
     # the desk chain's last sweep starts from the clusters the one before left
-    assert desk.n_clusters[-2] <= sampler._LIST_VISIT_CLUSTERS
+    assert desk.n_clusters[-2] <= memberships._LIST_VISIT_CLUSTERS
     assert visits[9:] == [LIST, TABLE]
 
 
@@ -343,8 +338,8 @@ def test_log_gamma_table_holds_what_the_sweep_computes(gamma1):
 
 def test_log_gamma_table_is_exact_only_for_dyadic_gamma1():
     # exact far beyond the cap on its size for these two
-    assert LogGammaTable(1.0).limit == sampler._LOG_GAMMA_ENTRIES - 1
-    assert LogGammaTable(0.25).limit == sampler._LOG_GAMMA_ENTRIES - 1
+    assert LogGammaTable(1.0).limit == memberships._LOG_GAMMA_ENTRIES - 1
+    assert LogGammaTable(0.25).limit == memberships._LOG_GAMMA_ENTRIES - 1
     assert LogGammaTable(0.3).limit == 0
     assert LogGammaTable(1 / 3).limit == 0
     # 1 + 2^-40 is dyadic, but N + g1 needs 54 bits from N = 2^13 - 1 on
@@ -378,7 +373,7 @@ def test_capped_log_gamma_table_draws_the_uncapped_memberships(entries, monkeypa
         return values
 
     with monkeypatch.context() as patch:
-        patch.setattr(sampler, "_LOG_GAMMA_ENTRIES", entries)
+        patch.setattr(memberships, "_LOG_GAMMA_ENTRIES", entries)
         patch.setattr(LogGammaTable, "covering", covering)
         visits = record_visits(patch)
         capped = run_chain(panel, config)
@@ -534,7 +529,7 @@ def test_tall_buckets_draw_what_the_padded_kernel_draws(regime, data):
         for _ in range(2):
             ours = kernel(alpha, rates, rng_ours)
             assert np.array_equal(ours, reference(alpha, rates, rng_ref))
-    tall = [(rows, written) for rows, written in built if rows > sampler._FIRST_ROWS]
+    tall = [(rows, written) for rows, written in built if rows > poinar.kernel._FIRST_ROWS]
     assert tall
     stopped = [written < rows for rows, written in tall]
     if regime == "low":

@@ -2,7 +2,7 @@
 
 Each chain and each study replicate draws from its own stream, so a run on
 two workers must write every byte a run on one writes. The worker count is
-forced through ``sampler._usable_cpus``, so the pool runs on a machine with
+forced through ``workers._usable_cpus``, so the pool runs on a machine with
 one CPU too, and ``os.fork`` is counted to show that it did.
 """
 
@@ -16,17 +16,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import poinar.kernel
+import poinar.workers
+from oracles import save_exposure
 from poinar import harness, io, model, sampler
 from poinar.cli import main
 from poinar.harness import run_study, scenario_by_name, simulate_scenario
-from poinar.sampler import (
-    ConfigurationError,
-    InnovationKernel,
-    SamplerConfig,
-    WorkerExited,
-    run_chain,
-    run_chains,
-)
+from poinar.kernel import InnovationKernel
+from poinar.model import ConfigurationError
+from poinar.sampler import SamplerConfig, run_chain, run_chains
+from poinar.workers import WorkerExited, in_workers
 
 
 @pytest.fixture
@@ -44,7 +43,7 @@ def cpus(monkeypatch):
     monkeypatch.setattr(os, "fork", counting)
 
     def use(n):
-        monkeypatch.setattr(sampler, "_usable_cpus", lambda: n)
+        monkeypatch.setattr(poinar.workers, "_usable_cpus", lambda: n)
         forked.clear()
         return forked
 
@@ -65,8 +64,8 @@ class TestPool:
     def test_results_in_task_order_from_workers(self, cpus):
         forked = cpus(2)
         seen = []
-        got = sampler._in_workers(lambda t: (t * t, os.getpid()), range(7), str,
-                                  done=lambda i, result: seen.append((i, result)))
+        got = in_workers(lambda t: (t * t, os.getpid()), range(7), str,
+                         done=lambda i, result: seen.append((i, result)))
         assert [r for r, _ in got] == [t * t for t in range(7)]
         assert len(forked) == 2 and {pid for _, pid in got} <= set(forked)
         # each result is handed over here as it arrives, in task order
@@ -74,7 +73,7 @@ class TestPool:
 
     def test_one_worker_runs_here(self, cpus):
         forked = cpus(1)
-        got = sampler._in_workers(lambda t: os.getpid(), range(3), str)
+        got = in_workers(lambda t: os.getpid(), range(3), str)
         assert got == [os.getpid()] * 3 and forked == []
 
     @pytest.mark.parametrize("n_cpus, n_tasks, workers", [(10**6, 3, 3), (2, 5, 2), (1, 5, None)])
@@ -89,10 +88,10 @@ class TestPool:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", executor)
         cpus(n_cpus)
         if workers is None:
-            assert sampler._in_workers(lambda t: t, range(n_tasks), str) == list(range(n_tasks))
+            assert in_workers(lambda t: t, range(n_tasks), str) == list(range(n_tasks))
         else:
             with pytest.raises(_Refused):
-                sampler._in_workers(lambda t: t, range(n_tasks), str)
+                in_workers(lambda t: t, range(n_tasks), str)
         assert sizes == ([] if workers is None else [workers])
 
     def test_another_thread_keeps_the_tasks_here(self, cpus):
@@ -102,25 +101,30 @@ class TestPool:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            got = sampler._in_workers(lambda t: (t, os.getpid()), range(3), str)
+            got = in_workers(lambda t: (t, os.getpid()), range(3), str)
         finally:
             release.set()
             other.join()
         assert got == [(t, os.getpid()) for t in range(3)] and forked == []
 
     def test_a_wrapped_function_keeps_the_chains_here(self, monkeypatch, cpus):
-        # what a tracer's wrapper records must reach this process
-        seen = []
+        # what a tracer's wrapper records must reach this process, whether
+        # the function sampler binds is its own (run_chain) or memberships'
+        # (sample_memberships, once a sweep: 2 chains of 12 sweeps)
+        for name, calls in [("run_chain", 2), ("sample_memberships", 24)]:
+            seen = []
+            original = getattr(sampler, name)
 
-        @functools.wraps(run_chain)
-        def traced(*args, **kwargs):
-            seen.append(kwargs["chain_index"])
-            return run_chain(*args, **kwargs)
+            @functools.wraps(original)
+            def traced(*args, **kwargs):
+                seen.append(name)
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(sampler, "run_chain", traced)
-        forked = cpus(2)
-        assert len(run_chains(small_panel(), chains_config(2))) == 2
-        assert seen == [0, 1] and forked == []
+            with monkeypatch.context() as patch:
+                patch.setattr(sampler, name, traced)
+                forked = cpus(2)
+                assert len(run_chains(small_panel(), chains_config(2))) == 2
+            assert len(seen) == calls and forked == []
 
     def test_first_failing_task_in_order_raises_its_error(self, cpus):
         cpus(2)
@@ -131,7 +135,7 @@ class TestPool:
             return t
 
         with pytest.raises(ConfigurationError, match="task 2"):
-            sampler._in_workers(task, range(5), str)
+            in_workers(task, range(5), str)
 
 
 def chains_config(n_chains, **kwargs):
@@ -210,7 +214,7 @@ class TestMemory:
             pools.append(kwargs["per_worker"])
             raise _Refused
 
-        monkeypatch.setattr(harness, "_in_workers", pool)
+        monkeypatch.setattr(poinar.workers, "in_workers", pool)
         monkeypatch.setattr(model, "physical_memory", lambda: draw_bytes - 1)
         with pytest.raises(ConfigurationError,
                            match=r"^the 20 draws a replicate keeps would need .*; lower "
@@ -231,7 +235,7 @@ class TestMemory:
 
     def test_chain_bytes_exclude_only_what_workers_read(self):
         kernel = InnovationKernel(small_panel().counts)
-        log_weights = sampler._GRID_BYTES * sum(b.logw0.size for b in kernel.buckets)
+        log_weights = poinar.kernel._GRID_BYTES * sum(b.logw0.size for b in kernel.buckets)
         assert 0 < kernel.chain_bytes <= kernel.held_bytes - log_weights
 
 
@@ -307,7 +311,7 @@ def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("workers")
     panel = small_panel()
     io.save_counts(panel, root / "counts.csv")
-    io.save_exposure(panel.series_ids, np.linspace(0.5, 2.0, panel.n_series),
+    save_exposure(panel.series_ids, np.linspace(0.5, 2.0, panel.n_series),
                      root / "exposure.csv")
     return root
 
