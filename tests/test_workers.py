@@ -108,23 +108,34 @@ class TestPool:
         assert got == [(t, os.getpid()) for t in range(3)] and forked == []
 
     def test_a_wrapped_function_keeps_the_chains_here(self, monkeypatch, cpus):
-        # what a tracer's wrapper records must reach this process, whether
-        # the function sampler binds is its own (run_chain) or memberships'
-        # (sample_memberships, once a sweep: 2 chains of 12 sweeps)
-        for name, calls in [("run_chain", 2), ("sample_memberships", 24)]:
-            seen = []
-            original = getattr(sampler, name)
+        # what a tracer's wrapper records must reach this process
+        seen = []
 
-            @functools.wraps(original)
-            def traced(*args, **kwargs):
-                seen.append(name)
-                return original(*args, **kwargs)
+        @functools.wraps(run_chain)
+        def traced(*args, **kwargs):
+            seen.append(kwargs["chain_index"])
+            return run_chain(*args, **kwargs)
 
-            with monkeypatch.context() as patch:
-                patch.setattr(sampler, name, traced)
-                forked = cpus(2)
-                assert len(run_chains(small_panel(), chains_config(2))) == 2
-            assert len(seen) == calls and forked == []
+        monkeypatch.setattr(sampler, "run_chain", traced)
+        forked = cpus(2)
+        assert len(run_chains(small_panel(), chains_config(2))) == 2
+        assert seen == [0, 1] and forked == []
+
+    def test_a_wrapped_function_of_another_module_keeps_the_chains_here(self, monkeypatch, cpus):
+        # sampler binds sample_memberships, which memberships defines; the
+        # chains call it once a sweep: 2 chains of 12 sweeps
+        seen = []
+        original = sampler.sample_memberships
+
+        @functools.wraps(original)
+        def traced(*args, **kwargs):
+            seen.append(len(seen))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "sample_memberships", traced)
+        forked = cpus(2)
+        assert len(run_chains(small_panel(), chains_config(2))) == 2
+        assert len(seen) == 24 and forked == []
 
     def test_first_failing_task_in_order_raises_its_error(self, cpus):
         cpus(2)
