@@ -238,11 +238,14 @@ def cmd_forecast(args, out: Path) -> str:
     if args.horizon < 1:
         raise ConfigurationError("horizon must be at least 1")
     panel, draws, exposure = _load_panel_and_draws(args)
-    future = io.months_of(
-        io.week_starts_from(
-            panel.week_starts[-1] + datetime.timedelta(days=7), args.horizon
+    last = panel.week_starts[-1]
+    room = (datetime.date.max - last).days // 7  # weeks the calendar holds past the last
+    if args.horizon > room:
+        raise ConfigurationError(
+            f"--horizon {args.horizon} runs past the calendar, whose last week starts "
+            f"{last + datetime.timedelta(days=7 * room)}, {room} weeks after the counts' last week"
         )
-    )
+    future = io.months_of(io.week_starts_from(last + datetime.timedelta(days=7), args.horizon))
     y_last = panel.counts[:, -1]
     q_columns = []
     if quantiles:  # first, so that an overflowing rate is refused with the pmfs' message

@@ -57,35 +57,35 @@ def _check_pmfs(pmfs: np.ndarray):
 
 
 def conditional_mean_h_step(y_T, alpha, lam, theta, future_months):
-    """h-step conditional mean, h being the length of the last axis of
-    ``future_months``.
-
-    alpha**h * y_T + lam * sum_{j=1..h} alpha**(h-j) * theta_{m_j}, where
-    ``future_months[..., j-1]`` is the month (1..12) of week T+j. Arguments
-    broadcast: the last axis of ``theta`` holds the 12 monthly effects, and
-    its leading axes and those of ``future_months`` broadcast with ``y_T``,
-    ``alpha`` and ``lam``. One call thus covers a stack of draws, series and
-    forecast origins; plain scalars give a scalar.
-    """
+    """h-step conditional mean: the last step of ``_mean_steps``, the one
+    recursion ``posterior_conditional_means`` runs too. ``future_months`` is
+    one month (1..12) or a 1-D sequence, that of week T+j at index j-1. The
+    last axis of ``theta`` holds the 12 monthly effects; its leading axes
+    broadcast with ``y_T``, ``alpha`` and ``lam``, so one call covers a
+    stack of draws and series."""
     months = np.atleast_1d(np.asarray(future_months, dtype=np.int64))
-    h = months.shape[-1]
-    if h < 1:
-        raise ValueError("need at least one future month")
-    path = _seasonal_path(np.asarray(theta, dtype=float), months)
-    alpha = np.asarray(alpha, dtype=float)
-    powers = alpha[..., None] ** np.arange(h - 1, -1, -1, dtype=float)
-    return alpha**h * y_T + lam * (powers * path).sum(axis=-1)
+    if months.ndim != 1 or months.size < 1:
+        raise ValueError("need one month or a 1-D sequence of future months")
+    *_, mean = _mean_steps(y_T, np.asarray(alpha, dtype=float), lam,
+                           _month_effects(theta, months))
+    return mean
 
 
-def _seasonal_path(theta: np.ndarray, months: np.ndarray) -> np.ndarray:
-    """theta of each future week: ``theta[..., months[..., j] - 1]`` at
-    index j of the last axis, the leading axes of both broadcast."""
-    lead = np.broadcast_shapes(theta.shape[:-1], months.shape[:-1])
-    return np.take_along_axis(
-        np.broadcast_to(theta, lead + theta.shape[-1:]),
-        np.broadcast_to(months - 1, lead + months.shape[-1:]),
-        axis=-1,
-    )
+def _month_effects(theta, months) -> np.ndarray:
+    """``theta[..., months - 1]``, refusing a month outside 1..12."""
+    months = np.asarray(months, dtype=np.int64)
+    bad = months[(months < 1) | (months > 12)]
+    if bad.size:
+        raise ValueError(f"month must lie in 1..12, got {bad[0]}")
+    return np.asarray(theta, dtype=float)[..., months - 1]
+
+
+def _mean_steps(y_T, alpha, lam, effects: np.ndarray):
+    """Yield m_j = alpha * m_{j-1} + lam * effects[..., j-1], j = 1..h, from m_0 = y_T."""
+    mean = y_T
+    for j in range(effects.shape[-1]):
+        mean = alpha * mean + lam * effects[..., j]
+        yield mean
 
 
 def posterior_conditional_means(draws: PosteriorDraws, y_T, future_months,
@@ -101,29 +101,19 @@ def posterior_conditional_means(draws: PosteriorDraws, y_T, future_months,
     in one of the months overflows to inf raises ``ConfigurationError``
     naming the series (``series_ids``, row numbers when not given).
 
-    Each draw's means follow Horner's rule, m_h = alpha * m_{h-1} + lam *
-    theta_{m_h} from m_0 = y_T, and are averaged over the draws once per
-    step: linear in the horizon, holding one step's means at a time. The
-    1-step mean has the bits of ``conditional_mean_h_step``; later ones
-    sum its terms in another order, so they agree with it to rounding.
+    Each draw's means follow ``_mean_steps``, averaged once per step, so
+    step h has the bits of the draw mean of ``conditional_mean_h_step`` on
+    the first h months.
     """
     alpha, lam, theta = draws.stacked(exposure)
     y_T = np.asarray(y_T, dtype=float)
     months = np.asarray(future_months, dtype=np.int64)
+    effects = _month_effects(theta, months.reshape(-1, 1, months.shape[-1]))  # (D, n, 1, h)
     with np.errstate(over="ignore"):  # an overflow to inf is refused just below
         rate = lam[..., None] * theta[:, None, np.unique(months) - 1]
     _refuse_overflow(np.isinf(rate).any(axis=(0, 2)), series_ids, "mean forecast")
-    # draws lead, then one axis per origin axis of y_T, then series
-    batch = (1,) * (y_T.ndim - 1)
-    alpha = alpha.reshape(alpha.shape[:1] + batch + alpha.shape[1:])
-    lam = lam.reshape(alpha.shape)
-    theta = theta.reshape(theta.shape[:1] + batch + (1, theta.shape[1]))
-    path = _seasonal_path(theta, months[..., None, :])  # one path for every series
-    means, mean = [], y_T
-    for h in range(months.shape[-1]):
-        mean = alpha * mean + lam * path[..., h]
-        means.append(mean.mean(axis=0))
-    return np.stack(means)
+    steps = _mean_steps(y_T.reshape(-1, y_T.shape[-1]), alpha[:, None], lam[:, None], effects)
+    return np.stack([mean.mean(axis=0) for mean in steps]).reshape(months.shape[-1:] + y_T.shape)
 
 
 # Grid cells (series x draws x support points) of one kernel pass in
@@ -276,7 +266,7 @@ def posterior_predictive(
     """
     alpha, lam, theta = draws.stacked(exposure)
     with np.errstate(over="ignore"):  # an overflow to inf is refused just below
-        rate = lam * theta[:, month - 1, None]
+        rate = lam * _month_effects(theta, month)[:, None]
     alpha, rate = alpha.T, rate.T  # one row of draws per series
     _check_parameters(alpha, rate, series_ids)
     counts = np.array([int(y) for y in np.asarray(y_T)], dtype=np.int64)

@@ -59,10 +59,11 @@ _BLANK_LINES = frozenset(("\n", "\r", "\r\n"))
 def load_counts(path, exposure_path=None) -> CountPanel:
     """Read a counts CSV (and optionally an exposure CSV) into a panel.
 
-    The header goes through ``csv``; the body through numpy's C reader,
-    which parses every cell and checks every row's length. Only a file it
-    rejects, or one with a blank line or a negative count, is scanned again
-    row by row to name the first bad cell.
+    The header's dates must be consecutive weeks, each 7 days after the
+    one before. The header goes through ``csv``; the body through numpy's C
+    reader, which parses every cell and checks every row's length. Only a
+    file it rejects, or one with a blank line or a negative count, is
+    scanned again row by row to name the first bad cell.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -83,6 +84,10 @@ def load_counts(path, exposure_path=None) -> CountPanel:
                 ) from None
         if not dates:
             raise ParseError(f"{path}: no week columns")
+        for j in range(1, len(dates)):  # the sampler reads adjacent columns as one week apart
+            if dates[j] - dates[j - 1] != datetime.timedelta(days=7):
+                raise ParseError(f"{path}: header column {j + 2} ({dates[j]}) is not 7 days "
+                                 f"after column {j + 1} ({dates[j - 1]})")
 
         blank_lines = []
         try:

@@ -101,15 +101,29 @@ def in_workers(fn, tasks, describe, *, held: float = 0, per_worker: float = 0,
 
 def _wrapped_in_place() -> bool:
     """Whether a function bound in ``sampler``, ``kernel`` or
-    ``memberships``, the namespaces a chain calls through, has been rebound
-    to a wrapper that calls it (one with ``__wrapped__``, as
-    ``functools.wraps`` sets), as a tracer or profiler does: what such a
-    wrapper records in a worker would stay there."""
+    ``memberships``, the namespaces a chain calls through, or a method of a
+    class one of them defines, has been rebound to a wrapper that calls it,
+    as a tracer or profiler does: what such a wrapper records in a worker
+    would stay there.
+
+    A wrapper carries the function it wraps as ``__wrapped__``, as
+    ``functools.wraps`` sets it. So does the ``__repr__`` a dataclass
+    generates, through ``reprlib.recursive_repr``, but what it wraps was
+    compiled from a string, not read from a source file.
+    """
     from . import kernel, memberships, sampler  # sampler imports this module
 
-    return any(hasattr(value, "__wrapped__") for module in (sampler, kernel, memberships)
-               for value in list(vars(module).values())
-               if callable(value) and not isinstance(value, type))
+    found = []
+    for module in (sampler, kernel, memberships):
+        for value in list(vars(module).values()):
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                # a classmethod's function is its __func__
+                found += [getattr(attr, "__func__", attr) for attr in vars(value).values()]
+            elif callable(value) and not isinstance(value, type):
+                found.append(value)
+    return any(hasattr(fn, "__wrapped__") and getattr(
+                   getattr(fn.__wrapped__, "__code__", None), "co_filename", None) != "<string>"
+               for fn in found)
 
 
 def _adopt(fn, tasks, states):

@@ -146,6 +146,20 @@ def draw_averaged_pmf(y_T: int, alphas, rates) -> np.ndarray:
     return acc / len(pmfs)
 
 
+def closed_form_h_step_mean(y_T, alpha, lam, theta, future_months):
+    """The h-step conditional mean of Freeland & McCabe (2004), term by term:
+    alpha^h y_T + lam sum_{j=1..h} alpha^(h-j) theta_{m_j}, with
+    ``future_months`` one month or a 1-D sequence m_1..m_h. The last axis of
+    ``theta`` holds the 12 monthly effects; its leading axes broadcast with
+    ``y_T``, ``alpha`` and ``lam``."""
+    months = np.atleast_1d(np.asarray(future_months, dtype=np.int64))
+    h = months.size
+    alpha = np.asarray(alpha, dtype=float)
+    powers = alpha[..., None] ** np.arange(h - 1, -1, -1, dtype=float)
+    path = np.asarray(theta, dtype=float)[..., months - 1]
+    return alpha**h * y_T + lam * (powers * path).sum(axis=-1)
+
+
 def quadrature_log_marginal(
     s_total: int, mass: float, shape: float, rate: float,
     upper: float = 50.0, nodes: int = 100_001,

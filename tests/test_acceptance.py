@@ -15,6 +15,7 @@ import pytest
 
 from drawrows import DRAW_FIELDS, one_draw_pmf
 from oracles import (
+    closed_form_h_step_mean,
     convolution_innovation_pmf,
     exhaustive_min_hamming,
     grid_search_sse,
@@ -188,7 +189,8 @@ def test_c07_cls_validity():
 
 
 def test_c08_forecast_identities():
-    """Mean identity, mass budget, quantile monotonicity, h-step recursion."""
+    """Mean identity, mass budget, quantile monotonicity, and the h-step
+    recursion against the closed form."""
     mean_ok = mass_ok = True
     worst_mean = 0.0
     cases = [
@@ -222,12 +224,10 @@ def test_c08_forecast_identities():
         y_T = int(rng.integers(0, 10))
         alpha = rng.uniform(0, 1)
         lam = rng.uniform(0.05, 6.0)
-        f = float(y_T)
         for h in range(1, 9):
             step = conditional_mean_h_step(y_T, alpha, lam, theta, months[:h])
-            target = alpha * f + lam * theta[months[h - 1] - 1]
+            target = closed_form_h_step_mean(y_T, alpha, lam, theta, months[:h])
             recursion_ok &= bool(np.isclose(step, target, rtol=1e-12, atol=1e-12))
-            f = step
 
     report(
         "criterion 8: forecast identities",

@@ -12,6 +12,7 @@ from scipy import stats as sps
 
 from drawrows import draws_from_states, one_draw_pmf, series_distribution
 from oracles import (
+    closed_form_h_step_mean,
     per_series_posterior_predictive,
     per_series_predictive_rows,
     scalar_predictive_pmf,
@@ -62,34 +63,56 @@ class TestConditionalMeans:
         assert conditional_mean_h_step(2, 1.0, 1.0, np.ones(12), [1, 2, 3, 4, 5]) == 7.0
 
     def test_h_step_recursion_identity(self):
+        # the recursion against the closed form: the same bits at h = 1, and
+        # the same terms summed in another order beyond
         rng = np.random.default_rng(0)
         theta = rng.gamma(1.0, 1.0, 12)
         months = rng.integers(1, 13, 6)
         y_T, alpha, lam = 4, 0.37, 1.9
         f_prev = float(y_T)
         for h in range(1, 7):
-            direct = conditional_mean_h_step(y_T, alpha, lam, theta, months[:h])
-            recursive = alpha * f_prev + lam * theta[months[h - 1] - 1]
-            assert direct == pytest.approx(recursive, rel=1e-12)
-            f_prev = direct
+            got = conditional_mean_h_step(y_T, alpha, lam, theta, months[:h])
+            want = closed_form_h_step_mean(y_T, alpha, lam, theta, months[:h])
+            if h == 1:
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
+            assert got == alpha * f_prev + lam * theta[months[h - 1] - 1]
+            f_prev = got
 
     def test_broadcast_matches_scalar_calls(self):
+        # a stack of draws and series on one 3-week month path
         rng = np.random.default_rng(3)
-        D, L, n = 5, 4, 3
-        alpha = rng.uniform(0, 1, (D, 1, L))
-        lam = rng.uniform(0.1, 3.0, (D, 1, L))
-        theta = rng.gamma(1.0, 1.0, (D, 1, 1, 12))
-        y_T = rng.integers(0, 9, (n, L))
-        months = rng.integers(1, 13, (n, 1, 3))  # one 3-week path per origin
+        D, L = 5, 4
+        alpha = rng.uniform(0, 1, (D, L))
+        lam = rng.uniform(0.1, 3.0, (D, L))
+        theta = rng.gamma(1.0, 1.0, (D, 1, 12))
+        y_T = rng.integers(0, 9, L)
+        months = rng.integers(1, 13, 3)
         got = conditional_mean_h_step(y_T, alpha, lam, theta, months)
-        assert got.shape == (D, n, L)
+        assert got.shape == (D, L)
+        assert np.allclose(got, closed_form_h_step_mean(y_T, alpha, lam, theta, months),
+                           rtol=1e-12, atol=0)
         for d in range(D):
-            for i in range(n):
-                for l in range(L):
-                    one = conditional_mean_h_step(
-                        y_T[i, l], alpha[d, 0, l], lam[d, 0, l], theta[d, 0, 0], months[i, 0]
-                    )
-                    assert got[d, i, l] == pytest.approx(one, rel=1e-14)
+            for l in range(L):
+                one = conditional_mean_h_step(y_T[l], alpha[d, l], lam[d, l], theta[d, 0], months)
+                assert got[d, l] == one
+
+    def test_months_of_more_than_one_axis_refused(self):
+        with pytest.raises(ValueError, match="1-D sequence"):
+            conditional_mean_h_step(1, 0.5, 1.0, np.ones(12), [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("month", [0, 13, -1])
+def test_months_outside_the_calendar_refused(month):
+    # month 0 would read December's effect, and 13 would index past it
+    draws = _draws([_state(0.5, 1.0, 2.0)])
+    with pytest.raises(ValueError, match=f"month must lie in 1..12, got {month}"):
+        conditional_mean_h_step(0, 0.5, 1.0, np.arange(1.0, 13.0), [1, month])
+    with pytest.raises(ValueError, match=f"month must lie in 1..12, got {month}"):
+        posterior_conditional_means(draws, [1], [month])
+    with pytest.raises(ValueError, match=f"month must lie in 1..12, got {month}"):
+        posterior_predictive([1], draws, month)
 
 
 class TestPosteriorConditionalMeans:
@@ -116,13 +139,13 @@ class TestPosteriorConditionalMeans:
                                             months[:h])
                     for d in range(len(draws))
                 ]
-                assert got[h - 1, l] == pytest.approx(np.mean(per_draw), rel=1e-13)
+                assert got[h - 1, l] == np.mean(per_draw)
 
     @pytest.mark.parametrize("mode", ["plain", "covariate"])
     def test_horner_steps_match_the_per_horizon_formula(self, mode):
-        # a year of horizons from three origins: Horner's rule sums the
-        # terms in another order, so the means agree to rounding, except at
-        # h = 1, whose bits are the formula's
+        # a year of horizons from three origins: every step has the bits of
+        # the draw mean of conditional_mean_h_step, and agrees with the
+        # closed form to rounding, bit for bit at h = 1
         rng = np.random.default_rng(8)
         draws = self._draws(rng, D=12)
         draws.mode = mode
@@ -134,8 +157,9 @@ class TestPosteriorConditionalMeans:
         assert got.shape == (52, 3, 3)
         for i in range(3):
             for h in range(1, 53):
-                want = conditional_mean_h_step(y_T[i], alpha, lam, theta[:, None, :],
-                                               months[i, :h]).mean(axis=0)
+                args = (y_T[i], alpha, lam, theta[:, None, :], months[i, :h])
+                assert np.array_equal(got[h - 1, i], conditional_mean_h_step(*args).mean(axis=0))
+                want = closed_form_h_step_mean(*args).mean(axis=0)
                 if h == 1:
                     assert np.array_equal(got[0, i], want)
                 else:

@@ -75,6 +75,20 @@ class TestLoadCounts:
         panel = io.load_counts(write(tmp_path / "c.csv", header + "a,0,1\n"))
         assert list(panel.season_of) == [1, 2]
 
+    @pytest.mark.parametrize("dates, message", [
+        ("2001-01-22,2001-01-08,2001-03-01", r"column 3 \(2001-01-08\) is not 7 days after "
+                                             r"column 2 \(2001-01-22\)"),
+        ("2001-01-01,2001-01-08,2001-01-22", r"column 4 \(2001-01-22\) is not 7 days after "
+                                             r"column 3 \(2001-01-08\)"),
+        ("2001-01-01,2001-01-01,2001-01-08", r"column 3 \(2001-01-01\)"),
+    ])
+    def test_weeks_must_be_consecutive(self, tmp_path, dates, message):
+        # the sampler would read two columns further apart as one weekly
+        # transition, and forecast would date its weeks from the last
+        text = GOOD_CSV.replace("2001-01-01,2001-01-08,2001-01-15", dates)
+        with pytest.raises(io.ParseError, match=message):
+            io.load_counts(write(tmp_path / "c.csv", text))
+
     def test_count_beyond_int64_names_position(self, tmp_path):
         bad = GOOD_CSV.replace("3,1,0", "3,99999999999999999999,0")
         with pytest.raises(io.ParseError, match=r"row 3, column 3: count 9+ is above 2\^63 - 1"):
@@ -118,7 +132,7 @@ _CELLS = _INTEGER_CELLS + ['5"', "1.0", '""', "", "0x10", "x", "3 4", "+-3"]
 @st.composite
 def counts_files(draw):
     n_weeks = draw(st.integers(1, 3))
-    header = ",".join(["series_id"] + [f"2001-0{m}-01" for m in range(1, n_weeks + 1)])
+    header = ",".join(["series_id"] + [f"2001-01-{1 + 7 * i:02d}" for i in range(n_weeks)])
     lines = [header]
     cells_from = draw(st.sampled_from([_CELLS, _INTEGER_CELLS]))  # half the files read as integers
     for _ in range(draw(st.integers(0, 4))):
@@ -965,6 +979,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"series {panel.series_ids[0]!r} has a draw whose innovation rate" in err
         assert "overflows to inf, so its mean forecast cannot be computed" in err
+        assert not out.exists()
+
+    def test_horizon_past_the_calendar_is_a_usage_error(self, tmp_path, capsys):
+        # counts whose last week starts 9999-12-10: the calendar holds three
+        # weeks after it, the last starting on 9999-12-31
+        panel = _tiny_panel()
+        weeks = io.week_starts_from(
+            datetime.date(9999, 12, 10) - datetime.timedelta(days=7 * (panel.n_weeks - 1)),
+            panel.n_weeks)
+        panel = replace(panel, week_starts=weeks, season_of=io.months_of(weeks))
+        io.save_counts(panel, tmp_path / "c.csv")
+        draws = run_chain(panel, SamplerConfig(n_iterations=6, burn_in=2, thin_interval=2, seed=1))
+        io.save_draws(draws, tmp_path / "draws.jsonl", panel)
+        argv = ["forecast", "--counts", str(tmp_path / "c.csv"),
+                "--draws", str(tmp_path / "draws.jsonl"), "--quantiles", ""]
+        assert main(argv + ["--horizon", "3", "--out", str(tmp_path / "fc")]) == 0
+        header = (tmp_path / "fc" / "forecasts.csv").read_text().splitlines()[0]
+        assert header.endswith(",mean_step2,mean_step3")
+        out = tmp_path / "out"
+        assert main(argv + ["--horizon", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("--horizon 4 runs past the calendar, whose last week starts 9999-12-31, "
+                "3 weeks after the counts' last week") in err
         assert not out.exists()
 
     def test_failed_command_removes_only_the_directories_it_created(self, tmp_path, tiny_draws):

@@ -1,5 +1,5 @@
-"""The package's public names, the seams between its modules, and the scipy
-modules each command loads."""
+"""The package's public names, the seams between its modules, the scipy
+modules each command loads, and the README's library quick tour."""
 
 import ast
 import os
@@ -123,3 +123,13 @@ def test_a_narrow_fit_loads_the_dense_solver_alone(fitted):
     # scipy.optimize imports parts of scipy.sparse itself, but not its graph routines
     assert "scipy.optimize" in loaded
     assert "scipy.sparse.csgraph" not in loaded
+
+
+@pytest.mark.slow
+def test_readme_quick_tour_runs_as_written(capsys):
+    # the python block under the README's "Library quick tour" heading
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+    code = tour.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md: Library quick tour", "exec"), {})
+    assert capsys.readouterr().out.count("\n") >= code.count("print(")

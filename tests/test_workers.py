@@ -23,6 +23,7 @@ from poinar import harness, io, model, sampler
 from poinar.cli import main
 from poinar.harness import run_study, scenario_by_name, simulate_scenario
 from poinar.kernel import InnovationKernel
+from poinar.memberships import SuffStats
 from poinar.model import ConfigurationError
 from poinar.sampler import SamplerConfig, run_chain, run_chains
 from poinar.workers import WorkerExited, in_workers
@@ -136,6 +137,28 @@ class TestPool:
         forked = cpus(2)
         assert len(run_chains(small_panel(), chains_config(2))) == 2
         assert len(seen) == 24 and forked == []
+
+    @pytest.mark.parametrize("cls, name", [(InnovationKernel, "__call__"),
+                                            (SuffStats, "from_state")])
+    def test_a_wrapped_method_keeps_the_chains_here(self, monkeypatch, cpus, cls, name):
+        # a wrapper set on the class alone, as a profiler sets it, must see
+        # every call the chains make, as on one CPU
+        seen = []
+        raw = vars(cls)[name]
+        method = getattr(raw, "__func__", raw)  # a classmethod's function
+
+        @functools.wraps(method)
+        def traced(*args, **kwargs):
+            seen.append(len(seen))
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, traced if raw is method else classmethod(traced))
+        cpus(1)
+        run_chains(small_panel(), chains_config(2))
+        serial, seen[:] = len(seen), []
+        forked = cpus(2)
+        assert len(run_chains(small_panel(), chains_config(2))) == 2
+        assert serial > 0 and len(seen) == serial and forked == []
 
     def test_first_failing_task_in_order_raises_its_error(self, cpus):
         cpus(2)
