@@ -11,7 +11,7 @@ theta solve given (alpha, lam).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class ClsPanelEstimate:
     converged: np.ndarray
     projected: np.ndarray
     degenerate: np.ndarray
-    sse_traces: list[list[float]] = field(default_factory=list)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,7 +60,7 @@ def _sse(y_cur, y_lag, m_t, alpha, lam, theta) -> np.ndarray:
     return _row_dots(resid, resid)
 
 
-def cls_fit_panel(counts, season_of, record_sse: bool = False) -> ClsPanelEstimate:
+def cls_fit_panel(counts, season_of) -> ClsPanelEstimate:
     """Fit every series of a panel by cyclic CLS updates, all at once.
 
     Each iteration updates, for the series that have not yet converged, the
@@ -79,10 +78,6 @@ def cls_fit_panel(counts, season_of, record_sse: bool = False) -> ClsPanelEstima
         Counts, T >= 14; identically zero rows are flagged, not fitted.
     season_of : sequence of int
         Month (1..12) of each week.
-    record_sse : bool
-        Keep each series' SSE after every block update in ``sse_traces``
-        (each block is an exact coordinate minimizer, so a trace is
-        nonincreasing except when a floor projection fires).
     """
     y = np.asarray(counts, dtype=float)
     if y.ndim != 2:
@@ -109,7 +104,6 @@ def cls_fit_panel(counts, season_of, record_sse: bool = False) -> ClsPanelEstima
     iterations = np.zeros(L, dtype=np.int64)
     converged = np.zeros(L, dtype=bool)
     projected = np.zeros(L, dtype=bool)
-    traces: list[list[float]] = [[] for _ in range(L)] if record_sse else []
 
     # working copies of the series still iterating; rows leave on convergence
     rows = np.flatnonzero(~degenerate)
@@ -120,13 +114,6 @@ def cls_fit_panel(counts, season_of, record_sse: bool = False) -> ClsPanelEstima
     s_yy = _row_dots(y_cur, y_lag)
     has_lag = s_y2 > 0
     proj = np.zeros(rows.size, dtype=bool)
-
-    def record():
-        for r, v in zip(rows.tolist(), _sse(y_cur, y_lag, m_t, a, lm, th).tolist()):
-            traces[r].append(v)
-
-    if record_sse:
-        record()
 
     for it in range(1, _MAX_ITER + 1):
         if not rows.size:
@@ -142,8 +129,6 @@ def cls_fit_panel(counts, season_of, record_sse: bool = False) -> ClsPanelEstima
         solvable = denom > 1e-12 * np.maximum(s_y2 * s_th2, 1.0)
         lm = np.divide(s_y2 * s_yth - s_yy * s_lagth, denom, out=lm.copy(), where=solvable)
         a = np.divide(s_yy - lm * s_lagth, s_y2, out=a.copy(), where=has_lag)
-        if record_sse:
-            record()
 
         # constrained theta minimizer given (alpha, lam)
         upd = np.flatnonzero(np.abs(lm) > 1e-12)
@@ -168,8 +153,6 @@ def cls_fit_panel(counts, season_of, record_sse: bool = False) -> ClsPanelEstima
                 new[np.ix_(neg, present)] = floored
                 proj[upd[neg]] = True
             th[upd] = new
-        if record_sse:
-            record()
 
         delta = np.maximum(
             np.maximum(np.abs(a - a_old), np.abs(lm - lm_old)), np.abs(th - th_old).max(axis=1)
@@ -195,5 +178,5 @@ def cls_fit_panel(counts, season_of, record_sse: bool = False) -> ClsPanelEstima
     )
     return ClsPanelEstimate(
         alpha=alpha, lam=lam, theta=theta, sse=sse, iterations=iterations,
-        converged=converged, projected=projected, degenerate=degenerate, sse_traces=traces,
+        converged=converged, projected=projected, degenerate=degenerate,
     )

@@ -138,17 +138,17 @@ def _write_csv(path: Path, header: list[str], rows: list):
     widths = set(map(len, rows)) - {len(header)}
     if widths:
         raise ValueError(f"{path}: a row holds {widths.pop()} cells, the header {len(header)}")
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _hyper_from_args(args) -> Hyperparams:
-    """The mode's default priors, with each one given on the command line."""
+def _hyper_from_args(args, mode: str) -> Hyperparams:
+    """``mode``'s default priors, with each one given on the command line."""
     given = {name: getattr(args, name) for name in _HYPERPARAMS
              if getattr(args, name) is not None}
-    return replace(Hyperparams.default(args.mode), **given)
+    return replace(Hyperparams.default(mode), **given)
 
 
 def _check_exposure_mode(args, mode: str):
@@ -202,11 +202,11 @@ def cmd_simulate(args, out: Path) -> str:
 
 
 def cmd_fit(args, out: Path) -> str:
-    _check_exposure_mode(args, args.mode)
+    mode = MODE_PLAIN if args.exposure is None else MODE_COVARIATE
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
-    exposure = model_exposure(panel, args.mode)
+    exposure = model_exposure(panel, mode)
     sampler_config = _sweep_config(
-        args, n_chains=args.chains, hyper=_hyper_from_args(args),
+        args, n_chains=args.chains, hyper=_hyper_from_args(args, mode),
         keep_innovations=args.include_innovations,
     )
     if args.chains >= 2 and sampler_config.draws_per_chain < 2:
@@ -361,8 +361,7 @@ def _simulate_options(p: argparse.ArgumentParser):
 
 def _fit_options(p: argparse.ArgumentParser):
     p.add_argument("--counts", required=True)
-    p.add_argument("--exposure", default=None)
-    p.add_argument("--mode", choices=[MODE_PLAIN, MODE_COVARIATE], default=MODE_PLAIN)
+    p.add_argument("--exposure", default=None, help=f"exposure CSV: fit in {MODE_COVARIATE} mode")
     _add_sweep_options(p)
     p.add_argument("--chains", type=int, default=SamplerConfig.n_chains)
     p.add_argument("--include-innovations", action="store_true")

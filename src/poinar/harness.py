@@ -190,12 +190,17 @@ def run_study(
     streams make the report the same either way. Before any panel is
     simulated, the study is refused if one replicate's draws would exceed
     physical memory. ``progress`` gets one line per replicate, in scenario
-    and replicate order, as its result arrives.
+    and replicate order, as its result arrives. A scenario named twice is
+    refused: its two rows would differ only by their streams.
     """
     if scale not in ("desk", "full"):
         raise ValueError("scale must be 'desk' or 'full'")
     if scenarios is None:
         scenarios = benchmark_scenarios()
+    names = [sc.name for sc in scenarios]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ConfigurationError(f"scenario {repeated[0]!r} is named more than once")
     if scale == "desk":
         scenarios = [replace(sc, L=DESK_L) for sc in scenarios]
         reps = DESK_REPLICATES if n_replicates is None else n_replicates

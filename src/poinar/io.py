@@ -66,7 +66,7 @@ def load_counts(path, exposure_path=None) -> CountPanel:
     scanned again row by row to name the first bad cell.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -138,7 +138,7 @@ def _raise_first_bad_row(path: Path, n_weeks: int):
     A cell passes here exactly when numpy's C reader reads it as an int64,
     so a file this finds nothing in is one that reader accepts.
     """
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for i, row in enumerate(reader, start=2):
@@ -166,7 +166,7 @@ def save_counts(panel: CountPanel, path):
     if np.any(months_of(dates) != panel.season_of):
         raise ValueError("the panel's week dates do not reproduce its season map")
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series_id"] + [d.isoformat() for d in dates])
         for sid, row in zip(panel.series_ids, panel.counts.tolist()):
@@ -177,7 +177,7 @@ def load_exposure(path, series_ids: list[str]) -> np.ndarray:
     """Read an exposure CSV and join it strictly against the panel ids."""
     path = Path(path)
     values: dict[str, float] = {}
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["series_id", "exposure"]:

@@ -125,8 +125,7 @@ class _Visits(NamedTuple):
     """A membership sweep's visits and the per-series terms they read, as
     Python lists."""
 
-    order: list       # the series, in visiting order
-    u: list           # each visit's uniform, drawn up front
+    u: list           # each series' uniform, drawn up front
     s: list           # innovation totals S_l, as floats
     s_int: list       # and as ints
     mass: list        # seasonal masses m_l
@@ -143,19 +142,18 @@ def sample_memberships(
     stats: SuffStats,
     hyper: Hyperparams,
     rng: np.random.Generator,
-    order: np.ndarray | None = None,
     *,
-    log_gamma: LogGammaTable | None = None,
+    log_gamma: LogGammaTable,
 ) -> tuple[np.ndarray, SuffStats]:
     """One full sweep of collapsed membership updates.
 
-    Each series in turn is removed from its cluster and reassigned: a new
-    cluster is opened with weight tau * p_0 and existing cluster j is joined
-    with weight n_j * p_j, where the p's are the collapsed marginal
-    likelihoods of the series' innovation total. Emptied clusters are removed
-    and labels are canonicalized by first appearance, so the returned stats
-    carry compacted B, n and U; the cluster rates must be re-instantiated
-    afterwards.
+    Each series in turn, 0 to L - 1, is removed from its cluster and
+    reassigned: a new cluster is opened with weight tau * p_0 and existing
+    cluster j is joined with weight n_j * p_j, where the p's are the
+    collapsed marginal likelihoods of the series' innovation total. Emptied
+    clusters are removed and labels are canonicalized by first appearance,
+    so the returned stats carry compacted B, n and U; the cluster rates must
+    be re-instantiated afterwards.
 
     Each cluster keeps the parts of its marginal that do not depend on the
     visiting series; a visit refreshes them only for the clusters it
@@ -163,8 +161,8 @@ def sample_memberships(
     plain mode), that includes the mass terms ``(log rate_j - log(rate_j +
     m)) * shape_j`` and ``log m - log(rate_j + m)``; otherwise they are
     recomputed at each visit. gammaln(shape_j + s) and gammaln(shape_j) are
-    read from ``log_gamma`` (a chain passes its own, built here otherwise)
-    while its ``limit`` covers the sweep's total. The terms of
+    read from ``log_gamma``, the chain's table for ``hyper.gamma1``, while
+    its ``limit`` covers the sweep's total. The terms of
     ``log_innovation_total_marginal`` are combined in its own order, so the
     draws are those of the plain per-visit formula.
 
@@ -179,19 +177,15 @@ def sample_memberships(
     exponentiate and sum the weights in numpy.
     """
     g1 = hyper.gamma1
-    if log_gamma is None:
-        log_gamma = LogGammaTable(g1)
-    elif log_gamma.gamma1 != g1:
+    if log_gamma.gamma1 != g1:
         raise ValueError("the log-gamma table was built for another gamma1")
     S, mass = stats.S, stats.mass
     L = S.shape[0]
-    order = range(L) if order is None else np.asarray(order).tolist()
     s_int = S.astype(np.int64)
     with np.errstate(divide="ignore"):
         log_count = np.log(np.arange(L + 1.0))
     visits = _Visits(
-        order=order,
-        u=rng.random(len(order)).tolist(),
+        u=rng.random(L).tolist(),
         s=S.tolist(),
         s_int=s_int.tolist(),
         mass=mass.tolist(),
@@ -264,7 +258,7 @@ def _list_visits(visits: _Visits, z: np.ndarray, stats: SuffStats, g2: float,
     slots = z.tolist()  # each series' slot id, at first its label
     live = list(range(K))
     fresh = K
-    for l, u in zip(visits.order, visits.u):
+    for l, u in enumerate(visits.u):
         s, si = S[l], s_int[l]
         k = bisect_left(live, slots[l])
         U_k, kept = U[k], terms[k]
@@ -398,7 +392,7 @@ def _table_visits(visits: _Visits, z: np.ndarray, stats: SuffStats, g2: float,
     slots = z.tolist()  # each series' slot id, at first its label
     live = list(range(K))
     fresh = K
-    for l, u in zip(visits.order, visits.u):
+    for l, u in enumerate(visits.u):
         s, m_l, si = S[l], mass[l], s_int[l]
         k = bisect_left(live, slots[l])
         n[k] -= 1

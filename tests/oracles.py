@@ -352,9 +352,10 @@ def _relabel_by_first_appearance(z, *cluster_arrays):
     return perm[z], tuple(arr[old_order] for arr in cluster_arrays)
 
 
-def list_sample_memberships(state, panel, stats, hyper, rng, order=None, *, log_gamma=None):
+def list_sample_memberships(state, panel, stats, hyper, rng, *, log_gamma=None):
     """One collapsed membership sweep over Python lists of the cluster
-    statistics, recomputing every cluster's marginal at each visit.
+    statistics, visiting series 0..L-1 and recomputing every cluster's
+    marginal at each visit.
     ``log_gamma``, the package sweep's table, is accepted and not used, so
     that ``run_chain`` can call this in its place."""
     g1, g2 = hyper.gamma1, hyper.gamma2
@@ -364,10 +365,8 @@ def list_sample_memberships(state, panel, stats, hyper, rng, order=None, *, log_
     n = list(stats.n)
     U = list(stats.U)
     log_tau = np.log(state.tau)
-    if order is None:
-        order = np.arange(z.shape[0])
 
-    for l in order:
+    for l in range(z.shape[0]):
         k = z[l]
         n[k] -= 1
         B[k] -= S[l]
@@ -752,11 +751,15 @@ class DegenerateSeriesError(ValueError):
     """An identically zero series: no signal for the CLS model to fit."""
 
 
-def per_series_cls_fit(series, season_of, init=None, tol: float = 1e-8, max_iter: int = 100):
+def per_series_cls_fit(series, season_of, init=None, tol: float = 1e-8, max_iter: int = 100,
+                       trace: list | None = None):
     """Fit one series by cyclic CLS updates on Python scalars.
 
     Returns (alpha, lam, theta, sse, iterations, converged, projected) and
-    raises ``DegenerateSeriesError`` on an identically zero series.
+    raises ``DegenerateSeriesError`` on an identically zero series. Given a
+    list ``trace``, appends the SSE at the start and after every block
+    update, 1 + 2 * iterations values: each block is an exact coordinate
+    minimizer, so they do not increase unless a floor projection fires.
     """
     y = np.asarray(series, dtype=float)
     T = y.shape[0]
@@ -784,6 +787,15 @@ def per_series_cls_fit(series, season_of, init=None, tol: float = 1e-8, max_iter
     projected = False
     converged = False
 
+    def sse():
+        resid = y_cur - alpha * y_lag - lam * theta[m_t]
+        return float(resid @ resid)
+
+    def note():
+        if trace is not None:
+            trace.append(sse())
+
+    note()
     it = 0
     for it in range(1, max_iter + 1):
         alpha_old, lam_old, theta_old = alpha, lam, theta.copy()
@@ -797,6 +809,7 @@ def per_series_cls_fit(series, season_of, init=None, tol: float = 1e-8, max_iter
             lam = (s_y2 * s_yth - s_yy * s_lagth) / denom
         if s_y2 > 0:
             alpha = (s_yy - lam * s_lagth) / s_y2
+        note()
 
         if abs(lam) > 1e-12:
             d_i = np.bincount(m_t, weights=y_cur - alpha * y_lag, minlength=12)
@@ -807,14 +820,14 @@ def per_series_cls_fit(series, season_of, init=None, tol: float = 1e-8, max_iter
                 theta[present] = np.maximum(theta[present], _CLS_THETA_FLOOR)
                 theta[present] /= theta[present].sum()
                 projected = True
+        note()
 
         delta = max(abs(alpha - alpha_old), abs(lam - lam_old), float(np.abs(theta - theta_old).max()))
         if delta < tol:
             converged = True
             break
 
-    resid = y_cur - alpha * y_lag - lam * theta[m_t]
-    return alpha, lam, theta, float(resid @ resid), it, converged, projected
+    return alpha, lam, theta, sse(), it, converged, projected
 
 
 def per_series_cls_panel(counts, season_of) -> ClsPanelEstimate:

@@ -20,9 +20,9 @@ def simulated_series(lam=2.0, alpha=0.5, T=2000, seed=0, theta=None):
     return simulate_poinar(lam, alpha, theta, SEASONS[:T], rng=rng), SEASONS[:T]
 
 
-def fit_one(y, season, **kwargs):
+def fit_one(y, season):
     """``cls_fit_panel`` on the one-row panel ``y``."""
-    return cls_fit_panel(np.asarray(y)[None], season, **kwargs)
+    return cls_fit_panel(np.asarray(y)[None], season)
 
 
 class TestClsFit:
@@ -46,10 +46,13 @@ class TestClsFit:
             assert abs(est.theta[0].sum() - 1.0) < 1e-10
 
     def test_each_block_update_weakly_decreases_sse(self):
+        # on the per-series oracle, which ``TestClsFitPanel`` ties to the
+        # package fit bit for bit
         y, season = simulated_series(lam=1.5, alpha=0.4, T=400, seed=3)
-        est = fit_one(y, season, record_sse=True)
-        assert not est.projected[0]
-        trace = est.sse_traces[0]
+        trace = []
+        _, _, _, sse, iterations, _, projected = per_series_cls_fit(y, season, trace=trace)
+        assert not projected
+        assert len(trace) == 1 + 2 * iterations and trace[-1] == sse
         assert np.all(np.diff(trace) <= 1e-9 * max(1.0, trace[0]))
 
     def test_beats_grid_search_oracle(self):
@@ -200,14 +203,6 @@ class TestClsFitPanel:
                    est.converged[l], est.projected[l])
             for g, e in zip(got, expected):
                 assert np.array_equal(g, e)
-
-    def test_traces_follow_each_series_until_it_converges(self):
-        counts = np.array([simulated_series(lam=1.5, alpha=0.4, T=400, seed=s)[0] for s in (3, 4)])
-        fit = cls_fit_panel(counts, SEASONS[:400], record_sse=True)
-        for l in range(2):
-            alone = fit_one(counts[l], SEASONS[:400], record_sse=True)
-            assert fit.sse_traces[l] == alone.sse_traces[0]
-            assert len(alone.sse_traces[0]) == 1 + 2 * alone.iterations[0]
 
     def test_degenerate_rows_forecast_zero(self):
         counts = np.array([np.zeros(30, dtype=np.int64), np.arange(30) % 4])

@@ -26,7 +26,7 @@ from poinar.sampler import PosteriorDraws, SamplerConfig, run_chain
 
 
 def write(path: Path, text: str) -> Path:
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -35,6 +35,7 @@ GOOD_CSV = (
     "a,1,0,2\n"
     "b,3,1,0\n"
 )
+BOM = "\ufeff"  # the UTF-8 byte-order mark, which Excel's "CSV UTF-8" writes first
 
 
 class TestLoadCounts:
@@ -44,6 +45,26 @@ class TestLoadCounts:
         assert np.array_equal(panel.counts, [[1, 0, 2], [3, 1, 0]])
         assert list(panel.season_of) == [1, 1, 1]  # all January
         assert panel.series_ids == ["a", "b"]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain = io.load_counts(write(tmp_path / "c.csv", GOOD_CSV))
+        marked = io.load_counts(write(tmp_path / "bom.csv", BOM + GOOD_CSV))
+        assert marked.series_ids == plain.series_ids and marked.week_starts == plain.week_starts
+        assert np.array_equal(marked.counts, plain.counts)
+        assert io.panel_sha256(marked) == io.panel_sha256(plain)
+        # the row-by-row rescan of a bad file reads past the mark too
+        with pytest.raises(io.ParseError, match="row 3, column 3: negative count -1"):
+            io.load_counts(write(tmp_path / "bad.csv", BOM + GOOD_CSV.replace("3,1,0", "3,-1,0")))
+
+    def test_files_are_written_as_utf8(self, tmp_path):
+        # without a byte-order mark
+        panel = replace(io.load_counts(write(tmp_path / "c.csv", GOOD_CSV)),
+                        series_ids=["Zürich", "東京"])
+        io.save_counts(panel, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == (
+            "series_id,2001-01-01,2001-01-08,2001-01-15\r\nZürich,1,0,2\r\n東京,3,1,0\r\n").encode()
+        cli._write_csv(tmp_path / "rows.csv", ["series_id", "mean"], [("東京", 0.5)])
+        assert (tmp_path / "rows.csv").read_bytes() == "series_id,mean\r\n東京,0.5\r\n".encode()
 
     def test_negative_cell_names_position(self, tmp_path):
         bad = GOOD_CSV.replace("3,1,0", "3,-1,0")
@@ -204,6 +225,13 @@ class TestExposure:
         expo = write(tmp_path / "e.csv", "series_id,exposure\na,1.5\nb,0\n")
         with pytest.raises(io.ParseError, match="positive"):
             io.load_counts(counts, exposure_path=expo)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        counts = write(tmp_path / "c.csv", GOOD_CSV)
+        expo = "series_id,exposure\nb,2.5\na,1.5\n"
+        plain = io.load_counts(counts, exposure_path=write(tmp_path / "e.csv", expo))
+        marked = io.load_counts(counts, exposure_path=write(tmp_path / "bom.csv", BOM + expo))
+        assert np.array_equal(marked.exposure, plain.exposure)
 
     def test_round_trip(self, tmp_path):
         values = np.array([1.23456789012345678, 2.5])
@@ -631,16 +659,6 @@ class TestCli:
         freq = sum(b["frequency"] for b in doc["by_last_value"].values())
         assert freq == pytest.approx(1.0, abs=1e-12)
 
-    def test_covariate_fit_requires_exposure(self, tmp_path):
-        sim_dir = tmp_path / "sim"
-        main(["simulate", "--scenario", "hard-0.1", "--series", "8",
-              "--out", str(sim_dir)])
-        code = main([
-            "fit", "--counts", str(sim_dir / "counts.csv"),
-            "--mode", "covariate", "--out", str(tmp_path / "f"),
-        ])
-        assert code == 2
-
     def test_covariate_pipeline(self, tmp_path, capsys):
         sim, fc, ev = tmp_path / "sim", tmp_path / "fc", tmp_path / "ev"
         assert main(["simulate", "--scenario", "hard-0.1", "--series", "8",
@@ -649,7 +667,7 @@ class TestCli:
         ids = io.load_counts(counts).series_ids
         save_exposure(ids, np.linspace(0.5, 4.0, len(ids)), exposure)
         draws = str(tmp_path / "fit" / "draws.jsonl")
-        assert main(["fit", "--counts", counts, "--exposure", exposure, "--mode", "covariate",
+        assert main(["fit", "--counts", counts, "--exposure", exposure,
                      "--chains", "2", "--iterations", "30", "--burn-in", "10", "--thin", "5",
                      "--out", str(tmp_path / "fit")]) == 0
         inputs = ["--counts", counts, "--draws", draws]
@@ -680,13 +698,13 @@ class TestCli:
         counts, exposure = str(sim / "counts.csv"), str(tmp_path / "exposure.csv")
         save_exposure(io.load_counts(counts).series_ids, np.linspace(0.5, 4.0, 8), exposure)
         sweeps = ["--iterations", "30", "--burn-in", "10", "--thin", "5"]
-        capsys.readouterr()
+        # a fit's mode follows from its inputs: covariate exactly when given an exposure
         assert main(["fit", "--counts", counts, "--exposure", exposure, *sweeps,
-                     "--out", str(tmp_path / "bad")]) == 2
-        assert "--exposure applies only to covariate mode" in capsys.readouterr().err
-        assert not (tmp_path / "bad" / "draws.jsonl").exists()
+                     "--out", str(tmp_path / "cfit")]) == 0
+        assert io.load_draws(tmp_path / "cfit" / "draws.jsonl").mode == "covariate"
         assert main(["fit", "--counts", counts, *sweeps, "--out", str(tmp_path / "fit")]) == 0
         draws = str(tmp_path / "fit" / "draws.jsonl")
+        assert io.load_draws(draws).mode == "plain"
         capsys.readouterr()
         for command in ("forecast", "evaluate"):
             out = tmp_path / command
@@ -899,6 +917,14 @@ class TestCli:
         assert "--" not in err
         assert not out.exists()
 
+    def test_fit_mode_is_no_option(self, tmp_path, capsys):
+        io.save_counts(_tiny_panel(), tmp_path / "c.csv")
+        out = tmp_path / "fit"
+        assert main(["fit", "--counts", str(tmp_path / "c.csv"), "--mode", "covariate",
+                     "--out", str(out)]) == 2
+        assert "unrecognized arguments: --mode covariate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_metropolis_threshold_is_no_option(self, tmp_path, capsys):
         io.save_counts(_tiny_panel(), tmp_path / "c.csv")
         out = tmp_path / "fit"
@@ -913,8 +939,8 @@ class TestCli:
         ("fit", ["--counts", "dir", "--out", "new/fit"], "Is a directory"),
         ("forecast", ["--counts", "c.csv", "--draws", "dir", "--out", "new/fc"],
          "Is a directory"),
-        ("fit", ["--counts", "c.csv", "--exposure", "dir", "--mode", "covariate",
-                 "--out", "new/fit"], "Is a directory"),
+        ("fit", ["--counts", "c.csv", "--exposure", "dir", "--out", "new/fit"],
+         "Is a directory"),
         ("fit", ["--counts", "locked.csv", "--out", "new/fit"], "Permission denied"),
     ], ids=["out-is-a-file", "out-under-a-file", "counts-is-a-directory",
             "draws-is-a-directory", "exposure-is-a-directory", "counts-unreadable"])
@@ -933,7 +959,7 @@ class TestCli:
         monkeypatch.setattr(io, "load_counts", locked)
         argv = [command]
         for flag, value in zip(options[::2], options[1::2]):
-            argv += [flag, value if flag == "--mode" else str(tmp_path / value)]
+            argv += [flag, str(tmp_path / value)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and error in err
@@ -1280,6 +1306,17 @@ class TestCli:
         lines = (out / "study.csv").read_text().splitlines()
         assert len(lines) == 4  # header + one row per method
         assert (out / "study.json").exists() and (out / "manifest.json").exists()
+
+    def test_study_of_a_repeated_scenario_is_a_usage_error(self, tmp_path, capsys):
+        # scenario indices 0 and 1 draw different streams, so the study
+        # would write two rows of the one name with different numbers
+        out = tmp_path / "study"
+        assert main(["study", "--scenarios", "hard-0.1,easy-0.5,hard-0.1", "--replicates", "1",
+                     "--iterations", "10", "--burn-in", "2", "--thin", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario 'hard-0.1' is named more than once\n")
+        assert not out.exists()
 
     def test_study_of_no_scenario_names_is_a_usage_error(self, tmp_path, capsys):
         # an empty list names the scenario '', not the full grid

@@ -46,7 +46,7 @@ def fitted(tmp_path_factory):
     sweeps = ["--iterations", "40", "--burn-in", "10", "--thin", "5", "--seed", "2"]
     assert main(["fit", "--counts", str(root / "train.csv"), *sweeps,
                  "--out", str(root / "plain")]) == 0
-    assert main(["fit", "--counts", str(root / "train.csv"), "--mode", "covariate",
+    assert main(["fit", "--counts", str(root / "train.csv"),
                  "--exposure", str(root / "exposure.csv"), *sweeps,
                  "--out", str(root / "covariate")]) == 0
     return root
@@ -119,7 +119,7 @@ def test_truth_json(tmp_path):
 @pytest.mark.parametrize("mode, chains", [("plain", 1), ("covariate", 2)])
 def test_diagnostics_json(fitted, tmp_path, mode, chains):
     exposure = str(fitted / "exposure.csv") if mode == "covariate" else None
-    argv = ["fit", "--counts", str(fitted / "train.csv"), "--mode", mode,
+    argv = ["fit", "--counts", str(fitted / "train.csv"),
             "--chains", str(chains), "--iterations", "40", "--burn-in", "10", "--thin", "5",
             "--seed", "2", "--out", str(tmp_path)]
     assert main(argv + (["--exposure", exposure] if exposure else [])) == 0
@@ -144,7 +144,7 @@ def test_study_json(tmp_path):
 
 @pytest.mark.parametrize("argv, code", [
     (["fit", "--counts", "{root}/train.csv", "--seed", "-1"], 2),
-    (["fit", "--counts", "{root}/train.csv", "--exposure", "{root}/exposure.csv"], 2),
+    (["fit", "--counts", "{root}/train.csv", "--exposure", "{root}/full.csv"], 1),
     (["fit", "--counts", "{root}/missing.csv"], 2),
     (["forecast", "--counts", "{root}/train.csv", "--draws", "{root}/covariate/draws.jsonl"], 2),
     (["evaluate", "--counts", "{root}/full.csv", "--draws", "{root}/plain/draws.jsonl",

@@ -294,7 +294,8 @@ class TestCollapsedMembershipWeights:
         stats = SuffStats.from_state(state, panel)
         rng = np.random.default_rng(10)
         for _ in range(10):
-            z, stats2 = sample_memberships(state, panel, stats, Hyperparams(), rng)
+            z, stats2 = sample_memberships(state, panel, stats, Hyperparams(), rng,
+                                           log_gamma=LogGammaTable(1.0))
             assert z.max() == 0
 
     def test_sweep_compacts_and_keeps_stats_consistent(self):
@@ -304,7 +305,8 @@ class TestCollapsedMembershipWeights:
         state.phi_star = np.full(10, 1.0)
         state.tau = 0.7
         stats = SuffStats.from_state(state, panel)
-        z, stats = sample_memberships(state, panel, stats, Hyperparams(), np.random.default_rng(11))
+        z, stats = sample_memberships(state, panel, stats, Hyperparams(), np.random.default_rng(11),
+                                      log_gamma=LogGammaTable(1.0))
         seen = np.unique(z)
         assert np.array_equal(seen, np.arange(seen.size))
         assert np.isclose(stats.B.sum(), stats.S.sum())
@@ -316,20 +318,31 @@ class TestCollapsedMembershipWeights:
     def test_visit_order_leaves_stationary_distribution_unchanged(self):
         # run two short collapsed samplers over (z, phi) only, one sweeping in
         # natural order and one in a permuted order each sweep; the posterior
-        # cluster-count histograms must agree
+        # cluster-count histograms must agree. A sweep visits the rows in
+        # order, so the permuted sampler sweeps the panel rows, the state and
+        # the per-series stats put in the sweep's order, then puts z back.
         panel, truth = small_panel(L=12, T=80, rates=(0.6, 5.0), seed=17)
         hyper = Hyperparams()
         stats0 = SuffStats.from_state(truth, panel)
 
         def run(order_rng_seed, permuted):
             rng = np.random.default_rng(order_rng_seed)
+            table = LogGammaTable(hyper.gamma1)
             state = copy.deepcopy(truth)
             state.tau = 1.0
             stats = stats0
             ks = []
             for sweep in range(3000):
-                order = rng.permutation(12) if permuted else None
-                state.z, stats = sample_memberships(state, panel, stats, hyper, rng, order=order)
+                order = rng.permutation(12) if permuted else np.arange(12)
+                back = np.argsort(order)
+                z, stats = sample_memberships(
+                    replace(state, z=state.z[order], alpha=state.alpha[order],
+                            innovations=state.innovations[order]),
+                    replace(panel, counts=panel.counts[order]),
+                    replace(stats, S=stats.S[order], mass=stats.mass[order]),
+                    hyper, rng, log_gamma=table)
+                state.z = z[back]
+                stats = replace(stats, S=stats.S[back], mass=stats.mass[back])
                 state.phi_star = sample_unique_rates(stats, hyper, rng)
                 ks.append(state.phi_star.shape[0])
             return np.array(ks[200:])

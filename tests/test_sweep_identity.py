@@ -238,14 +238,13 @@ def membership_inputs(draw):
                        innovations=eps)
     hyper = Hyperparams(gamma1=draw(st.sampled_from([1.0, 0.5, 0.25, 3.0, 0.3, 1 / 3])),
                         gamma2=draw(st.floats(0.05, 3.0)), mode=mode)
-    order = rng.permutation(L) if draw(st.booleans()) else None
-    return state, panel, hyper, order, draw(st.integers(0, 2**32 - 1))
+    return state, panel, hyper, draw(st.integers(0, 2**32 - 1))
 
 
 @given(membership_inputs())
 @settings(max_examples=150, deadline=None)
 def test_membership_sweeps_match_list_sweeps(inputs):
-    state, panel, hyper, order, seed = inputs
+    state, panel, hyper, seed = inputs
     rng_ours = np.random.default_rng(seed)
     rng_ref = np.random.default_rng(seed)
     stats = SuffStats.from_state(state, panel, hyper.mode)
@@ -253,9 +252,9 @@ def test_membership_sweeps_match_list_sweeps(inputs):
     ours, expected = (state.z, stats), (state.z, stats)
     for _ in range(2):  # the second sweep reuses the table the first grew
         ours = sample_memberships(replace(state, z=ours[0]), panel, ours[1], hyper, rng_ours,
-                                  order, log_gamma=table)
+                                  log_gamma=table)
         expected = oracles.list_sample_memberships(replace(state, z=expected[0]), panel,
-                                                   expected[1], hyper, rng_ref, order)
+                                                   expected[1], hyper, rng_ref)
         (z, got), (z_ref, want) = ours, expected
         assert np.array_equal(z, z_ref)
         for name in ("B", "n", "U"):
@@ -277,7 +276,7 @@ def test_list_visit_sweep_opens_clusters_past_the_crossover(monkeypatch):
     with monkeypatch.context() as patch:
         visits = record_visits(patch)
         z, ours = sample_memberships(state, panel, stats, Hyperparams(),
-                                     np.random.default_rng(3))
+                                     np.random.default_rng(3), log_gamma=LogGammaTable(1.0))
     z_ref, want = oracles.list_sample_memberships(state, panel, stats, Hyperparams(),
                                                   np.random.default_rng(3))
     assert visits == [LIST]

@@ -359,7 +359,7 @@ def test_fit_writes_the_same_bytes_on_one_and_two_workers(cpus, inputs, tmp_path
             "--iterations", "16", "--burn-in", "4", "--thin", "2", "--seed", "3",
             "--include-innovations"]
     if mode == "covariate":
-        argv += ["--mode", mode, "--exposure", str(inputs / "exposure.csv")]
+        argv += ["--exposure", str(inputs / "exposure.csv")]
     one = run_on(cpus, 1, argv, tmp_path / "fit", capsys)
     two = run_on(cpus, 2, argv, tmp_path / "fit", capsys)
     assert one[:2] == two[:2]
