@@ -31,7 +31,7 @@ from .harness import (
     scenario_by_name,
     simulate_scenario,
 )
-from .model import MODE_COVARIATE, MODE_PLAIN, ConfigurationError, Hyperparams, model_exposure
+from .model import ConfigurationError, Hyperparams
 from .sampler import PosteriorDraws, SamplerConfig, run_chains, stream
 from .workers import WorkerExited
 
@@ -42,8 +42,8 @@ _FAILURE_EXIT = 1
 _PATH_ERRORS = (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError,
                 PermissionError)
 
-# the priors settable from the command line: every hyperparameter but the mode
-_HYPERPARAMS = [f.name for f in fields(Hyperparams) if f.name != "mode"]
+# the priors settable from the command line
+_HYPERPARAMS = [f.name for f in fields(Hyperparams)]
 
 # glibc's mallopt parameters and the values its adaptive thresholds reach
 # at most on a 64-bit machine
@@ -144,31 +144,22 @@ def _write_csv(path: Path, header: list[str], rows: list):
         writer.writerows(rows)
 
 
-def _hyper_from_args(args, mode: str) -> Hyperparams:
-    """``mode``'s default priors, with each one given on the command line."""
+def _hyper_from_args(args) -> Hyperparams:
+    """The fit's default priors, the covariate variant's under
+    ``--exposure``, with each one given on the command line."""
     given = {name: getattr(args, name) for name in _HYPERPARAMS
              if getattr(args, name) is not None}
-    return replace(Hyperparams.default(mode), **given)
-
-
-def _check_exposure_mode(args, mode: str):
-    """Reject ``--exposure`` outside covariate mode, which alone reads it."""
-    if args.exposure is not None and mode != MODE_COVARIATE:
-        raise ConfigurationError(
-            f"--exposure applies only to {MODE_COVARIATE} mode, not to {mode} mode"
-        )
+    return replace(Hyperparams.default(args.exposure is not None), **given)
 
 
 def _load_panel_and_draws(args) -> tuple:
-    """Load the counts and the draws fitted to them, plus the
-    ``model_exposure`` of the draws' mode."""
-    panel = io.load_counts(args.counts, exposure_path=args.exposure)
+    """Load the counts and the draws fitted to them."""
+    panel = io.load_counts(args.counts)
     draws = io.load_draws(args.draws)
-    _check_exposure_mode(args, draws.mode)
     mismatch = io.fitted_panel_mismatch(draws, panel)
     if mismatch:
         raise io.IntegrityError(f"{args.draws} does not fit {args.counts}: {mismatch}")
-    return panel, draws, model_exposure(panel, draws.mode)
+    return panel, draws
 
 
 def _sweep_config(args, **settings) -> SamplerConfig:
@@ -202,11 +193,9 @@ def cmd_simulate(args, out: Path) -> str:
 
 
 def cmd_fit(args, out: Path) -> str:
-    mode = MODE_PLAIN if args.exposure is None else MODE_COVARIATE
     panel = io.load_counts(args.counts, exposure_path=args.exposure)
-    exposure = model_exposure(panel, mode)
     sampler_config = _sweep_config(
-        args, n_chains=args.chains, hyper=_hyper_from_args(args, mode),
+        args, n_chains=args.chains, hyper=_hyper_from_args(args),
         keep_innovations=args.include_innovations,
     )
     if args.chains >= 2 and sampler_config.draws_per_chain < 2:
@@ -226,7 +215,7 @@ def cmd_fit(args, out: Path) -> str:
         "representative_assignment": [int(k) for k in representative_assignment(draws)],
     }
     if len(chains) >= 2:
-        diagnostics["psrf_rate_sum"] = psrf(draws.rate_sum_traces(exposure))
+        diagnostics["psrf_rate_sum"] = psrf(draws.rate_sum_traces())
         diagnostics["psrf_alpha"] = psrf(draws.by_chain(draws.alpha)).tolist()
         diagnostics["psrf_theta"] = psrf(draws.by_chain(draws.theta)).tolist()
     io.write_json(out / "diagnostics.json", diagnostics)
@@ -237,7 +226,7 @@ def cmd_forecast(args, out: Path) -> str:
     quantiles = _quantile_levels(args.quantiles) if args.quantiles else []
     if args.horizon < 1:
         raise ConfigurationError("horizon must be at least 1")
-    panel, draws, exposure = _load_panel_and_draws(args)
+    panel, draws = _load_panel_and_draws(args)
     last = panel.week_starts[-1]
     room = (datetime.date.max - last).days // 7  # weeks the calendar holds past the last
     if args.horizon > room:
@@ -249,10 +238,9 @@ def cmd_forecast(args, out: Path) -> str:
     y_last = panel.counts[:, -1]
     q_columns = []
     if quantiles:  # first, so that an overflowing rate is refused with the pmfs' message
-        dist = posterior_predictive(y_last, draws, int(future[0]), exposure,
-                                    series_ids=panel.series_ids)
+        dist = posterior_predictive(y_last, draws, int(future[0]), series_ids=panel.series_ids)
         q_columns = quantile(dist, quantiles).T.tolist()
-    means = posterior_conditional_means(draws, y_last, future, exposure,
+    means = posterior_conditional_means(draws, y_last, future,
                                         series_ids=panel.series_ids).tolist()
 
     header = ["series_id", "y_last", "mean"] + [f"q{q}" for q in quantiles]
@@ -263,7 +251,7 @@ def cmd_forecast(args, out: Path) -> str:
 
 
 def cmd_evaluate(args, out: Path) -> str:
-    panel, draws, _ = _load_panel_and_draws(args)
+    panel, draws = _load_panel_and_draws(args)
     report, details = rolling_one_step_evaluation(
         panel, draws, holdout=args.holdout, origins=args.origins, bucket_cap=args.bucket_cap,
     )
@@ -361,7 +349,7 @@ def _simulate_options(p: argparse.ArgumentParser):
 
 def _fit_options(p: argparse.ArgumentParser):
     p.add_argument("--counts", required=True)
-    p.add_argument("--exposure", default=None, help=f"exposure CSV: fit in {MODE_COVARIATE} mode")
+    p.add_argument("--exposure", default=None, help="exposure CSV: fit in covariate mode")
     _add_sweep_options(p)
     p.add_argument("--chains", type=int, default=SamplerConfig.n_chains)
     p.add_argument("--include-innovations", action="store_true")
@@ -374,7 +362,6 @@ def _fit_options(p: argparse.ArgumentParser):
 def _forecast_options(p: argparse.ArgumentParser):
     p.add_argument("--counts", required=True)
     p.add_argument("--draws", required=True)
-    p.add_argument("--exposure", default=None)
     p.add_argument("--quantiles", default="0.5,0.95,0.99")
     p.add_argument("--horizon", type=int, default=1)
     p.add_argument("--out", default=None)
@@ -384,7 +371,6 @@ def _forecast_options(p: argparse.ArgumentParser):
 def _evaluate_options(p: argparse.ArgumentParser):
     p.add_argument("--counts", required=True)
     p.add_argument("--draws", required=True)
-    p.add_argument("--exposure", default=None)
     p.add_argument("--holdout", type=int, default=52)
     p.add_argument("--origins", choices=["monthly", "weekly"], default="monthly")
     p.add_argument("--bucket-cap", type=int, default=4)

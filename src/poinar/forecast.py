@@ -89,7 +89,6 @@ def _mean_steps(y_T, alpha, lam, effects: np.ndarray):
 
 
 def posterior_conditional_means(draws: PosteriorDraws, y_T, future_months,
-                                exposure: np.ndarray | None = None,
                                 series_ids: list[str] | None = None) -> np.ndarray:
     """Draw-averaged conditional means at horizons 1..h.
 
@@ -97,15 +96,15 @@ def posterior_conditional_means(draws: PosteriorDraws, y_T, future_months,
     ``future_months`` the months of the h weeks after it, shape (h,). For
     several origins at once, give one row per origin: shapes (n, L) and
     (n, h). Row h-1 of the result is the h-step mean, shape (h, L) or
-    (h, n, L). Covariate-mode draws need ``exposure``. A draw whose rate
-    in one of the months overflows to inf raises ``ConfigurationError``
-    naming the series (``series_ids``, row numbers when not given).
+    (h, n, L). Rates carry the draws' exposure. A draw whose rate in one
+    of the months overflows to inf raises ``ConfigurationError`` naming
+    the series (``series_ids``, row numbers when not given).
 
     Each draw's means follow ``_mean_steps``, averaged once per step, so
     step h has the bits of the draw mean of ``conditional_mean_h_step`` on
     the first h months.
     """
-    alpha, lam, theta = draws.stacked(exposure)
+    alpha, lam, theta = draws.stacked()
     y_T = np.asarray(y_T, dtype=float)
     months = np.asarray(future_months, dtype=np.int64)
     effects = _month_effects(theta, months.reshape(-1, 1, months.shape[-1]))  # (D, n, 1, h)
@@ -242,7 +241,6 @@ def posterior_predictive(
     y_T,
     draws: PosteriorDraws,
     month: int,
-    exposure: np.ndarray | None = None,
     series_ids: list[str] | None = None,
 ) -> ForecastDistribution:
     """The exact one-step pmf of every series, averaged over the draws, as
@@ -255,8 +253,7 @@ def posterior_predictive(
     grid is built. The series with the same origin count, sorted by point,
     then share kernel passes of at most ``_PASS_CELLS`` grid cells, each
     built once at its widest point; one draw-mean of the grid gives the
-    pass's pmfs, each zeroed past its own point. Covariate-mode draws need
-    the panel's ``exposure`` to scale each draw's per-exposure rate.
+    pass's pmfs, each zeroed past its own point.
 
     A draw whose rate overflows to inf raises ``ConfigurationError``
     naming the series (``series_ids``, row numbers when not given) before
@@ -264,7 +261,7 @@ def posterior_predictive(
     arrays over it, and largest pass would not fit in physical memory,
     naming the series of the widest point.
     """
-    alpha, lam, theta = draws.stacked(exposure)
+    alpha, lam, theta = draws.stacked()
     with np.errstate(over="ignore"):  # an overflow to inf is refused just below
         rate = lam * _month_effects(theta, month)[:, None]
     alpha, rate = alpha.T, rate.T  # one row of draws per series

@@ -26,7 +26,7 @@ from .diagnostics import (
 )
 from .forecast import conditional_mean_h_step, posterior_conditional_means
 from .io import months_of, week_starts_from
-from .model import ConfigurationError, model_exposure, refuse_over_memory, simulate_panel
+from .model import ConfigurationError, refuse_over_memory, simulate_panel
 from .panel import CountPanel
 from .sampler import PosteriorDraws, SamplerConfig, draw_bytes, run_chain, stream
 
@@ -314,16 +314,15 @@ def rolling_one_step_evaluation(
     the per-forecast table as columns, one entry per (target week, series)
     pair, weeks outer: ``series_id`` (a list), and the int64 arrays ``week``
     (1-based), ``last_value`` and ``actual`` and the float array
-    ``prediction``. Rates use the ``model_exposure`` of the draws' mode.
+    ``prediction``. Rates use the exposure the draws were fitted with.
     """
-    exposure = model_exposure(panel, draws.mode)
     targets = np.array(holdout_origin_weeks(panel, holdout, origins), dtype=np.int64)
     if not targets.size:
         raise ConfigurationError("no forecast origins inside the holdout")
 
     y_prev = panel.counts[:, targets - 1].T  # (origins, series)
     months = panel.season_of[targets][:, None]
-    preds = posterior_conditional_means(draws, y_prev, months, exposure, panel.series_ids)[0]
+    preds = posterior_conditional_means(draws, y_prev, months, panel.series_ids)[0]
     actuals = panel.counts[:, targets].T
 
     details = {

@@ -21,12 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MODE_COVARIATE, MODE_PLAIN
 from .panel import N_MONTHS, CountPanel, innovation_bounds
 from .sampler import SEED_DERIVATION, PosteriorDraws
 
 DRAWS_FORMAT = "poinar-draws"
-DRAWS_VERSION = 3
+DRAWS_VERSION = 4
 _RECORD_FIELDS = ("chain", "iteration", "tau", "alpha", "z", "phi_star", "theta")
 
 
@@ -227,9 +226,11 @@ def save_draws(draws: PosteriorDraws, path, panel: CountPanel):
 
     The header records the training ``panel``'s size, ``panel_sha256`` and
     ``week_starts_sha256``, so the draws can be checked against a panel
-    later; the panel needs its week dates. A record is one draw, floats at
-    full round-trip precision, ``phi_star`` cut to its ``n_clusters``; it
-    holds ``innovations`` exactly when the draws keep them.
+    later; the panel needs its week dates. It also records the draws'
+    ``exposure``, or ``null`` for unit exposure. A record is one draw;
+    floats are at full round-trip precision, ``phi_star`` cut to its
+    ``n_clusters``; it holds ``innovations`` exactly when the draws keep
+    them.
     """
     if panel.week_starts is None:
         raise ValueError("panel has no week dates for the draws header to bind")
@@ -237,12 +238,12 @@ def save_draws(draws: PosteriorDraws, path, panel: CountPanel):
     header = {
         "format": DRAWS_FORMAT,
         "version": DRAWS_VERSION,
-        "mode": draws.mode,
         "n_draws": len(draws),
         "n_series": panel.n_series,
         "n_weeks": panel.n_weeks,
         "panel_sha256": panel_sha256(panel),
         "week_starts_sha256": week_starts_sha256(panel),
+        "exposure": None if draws.exposure is None else draws.exposure.tolist(),
     }
     innovations = draws.innovations if draws.innovations is not None else [None] * len(draws)
     rows = zip(draws.chain_index.tolist(), draws.iteration.tolist(), draws.tau.tolist(),
@@ -294,10 +295,10 @@ def fitted_panel_mismatch(draws: PosteriorDraws, panel: CountPanel) -> str | Non
 def load_draws(path) -> PosteriorDraws:
     """Read draws written by ``save_draws``.
 
-    The header must be of version ``DRAWS_VERSION``, with a ``mode`` of
-    ``plain`` or ``covariate``, positive ``n_series``, ``n_weeks`` and
-    ``n_draws``, and both hashes of the training panel; draws of older
-    versions must be refit.
+    The header must be of version ``DRAWS_VERSION``, with positive
+    ``n_series``, ``n_weeks`` and ``n_draws``, both hashes of the training
+    panel, and an ``exposure`` of ``null`` or ``n_series`` positive finite
+    floats; draws of older versions must be refit.
 
     Every record is checked before use: ``chain``, ``iteration`` and ``z``
     hold JSON integers and the other fields JSON floats, each in range and
@@ -326,9 +327,13 @@ def load_draws(path) -> PosteriorDraws:
     for key in ("panel_sha256", "week_starts_sha256"):
         if not isinstance(header.get(key), str):
             raise IntegrityError(f"{path}: header lacks the {key!r} string")
-    mode = header.get("mode")
-    if mode not in (MODE_PLAIN, MODE_COVARIATE):
-        raise IntegrityError(f"{path}: header mode {mode!r} is not 'plain' or 'covariate'")
+    if "exposure" not in header:
+        raise IntegrityError(f"{path}: header lacks the 'exposure' field")
+    exposure = header["exposure"]
+    if exposure is not None:
+        _check_list(f"{path}: header field 'exposure'", exposure, header["n_series"], np.inf,
+                    positive=True)
+        exposure = np.array(exposure, dtype=float)
     n_draws = header.get("n_draws")
     if type(n_draws) is not int:  # nor are JSON true and 6.0
         raise IntegrityError(f"{path}: header field 'n_draws' is not a count")
@@ -417,15 +422,17 @@ def load_draws(path) -> PosteriorDraws:
         chain_index=np.array([rec["chain"] for rec in rows], dtype=np.int64),
         iteration=np.array([rec["iteration"] for rec in rows], dtype=np.int64),
         innovations=innovations,
-        mode=mode,
+        exposure=exposure,
         fitted_to=(n_weeks, header["panel_sha256"], header["week_starts_sha256"]),
     )
 
 
-def _check_list(field: str, value, size: int, hi: float | None, at_most: bool = False):
+def _check_list(field: str, value, size: int, hi: float | None, at_most: bool = False,
+                positive: bool = False):
     """Raise an ``IntegrityError`` on ``field`` unless ``value`` is a flat
     list of ``size`` JSON values (at most ``size`` with ``at_most``):
-    integers (no bools) if ``hi`` is ``None``, else finite floats in [0, hi]."""
+    integers (no bools) if ``hi`` is ``None``, else finite floats in [0, hi],
+    or in (0, hi] when ``positive``."""
     kinds = set(map(type, value)) if type(value) is list else {list}
     if list in kinds:
         raise IntegrityError(f"{field} has shape {_shape(value)}, expected {size} entries")
@@ -439,10 +446,13 @@ def _check_list(field: str, value, size: int, hi: float | None, at_most: bool = 
     if hi is None or not value:
         return
     top = min(hi, _FLOAT_MAX)  # inf is no finite value
+    low = min(value)
     # min and max can pass over a NaN, but the sum of a list holding one is NaN
-    if not (0.0 <= min(value) and max(value) <= top) or math.isnan(sum(value)):
-        bad = next(v for v in value if not 0.0 <= v <= top)
-        raise IntegrityError(f"{field} holds {bad!r}, not a finite value in [0, {hi}]")
+    if (not (low > 0.0 if positive else low >= 0.0) or max(value) > top
+            or math.isnan(sum(value))):
+        bad = next(v for v in value if not (0.0 < v if positive else 0.0 <= v) or not v <= top)
+        raise IntegrityError(f"{field} holds {bad!r}, not a finite value in "
+                             f"{'(' if positive else '['}0, {hi}]")
 
 
 def _shape(value) -> str:
@@ -454,10 +464,23 @@ def _shape(value) -> str:
 
 
 def write_json(path, doc: dict):
-    """Write ``doc`` as JSON indented by 2, keys sorted, ending in a newline."""
+    """Write ``doc`` as JSON indented by 2, keys sorted, ending in a newline.
+    JSON has no NaN or infinity, so a float that is not finite, such as an
+    undefined metric, is written as ``null``."""
     with Path(path).open("w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_null(value):
+    """``value`` with each float in it that is not finite replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def write_manifest(out_dir, command: str, parameters: dict):

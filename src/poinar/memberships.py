@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .model import MODE_PLAIN, Hyperparams, ModelState, model_exposure
+from .model import Hyperparams, ModelState, model_exposure
 from .panel import CountPanel
 
 
@@ -20,8 +20,8 @@ class SuffStats:
     """Sufficient statistics of the imputed innovations under a clustering.
 
     ``mass[l]`` is the seasonal mass a series multiplies its per-exposure
-    rate by over the whole panel, e_l * Theta, with e the ``model_exposure``
-    of ``mode``. ``U[k]`` sums ``mass`` over cluster members.
+    rate by over the whole panel, e_l * Theta, with e the panel's
+    ``model_exposure``. ``U[k]`` sums ``mass`` over cluster members.
     """
 
     S: np.ndarray           # (L,) per-series innovation totals
@@ -33,12 +33,12 @@ class SuffStats:
     mass: np.ndarray        # (L,) per-series seasonal mass
 
     @classmethod
-    def from_state(cls, state: ModelState, panel: CountPanel, mode: str = MODE_PLAIN) -> "SuffStats":
+    def from_state(cls, state: ModelState, panel: CountPanel) -> "SuffStats":
         if state.innovations is None:
             raise ValueError("state carries no innovations")
         eps = state.innovations
         theta_total = float(panel.month_weeks @ state.theta)
-        mass = model_exposure(panel, mode) * theta_total
+        mass = model_exposure(panel) * theta_total
         S = eps.sum(axis=1).astype(float)
         K = state.n_clusters
         B = np.bincount(state.z, weights=S, minlength=K)
@@ -138,7 +138,6 @@ class _Visits(NamedTuple):
 
 def sample_memberships(
     state: ModelState,
-    panel: CountPanel,
     stats: SuffStats,
     hyper: Hyperparams,
     rng: np.random.Generator,
@@ -157,8 +156,8 @@ def sample_memberships(
 
     Each cluster keeps the parts of its marginal that do not depend on the
     visiting series; a visit refreshes them only for the clusters it
-    touches. When every series has the same seasonal mass m (always in
-    plain mode), that includes the mass terms ``(log rate_j - log(rate_j +
+    touches. When every series has the same seasonal mass m (always at
+    unit exposure), that includes the mass terms ``(log rate_j - log(rate_j +
     m)) * shape_j`` and ``log m - log(rate_j + m)``; otherwise they are
     recomputed at each visit. gammaln(shape_j + s) and gammaln(shape_j) are
     read from ``log_gamma``, the chain's table for ``hyper.gamma1``, while

@@ -14,10 +14,6 @@ import numpy as np
 
 from .panel import CountPanel
 
-MODE_PLAIN = "plain"
-MODE_COVARIATE = "covariate"
-
-
 class ConfigurationError(ValueError):
     """Raised when settings are invalid or inconsistent with the data."""
 
@@ -75,14 +71,10 @@ class Hyperparams:
     xi1, xi2 : float
         Gamma prior on the monthly seasonal effects.
     gamma1, gamma2 : float
-        Gamma base measure of the Dirichlet process over innovation rates
-        (over per-exposure rates in covariate mode).
+        Gamma base measure of the Dirichlet process over per-exposure
+        innovation rates (see ``model_exposure``).
     a_tau, b_tau : float
         Gamma prior on the DP concentration parameter.
-    mode : str
-        ``"covariate"`` factors each rate as exposure times a clustered
-        per-exposure rate; ``"plain"`` is that model at unit exposure (see
-        ``model_exposure``).
     """
 
     eta1: float = 1.0
@@ -93,37 +85,26 @@ class Hyperparams:
     gamma2: float = 0.1
     a_tau: float = 2.0
     b_tau: float = 4.0
-    mode: str = MODE_PLAIN
 
     def __post_init__(self):
         for name in ("eta1", "eta2", "xi1", "xi2", "gamma1", "gamma2", "a_tau", "b_tau"):
             value = getattr(self, name)
             if not (value > 0 and np.isfinite(value)):
                 raise ConfigurationError(f"{name} must be a positive finite number, got {value}")
-        if self.mode not in (MODE_PLAIN, MODE_COVARIATE):
-            raise ConfigurationError(f"mode must be 'plain' or 'covariate', got {self.mode!r}")
 
     @classmethod
-    def default(cls, mode: str = MODE_PLAIN) -> "Hyperparams":
-        """Mode-appropriate defaults: base measure Gamma(1, 0.1) for plain
-        rates, Gamma(0.5, 0.5) for exposure-adjusted per-unit rates."""
-        if mode == MODE_COVARIATE:
-            return cls(gamma1=0.5, gamma2=0.5, mode=mode)
-        return cls(mode=mode)
+    def default(cls, covariate: bool) -> "Hyperparams":
+        """The default priors: base measure Gamma(1, 0.1) for rates at unit
+        exposure, Gamma(0.5, 0.5) for ``covariate`` per-exposure rates."""
+        return cls(gamma1=0.5, gamma2=0.5) if covariate else cls()
 
 
-def model_exposure(panel: CountPanel, mode: str) -> np.ndarray:
-    """The exposure e_l each series' rate e_l * psi_{z_l} carries in ``mode``.
-
-    Covariate mode uses the panel's exposure. Plain mode is the same model
-    at unit exposure, so it gets a vector of ones; multiplying by it changes
-    no value, and every rate and seasonal mass has one formula in both modes.
-    """
-    if mode != MODE_COVARIATE:
-        return np.ones(panel.n_series)
-    if panel.exposure is None:
-        raise ConfigurationError("covariate mode requires an exposure vector (--exposure)")
-    return panel.exposure
+def model_exposure(panel: CountPanel) -> np.ndarray:
+    """The exposure e_l each series' rate e_l * psi_{z_l} carries: the
+    panel's, or ones for a panel without one. The model at unit exposure is
+    the plain model; multiplying by ones changes no value, so every rate and
+    seasonal mass has one formula for both."""
+    return np.ones(panel.n_series) if panel.exposure is None else panel.exposure
 
 
 @dataclass
@@ -132,7 +113,7 @@ class ModelState:
 
     Cluster labels are 0-based and contiguous: ``z`` takes values in
     ``0..K-1`` with no empty cluster, and ``phi_star[k]`` is the rate shared
-    by cluster ``k`` (the per-exposure rate in covariate mode).
+    by cluster ``k`` (per unit of exposure).
 
     ``innovations`` holds the imputed new-arrival counts; the first column is
     pinned to the first observations (the initial count is attributed wholly

@@ -9,8 +9,8 @@ workers (``workers``).
 
 Series l's innovation rate at week t is e_l * psi_{z_l} * theta_{s(t)}: an
 exposure e_l times its cluster's per-exposure rate and the month's seasonal
-effect. Plain mode is the covariate model at unit exposure, and
-``model.model_exposure`` is the one function that picks e from the mode, so
+effect. A panel without exposure is fitted at unit exposure, and
+``model.model_exposure`` is the one function that picks e from the panel, so
 one formula and one set of conjugate updates cover both model variants.
 """
 
@@ -24,15 +24,7 @@ import numpy as np
 from . import workers
 from .kernel import InnovationKernel
 from .memberships import LogGammaTable, SuffStats, sample_memberships
-from .model import (
-    MODE_COVARIATE,
-    MODE_PLAIN,
-    ConfigurationError,
-    Hyperparams,
-    ModelState,
-    model_exposure,
-    refuse_over_memory,
-)
+from .model import ConfigurationError, Hyperparams, ModelState, model_exposure, refuse_over_memory
 from .panel import N_MONTHS, CountPanel
 
 
@@ -94,10 +86,11 @@ class PosteriorDraws:
     the ``n_clusters[d]`` cluster rates of draw d, then NaN; ``theta`` is
     (D, 12); ``tau``, ``chain_index`` and ``iteration`` are (D,);
     ``innovations`` is (D, L, T), or ``None`` for draws that keep none.
-    ``fitted_to`` is ``(n_weeks, panel_sha256, week_starts_sha256)`` of the
-    training panel for draws read from a file, ``None`` for draws a chain
-    returns. Nothing modifies the arrays once ``run_chain`` or
-    ``load_draws`` returns them.
+    ``exposure`` is the (L,) exposure of the panel the draws were fitted
+    to, ``None`` for unit exposure. ``fitted_to`` is ``(n_weeks,
+    panel_sha256, week_starts_sha256)`` of the training panel for draws
+    read from a file, ``None`` for draws a chain returns. Nothing modifies
+    the arrays once ``run_chain`` or ``load_draws`` returns them.
     """
 
     alpha: np.ndarray
@@ -109,7 +102,7 @@ class PosteriorDraws:
     chain_index: np.ndarray
     iteration: np.ndarray
     innovations: np.ndarray | None = None
-    mode: str = MODE_PLAIN
+    exposure: np.ndarray | None = None
     fitted_to: tuple[int, str, str] | None = None
 
     def __len__(self) -> int:
@@ -122,20 +115,18 @@ class PosteriorDraws:
         return [ModelState(self.alpha[d], self.z[d], self.phi_star[d, :k], self.theta[d],
                            self.tau[d]) for d, k in enumerate(self.n_clusters.tolist())]
 
-    def stacked(self, exposure: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    def stacked(self) -> tuple[np.ndarray, ...]:
         """Every draw's parameters on a leading draw axis: ``(alpha, lam,
         theta)`` of shapes (D, L), (D, L) and (D, 12).
 
         ``lam`` is each series' effective innovation rate, phi*_{z_l} scaled
-        by ``exposure`` when given; covariate-mode draws require it.
+        by the draws' ``exposure``.
         """
         if len(self) == 0:
             raise ValueError("no posterior draws")
-        if self.mode == MODE_COVARIATE and exposure is None:
-            raise ConfigurationError("covariate-mode draws need the exposure vector")
         lam = np.take_along_axis(self.phi_star, self.z, axis=1)
-        if exposure is not None:
-            lam *= np.asarray(exposure, dtype=float)
+        if self.exposure is not None:
+            lam *= self.exposure
         return self.alpha, lam, self.theta
 
     def by_chain(self, values: np.ndarray) -> np.ndarray:
@@ -150,28 +141,27 @@ class PosteriorDraws:
         # contiguous, so each trace reduces in the same order as a 1-D array
         return np.ascontiguousarray(np.moveaxis(grouped, (0, 1), (-2, -1)))
 
-    def rate_sum_traces(self, exposure: np.ndarray | None = None) -> np.ndarray:
+    def rate_sum_traces(self) -> np.ndarray:
         """Per-chain traces of the summed effective rates, shape (chains,
         draws per chain): a scalar functional that is invariant to cluster
         relabeling (used for convergence checks)."""
-        return self.by_chain(self.stacked(exposure)[1].sum(axis=1))
+        return self.by_chain(self.stacked()[1].sum(axis=1))
 
     @classmethod
     def concat(cls, parts: list["PosteriorDraws"]) -> "PosteriorDraws":
         """The draws of ``parts`` one after another; they must share the
-        mode, the width L and whether they keep innovations."""
+        exposure, the width L and whether they keep innovations."""
         if not parts:
             raise ValueError("no draws to concatenate")
-        modes = {p.mode for p in parts}
-        if len(modes) != 1:
-            raise ValueError("cannot mix draws from different model modes")
+        if len({None if p.exposure is None else p.exposure.tobytes() for p in parts}) != 1:
+            raise ValueError("cannot mix draws fitted under different exposures")
         if len({p.innovations is None for p in parts}) != 1:
             raise ValueError("cannot mix draws with and without innovations")
         arrays = {f.name: [getattr(p, f.name) for p in parts] for f in fields(cls)
-                  if f.name not in ("mode", "fitted_to")}
+                  if f.name not in ("exposure", "fitted_to")}
         return cls(
             **{name: None if a[0] is None else np.concatenate(a) for name, a in arrays.items()},
-            mode=parts[0].mode,
+            exposure=parts[0].exposure,
         )
 
 
@@ -272,11 +262,11 @@ def sweep(state: ModelState, panel: CountPanel, kernel: InnovationKernel, hyper:
     ``kernel`` is the panel's ``InnovationKernel`` and ``log_gamma`` the
     chain's ``LogGammaTable`` for ``hyper.gamma1``.
     """
-    lam = model_exposure(panel, hyper.mode) * state.phi_star[state.z]
+    lam = model_exposure(panel) * state.phi_star[state.z]
     rates = lam[:, None] * state.theta[panel.season_of[1:] - 1]
     state.innovations = kernel(state.alpha, rates, rng)
-    stats = SuffStats.from_state(state, panel, mode=hyper.mode)
-    state.z, stats = sample_memberships(state, panel, stats, hyper, rng, log_gamma=log_gamma)
+    stats = SuffStats.from_state(state, panel)
+    state.z, stats = sample_memberships(state, stats, hyper, rng, log_gamma=log_gamma)
     state.phi_star = sample_unique_rates(stats, hyper, rng)
     state.theta = sample_seasonals(stats, state, panel, hyper, rng)
     state.alpha = sample_thinnings(state, panel, hyper, rng)
@@ -298,10 +288,9 @@ def run_chain(
     ``config.draws_per_chain`` preallocated rows, its innovations only
     under ``config.keep_innovations``. Deterministic given the generator's
     seed. ``kernel``, the panel's ``InnovationKernel``, is built here when
-    not given.
+    not given. The draws carry the panel's exposure.
     """
     hyper = config.hyper
-    model_exposure(panel, hyper.mode)  # a covariate panel without exposure fails here
     if rng is None:
         rng = stream(config.seed, 1, chain_index)
     if kernel is None:
@@ -314,7 +303,7 @@ def run_chain(
     D = config.draws_per_chain
     draws = PosteriorDraws(**{name: np.empty(shape, dtype) for name, (shape, dtype)
                               in _draw_arrays(L, panel.n_weeks, config).items()},
-                           mode=hyper.mode)
+                           exposure=panel.exposure)
     draws.phi_star.fill(np.nan)
     draws.chain_index.fill(chain_index)
     draws.iteration[:] = config.burn_in + config.thin_interval * np.arange(1, D + 1)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from poinar.forecast import ForecastDistribution, posterior_predictive
-from poinar.model import MODE_PLAIN, ModelState
+from poinar.model import ModelState
 from poinar.panel import N_MONTHS
 from poinar.sampler import PosteriorDraws
 
@@ -15,10 +15,9 @@ DRAW_FIELDS = ("alpha", "z", "phi_star", "n_clusters", "theta", "tau", "chain_in
                "iteration")
 
 
-def draws_from_states(states, chain_index=None, iteration=None,
-                      mode: str = MODE_PLAIN) -> PosteriorDraws:
-    """``states`` as draws of chain 0 at iterations 0, 1, ... unless given;
-    innovations are kept when every state has them."""
+def draws_from_states(states, chain_index=None, iteration=None) -> PosteriorDraws:
+    """``states`` as draws of chain 0 at iterations 0, 1, ... unless given, at
+    unit exposure; innovations are kept when every state has them."""
     D = len(states)
     L = states[0].z.shape[0] if states else 0
     phi_star = np.full((D, L), np.nan)
@@ -36,7 +35,6 @@ def draws_from_states(states, chain_index=None, iteration=None,
         else np.asarray(chain_index),
         iteration=np.arange(D) if iteration is None else np.asarray(iteration),
         innovations=np.array(eps) if states and all(e is not None for e in eps) else None,
-        mode=mode,
     )
 
 
@@ -54,14 +52,16 @@ def draw_state(draws: PosteriorDraws, d: int) -> ModelState:
 
 def assert_same_draws(a: PosteriorDraws, b: PosteriorDraws):
     """Every array of ``a`` equals ``b``'s bit for bit, NaN padding included,
-    and both keep innovations or neither does."""
+    both keep innovations or neither does, and both carry the same exposure."""
     assert len(a) == len(b)
     for name in DRAW_FIELDS:
         assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
     assert (a.innovations is None) == (b.innovations is None)
     if a.innovations is not None:
         assert np.array_equal(a.innovations, b.innovations)
-    assert a.mode == b.mode
+    assert (a.exposure is None) == (b.exposure is None)
+    if a.exposure is not None:
+        assert np.array_equal(a.exposure, b.exposure)
 
 
 def series_distribution(dist: ForecastDistribution, l: int) -> ForecastDistribution:

@@ -12,7 +12,8 @@ versions can be checked to give the same numbers; the earlier per-cell
 counts CSV parser, against which the package's parser is checked file by
 file; and the earlier rendering of the CLI's forecast, evaluation and study
 tables, one dict per row through ``csv.DictWriter``, and of its JSON
-documents through ``json.dumps``, against which the command outputs are
+documents through ``json.dumps``, each undefined number then rewritten to
+``null``, against which the command outputs are
 checked byte for byte; and the checks of a sampler state's and its
 statistics' invariants and the exposure CSV writer, which only tests call.
 """
@@ -25,6 +26,7 @@ import datetime
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,7 @@ from poinar.forecast import posterior_conditional_means
 from poinar.harness import METHOD_BNP, METHODS, holdout_origin_weeks
 from poinar.io import ParseError, load_exposure, months_of, week_starts_from
 from poinar.memberships import SuffStats, log_innovation_total_marginal
-from poinar.model import ModelState, model_exposure
+from poinar.model import ModelState
 from poinar.panel import N_MONTHS, CountPanel, innovation_bounds
 
 
@@ -352,7 +354,7 @@ def _relabel_by_first_appearance(z, *cluster_arrays):
     return perm[z], tuple(arr[old_order] for arr in cluster_arrays)
 
 
-def list_sample_memberships(state, panel, stats, hyper, rng, *, log_gamma=None):
+def list_sample_memberships(state, stats, hyper, rng, *, log_gamma=None):
     """One collapsed membership sweep over Python lists of the cluster
     statistics, visiting series 0..L-1 and recomputing every cluster's
     marginal at each visit.
@@ -463,10 +465,10 @@ def _poisson_sf(k: int, rate: np.ndarray) -> np.ndarray:
     return pdtrc(k, rate) if k >= 0 else np.ones_like(rate)
 
 
-def per_series_posterior_predictive(y_T, draws, month: int, exposure=None) -> list[tuple]:
+def per_series_posterior_predictive(y_T, draws, month: int) -> list[tuple]:
     """``(pmf, y_max)`` of every series' draw-averaged one-step pmf, one
     kernel call per series."""
-    alpha, lam, theta = draws.stacked(exposure)
+    alpha, lam, theta = draws.stacked()
     rate = lam * theta[:, month - 1, None]
     out = []
     for l, y in enumerate(np.asarray(y_T)):
@@ -500,13 +502,12 @@ def _dict_csv(path: Path, fieldnames: list[str], rows: list[dict]):
 def dict_forecasts_csv(path, panel, draws, quantiles: list[float], horizon: int):
     """``forecasts.csv`` of ``poinar forecast`` on ``panel``: one dict per
     series, quantiles from each series' own pmf and cdf."""
-    exposure = model_exposure(panel, draws.mode)
     future = months_of(
         week_starts_from(panel.week_starts[-1] + datetime.timedelta(days=7), horizon)
     )
     y_last = panel.counts[:, -1]
-    means = posterior_conditional_means(draws, y_last, future, exposure)
-    dists = (per_series_posterior_predictive(y_last, draws, int(future[0]), exposure)
+    means = posterior_conditional_means(draws, y_last, future)
+    dists = (per_series_posterior_predictive(y_last, draws, int(future[0]))
              if quantiles else [])
 
     q_fields = [f"q{q}" for q in quantiles]
@@ -529,11 +530,10 @@ def dict_evaluation_files(out, panel, draws, holdout: int, origins: str, bucket_
     of ``poinar evaluate`` on ``panel``, written into ``out``: one dict per
     forecast and per bucket."""
     out = Path(out)
-    exposure = model_exposure(panel, draws.mode)
     targets = np.array(holdout_origin_weeks(panel, holdout, origins), dtype=np.int64)
     y_prev = panel.counts[:, targets - 1].T
     months = panel.season_of[targets][:, None]
-    preds = posterior_conditional_means(draws, y_prev, months, exposure)[0]
+    preds = posterior_conditional_means(draws, y_prev, months)[0]
     actuals = panel.counts[:, targets].T
     rows = [
         {
@@ -572,9 +572,7 @@ def dict_evaluation_files(out, panel, draws, holdout: int, origins: str, bucket_
             str(k): dataclasses.asdict(v) for k, v in sorted(report.by_last_value.items())
         },
     }
-    with (out / "evaluation.json").open("w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "evaluation.json").write_text(_json_text(doc))
     _dict_csv(
         out / "forecast_details.csv",
         ["series_id", "week", "last_value", "prediction", "actual"],
@@ -614,7 +612,10 @@ def dict_study_csv(path, report):
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` as indented JSON, each NaN or infinity as ``null``."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    return re.sub(r'^(\s*(?:"[^"\n]*": )?)(?:NaN|-?Infinity)(,?)$', r"\1null\2", text,
+                  flags=re.M) + "\n"
 
 
 def truth_json(scenario, seed: int, panel, truth, next_month: int) -> str:
@@ -631,7 +632,7 @@ def truth_json(scenario, seed: int, panel, truth, next_month: int) -> str:
     })
 
 
-def diagnostics_json(draws, exposure) -> str:
+def diagnostics_json(draws) -> str:
     """``diagnostics.json`` of ``poinar fit`` for its ``draws``; the PSRFs
     only for two or more chains."""
     hist = cluster_count_histogram(draws)
@@ -642,7 +643,7 @@ def diagnostics_json(draws, exposure) -> str:
         "representative_assignment": [int(k) for k in representative_assignment(draws)],
     }
     if len(np.unique(draws.chain_index)) >= 2:
-        doc["psrf_rate_sum"] = psrf(draws.rate_sum_traces(exposure))
+        doc["psrf_rate_sum"] = psrf(draws.rate_sum_traces())
         doc["psrf_alpha"] = psrf(draws.by_chain(draws.alpha)).tolist()
         doc["psrf_theta"] = psrf(draws.by_chain(draws.theta)).tolist()
     return _json_text(doc)

@@ -148,12 +148,11 @@ class TestPosteriorConditionalMeans:
         # closed form to rounding, bit for bit at h = 1
         rng = np.random.default_rng(8)
         draws = self._draws(rng, D=12)
-        draws.mode = mode
-        exposure = np.array([0.5, 1.0, 3.0]) if mode == "covariate" else None
-        alpha, lam, theta = draws.stacked(exposure)
+        draws.exposure = np.array([0.5, 1.0, 3.0]) if mode == "covariate" else None
+        alpha, lam, theta = draws.stacked()
         y_T = np.array([[2, 0, 5], [0, 0, 0], [11, 3, 1]])
         months = rng.integers(1, 13, (3, 52))
-        got = posterior_conditional_means(draws, y_T, months, exposure)
+        got = posterior_conditional_means(draws, y_T, months)
         assert got.shape == (52, 3, 3)
         for i in range(3):
             for h in range(1, 53):
@@ -176,16 +175,13 @@ class TestPosteriorConditionalMeans:
             single = posterior_conditional_means(draws, y_T[i], months[i])
             assert np.allclose(got[0, i], single[0], rtol=1e-14, atol=0)
 
-    def test_covariate_draws_need_exposure(self):
+    def test_covariate_draws_scale_by_their_exposure(self):
         rng = np.random.default_rng(6)
         draws = self._draws(rng)
-        draws.mode = "covariate"
-        with pytest.raises(ValueError):
-            posterior_conditional_means(draws, np.ones(3), [1])
-        exposure = np.array([1.0, 2.0, 0.5])
-        scaled = posterior_conditional_means(draws, np.zeros(3), [1], exposure)
-        draws.mode = "plain"
         plain = posterior_conditional_means(draws, np.zeros(3), [1])
+        exposure = np.array([1.0, 2.0, 0.5])
+        draws.exposure = exposure
+        scaled = posterior_conditional_means(draws, np.zeros(3), [1])
         assert np.allclose(scaled, plain * exposure, rtol=1e-14)
 
     def test_draws_whose_rate_overflows_in_a_forecast_month_refused(self):
@@ -274,14 +270,11 @@ class TestPosteriorPredictive:
         ]
         assert abs(pmf @ np.arange(pmf.size) - np.mean(per_draw_means)) < 1e-10
 
-    def test_covariate_draws_need_exposure(self):
+    def test_covariate_draws_scale_by_their_exposure(self):
         state = _state(0.4, 2.0, 1.0)
         draws = _draws([state])
-        draws.mode = "covariate"
-        with pytest.raises(ValueError):
-            posterior_predictive([1], draws, 1)
-        scaled = series_distribution(
-            posterior_predictive([1], draws, 1, exposure=np.array([2.0])), 0)
+        draws.exposure = np.array([2.0])
+        scaled = series_distribution(posterior_predictive([1], draws, 1), 0)
         plain = one_draw_pmf(1, 0.4, 4.0)
         assert np.allclose(scaled.pmf[0, : plain.y_max[0] + 1], plain.pmf[0], atol=1e-15)
 
@@ -304,15 +297,15 @@ class TestPosteriorPredictive:
         assert np.allclose(second, sps.poisson.pmf(np.arange(second.size), 3.0), atol=1e-15)
 
 
-def _series_draws(alpha, lam, theta, mode="plain"):
-    """Draws whose series l has thinning alpha[d, l] and rate lam[d, l] in
-    draw d: every series is its own cluster."""
+def _series_draws(alpha, lam, theta, exposure=None):
+    """Draws whose series l has thinning alpha[d, l] and per-exposure rate
+    lam[d, l] in draw d: every series is its own cluster."""
     D, L = alpha.shape
     draws = _draws([
         ModelState(alpha=alpha[d], z=np.arange(L), phi_star=lam[d], theta=theta[d], tau=1.0)
         for d in range(D)
     ])
-    draws.mode = mode
+    draws.exposure = exposure
     return draws
 
 
@@ -345,9 +338,9 @@ class TestGroupedPosteriorPredictive:
     """One kernel pass per origin count against the per-series oracle."""
 
     @staticmethod
-    def assert_matches_oracle(counts, draws, month, exposure=None):
-        block = posterior_predictive(counts, draws, month, exposure)
-        reference = per_series_posterior_predictive(counts, draws, month, exposure)
+    def assert_matches_oracle(counts, draws, month):
+        block = posterior_predictive(counts, draws, month)
+        reference = per_series_posterior_predictive(counts, draws, month)
         assert block.pmf.shape == (len(counts), block.y_max.max() + 1)
         assert block.y_max.dtype == np.int64
         assert len(reference) == len(counts)
@@ -361,10 +354,9 @@ class TestGroupedPosteriorPredictive:
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_per_series_pmfs(self, inputs):
         alpha, lam, theta, exposure, counts, month, cells = inputs
-        mode = "plain" if exposure is None else "covariate"
-        draws = _series_draws(alpha, lam, theta, mode)
+        draws = _series_draws(alpha, lam, theta, exposure)
         with mock.patch.object(forecast, "_PASS_CELLS", cells):
-            self.assert_matches_oracle(counts, draws, month, exposure)
+            self.assert_matches_oracle(counts, draws, month)
 
     @staticmethod
     def grid_calls(monkeypatch):

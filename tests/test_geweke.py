@@ -22,7 +22,7 @@ import pytest
 from generative import crp_draw
 from poinar.kernel import InnovationKernel
 from poinar.memberships import LogGammaTable
-from poinar.model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, ModelState
+from poinar.model import Hyperparams, ModelState
 from poinar.panel import N_MONTHS, CountPanel
 from poinar.sampler import sweep
 
@@ -73,20 +73,21 @@ def simulate_data(state: ModelState, exposure: np.ndarray,
     return eps, y
 
 
-def successive_conditional(mode: str, rng: np.random.Generator) -> np.ndarray:
-    """ITERATIONS rows of STATS from the successive-conditional simulator."""
-    hyper = Hyperparams(**HYPER, mode=mode)
-    exposure = EXPOSURE if mode == MODE_COVARIATE else np.ones(EXPOSURE.size)
+def successive_conditional(exposure: np.ndarray | None,
+                           rng: np.random.Generator) -> np.ndarray:
+    """ITERATIONS rows of STATS from the successive-conditional simulator,
+    on panels of ``exposure`` (unit exposure when ``None``)."""
+    hyper = Hyperparams(**HYPER)
     log_gamma = LogGammaTable(hyper.gamma1)
     state = prior_draw(EXPOSURE.size, hyper, rng)
     out = np.empty((ITERATIONS, len(STATS)))
     for it in range(ITERATIONS):
-        _, counts = simulate_data(state, exposure, rng)
+        _, counts = simulate_data(state, np.ones(EXPOSURE.size) if exposure is None else exposure,
+                                  rng)
         if counts.max() > COUNT_CAP:
             pytest.fail(f"iteration {it}: a simulated count of {counts.max()} passed the cap "
                         f"{COUNT_CAP}; the sweep has drifted off the posterior")
-        panel = CountPanel(counts, SEASON_OF, exposure=exposure if mode == MODE_COVARIATE
-                           else None)
+        panel = CountPanel(counts, SEASON_OF, exposure=exposure)
         sweep(state, panel, InnovationKernel(counts), hyper, rng, log_gamma)
         out[it] = statistics(state)
     return out
@@ -102,10 +103,10 @@ def prior_moments():
     return draws.mean(axis=0), draws.std(axis=0, ddof=1) / np.sqrt(PRIOR_DRAWS)
 
 
-@pytest.mark.parametrize("mode, seed", [(MODE_PLAIN, 1), (MODE_COVARIATE, 2)],
+@pytest.mark.parametrize("exposure, seed", [(None, 1), (EXPOSURE, 2)],
                          ids=["plain-exact-enumeration-1", "covariate-exact-enumeration-2"])
-def test_sweep_leaves_the_prior_invariant(prior_moments, mode, seed):
-    chain = successive_conditional(mode, np.random.default_rng(seed))
+def test_sweep_leaves_the_prior_invariant(prior_moments, exposure, seed):
+    chain = successive_conditional(exposure, np.random.default_rng(seed))
     batches = chain.reshape(BATCHES, -1, len(STATS)).mean(axis=1)
     chain_se = batches.std(axis=0, ddof=1) / np.sqrt(BATCHES)
     prior_mean, prior_se = prior_moments

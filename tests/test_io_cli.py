@@ -306,11 +306,13 @@ class TestDrawsPersistence:
             chain_index=rng.integers(0, 3, D),
             iteration=rng.integers(1, 10**6, D),
             innovations=rng.integers(0, 50, (D, L, T)) if keep_innovations else None,
+            # exposures across decades, so that the digits repr writes vary
+            exposure=10.0 ** rng.uniform(-3.0, 6.0, L) if data.draw(st.booleans()) else None,
         )
         path = tmp_path_factory.mktemp("draws") / "draws.jsonl"
         io.save_draws(draws, path, panel)
         loaded = io.load_draws(path)
-        assert_same_draws(loaded, draws)
+        assert_same_draws(loaded, draws)  # the exposure bit for bit too
         again = path.with_name("again.jsonl")
         io.save_draws(loaded, again, panel)
         assert again.read_bytes() == path.read_bytes()
@@ -353,13 +355,66 @@ class TestDrawsPersistence:
         path = tmp_path / "draws.jsonl"
         io.save_draws(tiny_draws, path, panel)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["version"] == io.DRAWS_VERSION == 3
+        assert header["version"] == io.DRAWS_VERSION == 4
+        assert header["exposure"] is None and "mode" not in header
         assert (header["n_series"], header["n_weeks"]) == (6, 72)
         assert header["panel_sha256"] == io.panel_sha256(panel)
         assert header["week_starts_sha256"] == io.week_starts_sha256(panel)
         loaded = io.load_draws(path)
         assert loaded.fitted_to == (72, io.panel_sha256(panel), io.week_starts_sha256(panel))
         assert io.fitted_panel_mismatch(loaded, panel) is None
+
+    def test_header_carries_the_fitted_exposure(self, tmp_path, tiny_draws):
+        exposure = np.array([0.1, 1.0, 2.5, 1 / 3, 1e-300, 1e300])
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(replace(tiny_draws, exposure=exposure), path, _tiny_panel())
+        assert json.loads(path.read_text().splitlines()[0])["exposure"] == exposure.tolist()
+        loaded = io.load_draws(path)
+        assert loaded.exposure.tobytes() == exposure.tobytes()
+        lam = np.take_along_axis(loaded.phi_star, loaded.z, axis=1)
+        assert np.array_equal(loaded.stacked()[1], lam * exposure)
+
+    @pytest.mark.parametrize("exposure, error", [
+        ([1.0] * 5, "has 5 entries, expected 6"),
+        ([1.0] * 7, "has 7 entries, expected 6"),
+        ([1.0] * 5 + [0.0], "holds 0.0, not a finite value in (0, inf]"),
+        ([1.0] * 5 + [-2.0], "holds -2.0, not a finite value in (0, inf]"),
+        ([1.0] * 5 + [float("nan")], "holds nan, not a finite value in (0, inf]"),
+        ([1.0] * 5 + [float("inf")], "holds inf, not a finite value in (0, inf]"),
+        ([1.0] * 5 + [True], "holds True, not a float"),
+        ([1.0] * 5 + [[1.0]], "has shape ragged, expected 6 entries"),
+        ([[1.0] * 6], "has shape (1, 6), expected 6 entries"),
+        (2.0, "has shape (), expected 6 entries"),
+        ("plain", "has shape (), expected 6 entries"),
+    ], ids=["short", "long", "zero", "negative", "nan", "inf", "bool", "nested", "matrix",
+            "scalar", "string"])
+    def test_malformed_header_exposure_refused(self, tmp_path, tiny_draws, capsys, exposure,
+                                               error):
+        panel = _tiny_panel()
+        io.save_counts(panel, tmp_path / "c.csv")
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, panel)
+        _edit_header(path, lambda h: h.update(exposure=exposure))
+        out = tmp_path / "fc"
+        assert main(["forecast", "--counts", str(tmp_path / "c.csv"), "--draws", str(path),
+                     "--out", str(out)]) == 1
+        assert f"{path}: header field 'exposure' {error}" in capsys.readouterr().err
+        assert not (out / "forecasts.csv").exists()
+
+    def test_header_without_an_exposure_refused(self, tmp_path, tiny_draws):
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, _tiny_panel())
+        _edit_header(path, lambda h: h.pop("exposure"))
+        with pytest.raises(io.IntegrityError, match="header lacks the 'exposure' field"):
+            io.load_draws(path)
+
+    def test_version_three_header_refused(self, tmp_path, tiny_draws):
+        # a version-3 file: a mode where the exposure now is
+        path = tmp_path / "draws.jsonl"
+        io.save_draws(tiny_draws, path, _tiny_panel())
+        _edit_header(path, lambda h: (h.pop("exposure"), h.update(version=3, mode="plain")))
+        with pytest.raises(io.IntegrityError, match="draws version 3 unsupported .expected 4."):
+            io.load_draws(path)
 
     def test_version_three_header_needs_the_dates(self, tmp_path, tiny_draws):
         path = tmp_path / "draws.jsonl"
@@ -620,6 +675,41 @@ class TestCli:
         assert header.count("q0.") == 3  # one column per requested quantile
         assert "mean_step2" in header and "mean_step3" in header
 
+    def test_evaluation_json_is_strict_json(self, tmp_path):
+        # hard-0.1 from weekly origins leaves one forecast with last value
+        # 3, whose standard errors are undefined; an all-zero panel has no
+        # positive truth to take an APE of. JSON has no NaN: each is null.
+        def strict(path):
+            return json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(
+                f"{path} holds {name}, which is not JSON"))
+
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "hard-0.1", "--series", "8",
+                     "--out", str(sim)]) == 0
+        zero = replace(io.load_counts(sim / "counts.csv"), counts=np.zeros((8, 208), np.int64))
+        io.save_counts(zero, tmp_path / "zero.csv")
+        sweeps = ["--iterations", "30", "--burn-in", "10", "--thin", "5"]
+        for name, counts in (("sim", sim / "counts.csv"), ("zero", tmp_path / "zero.csv")):
+            assert main(["fit", "--counts", str(counts), *sweeps,
+                         "--out", str(tmp_path / name / "fit")]) == 0
+            assert main(["evaluate", "--counts", str(counts), "--origins", "weekly",
+                         "--draws", str(tmp_path / name / "fit" / "draws.jsonl"),
+                         "--out", str(tmp_path / name / "ev")]) == 0
+        doc = strict(sim / "ev" / "evaluation.json")
+        assert doc["by_last_value"]["3"]["n"] == 1
+        assert doc["by_last_value"]["3"]["rmse_se"] is None
+        assert doc["by_last_value"]["3"]["bias_se"] is None
+        assert isinstance(doc["ape"], float)
+        doc = strict(tmp_path / "zero" / "ev" / "evaluation.json")
+        assert doc["ape"] is None and doc["n_ape"] == 0
+
+    def test_json_writer_writes_null_for_undefined_numbers(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        io.write_json(tmp_path / "doc.json", {"a": nan, "b": [1.5, inf, (-inf, 2)],
+                                               "c": {"d": nan, "e": "NaN"}, "f": None})
+        assert json.loads((tmp_path / "doc.json").read_text(), parse_constant=float) == {
+            "a": None, "b": [1.5, None, [None, 2]], "c": {"d": None, "e": "NaN"}, "f": None}
+
     def test_fit_writes_innovations_only_when_asked(self, tmp_path):
         io.save_counts(_tiny_panel(), tmp_path / "c.csv")
         records = {}
@@ -670,65 +760,51 @@ class TestCli:
         assert main(["fit", "--counts", counts, "--exposure", exposure,
                      "--chains", "2", "--iterations", "30", "--burn-in", "10", "--thin", "5",
                      "--out", str(tmp_path / "fit")]) == 0
-        inputs = ["--counts", counts, "--draws", draws]
-        assert main(["forecast", *inputs, "--exposure", exposure, "--horizon", "2",
-                     "--out", str(fc)]) == 0
-        assert main(["evaluate", *inputs, "--exposure", exposure, "--out", str(ev)]) == 0
-
+        # the draws carry the exposure they were fitted with
         panel = io.load_counts(counts, exposure_path=exposure)
+        loaded = io.load_draws(draws)
+        assert np.array_equal(loaded.exposure, panel.exposure)
+        inputs = ["--counts", counts, "--draws", draws]
+        assert main(["forecast", *inputs, "--horizon", "2", "--out", str(fc)]) == 0
+        assert main(["evaluate", *inputs, "--out", str(ev)]) == 0
+
         months = io.months_of(io.week_starts_from(
             panel.week_starts[-1] + datetime.timedelta(days=7), 2))
-        expected = posterior_conditional_means(io.load_draws(draws), panel.counts[:, -1],
-                                               months, panel.exposure)
+        expected = posterior_conditional_means(loaded, panel.counts[:, -1], months)
         with (fc / "forecasts.csv").open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["mean"] for r in rows] == [repr(float(m)) for m in expected[0]]
         assert [r["mean_step2"] for r in rows] == [repr(float(m)) for m in expected[1]]
         assert json.loads((ev / "evaluation.json").read_text())["n_total"] > 0
 
-        capsys.readouterr()
-        for command in ("forecast", "evaluate"):
-            assert main([command, *inputs, "--out", str(tmp_path / command)]) == 2
-            assert "covariate mode requires an exposure vector" in capsys.readouterr().err
-
-    def test_exposure_outside_covariate_mode_is_a_usage_error(self, tmp_path, capsys):
+    def test_forecast_and_evaluate_take_no_exposure(self, tmp_path, capsys):
+        # an exposure is given once, to the fit; a second one, even of the
+        # same ids, is a usage error that writes nothing
         sim = tmp_path / "sim"
         assert main(["simulate", "--scenario", "hard-0.1", "--series", "8",
                      "--out", str(sim)]) == 0
         counts, exposure = str(sim / "counts.csv"), str(tmp_path / "exposure.csv")
-        save_exposure(io.load_counts(counts).series_ids, np.linspace(0.5, 4.0, 8), exposure)
+        ids = io.load_counts(counts).series_ids
+        save_exposure(ids, np.linspace(0.5, 4.0, 8), exposure)
         sweeps = ["--iterations", "30", "--burn-in", "10", "--thin", "5"]
-        # a fit's mode follows from its inputs: covariate exactly when given an exposure
+        # a fit scales its rates exactly when given an exposure
         assert main(["fit", "--counts", counts, "--exposure", exposure, *sweeps,
                      "--out", str(tmp_path / "cfit")]) == 0
-        assert io.load_draws(tmp_path / "cfit" / "draws.jsonl").mode == "covariate"
+        cdraws = str(tmp_path / "cfit" / "draws.jsonl")
+        assert io.load_draws(cdraws).exposure.tolist() == np.linspace(0.5, 4.0, 8).tolist()
         assert main(["fit", "--counts", counts, *sweeps, "--out", str(tmp_path / "fit")]) == 0
         draws = str(tmp_path / "fit" / "draws.jsonl")
-        assert io.load_draws(draws).mode == "plain"
+        assert io.load_draws(draws).exposure is None
+        other = str(tmp_path / "other.csv")
+        save_exposure(ids, 100.0 * np.arange(1, 9), other)
         capsys.readouterr()
         for command in ("forecast", "evaluate"):
-            out = tmp_path / command
-            assert main([command, "--counts", counts, "--draws", draws,
-                         "--exposure", exposure, "--out", str(out)]) == 2
-            assert "not to plain mode" in capsys.readouterr().err
-            assert not any(out.glob("*.csv"))
-
-    @pytest.mark.parametrize("mode", ["Covariate", "banana", None])
-    def test_draws_of_an_unknown_mode_exit_one(self, tmp_path, tiny_draws, capsys, mode):
-        panel = _tiny_panel()
-        io.save_counts(panel, tmp_path / "c.csv")
-        path = tmp_path / "draws.jsonl"
-        io.save_draws(tiny_draws, path, panel)
-        _edit_header(path, lambda h: h.update(mode=mode))
-        code = main(["forecast", "--counts", str(tmp_path / "c.csv"), "--draws", str(path),
-                     "--out", str(tmp_path / "fc")])
-        assert code == 1
-        assert f"{path}: header mode {mode!r} is not" in capsys.readouterr().err
-        assert not (tmp_path / "fc" / "forecasts.csv").exists()
-        # a header without a mode is refused too
-        _edit_header(path, lambda h: h.pop("mode"))
-        with pytest.raises(io.IntegrityError, match="header mode None is not"):
-            io.load_draws(path)
+            for fitted in (draws, cdraws):
+                out = tmp_path / command
+                assert main([command, "--counts", counts, "--draws", fitted,
+                             "--exposure", other, "--out", str(out)]) == 2
+                assert "unrecognized arguments: --exposure" in capsys.readouterr().err
+                assert not out.exists()
 
     def test_malformed_draws_record_exits_one(self, tmp_path, tiny_draws, capsys):
         sc = Scenario(name="d", cluster_rates=(1.0, 3.0), thinning=0.4, L=6, T=72)

@@ -17,7 +17,6 @@ from generative import (
 )
 from oracles import validate_state
 from poinar.model import (
-    ConfigurationError,
     Hyperparams,
     ModelState,
     model_exposure,
@@ -327,19 +326,15 @@ class TestPanelTypes:
     def test_model_exposure_is_unit_in_plain_mode(self):
         counts = np.ones((3, 12), dtype=np.int64)
         panel = CountPanel(counts=counts, season_of=FLAT_SEASONS[:12])
-        assert model_exposure(panel, "plain").tolist() == [1.0, 1.0, 1.0]
-        with pytest.raises(ConfigurationError, match="covariate mode requires an exposure"):
-            model_exposure(panel, "covariate")
+        assert model_exposure(panel).tolist() == [1.0, 1.0, 1.0]
         exposed = replace(panel, exposure=np.array([0.5, 2.0, 4.0]))
-        assert model_exposure(exposed, "covariate") is exposed.exposure
-        assert model_exposure(exposed, "plain").tolist() == [1.0, 1.0, 1.0]
+        assert model_exposure(exposed) is exposed.exposure
 
     def test_hyperparams_positive(self):
         with pytest.raises(ValueError):
             Hyperparams(gamma1=0.0)
-        with pytest.raises(ValueError):
-            Hyperparams(mode="other")
-        assert Hyperparams.default("covariate").gamma1 == 0.5
+        assert Hyperparams.default(covariate=True).gamma1 == 0.5
+        assert Hyperparams.default(covariate=False) == Hyperparams()
 
     def test_model_state_invariants(self):
         state = ModelState(

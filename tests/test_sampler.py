@@ -27,8 +27,6 @@ from poinar.memberships import (
     sample_memberships,
 )
 from poinar.model import (
-    MODE_COVARIATE,
-    MODE_PLAIN,
     ConfigurationError,
     Hyperparams,
     ModelState,
@@ -294,7 +292,7 @@ class TestCollapsedMembershipWeights:
         stats = SuffStats.from_state(state, panel)
         rng = np.random.default_rng(10)
         for _ in range(10):
-            z, stats2 = sample_memberships(state, panel, stats, Hyperparams(), rng,
+            z, stats2 = sample_memberships(state, stats, Hyperparams(), rng,
                                            log_gamma=LogGammaTable(1.0))
             assert z.max() == 0
 
@@ -305,7 +303,7 @@ class TestCollapsedMembershipWeights:
         state.phi_star = np.full(10, 1.0)
         state.tau = 0.7
         stats = SuffStats.from_state(state, panel)
-        z, stats = sample_memberships(state, panel, stats, Hyperparams(), np.random.default_rng(11),
+        z, stats = sample_memberships(state, stats, Hyperparams(), np.random.default_rng(11),
                                       log_gamma=LogGammaTable(1.0))
         seen = np.unique(z)
         assert np.array_equal(seen, np.arange(seen.size))
@@ -319,8 +317,8 @@ class TestCollapsedMembershipWeights:
         # run two short collapsed samplers over (z, phi) only, one sweeping in
         # natural order and one in a permuted order each sweep; the posterior
         # cluster-count histograms must agree. A sweep visits the rows in
-        # order, so the permuted sampler sweeps the panel rows, the state and
-        # the per-series stats put in the sweep's order, then puts z back.
+        # order, so the permuted sampler sweeps the state and the per-series
+        # stats put in the sweep's order, then puts z back.
         panel, truth = small_panel(L=12, T=80, rates=(0.6, 5.0), seed=17)
         hyper = Hyperparams()
         stats0 = SuffStats.from_state(truth, panel)
@@ -338,7 +336,6 @@ class TestCollapsedMembershipWeights:
                 z, stats = sample_memberships(
                     replace(state, z=state.z[order], alpha=state.alpha[order],
                             innovations=state.innovations[order]),
-                    replace(panel, counts=panel.counts[order]),
                     replace(stats, S=stats.S[order], mass=stats.mass[order]),
                     hyper, rng, log_gamma=table)
                 state.z = z[back]
@@ -375,7 +372,7 @@ class TestCollapsedMembershipWeights:
             patch.setattr(module, "np", Numpy())
             return sweep(*args, **kwargs), recorded
 
-    @pytest.mark.parametrize("mode", [MODE_PLAIN, MODE_COVARIATE])
+    @pytest.mark.parametrize("mode", ["plain", "covariate"])
     @pytest.mark.parametrize("gamma1", [1.0, 0.3, 1 / 3])
     def test_visit_log_weights_match_the_list_sweep_bit_for_bit(self, mode, gamma1):
         # two sweeps from 60 singletons, the second from the clusters the
@@ -387,19 +384,19 @@ class TestCollapsedMembershipWeights:
         L, T = 60, 8
         eps = rng.poisson(rng.uniform(0.0, 40.0, (L, 1)), (L, T))
         eps[rng.random(L) < 0.2] = 0
-        exposure = rng.uniform(0.2, 5.0, L) if mode == MODE_COVARIATE else None
+        exposure = rng.uniform(0.2, 5.0, L) if mode == "covariate" else None
         panel = CountPanel(counts=eps, season_of=rng.integers(1, 13, T), exposure=exposure)
         state = ModelState(alpha=np.full(L, 0.5), z=np.arange(L), phi_star=np.ones(L),
                            theta=rng.gamma(2.0, 0.5, 12), tau=1.5, innovations=eps)
-        hyper = Hyperparams(gamma1=gamma1, gamma2=0.5, mode=mode)
+        hyper = Hyperparams(gamma1=gamma1, gamma2=0.5)
         table = LogGammaTable(gamma1)
-        ours = theirs = (state.z, SuffStats.from_state(state, panel, mode))
+        ours = theirs = (state.z, SuffStats.from_state(state, panel))
         for seed in (1, 2):
             ours, got = self.visit_log_weights(
-                memberships, sample_memberships, replace(state, z=ours[0]), panel, ours[1], hyper,
+                memberships, sample_memberships, replace(state, z=ours[0]), ours[1], hyper,
                 np.random.default_rng(seed), log_gamma=table)
             theirs, want = self.visit_log_weights(
-                oracles, oracles.list_sample_memberships, replace(state, z=theirs[0]), panel,
+                oracles, oracles.list_sample_memberships, replace(state, z=theirs[0]),
                 theirs[1], hyper, np.random.default_rng(seed))
             assert len(got) == len(want) == L
             differ = [i for i, (g, w) in enumerate(zip(got, want)) if g.tobytes() != w.tobytes()]
@@ -696,23 +693,27 @@ class TestChains:
         assert_same_draws(run_chain(panel, config, chain_index=2),
                           run_chain(panel, config, rng=raw, chain_index=2))
 
-    def test_covariate_mode_requires_exposure(self):
+    def test_draws_carry_the_panel_exposure(self):
         panel, _ = small_panel(L=4, T=48, rates=(1.0, 2.0))
-        config = SamplerConfig(hyper=Hyperparams.default("covariate"))
-        with pytest.raises(ConfigurationError):
-            run_chain(panel, config)
+        config = SamplerConfig(n_iterations=20, burn_in=10, thin_interval=5, seed=3)
+        assert run_chain(panel, config).exposure is None
+        exposure = np.array([0.5, 1.0, 2.0, 4.0])
+        draws = run_chain(replace(panel, exposure=exposure), config)
+        assert np.array_equal(draws.exposure, exposure)
+        lam = np.take_along_axis(draws.phi_star, draws.z, axis=1)
+        assert np.array_equal(draws.stacked()[1], lam * exposure)
 
     def test_covariate_mode_runs_and_validates(self, monkeypatch):
         exposure = np.array([0.5, 1.0, 2.0, 4.0, 1.5, 0.8])
         panel, _ = small_panel(L=6, T=60, exposure=exposure)
         config = SamplerConfig(
             n_iterations=40, burn_in=10, thin_interval=5, seed=4,
-            hyper=Hyperparams.default("covariate"),
+            hyper=Hyperparams.default(covariate=True),
         )
         checked = self.validate_every_sweep(monkeypatch)
         draws = run_chain(panel, config)
         assert len(checked) == 40
-        assert draws.mode == "covariate"
+        assert np.array_equal(draws.exposure, exposure)
         assert len(draws) == config.draws_per_chain
 
     def test_covariate_mode_recovers_per_exposure_clusters(self):
@@ -728,7 +729,7 @@ class TestChains:
         )
         config = SamplerConfig(
             n_iterations=400, burn_in=100, thin_interval=5, seed=5,
-            hyper=Hyperparams.default("covariate"),
+            hyper=Hyperparams.default(covariate=True),
         )
         draws = run_chain(panel, config)
         from poinar.diagnostics import (
@@ -768,6 +769,18 @@ class TestChains:
         assert merged.innovations.shape == (3, 4, 3)
         with pytest.raises(ValueError, match="with and without innovations"):
             PosteriorDraws.concat([one, draws_from_states([draw(2, None)])])
+
+    def test_concat_keeps_one_exposure(self):
+        panel, _ = small_panel(L=4, T=48, rates=(1.0, 2.0))
+        config = SamplerConfig(n_iterations=20, burn_in=10, thin_interval=5, seed=6)
+        exposure = np.array([0.5, 1.0, 2.0, 4.0])
+        exposed = replace(panel, exposure=exposure)
+        one, two = (run_chain(exposed, config, chain_index=c) for c in (0, 1))
+        assert np.array_equal(PosteriorDraws.concat([one, two]).exposure, exposure)
+        for other in (run_chain(panel, config, chain_index=1),
+                      run_chain(replace(panel, exposure=exposure * 2), config, chain_index=1)):
+            with pytest.raises(ValueError, match="different exposures"):
+                PosteriorDraws.concat([one, other])
 
     def test_suffstats_match_independent_recount(self):
         # plain-loop recount of every sufficient statistic on recorded sweeps

@@ -27,7 +27,7 @@ from poinar import memberships, sampler
 from poinar.harness import Scenario, scenario_by_name, simulate_scenario
 from poinar.kernel import InnovationKernel
 from poinar.memberships import LogGammaTable, SuffStats, sample_memberships
-from poinar.model import MODE_COVARIATE, MODE_PLAIN, Hyperparams, ModelState
+from poinar.model import Hyperparams, ModelState
 from poinar.panel import CountPanel
 from poinar.sampler import SamplerConfig, run_chain, sample_thinnings
 
@@ -116,21 +116,21 @@ CASES = {
     "covariate": lambda: (
         replace(desk_panel("med-0.5", 14),
                 exposure=np.random.default_rng(15).uniform(0.5, 4.0, 40)),
-        sweep_config(30, seed=5, hyper=Hyperparams.default("covariate")),
+        sweep_config(30, seed=5, hyper=Hyperparams.default(covariate=True)),
     ),
     # per-series exposures put a mass per visit, and gamma1 0.3 and 1e-300
     # leave the log-gamma table empty: every sweep takes the table visit
     "covariate-gamma1-0.3": lambda: (
         replace(desk_panel("med-0.5", 20),
                 exposure=np.random.default_rng(21).uniform(0.5, 4.0, 40)),
-        sweep_config(20, seed=16, hyper=replace(Hyperparams.default("covariate"), gamma1=0.3)),
+        sweep_config(20, seed=16, hyper=replace(Hyperparams.default(covariate=True), gamma1=0.3)),
     ),
     "gamma1-1e-300": lambda: (desk_panel("easy-0.5", 25),
                               sweep_config(20, seed=17, hyper=Hyperparams(gamma1=1e-300))),
-    # one exposure for every series is one mass: the list visit in covariate mode
+    # one exposure for every series is one mass: the list visit under an exposure
     "covariate-one-exposure": lambda: (
         replace(desk_panel("med-0.5", 26), exposure=np.full(40, 2.5)),
-        sweep_config(20, seed=18, hyper=Hyperparams.default("covariate")),
+        sweep_config(20, seed=18, hyper=Hyperparams.default(covariate=True)),
     ),
     "outlier": lambda: (outlier_panel(), sweep_config(15, seed=7)),
     # criterion 12's 188 series over four years: K falls to a few clusters
@@ -190,13 +190,13 @@ def wide_panel(L: int, entropy: int, exposure: bool = False):
 WIDE_CASES = {
     "covariate": lambda: (
         wide_panel(220, 22, exposure=True),
-        sweep_config(3, seed=13, hyper=Hyperparams.default("covariate")),
+        sweep_config(3, seed=13, hyper=Hyperparams.default(covariate=True)),
     ),
     "gamma1-0.3": lambda: (wide_panel(200, 23), sweep_config(3, seed=14,
                                                              hyper=Hyperparams(gamma1=0.3))),
     "covariate-gamma1-0.3": lambda: (
         wide_panel(200, 24, exposure=True),
-        sweep_config(3, seed=15, hyper=replace(Hyperparams.default("covariate"), gamma1=0.3)),
+        sweep_config(3, seed=15, hyper=replace(Hyperparams.default(covariate=True), gamma1=0.3)),
     ),
 }
 
@@ -229,7 +229,6 @@ def membership_inputs(draw):
     else:
         z = np.unique(rng.integers(0, draw(st.integers(1, 4)), L), return_inverse=True)[1]
     mass = draw(st.sampled_from(["plain", "per-series", "one exposure"]))
-    mode = MODE_PLAIN if mass == "plain" else MODE_COVARIATE
     exposure = {"plain": None, "per-series": rng.uniform(0.2, 5.0, L),
                 "one exposure": np.full(L, 2.5)}[mass]
     panel = CountPanel(counts=eps, season_of=rng.integers(1, 13, T), exposure=exposure)
@@ -237,7 +236,7 @@ def membership_inputs(draw):
                        theta=rng.gamma(2.0, 0.5, 12), tau=float(rng.lognormal(0.0, 1.5)),
                        innovations=eps)
     hyper = Hyperparams(gamma1=draw(st.sampled_from([1.0, 0.5, 0.25, 3.0, 0.3, 1 / 3])),
-                        gamma2=draw(st.floats(0.05, 3.0)), mode=mode)
+                        gamma2=draw(st.floats(0.05, 3.0)))
     return state, panel, hyper, draw(st.integers(0, 2**32 - 1))
 
 
@@ -247,14 +246,14 @@ def test_membership_sweeps_match_list_sweeps(inputs):
     state, panel, hyper, seed = inputs
     rng_ours = np.random.default_rng(seed)
     rng_ref = np.random.default_rng(seed)
-    stats = SuffStats.from_state(state, panel, hyper.mode)
+    stats = SuffStats.from_state(state, panel)
     table = LogGammaTable(hyper.gamma1)
     ours, expected = (state.z, stats), (state.z, stats)
     for _ in range(2):  # the second sweep reuses the table the first grew
-        ours = sample_memberships(replace(state, z=ours[0]), panel, ours[1], hyper, rng_ours,
+        ours = sample_memberships(replace(state, z=ours[0]), ours[1], hyper, rng_ours,
                                   log_gamma=table)
-        expected = oracles.list_sample_memberships(replace(state, z=expected[0]), panel,
-                                                   expected[1], hyper, rng_ref)
+        expected = oracles.list_sample_memberships(replace(state, z=expected[0]), expected[1],
+                                                   hyper, rng_ref)
         (z, got), (z_ref, want) = ours, expected
         assert np.array_equal(z, z_ref)
         for name in ("B", "n", "U"):
@@ -275,9 +274,9 @@ def test_list_visit_sweep_opens_clusters_past_the_crossover(monkeypatch):
     stats = SuffStats.from_state(state, panel)
     with monkeypatch.context() as patch:
         visits = record_visits(patch)
-        z, ours = sample_memberships(state, panel, stats, Hyperparams(),
+        z, ours = sample_memberships(state, stats, Hyperparams(),
                                      np.random.default_rng(3), log_gamma=LogGammaTable(1.0))
-    z_ref, want = oracles.list_sample_memberships(state, panel, stats, Hyperparams(),
+    z_ref, want = oracles.list_sample_memberships(state, stats, Hyperparams(),
                                                   np.random.default_rng(3))
     assert visits == [LIST]
     assert np.array_equal(z, z_ref)
@@ -309,9 +308,9 @@ def test_table_grows_mid_sweep_as_clusters_merge(gamma1):
     hyper = Hyperparams(gamma1=gamma1)
     stats = SuffStats.from_state(state, panel)
     table = LogGammaTable(gamma1)
-    z, ours = sample_memberships(state, panel, stats, hyper, np.random.default_rng(1),
+    z, ours = sample_memberships(state, stats, hyper, np.random.default_rng(1),
                                  log_gamma=table)
-    z_ref, want = oracles.list_sample_memberships(state, panel, stats, hyper,
+    z_ref, want = oracles.list_sample_memberships(state, stats, hyper,
                                                   np.random.default_rng(1))
     assert np.array_equal(z, z_ref) and np.array_equal(ours.B, want.B)
     assert np.array_equal(ours.U, want.U)
@@ -397,14 +396,14 @@ def test_membership_sweep_over_vast_totals_keeps_no_table():
     table = LogGammaTable(hyper.gamma1)
     tracemalloc.start()
     try:
-        z, got = sample_memberships(state, panel, stats, hyper, np.random.default_rng(4),
+        z, got = sample_memberships(state, stats, hyper, np.random.default_rng(4),
                                     log_gamma=table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     assert table.values.shape[0] == 0
-    z_ref, want = oracles.list_sample_memberships(state, panel, stats, hyper,
+    z_ref, want = oracles.list_sample_memberships(state, stats, hyper,
                                                   np.random.default_rng(4))
     assert np.array_equal(z, z_ref) and np.array_equal(got.B, want.B)
 
