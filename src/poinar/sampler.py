@@ -349,11 +349,14 @@ def run_chains(panel: CountPanel, config: SamplerConfig) -> list[PosteriorDraws]
     call. They run side by side in forked worker processes on the usable
     CPUs (``workers.in_workers``), as many as memory holds when each chain
     copies the buffers it writes and holds its draws twice, as an array and
-    pickled. Each chain draws from its own stream, so the draws are those of
-    the chains run one after another, which is how they run on one CPU.
-    Before any sweep, the fit is refused if the kernel and every chain's
-    draws, held twice (the chains and their concatenation), would exceed
-    physical memory.
+    pickled. Each worker is sent one chain index at a time, as it falls
+    idle, down a pipe of its own. Each chain draws from its own stream, so
+    the draws are those of the chains run one after another, which is how
+    they run on one CPU. Before any sweep, the fit is refused if the kernel
+    and every chain's draws, held twice (the chains and their
+    concatenation), would exceed physical memory. A worker that exits
+    before its chain returns, even while sending its draws, raises
+    ``WorkerExited`` naming that chain.
     """
     kernel = InnovationKernel(panel.counts, panel.series_ids)
     per_chain = draw_bytes(panel.n_series, panel.n_weeks, config)

@@ -7,22 +7,11 @@ import os
 import signal
 import threading
 
-import numpy as np
-
 from .model import copies_that_fit
 
 
 class WorkerExited(RuntimeError):
     """Raised when a worker process exits before its task returns."""
-
-
-# a task's state in the table a pool's workers share with the parent
-_STARTED, _DONE, _STOPPED = 1, 2, 3
-
-# set in worker processes only: the (task function, tasks, state table)
-# a worker inherited, and the index of the task it runs
-_job = None
-_running = None
 
 
 def _usable_cpus() -> int:
@@ -41,20 +30,21 @@ def in_workers(fn, tasks, describe, *, held: float = 0, per_worker: float = 0,
     The pool takes one worker per usable CPU, at most one per task, and no
     more than fit in physical memory beside ``held`` bytes when each writes
     ``per_worker`` bytes of its own. With one worker, where the platform
-    cannot fork, while another Python thread runs (a fork copies only
-    the calling thread, so a lock another one holds stays held in the
-    worker), or while a function a chain calls is wrapped in place
+    cannot fork, while another Python thread runs (a fork copies only the
+    calling thread, so a lock another one holds stays held in the worker),
+    or while a function a chain calls is wrapped in place
     (``_wrapped_in_place``), the tasks run here instead, one after another.
-    Workers inherit ``fn`` and ``tasks`` through the fork, so only task
-    indices and results are pickled. ``fn`` must draw only from random
-    streams of its own, so that every result is the serial run's.
-    ``done(i, result)``, if given, runs here as each result arrives, in
-    task order.
+    Workers inherit ``fn`` and ``tasks`` through the fork, and each is sent
+    one task index at a time, as it falls idle, down a pipe of its own.
+    ``fn`` must draw only from random streams of its own, so that every
+    result is the serial run's. ``done(i, result)``, if given, runs here as
+    each result arrives, in task order.
 
-    An exception ``fn`` raises reaches the caller with its type, from the
-    first failing task in task order, as in the serial run. A worker that
-    exits before its task returns raises ``WorkerExited``, naming the task
-    by ``describe(task)``. No worker outlives the call.
+    An exception ``fn`` raises, or the error pickling its result, reaches
+    the caller with its type, from the first failing task in task order, as
+    in the serial run. A worker that exits before its task returns, even
+    while sending its result, raises ``WorkerExited``, naming that task by
+    ``describe(task)``. No worker outlives the call.
     """
     tasks = list(tasks)
     results = []
@@ -71,32 +61,68 @@ def in_workers(fn, tasks, describe, *, held: float = 0, per_worker: float = 0,
             collect(fn(task))
         return results
 
-    import mmap
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.connection import Pipe, wait
+    # pipe -> pid; pipe -> task; task -> (failed, value), value None if its worker exited
+    pids, carried, replies, pending = {}, {}, {}, iter(range(len(tasks)))
 
-    # anonymous shared memory, which the workers inherit
-    states = np.frombuffer(mmap.mmap(-1, len(tasks)), dtype=np.uint8)
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(fn, tasks, states)) as pool:
-        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+    def hand_out(pipe):  # the next task, or None to stop
+        i = next(pending, None)
         try:
-            for future in futures:
-                collect(future.result())
-        except BrokenProcessPool as exc:
-            pool.shutdown()  # the workers are gone, so each state is final
-            # the pool stops the other workers; their tasks read _STOPPED
-            lost = np.flatnonzero(states == _STARTED)
-            if not lost.size:
-                lost = np.flatnonzero(states != _DONE)
-            names = ", ".join(describe(tasks[i]) for i in lost.tolist())
-            raise WorkerExited(f"{names or 'a task'} did not finish: its worker process "
-                               "exited before returning") from exc
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+            pipe.send(i)
+            if i is not None:
+                carried[pipe] = i
+        except OSError:  # the worker exited after its last reply
+            if i is not None:
+                replies[i] = (True, None)
+
+    try:
+        for _ in range(workers):
+            pipe, end = Pipe()
+            pid = os.fork()
+            if not pid:
+                _serve(fn, tasks, end, [pipe, *pids])
+            end.close()
+            pids[pipe] = pid
+            hand_out(pipe)
+        for i in range(len(tasks)):
+            while i not in replies:
+                for pipe in wait(list(carried)):
+                    task = carried.pop(pipe)
+                    try:
+                        replies[task] = pipe.recv()
+                        hand_out(pipe)
+                    except (EOFError, OSError):  # the worker exited
+                        replies[task] = (True, None)
+            failed, value = replies.pop(i)
+            if failed:
+                raise value if value is not None else WorkerExited(
+                    f"{describe(tasks[i])} did not finish: its worker process exited before "
+                    "returning")
+            collect(value)
+    finally:
+        for pipe, pid in pids.items():
+            if pipe in carried:  # running a task nothing will collect
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
     return results
+
+
+def _serve(fn, tasks, pipe, inherited):
+    """A worker: reply to each task index ``pipe`` brings, until ``None``."""
+    try:
+        for other in inherited:  # the parent's ends of pipes the fork copied
+            other.close()
+        while (i := pipe.recv()) is not None:
+            try:
+                pipe.send((False, fn(tasks[i])))
+            except Exception as exc:  # from fn, or from pickling its result
+                try:
+                    pipe.send((True, exc))
+                except Exception as error:  # the exception does not pickle
+                    pipe.send((True, error))
+    finally:
+        os._exit(0)
 
 
 def _wrapped_in_place() -> bool:
@@ -124,30 +150,3 @@ def _wrapped_in_place() -> bool:
     return any(hasattr(fn, "__wrapped__") and getattr(
                    getattr(fn.__wrapped__, "__code__", None), "co_filename", None) != "<string>"
                for fn in found)
-
-
-def _adopt(fn, tasks, states):
-    """Worker initializer: keep the job, and mark the running task
-    ``_STOPPED`` when the pool terminates this worker."""
-    global _job
-    _job = (fn, tasks, states)
-    signal.signal(signal.SIGTERM, _stopped)
-
-
-def _stopped(signum, frame):
-    states = _job[2]
-    if _running is not None and states[_running] == _STARTED:
-        states[_running] = _STOPPED
-    os._exit(128 + signum)
-
-
-def _run_task(i: int):
-    global _running
-    fn, tasks, states = _job
-    _running = i
-    states[i] = _STARTED
-    try:
-        return fn(tasks[i])
-    finally:
-        states[i] = _DONE
-        _running = None

@@ -8,9 +8,11 @@ one CPU too, and ``os.fork`` is counted to show that it did.
 
 import functools
 import multiprocessing
+import multiprocessing.connection
 import os
 import shutil
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -31,14 +33,16 @@ from poinar.workers import WorkerExited, in_workers
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the usable CPU count; returns the pids of the processes forked."""
-    forked = []
+    """Set the usable CPU count; returns the pids of the processes forked.
+    Every process forked must have been reaped by the end of the test."""
+    forked, every = [], []
     fork = os.fork
 
     def counting():
         pid = fork()
         if pid:
             forked.append(pid)
+            every.append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", counting)
@@ -50,6 +54,9 @@ def cpus(monkeypatch):
 
     yield use
     assert multiprocessing.active_children() == []
+    for pid in every:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def small_panel():
@@ -59,6 +66,14 @@ def small_panel():
 
 class _Refused(Exception):
     pass
+
+
+class _ExitsWhenPickled:
+    """A result whose worker exits while pickling it, as one killed while
+    it sends its result back would."""
+
+    def __reduce__(self):
+        os._exit(3)
 
 
 class TestPool:
@@ -78,22 +93,11 @@ class TestPool:
         assert got == [os.getpid()] * 3 and forked == []
 
     @pytest.mark.parametrize("n_cpus, n_tasks, workers", [(10**6, 3, 3), (2, 5, 2), (1, 5, None)])
-    def test_pool_size_is_cpus_capped_by_tasks(self, monkeypatch, cpus, n_cpus, n_tasks, workers):
-        # a stand-in executor records the size without starting a process
-        sizes = []
-
-        def executor(max_workers, **kwargs):
-            sizes.append(max_workers)
-            raise _Refused
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", executor)
-        cpus(n_cpus)
-        if workers is None:
-            assert in_workers(lambda t: t, range(n_tasks), str) == list(range(n_tasks))
-        else:
-            with pytest.raises(_Refused):
-                in_workers(lambda t: t, range(n_tasks), str)
-        assert sizes == ([] if workers is None else [workers])
+    def test_pool_size_is_cpus_capped_by_tasks(self, cpus, n_cpus, n_tasks, workers):
+        # None: no pool, so the tasks run here
+        forked = cpus(n_cpus)
+        assert in_workers(lambda t: t, range(n_tasks), str) == list(range(n_tasks))
+        assert len(forked) == (workers or 0)
 
     def test_another_thread_keeps_the_tasks_here(self, cpus):
         # a fork would copy only this thread, and any lock the other holds
@@ -171,6 +175,75 @@ class TestPool:
         with pytest.raises(ConfigurationError, match="task 2"):
             in_workers(task, range(5), str)
 
+    @pytest.mark.parametrize("returns", [True, False], ids=["result", "exception"])
+    def test_what_does_not_pickle_raises_here_in_task_order(self, cpus, returns):
+        # a lock does not pickle, so neither does a result or an exception
+        # holding one: the pickling error comes back instead
+        def task(t):
+            if t == 1 and returns:
+                return threading.Lock()
+            if t == 1:
+                error = ValueError("holds a lock")
+                error.lock = threading.Lock()
+                raise error
+            return t
+
+        seen = []
+        cpus(2)
+        with pytest.raises(TypeError, match=r"^cannot pickle '_thread\.lock' object$"):
+            in_workers(task, range(4), str, done=lambda i, result: seen.append(i))
+        assert seen == [0]
+
+    def test_worker_exiting_while_it_sends_its_result_is_named(self, cpus):
+        forked = cpus(2)
+        with pytest.raises(WorkerExited, match=r"^task 1 did not finish"):
+            in_workers(lambda t: _ExitsWhenPickled() if t == 1 else t, range(4),
+                       lambda t: f"task {t}")
+        assert len(forked) == 2
+
+    def test_worker_gone_when_handed_a_task_is_named(self, monkeypatch, cpus):
+        # a worker that exits after a reply breaks the pipe its next task
+        # index goes down; whichever worker task 2 goes to, it is named
+        class Broken:
+            def __init__(self, pipe):
+                self.pipe = pipe
+
+            def send(self, i):
+                if i == 2:
+                    raise BrokenPipeError(32, "Broken pipe")
+                self.pipe.send(i)
+
+            def __getattr__(self, name):
+                return getattr(self.pipe, name)
+
+        pipe = multiprocessing.connection.Pipe
+
+        def breaking():
+            here, there = pipe()
+            return Broken(here), there
+
+        monkeypatch.setattr(multiprocessing.connection, "Pipe", breaking)
+        cpus(2)
+        with pytest.raises(WorkerExited, match=r"^task 2 did not finish"):
+            in_workers(lambda t: t, range(4), lambda t: f"task {t}")
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+    def test_raising_here_stops_a_worker_still_running(self, cpus, error):
+        # task 1 would run for a minute; the fixture checks it was reaped
+        def task(t):
+            if t == 1:
+                time.sleep(60)
+            return t
+
+        def done(i, result):
+            raise error
+
+        cpus(2)
+        start = time.monotonic()
+        with pytest.raises(error):
+            in_workers(task, range(3), str, done=done)
+        assert time.monotonic() - start < 30
+
 
 def chains_config(n_chains, **kwargs):
     return SamplerConfig(n_iterations=12, burn_in=2, thin_interval=2, seed=6, n_chains=n_chains,
@@ -185,27 +258,20 @@ class TestMemory:
         draws = run_chain(panel, config)
         draw_bytes = sum(v.nbytes for v in vars(draws).values() if isinstance(v, np.ndarray))
         worker = kernel.chain_bytes + 2 * draw_bytes
-        sizes = []
-
-        def executor(max_workers, **kwargs):
-            sizes.append(max_workers)
-            raise _Refused
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", executor)
-        cpus(4)
         for memory, workers in [(kernel.held_bytes + 3 * worker, 3),
                                 (kernel.held_bytes + 3 * worker - 1, 2),
                                 (kernel.held_bytes + 2 * worker, 2)]:
             monkeypatch.setattr(model, "physical_memory", lambda: memory)
-            with pytest.raises(_Refused):
-                run_chains(panel, config)
-            assert sizes.pop() == workers
+            forked = cpus(4)
+            assert len(run_chains(panel, config)) == 3
+            assert len(forked) == workers
         # one worker runs the chains here; a panel whose kernel and draws,
         # held twice, fit alone still fits
         for memory in (kernel.held_bytes + 2 * worker - 1, kernel.held_bytes + 6 * draw_bytes):
             monkeypatch.setattr(model, "physical_memory", lambda: memory)
+            forked = cpus(4)
             assert len(run_chains(panel, config)) == 3
-        assert sizes == []
+            assert forked == []
         monkeypatch.setattr(model, "physical_memory", lambda: kernel.held_bytes - 1)
         with pytest.raises(ConfigurationError, match="would need"):
             run_chains(panel, config)
@@ -321,6 +387,26 @@ class TestWorkerFailure:
                      "--iterations", "12", "--burn-in", "2", "--thin", "2",
                      "--out", str(out)]) == code
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        assert len(forked) == 2
+
+    def test_fit_names_the_chain_whose_worker_exits_while_returning(self, monkeypatch, cpus,
+                                                                    tmp_path, capsys):
+        # chain 1's worker exits while it pickles the chain's result; the
+        # other two chains finish
+        def exiting(panel, config, rng=None, chain_index=0, kernel=None):
+            draws = run_chain(panel, config, rng, chain_index, kernel)
+            return _ExitsWhenPickled() if chain_index == 1 else draws
+
+        io.save_counts(small_panel(), tmp_path / "counts.csv")
+        monkeypatch.setattr(sampler, "run_chain", exiting)
+        forked = cpus(2)
+        out = tmp_path / "new" / "fit"
+        assert main(["fit", "--counts", str(tmp_path / "counts.csv"), "--chains", "3",
+                     "--iterations", "12", "--burn-in", "2", "--thin", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: chain 1 did not finish: its worker process exited")
         assert not (tmp_path / "new").exists()
         assert len(forked) == 2
 
